@@ -1,19 +1,55 @@
 """Mean-field Hawkes particle system, its coupled Poisson limit, and the
 statistical experiments around the estimator Z_t / t.
 
-Simulation is exact thinning: per-particle candidate streams are generated
-from counter-based Philox generators keyed by (seed, replica, particle), so
-runs are reproducible and the particle process Z and its limit process Zbar
-consume the *same* candidates (the shared-randomness coupling that bounds
-their pathwise distance by C t / sqrt(N)).  The dominating rate is a rigorous
-upper bound on all future intensity given the current convolution state; it is
-re-checked whenever the state jumps and rescheduling happens at breaches.
+Simulation is exact thinning (Ogata 1981): every particle proposes candidate
+times at a common dominating rate lam_bar, and a candidate at s is accepted
+with probability Phi(xi_N(s) + Y_s) / lam_bar.  The dominator is an upper
+bound on all future intensity given the current convolution state.  The
+particle process Z and its limit process Zbar judge the *same* candidates
+with the same uniforms (the shared-randomness coupling that bounds their
+pathwise distance by C t / sqrt(N)).
+
+Stream contract (``tests/test_hawkes_golden.py`` locks it):
+
+* Key.  Particle i draws from its own Philox generator with key
+  (seed mod 2^64, (replica mod 2^32) << 32 | k_i mod 2^32), where k_i is i
+  or ``particle_keys[i]``.  Replica-level randomness (the sign of the
+  source perturbation) uses k = 2^32 - 1.
+* Blocks.  A generator is drawn in blocks of 256: ``standard_exponential(256)``
+  or ``random(256)``.  Every stream opens with one block of each, exponentials
+  first.  After that a particle's block of exponentials k (its draws
+  256k..256k+255) or of uniforms j is made when its draw 256k or 256j is first
+  needed, in the order of the draws below.  So exponential block k comes
+  before uniform block j >= 1 iff k < j + ceil(d / 256), where d is the number of
+  exponentials less the number of uniforms the particle has drawn when it
+  draws uniform 256j.
+* Draws.  The particle's first exponential e gives its first candidate
+  e / lam_bar.  Candidates are judged in order of time, then particle index,
+  up to the first one past t_end.  Judging a candidate at s draws the
+  particle's next uniform u (accept if u lam_bar <= intensity; the coupled
+  process accepts if u lam_bar <= limit intensity), then its next
+  exponential e gives its next candidate s + e / lam_bar.
+* Reschedules.  The dominator is rebuilt at a candidate (s, i) when an
+  acceptance raises the bound past it, when a candidate breaches it, or when
+  a refresh check finds it more than twice too large.  Instead of its next
+  exponential, every particle then draws one exponential e under the new
+  lam_bar and is next proposed at s + e / lam_bar.  For a particle other
+  than i this drops its pending candidate, so its exponentials run one
+  further ahead of its uniforms.
+
+``simulate_hawkes`` realises this without a priority queue: under one
+dominator each particle's candidates are running sums of its exponentials
+(``np.cumsum`` has the bits of repeated ``s + e / lam_bar``).  Those up to a
+horizon, about ``_SCHEDULE_CANDIDATES`` of them, are merged by ``np.lexsort``
+on (time, particle) and judged in one flat loop.  A reschedule drops the rest
+of the merged schedule and rebuilds it from each particle's draw counts; at
+the horizon every particle goes on from its last candidate.
 """
 
 from __future__ import annotations
 
+import array
 import concurrent.futures
-import heapq
 import math
 import multiprocessing
 import os
@@ -39,10 +75,6 @@ def resolve_threads(threads: Optional[int] = None) -> int:
         return max(1, int(threads))
     env = os.environ.get("RENEWAL_LAB_THREADS")
     return max(1, int(env)) if env else 1
-
-
-class DominatorBreach(Exception):
-    """Internal: the running intensity bound exceeded the scheduled dominator."""
 
 
 @dataclass(frozen=True)
@@ -85,38 +117,105 @@ class HawkesRun:
     metadata: dict = field(default_factory=dict)
 
 
-class _Stream:
-    """Buffered draws from a Philox generator keyed by (seed, replica, particle)."""
+_BLOCK = 256
 
-    __slots__ = ("_gen", "_exp", "_uni", "_ie", "_iu")
-    _BUF = 256
 
-    def __init__(self, seed: int, replica: int, particle_key: int):
-        key = np.array(
-            [seed & _M64, (((replica & _M32) << 32) | (particle_key & _M32)) & _M64],
-            dtype=np.uint64,
-        )
-        self._gen = np.random.Generator(np.random.Philox(key=key))
-        self._exp = self._gen.standard_exponential(self._BUF)
-        self._uni = self._gen.random(self._BUF)
-        self._ie = 0
-        self._iu = 0
+def _span(blocks: list, a: int, b: int) -> np.ndarray:
+    """Draws a..b-1 (absolute stream positions) out of a list of blocks."""
+    k0 = a // _BLOCK
+    k1 = (b - 1) // _BLOCK + 1
+    run = blocks[k0] if k1 == k0 + 1 else np.concatenate(blocks[k0:k1])
+    return run[a - k0 * _BLOCK : b - k0 * _BLOCK]
 
-    def exponential(self) -> float:
-        if self._ie == self._BUF:
-            self._exp = self._gen.standard_exponential(self._BUF)
-            self._ie = 0
-        v = self._exp[self._ie]
-        self._ie += 1
-        return float(v)
 
-    def uniform(self) -> float:
-        if self._iu == self._BUF:
-            self._uni = self._gen.random(self._BUF)
-            self._iu = 0
-        v = self._uni[self._iu]
-        self._iu += 1
-        return float(v)
+class _Streams:
+    """The Philox streams of a replica's particles, made in blocks.
+
+    One bit generator is re-keyed per particle through its ``state``; a block
+    of ``_BLOCK`` exponentials or uniforms is filled from the particle's saved
+    state, which is saved again afterwards.  ``ensure`` makes blocks in the
+    order of the stream contract (module docstring), which ``lead`` fixes.
+    """
+
+    def __init__(self, seed: int, replica: int, keys: Sequence[int]):
+        self._bitgen = np.random.Philox(key=0)
+        self._gen = np.random.Generator(self._bitgen)
+        n = len(keys)
+        self._keys = [[seed & _M64, (((replica & _M32) << 32) | (k & _M32)) & _M64] for k in keys]
+        # per particle, the rest of the bit generator state after its last
+        # block: counter (4 words), buffer (4 words), buffer_pos, has_uint32, uinteger
+        self._regs = np.zeros((n, 11), dtype=np.uint64)
+        self._regs[:, 8] = 4  # a fresh key: empty buffer
+        self._rewind: dict = {}  # (particle, j): registers before uniform block j >= 1
+        self.exp = []  # per particle: exponential blocks
+        self.uni = []  # per particle: uniform blocks
+        for i in range(n):
+            self._load(i)
+            self.exp.append([self._gen.standard_exponential(_BLOCK)])
+            self.uni.append([self._gen.random(_BLOCK)])
+            self._save(i)
+
+    def _load(self, i: int) -> None:
+        c0, c1, c2, c3, b0, b1, b2, b3, pos, has32, word = self._regs[i].tolist()
+        self._bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [c0, c1, c2, c3], "key": self._keys[i]},
+            "buffer": [b0, b1, b2, b3],
+            "buffer_pos": pos,
+            "has_uint32": has32,
+            "uinteger": word,
+        }
+
+    def _save(self, i: int) -> None:
+        st = self._bitgen.state
+        r = self._regs[i]
+        r[0:4] = st["state"]["counter"]
+        r[4:8] = st["buffer"]
+        r[8] = st["buffer_pos"]
+        r[9] = st["has_uint32"]
+        r[10] = st["uinteger"]
+
+    def _fill(self, i: int, blocks: list, draw: Callable) -> None:
+        self._load(i)
+        blocks.append(draw(_BLOCK))
+        self._save(i)
+
+    def ensure(self, i: int, n_exp: int, n_uni: int, lead: int) -> None:
+        """Make blocks of particle i until it holds n_exp exponentials and n_uni uniforms.
+
+        Exponential block k precedes uniform block j in the stream iff
+        k < j + lead, where lead = ceil((exponentials - uniforms drawn) / _BLOCK).
+        """
+        eb, ub = self.exp[i], self.uni[i]
+        while len(eb) * _BLOCK < n_exp or len(ub) * _BLOCK < n_uni:
+            if len(eb) < len(ub) + lead:
+                self._fill(i, eb, self._gen.standard_exponential)
+            else:
+                self._rewind[(i, len(ub))] = self._regs[i].copy()
+                self._fill(i, ub, self._gen.random)
+
+    def rewind(self, i: int, j: int, lead: int) -> None:
+        """Unmake uniform block j of particle i and every block made after it.
+
+        Called when the particle's lead grows past ``lead`` before its
+        uniform j * _BLOCK is drawn: the stream then holds exponential block
+        j + lead before uniform block j.
+        """
+        if len(self.uni[i]) <= j:
+            return
+        self._regs[i] = self._rewind[(i, j)]
+        for jj in range(j, len(self.uni[i])):
+            del self._rewind[(i, jj)]
+        del self.uni[i][j:]
+        del self.exp[i][j + lead :]
+
+    def release(self, i: int, n_exp: int, n_uni: int) -> None:
+        """Drop the blocks of particle i that lie wholly before the given positions."""
+        for k in range(n_exp // _BLOCK):
+            self.exp[i][k] = None
+        for j in range(n_uni // _BLOCK):
+            self.uni[i][j] = None
+            self._rewind.pop((i, j), None)
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +234,15 @@ class _ExpState:
         self.y = 0.0
         self.t = 0.0
 
-    def advance(self, t: float) -> None:
+    def value_at(self, t: float) -> float:
+        """Advance the state to t (never backwards) and return Y_t."""
         if t > self.t:
             self.y *= math.exp(-self.alpha * (t - self.t))
             self.t = t
+        return self.y
 
     def jump(self, weight: float) -> None:
         self.y += self.h0 * weight
-
-    def value(self) -> float:
-        return self.y
 
     def upper_bound(self) -> float:
         return self.y
@@ -164,28 +262,25 @@ class _ErlangState:
         # sup_x x^m e^{-x} / m!  bounds the future transfer from component i to the top
         self.peaks = [m**m * math.exp(-m) / math.factorial(m) if m > 0 else 1.0 for m in range(order + 1)]
 
-    def advance(self, t: float) -> None:
-        if t <= self.t:
-            return
-        ad = self.alpha * (t - self.t)
-        dec = math.exp(-ad)
-        old = self.s
-        new = [0.0] * (self.order + 1)
-        for k in range(self.order + 1):
-            acc = 0.0
-            p = 1.0
-            for i in range(k, -1, -1):
-                acc += old[i] * p
-                p *= ad / (k - i + 1)
-            new[k] = dec * acc
-        self.s = new
-        self.t = t
+    def value_at(self, t: float) -> float:
+        if t > self.t:
+            ad = self.alpha * (t - self.t)
+            dec = math.exp(-ad)
+            old = self.s
+            new = [0.0] * (self.order + 1)
+            for k in range(self.order + 1):
+                acc = 0.0
+                p = 1.0
+                for i in range(k, -1, -1):
+                    acc += old[i] * p
+                    p *= ad / (k - i + 1)
+                new[k] = dec * acc
+            self.s = new
+            self.t = t
+        return self.scale * self.s[self.order]
 
     def jump(self, weight: float) -> None:
         self.s[0] += self.alpha * weight
-
-    def value(self) -> float:
-        return self.scale * self.s[self.order]
 
     def upper_bound(self) -> float:
         n = self.order
@@ -209,21 +304,19 @@ class _GeneralState:
         self._env_grid = grid
         self._env = np.maximum.accumulate(vals[::-1])[::-1]
 
-    def advance(self, t: float) -> None:
+    def value_at(self, t: float) -> float:
         self.t = max(self.t, t)
         while self.events and self.t - self.events[0] > self.support:
             self.events.pop(0)
             self.weights.pop(0)
-
-    def jump(self, weight: float) -> None:
-        self.events.append(self.t)
-        self.weights.append(weight)
-
-    def value(self) -> float:
         if not self.events:
             return 0.0
         offs = self.t - np.asarray(self.events)
         return float(np.dot(np.asarray(self.h.evaluator(offs)), np.asarray(self.weights)))
+
+    def jump(self, weight: float) -> None:
+        self.events.append(self.t)
+        self.weights.append(weight)
 
     def upper_bound(self) -> float:
         if not self.events:
@@ -247,6 +340,84 @@ def _make_state(h: MemoryKernel):
 
 def _running_sup_from_right(values: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(values[::-1])[::-1]
+
+
+def _doubles(values: np.ndarray) -> array.array:
+    """A float64 table whose items index as Python floats (cheaper than numpy scalars)."""
+    return array.array("d", np.ascontiguousarray(values, dtype=float).tobytes())
+
+
+#: expected candidates per schedule: bounds the memory of the merged schedule
+_SCHEDULE_CANDIDATES = 1 << 16
+#: candidates converted to Python floats at a time by the sweep
+_SWEEP_CHUNK = 4096
+
+
+def _schedule(draws: _Streams, n_exp: list, n_uni: list, start: np.ndarray, lam_bar: float, horizon: float):
+    """Every particle's candidates up to the horizon under the dominator lam_bar, merged.
+
+    Particle i's candidates are the running sums start[i] + e_1/lam_bar +
+    e_2/lam_bar + ... of its exponentials from n_exp[i] - 1 on, taken in
+    sequence by ``np.cumsum`` along each row so that every time has the bits
+    of the repeated ``s + e / lam_bar``; its candidate k is judged with its
+    uniform n_uni[i] + k.  The merge orders by time, then by particle.
+    Returns times, particles, uniforms and each particle's last time (its
+    start if it has no candidate).
+    """
+    n = len(n_exp)
+    pos = [e - 1 for e in n_exp]
+    last = start.copy()
+    count = np.zeros(n, dtype=np.intp)
+    ts, ps = [], []
+    todo = np.arange(n, dtype=np.int32)
+    width = int(min(_BLOCK, 16 + 1.25 * lam_bar * (horizon - float(start.min()))))
+    while todo.size:
+        # rows [last, e/lam_bar, ...] from the current block of each particle not yet past the horizon
+        rows = np.full((todo.size, width + 1), np.inf)
+        rows[:, 0] = last[todo]
+        filled = []
+        for r, i in enumerate(todo.tolist()):
+            a = pos[i]
+            k = a // _BLOCK
+            if k == len(draws.exp[i]):
+                draws.ensure(i, a + 1, 0, -(-(n_exp[i] - n_uni[i]) // _BLOCK))
+            off = a - k * _BLOCK
+            m = min(width, _BLOCK - off)
+            rows[r, 1 : m + 1] = draws.exp[i][k][off : off + m]
+            filled.append(m)
+        rows[:, 1:] /= lam_bar
+        np.cumsum(rows, axis=1, out=rows)
+        run = rows[:, 1:]
+        inside = run <= horizon
+        got = inside.sum(axis=1)
+        ts.append(run[inside])
+        ps.append(np.repeat(todo, got))
+        count[todo] += got
+        hit = np.flatnonzero(got)
+        last[todo[hit]] = run[hit, got[hit] - 1]
+        more = np.flatnonzero(got == filled)  # all gathered candidates inside: there may be more
+        for r in more.tolist():
+            pos[todo[r]] += filled[r]
+        todo = todo[more]
+    del rows, run, inside
+    if len(ts) > 1:  # put the rounds in particle-major order, each particle's in time order
+        ps = np.concatenate(ps)
+        by_particle = np.argsort(ps, kind="stable")
+        ts, ps = np.concatenate(ts)[by_particle], ps[by_particle]
+    else:
+        ts, ps = ts[0], ps[0]
+    # each particle's uniforms, in the particle-major order of its candidates
+    unis = []
+    for i, c in enumerate(count.tolist()):
+        if c:
+            draws.ensure(i, 0, n_uni[i] + c, -(-(n_exp[i] - n_uni[i]) // _BLOCK))
+            unis.append(_span(draws.uni[i], n_uni[i], n_uni[i] + c))
+    us = np.concatenate(unis) if unis else np.zeros(0)
+    del unis
+    order = np.lexsort((ps, ts))
+    ts = ts[order]
+    ps = ps[order]
+    return ts, ps, us[order], last
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +458,7 @@ def simulate_hawkes(
     # deterministic per-replica source term xi_N
     pert_amp = 0.0
     if cfg.xi_perturbation > 0.0:
-        rep_stream = _Stream(cfg.seed, replica, _REPLICA_KEY)
-        sign = 1.0 if rep_stream.uniform() < 0.5 else -1.0
+        sign = 1.0 if _Streams(cfg.seed, replica, [_REPLICA_KEY]).uni[0][0][0] < 0.5 else -1.0
         pert_amp = sign * cfg.xi_perturbation / math.sqrt(n)
     xi_scalar = xi.scalar_fn
     if xi_scalar is None:
@@ -301,28 +471,18 @@ def simulate_hawkes(
     # running sup of the source from each grid time onward (dominator input)
     sup_dt = min(0.01, cfg.refresh_horizon / 4.0)
     sup_grid = sup_dt * np.arange(int(math.ceil(t_end / sup_dt)) + 2)
-    xi_sup = _running_sup_from_right(np.asarray([xi_scalar(t) for t in sup_grid]))
+    xi_sup = _doubles(_running_sup_from_right(np.asarray([xi_scalar(t) for t in sup_grid])))
+    xi_last = len(xi_sup) - 1
 
-    def xi_future_sup(t: float) -> float:
-        return float(xi_sup[min(int(t / sup_dt), xi_sup.size - 1)])
-
-    # running sup of the limit intensity (coupled acceptance must be dominated too)
+    # the limit intensity, linearly interpolated, and its running sup
+    # (coupled acceptance must be dominated too)
     if cfg.track_coupled:
-        lim_ts, lim_lam = limit.ts, limit.lam
-        lim_dt = float(lim_ts[1] - lim_ts[0])
-        lim_sup = _running_sup_from_right(lim_lam)
-        lim_slope = np.diff(lim_lam, append=lim_lam[-1]) / lim_dt
-
-        def limit_at(t: float) -> float:
-            i = min(int(t / lim_dt), lim_lam.size - 1)
-            return float(lim_lam[i] + (t - lim_ts[i]) * lim_slope[i])
-
-        def limit_future_sup(t: float) -> float:
-            return float(lim_sup[min(int(t / lim_dt), lim_sup.size - 1)])
-
-    else:
-        limit_at = lambda t: 0.0
-        limit_future_sup = lambda t: 0.0
+        lim_dt = float(limit.ts[1] - limit.ts[0])
+        lim_ts = _doubles(limit.ts)
+        lim_lam = _doubles(limit.lam)
+        lim_slope = _doubles(np.diff(limit.lam, append=limit.lam[-1]) / lim_dt)
+        lim_sup = _doubles(_running_sup_from_right(limit.lam))
+        lim_last = len(lim_lam) - 1
 
     phi_s = phi.scalar_fn
     if phi_s is None:
@@ -331,16 +491,15 @@ def simulate_hawkes(
 
     state = _make_state(h)
     keys = list(cfg.particle_keys) if cfg.particle_keys is not None else list(range(n))
-    streams = [_Stream(cfg.seed, replica, keys[i]) for i in range(n)]
+    draws = _Streams(cfg.seed, replica, keys)
     events = [[] for _ in range(n)]
     coupled = [[] for _ in range(n)] if cfg.track_coupled else None
+    weight = 1.0 / n
+    refresh = cfg.refresh_horizon
 
     def raw_bound(t: float) -> float:
-        return max(phi_s(xi_future_sup(t) + state.upper_bound()), limit_future_sup(t))
-
-    lam_bar = margin * max(raw_bound(0.0), 1e-12)
-    heap = [(streams[i].exponential() / lam_bar, i) for i in range(n)]
-    heapq.heapify(heap)
+        rb = phi_s(xi_sup[min(int(t / sup_dt), xi_last)] + state.upper_bound())
+        return max(rb, lim_sup[min(int(t / lim_dt), lim_last)] if coupled is not None else 0.0)
 
     breaches = 0
     reschedules = 0
@@ -351,60 +510,85 @@ def simulate_hawkes(
     diag_vals: list = []
     next_diag = 0.0 if diag_dt > 0 else math.inf
 
-    def reschedule_all(now: float, new_bar: float):
-        nonlocal lam_bar, heap, reschedules
-        lam_bar = new_bar
-        heap = [(now + streams[i].exponential() / lam_bar, i) for i in range(n)]
-        heapq.heapify(heap)
-        reschedules += 1
-
-    next_shrink_check = cfg.refresh_horizon
-    while heap:
-        s, i = heapq.heappop(heap)
-        if s > t_end:
+    # draws made so far per particle; the first exponential schedules the first candidate
+    n_exp = [1] * n
+    n_uni = [0] * n
+    lam_bar = margin * max(raw_bound(0.0), 1e-12)
+    now = 0.0
+    start = np.zeros(n)  # each particle's next candidate is start + e / lam_bar
+    next_shrink_check = refresh
+    while True:
+        horizon = min(t_end, now + _SCHEDULE_CANDIDATES / (n * lam_bar))
+        ts, ps, us, last = _schedule(draws, n_exp, n_uni, start, lam_bar, horizon)
+        new_bar = 0.0
+        done = 0
+        for c0 in range(0, ts.size, _SWEEP_CHUNK):
+            c1 = c0 + _SWEEP_CHUNK
+            for s, i, u in zip(ts[c0:c1].tolist(), ps[c0:c1].tolist(), us[c0:c1].tolist()):
+                done += 1
+                while next_diag <= s:
+                    diag_ts.append(next_diag)
+                    diag_vals.append(phi_s(xi_scalar(next_diag) + state.value_at(next_diag)))
+                    next_diag += diag_dt
+                lam_z = phi_s(xi_scalar(s) + state.value_at(s))
+                over_dominator = lam_z > lam_bar * (1.0 + 1e-12)
+                if over_dominator:
+                    # defensive: the rigorous bound makes this unreachable for
+                    # nondecreasing Phi; if it fires, the candidate is a sure
+                    # acceptance and the dominator must be rebuilt
+                    breaches += 1
+                thr = u * lam_bar
+                if coupled is not None:
+                    k = min(int(s / lim_dt), lim_last)
+                    if thr <= lim_lam[k] + (s - lim_ts[k]) * lim_slope[k]:
+                        coupled[i].append(s)
+                if thr <= lam_z:
+                    events[i].append(s)
+                    state.jump(weight)
+                    rb = raw_bound(s)
+                    if rb > lam_bar or over_dominator:
+                        new_bar = margin * max(rb, lam_z, 1e-12)
+                        break
+                elif over_dominator:
+                    new_bar = margin * max(raw_bound(s), lam_z, 1e-12)
+                    break
+                if s >= next_shrink_check:
+                    next_shrink_check = s + refresh
+                    rb = raw_bound(s)
+                    if margin * rb < 0.5 * lam_bar:
+                        new_bar = margin * max(rb, 1e-12)
+                        break
+            if new_bar:
+                break
+        candidates += done
+        if not new_bar and horizon >= t_end:
             break
-        candidates += 1
-        while next_diag <= s:
-            state.advance(next_diag)
-            diag_ts.append(next_diag)
-            diag_vals.append(phi_s(xi_scalar(next_diag) + state.value()))
-            next_diag += diag_dt
-        state.advance(s)
-        lam_z = phi_s(xi_scalar(s) + state.value())
-        over_dominator = lam_z > lam_bar * (1.0 + 1e-12)
-        if over_dominator:
-            # defensive: the rigorous bound makes this unreachable for
-            # nondecreasing Phi; if it fires, the candidate is a sure
-            # acceptance and the dominator must be rebuilt
-            breaches += 1
-        u = streams[i].uniform()
-        thr = u * lam_bar
-        if cfg.track_coupled and thr <= limit_at(s):
-            coupled[i].append(s)
-        if thr <= lam_z:
-            events[i].append(s)
-            state.jump(1.0 / n)
-            rb = raw_bound(s)
-            if rb > lam_bar or over_dominator:
-                reschedule_all(s, margin * max(rb, lam_z, 1e-12))
-                continue
-        elif over_dominator:
-            reschedule_all(s, margin * max(raw_bound(s), lam_z, 1e-12))
-            continue
-        if s >= next_shrink_check:
-            next_shrink_check = s + cfg.refresh_horizon
-            rb = raw_bound(s)
-            if margin * rb < 0.5 * lam_bar:
-                reschedule_all(s, margin * max(rb, 1e-12))
-                continue
-        heapq.heappush(heap, (s + streams[i].exponential() / lam_bar, i))
+        # each particle's judged candidates drew one uniform and one exponential
+        # each; a reschedule at the candidate (s, i) draws one more exponential
+        # for every particle other than i, dropping its pending candidate
+        processed = np.bincount(ps[:done], minlength=n).tolist()
+        for j in range(n):
+            lead = n_exp[j] - n_uni[j]
+            n_uni[j] += processed[j]
+            n_exp[j] += processed[j]
+            if new_bar and j != i:
+                n_exp[j] += 1
+                if lead % _BLOCK == 0:
+                    draws.rewind(j, max(1, -(-n_uni[j] // _BLOCK)), lead // _BLOCK)
+            draws.release(j, n_exp[j] - 1, n_uni[j])
+        if new_bar:
+            now = s
+            start = np.full(n, s)
+            lam_bar = new_bar
+            reschedules += 1
+        else:  # the schedule ran to its horizon: every particle goes on from its last candidate
+            now = horizon
+            start = last
 
-    if diag_dt > 0:
-        while next_diag <= t_end:
-            state.advance(next_diag)
-            diag_ts.append(next_diag)
-            diag_vals.append(phi_s(xi_scalar(next_diag) + state.value()))
-            next_diag += diag_dt
+    while next_diag <= t_end:
+        diag_ts.append(next_diag)
+        diag_vals.append(phi_s(xi_scalar(next_diag) + state.value_at(next_diag)))
+        next_diag += diag_dt
 
     return HawkesRun(
         events=[np.asarray(e) for e in events],

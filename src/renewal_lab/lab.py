@@ -27,6 +27,7 @@ from .hawkes import (
     coupling_experiment,
     estimator_path,
     resolve_threads,
+    run_replicas,
     simulate_hawkes,
 )
 from .model import DecayClass, NoFixedPointError
@@ -394,7 +395,7 @@ def cmd_hawkes(cfg: dict, out: Path, seed: int, threads: int) -> int:
     hspec = dict(cfg.get("hawkes", {}))
     hcfg = build_hawkes_config(hspec, seed)
     xi = build_source(cfg.get("source", {"type": "empty"}), h, phi)
-    runs = [simulate_hawkes(phi, h, xi, hcfg, replica=r) for r in range(hcfg.replicas)]
+    runs = run_replicas(lambda r: simulate_hawkes(phi, h, xi, hcfg, replica=r), hcfg.replicas, threads)
     _write_events_csv(out / "events.csv", runs)
     checkpoints = hspec.get("checkpoints", [0.25 * hcfg.t_end, 0.5 * hcfg.t_end, hcfg.t_end])
     est = estimator_path(runs[0], checkpoints)

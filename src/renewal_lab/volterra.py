@@ -70,6 +70,9 @@ class SolverConfig:
             raise ValueError(f"unknown quadrature {self.quadrature!r}")
         if self.inner_tol <= 0 or self.picard_tol <= 0:
             raise ValueError("tolerances must be > 0")
+        for key in ("inner_max_iter", "picard_max_iter"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
 
     @property
     def n_steps(self) -> int:

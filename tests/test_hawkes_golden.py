@@ -16,7 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from renewal_lab import model
+from renewal_lab import hawkes, model
 from renewal_lab.hawkes import HawkesConfig, simulate_hawkes
 from renewal_lab.volterra import SolverConfig, solve_nre
 
@@ -151,6 +151,13 @@ def test_golden_stream_digest(name):
     assert meta["breaches"] == 0
     assert meta["reschedules"] == CASES[name][2]
     assert digest == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_schedule_size_does_not_change_streams(name, monkeypatch):
+    """Schedules of a few dozen candidates cut every run into many pieces."""
+    monkeypatch.setattr(hawkes, "_SCHEDULE_CANDIDATES", 40)
+    assert run_digest(name)[0] == DIGESTS[name]
 
 
 if __name__ == "__main__":

@@ -183,6 +183,25 @@ def test_bad_config_returns_one(tmp_path):
     assert main(["solve", "--config", str(notjson), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("key", ["inner_max_iter", "picard_max_iter"])
+def test_zero_iteration_cap_exits_one_naming_the_key(tmp_path, capsys, key):
+    doc = json.loads((SCENARIOS / "empty_source.json").read_text())
+    doc["solver"].update({"picard_mode": True, key: 0})
+    cfg = tmp_path / "cap.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+
+
+def test_hawkes_command_threads_byte_identical(tmp_path):
+    for threads in ("1", "2"):
+        argv = ["hawkes", "--config", str(SCENARIOS / "hawkes_small.json"), "--out", str(tmp_path / threads)]
+        assert main(argv + ["--threads", threads]) == 0
+    assert (tmp_path / "1" / "events.csv").read_bytes() == (tmp_path / "2" / "events.csv").read_bytes()
+
+
 def test_render_svg_log_scale(tmp_path):
     xs = np.linspace(1.0, 10.0, 50)
     render_svg(
