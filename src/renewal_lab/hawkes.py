@@ -131,10 +131,11 @@ def _span(blocks: list, a: int, b: int) -> np.ndarray:
 class _Streams:
     """The Philox streams of a replica's particles, made in blocks.
 
-    One bit generator is re-keyed per particle through its ``state``; a block
-    of ``_BLOCK`` exponentials or uniforms is filled from the particle's saved
-    state, which is saved again afterwards.  ``ensure`` makes blocks in the
-    order of the stream contract (module docstring), which ``lead`` fixes.
+    One bit generator is re-keyed per particle through its ``state``: a block
+    of ``_BLOCK`` exponentials or uniforms is drawn after loading the
+    particle's saved state, which is saved again afterwards.  ``ensure`` makes
+    blocks in the order of the stream contract (module docstring), which
+    ``lead`` fixes.
     """
 
     def __init__(self, seed: int, replica: int, keys: Sequence[int]):
@@ -568,13 +569,13 @@ def simulate_hawkes(
         # for every particle other than i, dropping its pending candidate
         processed = np.bincount(ps[:done], minlength=n).tolist()
         for j in range(n):
-            lead = n_exp[j] - n_uni[j]
+            ahead = n_exp[j] - n_uni[j]
             n_uni[j] += processed[j]
             n_exp[j] += processed[j]
             if new_bar and j != i:
                 n_exp[j] += 1
-                if lead % _BLOCK == 0:
-                    draws.rewind(j, max(1, -(-n_uni[j] // _BLOCK)), lead // _BLOCK)
+                if ahead % _BLOCK == 0:  # the block lead ceil(ahead / _BLOCK) grows by one
+                    draws.rewind(j, max(1, -(-n_uni[j] // _BLOCK)), ahead // _BLOCK)
             draws.release(j, n_exp[j] - 1, n_uni[j])
         if new_bar:
             now = s

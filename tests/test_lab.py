@@ -195,10 +195,19 @@ def test_zero_iteration_cap_exits_one_naming_the_key(tmp_path, capsys, key):
     assert "Traceback" not in err
 
 
-def test_hawkes_command_threads_byte_identical(tmp_path):
+def test_hawkes_command_threads_byte_identical(tmp_path, monkeypatch):
+    used = []
+    fan_out = lab.run_replicas
+
+    def spy(fn, replicas, threads):
+        used.append(threads)
+        return fan_out(fn, replicas, threads)
+
+    monkeypatch.setattr(lab, "run_replicas", spy)
     for threads in ("1", "2"):
         argv = ["hawkes", "--config", str(SCENARIOS / "hawkes_small.json"), "--out", str(tmp_path / threads)]
         assert main(argv + ["--threads", threads]) == 0
+    assert used == [1, 2]
     assert (tmp_path / "1" / "events.csv").read_bytes() == (tmp_path / "2" / "events.csv").read_bytes()
 
 
