@@ -479,11 +479,9 @@ def simulate_hawkes(
     # (coupled acceptance must be dominated too)
     if cfg.track_coupled:
         lim_dt = float(limit.ts[1] - limit.ts[0])
-        lim_ts = _doubles(limit.ts)
-        lim_lam = _doubles(limit.lam)
-        lim_slope = _doubles(np.diff(limit.lam, append=limit.lam[-1]) / lim_dt)
+        lim_slope = np.diff(limit.lam, append=limit.lam[-1]) / lim_dt
         lim_sup = _doubles(_running_sup_from_right(limit.lam))
-        lim_last = len(lim_lam) - 1
+        lim_last = limit.lam.size - 1
 
     phi_s = phi.scalar_fn
     if phi_s is None:
@@ -494,13 +492,15 @@ def simulate_hawkes(
     keys = list(cfg.particle_keys) if cfg.particle_keys is not None else list(range(n))
     draws = _Streams(cfg.seed, replica, keys)
     events = [[] for _ in range(n)]
-    coupled = [[] for _ in range(n)] if cfg.track_coupled else None
+    track = cfg.track_coupled
+    coupled_ts: list = []  # the coupled process's accepted times and particles, piece by piece
+    coupled_ps: list = []
     weight = 1.0 / n
     refresh = cfg.refresh_horizon
 
     def raw_bound(t: float) -> float:
         rb = phi_s(xi_sup[min(int(t / sup_dt), xi_last)] + state.upper_bound())
-        return max(rb, lim_sup[min(int(t / lim_dt), lim_last)] if coupled is not None else 0.0)
+        return max(rb, lim_sup[min(int(t / lim_dt), lim_last)] if track else 0.0)
 
     breaches = 0
     reschedules = 0
@@ -520,12 +520,13 @@ def simulate_hawkes(
     next_shrink_check = refresh
     while True:
         horizon = min(t_end, now + _SCHEDULE_CANDIDATES / (n * lam_bar))
-        ts, ps, us, last = _schedule(draws, n_exp, n_uni, start, lam_bar, horizon)
+        ts, ps, thrs, last = _schedule(draws, n_exp, n_uni, start, lam_bar, horizon)
+        thrs *= lam_bar  # a candidate is accepted where u lam_bar <= intensity
         new_bar = 0.0
         done = 0
         for c0 in range(0, ts.size, _SWEEP_CHUNK):
             c1 = c0 + _SWEEP_CHUNK
-            for s, i, u in zip(ts[c0:c1].tolist(), ps[c0:c1].tolist(), us[c0:c1].tolist()):
+            for s, i, thr in zip(ts[c0:c1].tolist(), ps[c0:c1].tolist(), thrs[c0:c1].tolist()):
                 done += 1
                 while next_diag <= s:
                     diag_ts.append(next_diag)
@@ -538,11 +539,6 @@ def simulate_hawkes(
                     # nondecreasing Phi; if it fires, the candidate is a sure
                     # acceptance and the dominator must be rebuilt
                     breaches += 1
-                thr = u * lam_bar
-                if coupled is not None:
-                    k = min(int(s / lim_dt), lim_last)
-                    if thr <= lim_lam[k] + (s - lim_ts[k]) * lim_slope[k]:
-                        coupled[i].append(s)
                 if thr <= lam_z:
                     events[i].append(s)
                     state.jump(weight)
@@ -562,6 +558,18 @@ def simulate_hawkes(
             if new_bar:
                 break
         candidates += done
+        if track:
+            # the coupled process needs no state: it accepts the judged candidates
+            # whose u lam_bar is at most the interpolated limit intensity
+            k = (ts[:done] / lim_dt).astype(np.intp)
+            np.minimum(k, lim_last, out=k)
+            bar = ts[:done] - limit.ts[k]
+            bar *= lim_slope[k]
+            bar += limit.lam[k]
+            hit = np.flatnonzero(thrs[:done] <= bar)
+            coupled_ts.append(ts[hit])
+            coupled_ps.append(ps[hit])
+            del k, bar
         if not new_bar and horizon >= t_end:
             break
         # each particle's judged candidates drew one uniform and one exponential
@@ -591,9 +599,15 @@ def simulate_hawkes(
         diag_vals.append(phi_s(xi_scalar(next_diag) + state.value_at(next_diag)))
         next_diag += diag_dt
 
+    coupled_events = None
+    if track:
+        cp = np.concatenate(coupled_ps)
+        by_particle = np.argsort(cp, kind="stable")
+        cuts = np.cumsum(np.bincount(cp, minlength=n))[:-1]
+        coupled_events = np.split(np.concatenate(coupled_ts)[by_particle], cuts)
     return HawkesRun(
         events=[np.asarray(e) for e in events],
-        coupled_events=[np.asarray(e) for e in coupled] if coupled is not None else None,
+        coupled_events=coupled_events,
         intensity_grid=np.asarray(diag_ts) if diag_dt > 0 else None,
         intensity_values=np.asarray(diag_vals) if diag_dt > 0 else None,
         metadata={

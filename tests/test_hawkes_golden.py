@@ -78,6 +78,14 @@ def _couple_affine():
     return phi, h, xi, HawkesConfig(n_particles=100, t_end=20.0, seed=2024), limit
 
 
+def _couple_affine_margin():
+    # the coupled process judged across eight reschedules
+    phi, h = _affine()
+    xi = model.make_source_empty()
+    limit = solve_nre(phi, h, xi, SolverConfig(t_end=40.0, dt=1e-3))
+    return phi, h, xi, HawkesConfig(n_particles=3, t_end=40.0, seed=5, thinning_margin=1.05), limit
+
+
 def _stress_erlang():
     # margin 1.05 reschedules often enough that a particle's exponential draws
     # run more than one block of 256 ahead of its uniform draws
@@ -105,6 +113,7 @@ CASES = {
     "clt_small": (_clt_small, 3, 0),
     "couple_erlang": (_couple_erlang, 1, 0),
     "couple_affine": (_couple_affine, 2, 0),
+    "couple_affine_margin": (_couple_affine_margin, 0, 8),
     "stress_erlang_margin": (_stress_erlang, 0, 299),
     "stress_affine_margin": (_stress_affine, 0, 231),
 }
@@ -116,6 +125,7 @@ DIGESTS = {
     "compact_general": "2b9e78fa9a533a482b69ee89abad6a8f78dd2c8d564d040d7de277579d4555c9",
     "constant_phi_long": "77f7e451c13adbfad91727766a06026a9602c1ea883410830f5a08507d68fce4",
     "couple_affine": "d372c6cc778ac86ed2fe9eb1b9f38dbd561ccf78c22aca259c594ab0eeb481b3",
+    "couple_affine_margin": "cf5126da17327b0486b55409099ecb02118aff3eb49641cefb1715c1aed4bed0",
     "couple_erlang": "11d7ea2217dab9f69d1ee9be7cbedf506c15e834821f4ff0808a2ee815a07bce",
     "erlang_bistable_diag": "41d595f560c227efddc6668c3fd8982c72052a5d98294ed012a160ebb6166096",
     "stress_affine_margin": "1c0830da997980fc6ea50a16a84a2c2ede990b5fc6d21e76911aee96c10c5635",
