@@ -96,6 +96,32 @@ def _stress_erlang():
     return phi, h, model.make_source_tail(h, 3.0), cfg, None
 
 
+def _erlang1_margin():
+    # Erlang order 1 across reschedules
+    h = model.make_erlang_kernel(1, 2.0)
+    phi = model.make_sigmoid_phi(0.5, 1.0, 8.0, 1.0)
+    cfg = HawkesConfig(n_particles=20, t_end=100.0, seed=9, track_coupled=False,
+                       thinning_margin=1.05, subcritical_override=True)
+    return phi, h, model.make_source_tail(h, 2.0), cfg, None
+
+
+def _couple_erlang3():
+    h = model.make_erlang_kernel(3, 4.0)
+    phi = model.make_sigmoid_phi(0.5, 1.0, 2.0, 1.0)
+    xi = model.make_source_tail(h, 1.4)
+    limit = solve_nre(phi, h, xi, SolverConfig(t_end=10.0, dt=1e-3))
+    return phi, h, xi, HawkesConfig(n_particles=50, t_end=10.0, seed=8), limit
+
+
+def _sigmoid_exp_diag():
+    # order 0 with the intensity diagnostic, across reschedules
+    h = model.make_scaled_exponential_kernel(0.5, 1.0)
+    phi = model.make_sigmoid_phi(0.5, 1.0, 2.0, 1.0)
+    cfg = HawkesConfig(n_particles=20, t_end=20.0, seed=4, track_coupled=False,
+                       diag_grid_dt=0.1, thinning_margin=1.05)
+    return phi, h, model.make_source_empty(), cfg, None
+
+
 def _stress_affine():
     # about 1,090 candidates and 115 reschedule draws per particle
     return _affine_empty(n_particles=2, t_end=400.0, seed=5, track_coupled=False, thinning_margin=1.05)
@@ -116,6 +142,9 @@ CASES = {
     "couple_affine_margin": (_couple_affine_margin, 0, 8),
     "stress_erlang_margin": (_stress_erlang, 0, 299),
     "stress_affine_margin": (_stress_affine, 0, 231),
+    "erlang1_margin": (_erlang1_margin, 0, 46),
+    "couple_erlang3": (_couple_erlang3, 0, 0),
+    "sigmoid_exp_diag": (_sigmoid_exp_diag, 0, 5),
 }
 
 DIGESTS = {
@@ -126,8 +155,11 @@ DIGESTS = {
     "constant_phi_long": "77f7e451c13adbfad91727766a06026a9602c1ea883410830f5a08507d68fce4",
     "couple_affine": "d372c6cc778ac86ed2fe9eb1b9f38dbd561ccf78c22aca259c594ab0eeb481b3",
     "couple_affine_margin": "cf5126da17327b0486b55409099ecb02118aff3eb49641cefb1715c1aed4bed0",
+    "couple_erlang3": "6ffbc16b3a4555c037f3da4b647383373c899d894e5f4d881e2ae5705de6d61c",
     "couple_erlang": "11d7ea2217dab9f69d1ee9be7cbedf506c15e834821f4ff0808a2ee815a07bce",
+    "erlang1_margin": "61d08eeaf4ec9df0d155054e4949aa0398ea12613c60e8ec3ea3c84d232d1ad5",
     "erlang_bistable_diag": "41d595f560c227efddc6668c3fd8982c72052a5d98294ed012a160ebb6166096",
+    "sigmoid_exp_diag": "fdf3ff3a792d5cac0a07137b8458cc386bc385e687d4d00de399394c61bcffbe",
     "stress_affine_margin": "1c0830da997980fc6ea50a16a84a2c2ede990b5fc6d21e76911aee96c10c5635",
     "stress_erlang_margin": "a979ea8eefbac6b0abed43d70cd8086e255266160b7bbd16db877a55c2bb0f3d",
     "xi_perturbation": "92b34dbba724d6bf2c4343edffd19bbe3d560ac64af026b72e668e549a19d6cb",
