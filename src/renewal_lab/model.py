@@ -706,17 +706,25 @@ def _with_exponential_scalar(src: SourceTerm, h: MemoryKernel, scale: float) -> 
     s = h.structure
     if s is None:
         return src
-    n, alpha, kscale = s.order, s.alpha, s.scale
+    n, alpha = s.order, s.alpha
+    c = scale * s.scale
     inv_fact = [1.0 / math.factorial(k) for k in range(n + 1)]
 
-    def scalar_fn(t):
-        if t <= 0.0:
-            return scale * kscale
-        at = alpha * t
-        acc = 0.0
-        for k in range(n, -1, -1):
-            acc += at**k * inv_fact[k]
-        return scale * kscale * math.exp(-at) * acc
+    if n == 0:  # the partial sum is exactly 1.0
+
+        def scalar_fn(t):
+            return c if t <= 0.0 else c * math.exp(-alpha * t)
+
+    else:
+
+        def scalar_fn(t):
+            if t <= 0.0:
+                return c
+            at = alpha * t
+            acc = 0.0
+            for k in range(n, -1, -1):
+                acc += at**k * inv_fact[k]
+            return c * math.exp(-at) * acc
 
     return replace(src, scalar_fn=scalar_fn)
 

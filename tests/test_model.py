@@ -265,6 +265,37 @@ def test_equilibrium_source_value_at_zero_is_kappa_ell(ell, n):
     assert abs(float(xi(ts[-1]))) < 1e-8
 
 
+def _partial_sum_scalar(n, alpha, kscale, scale):
+    """The scalar source evaluator as first written: one loop for every order."""
+    inv_fact = [1.0 / math.factorial(k) for k in range(n + 1)]
+
+    def scalar_fn(t):
+        if t <= 0.0:
+            return scale * kscale
+        at = alpha * t
+        acc = 0.0
+        for k in range(n, -1, -1):
+            acc += at**k * inv_fact[k]
+        return scale * kscale * math.exp(-at) * acc
+
+    return scalar_fn
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_equilibrium_scalar_source_matches_partial_sum_bit_for_bit(n):
+    ts = [-1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-12, 1e-3, 0.37, 1.0, 2.5, 17.0, 60.0, 700.0, 800.0, 1e6]
+    kernels = [model.make_erlang_kernel(n, 1.5), model.make_erlang_kernel(n, 0.3)]
+    if n == 0:
+        kernels.append(model.make_scaled_exponential_kernel(0.7, 2.0))
+    for h in kernels:
+        s = h.structure
+        for ell in (0.25, 1.0, 2.0, 3.7):
+            fast = model.make_source_equilibrium(h, ell).scalar_fn
+            slow = _partial_sum_scalar(s.order, s.alpha, s.scale, ell)
+            for t in ts:
+                assert fast(t).hex() == slow(t).hex(), (h.label, ell, t)
+
+
 def test_tail_source_and_rho_identity(bistable):
     phi, h, reports = bistable
     from renewal_lab.volterra import compute_rho
