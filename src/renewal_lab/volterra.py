@@ -26,7 +26,6 @@ from .model import (
     MemoryKernel,
     SourceTerm,
     make_source_equilibrium,
-    make_source_erlang_polynomial,
 )
 
 TRAPEZOID = "trapezoid"
@@ -477,11 +476,6 @@ def solve_erlang_cascade(
     if keep_states:
         traj.metadata["states"] = states[:cut]
     return traj
-
-
-def cascade_source(n: int, alpha: float, c: Sequence[float]) -> SourceTerm:
-    """The source term implied by cascade initial condition c (Erlang polynomial)."""
-    return make_source_erlang_polynomial(n, alpha, c)
 
 
 # ---------------------------------------------------------------------------
