@@ -44,15 +44,35 @@ horizon, about ``_SCHEDULE_CANDIDATES`` of them, are merged by ``np.lexsort``
 on (time, particle) and judged in one flat loop.  A reschedule drops the rest
 of the merged schedule and rebuilds it from each particle's draw counts; at
 the horizon every particle goes on from its last candidate.
+
+The loop takes the schedule in chunks (growing from ``_SWEEP_FIRST`` to
+``_SWEEP_CHUNK`` candidates, so that little is prepared past a reschedule)
+and first computes in bulk what no decision changes: the source at every
+time, and the convolution state's steps between consecutive times (the decay
+e^{-alpha dt}, and for Erlang kernels the terms (alpha dt)^j / j!) with the
+grid points of the intensity diagnostic merged in.  Each value is made by the
+same floating-point operations in the same order as a step-by-step update:
+numpy for + - * /, ``math.exp`` for every exponential (``np.exp`` may round
+differently).  Per candidate the loop then only advances the state, evaluates
+Phi, accepts and jumps.  After an acceptance the bound is rebuilt only when
+the source's running sup plus the state's upper bound exceeds the cap of
+``_bound_cap``, a point where Phi is at most lam_bar.  Below the cap the
+skipped check could not reschedule: Phi is nondecreasing, the source's
+running sup only falls with time, floating-point addition is monotone, and the
+limit intensity's running sup, the other term of the bound, never exceeds
+lam_bar once lam_bar is built from it.
 """
 
 from __future__ import annotations
 
 import array
 import concurrent.futures
+import functools
 import math
 import multiprocessing
+import operator
 import os
+import types
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -227,65 +247,93 @@ class _Streams:
 class _ExpState:
     """Y_t = (1/N) sum_j int h(t-s) dZ_s for h = scale * alpha e^{-alpha t} (order 0)."""
 
-    __slots__ = ("alpha", "h0", "y", "t")
+    __slots__ = ("alpha", "h0", "y")
 
     def __init__(self, alpha: float, scale: float):
         self.alpha = alpha
         self.h0 = scale * alpha
         self.y = 0.0
-        self.t = 0.0
 
-    def value_at(self, t: float) -> float:
-        """Advance the state to t (never backwards) and return Y_t."""
-        if t > self.t:
-            self.y *= math.exp(-self.alpha * (t - self.t))
-            self.t = t
+    def steps(self, t0: float, times: np.ndarray) -> list:
+        """The decay factors e^{-alpha (t_k - t_{k-1})} from t0 through the nondecreasing times."""
+        dts = np.diff(times, prepend=t0)
+        dts *= -self.alpha
+        return list(map(math.exp, dts.tolist()))
+
+    def advance(self, step: float) -> float:
+        """Advance the state by one of its steps and return Y there."""
+        self.y *= step
         return self.y
 
-    def jump(self, weight: float) -> None:
+    def jump(self, weight: float) -> float:
+        """Add an event of the given weight now; return the upper bound after it."""
         self.y += self.h0 * weight
+        return self.y
 
     def upper_bound(self) -> float:
         return self.y
 
 
+@functools.lru_cache(maxsize=None)
+def _erlang_advance(order: int) -> Callable:
+    """The ``advance`` of an Erlang state of one order, written out term by term.
+
+    Component k becomes e^{-a} (s_k + s_{k-1} p_1 + ... + s_0 p_k), summed left
+    to right: for order 2, ``dec * (s2 + s1 * p1 + s0 * p2)`` on top.  Written
+    out, a step runs no Python loop; the order of the sums is part of the
+    stream contract, since the intensity decides acceptances.
+    """
+    comps = "".join(f"s{k}, " for k in range(order + 1))
+    factors = "dec, " + "".join(f"p{m}, " for m in range(1, order + 1))
+    new = ", ".join(
+        "dec * (" + " + ".join([f"s{k}"] + [f"s{k - m} * p{m}" for m in range(1, k + 1)]) + ")"
+        for k in range(order + 1)
+    )
+    namespace: dict = {}
+    exec(
+        f"def advance(self, step):\n"
+        f"    {factors}= step\n"
+        f"    {comps}= self.s\n"
+        f"    self.s = s = [{new}]\n"
+        f"    return self.scale * s[-1]\n",
+        namespace,
+    )
+    return namespace["advance"]
+
+
 class _ErlangState:
     """Convolution state for Erlang kernels of order >= 1 (delayed excitation)."""
 
-    __slots__ = ("order", "alpha", "scale", "s", "t", "peaks")
+    __slots__ = ("order", "alpha", "scale", "s", "peaks", "advance")
 
     def __init__(self, order: int, alpha: float, scale: float):
         self.order = order
         self.alpha = alpha
         self.scale = scale
         self.s = [0.0] * (order + 1)
-        self.t = 0.0
-        # sup_x x^m e^{-x} / m!  bounds the future transfer from component i to the top
-        self.peaks = [m**m * math.exp(-m) / math.factorial(m) if m > 0 else 1.0 for m in range(order + 1)]
+        # sup_x x^m e^{-x} / m! bounds the future transfer from component i to
+        # the top (m = order - i), listed by i
+        self.peaks = [m**m * math.exp(-m) / math.factorial(m) if m > 0 else 1.0 for m in range(order, -1, -1)]
+        #: advance(step): advance by one of the steps and return Y there
+        self.advance = types.MethodType(_erlang_advance(order), self)
 
-    def value_at(self, t: float) -> float:
-        if t > self.t:
-            ad = self.alpha * (t - self.t)
-            dec = math.exp(-ad)
-            old = self.s
-            new = [0.0] * (self.order + 1)
-            for k in range(self.order + 1):
-                acc = 0.0
-                p = 1.0
-                for i in range(k, -1, -1):
-                    acc += old[i] * p
-                    p *= ad / (k - i + 1)
-                new[k] = dec * acc
-            self.s = new
-            self.t = t
-        return self.scale * self.s[self.order]
+    def steps(self, t0: float, times: np.ndarray) -> list:
+        """Per step (e^{-a}, p_1, ..., p_order) with a = alpha dt and p_j = p_{j-1} (a / j), p_0 = 1."""
+        ad = np.diff(times, prepend=t0)
+        ad *= self.alpha
+        cols = [list(map(math.exp, (-ad).tolist())), ad.tolist()]
+        p = ad
+        for j in range(2, self.order + 1):
+            p = p * (ad / j)
+            cols.append(p.tolist())
+        return list(zip(*cols))
 
-    def jump(self, weight: float) -> None:
+    def jump(self, weight: float) -> float:
         self.s[0] += self.alpha * weight
+        return self.upper_bound()
 
     def upper_bound(self) -> float:
-        n = self.order
-        return self.scale * sum(self.peaks[n - i] * self.s[i] for i in range(n + 1))
+        return self.scale * sum(map(operator.mul, self.peaks, self.s))
 
 
 class _GeneralState:
@@ -305,7 +353,10 @@ class _GeneralState:
         self._env_grid = grid
         self._env = np.maximum.accumulate(vals[::-1])[::-1]
 
-    def value_at(self, t: float) -> float:
+    def steps(self, t0: float, times: np.ndarray) -> list:
+        return times.tolist()
+
+    def advance(self, t: float) -> float:
         self.t = max(self.t, t)
         while self.events and self.t - self.events[0] > self.support:
             self.events.pop(0)
@@ -315,9 +366,10 @@ class _GeneralState:
         offs = self.t - np.asarray(self.events)
         return float(np.dot(np.asarray(self.h.evaluator(offs)), np.asarray(self.weights)))
 
-    def jump(self, weight: float) -> None:
+    def jump(self, weight: float) -> float:
         self.events.append(self.t)
         self.weights.append(weight)
+        return self.upper_bound()
 
     def upper_bound(self) -> float:
         if not self.events:
@@ -350,8 +402,48 @@ def _doubles(values: np.ndarray) -> array.array:
 
 #: expected candidates per schedule: bounds the memory of the merged schedule
 _SCHEDULE_CANDIDATES = 1 << 16
-#: candidates converted to Python floats at a time by the sweep
+#: candidates prepared at a time by the sweep: the first chunk of a schedule,
+#: then doubling up to the last (work prepared past a reschedule is wasted)
+_SWEEP_FIRST = 64
 _SWEEP_CHUNK = 4096
+
+
+def _grid_points(start: float, upto: float, dt: float) -> list:
+    """start, start + dt, (start + dt) + dt, ... up to upto."""
+    pts = []
+    while start <= upto:
+        pts.append(start)
+        start += dt
+    return pts
+
+
+def _bound_cap(phi_s: Callable, lam_bar: float, x0: float) -> float:
+    """A point x >= x0 with phi_s(x) <= lam_bar (1 - 1e-12), found by bisection; -inf if x0 is none.
+
+    Every point the search returns was evaluated, so for a nondecreasing Phi
+    every x <= cap has Phi(x) <= lam_bar: the slack 1e-12 covers a computed Phi
+    that rounds a few ulp against its monotonicity.  The search stops 2^64
+    above x0 (a bounded Phi may stay below lam_bar).
+    """
+    target = lam_bar * (1.0 - 1e-12)
+    if not phi_s(x0) <= target:
+        return -math.inf
+    lo, step = x0, 1.0
+    while phi_s(x0 + step) <= target:
+        lo = x0 + step
+        if step >= 2.0**64:
+            return lo
+        step *= 2.0
+    hi = x0 + step
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if phi_s(mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _schedule(draws: _Streams, n_exp: list, n_uni: list, start: np.ndarray, lam_bar: float, horizon: float):
@@ -489,6 +581,7 @@ def simulate_hawkes(
         phi_s = lambda v: float(pev(v))
 
     state = _make_state(h)
+    advance, jump = state.advance, state.jump
     keys = list(cfg.particle_keys) if cfg.particle_keys is not None else list(range(n))
     draws = _Streams(cfg.seed, replica, keys)
     events = [[] for _ in range(n)]
@@ -498,13 +591,16 @@ def simulate_hawkes(
     weight = 1.0 / n
     refresh = cfg.refresh_horizon
 
-    def raw_bound(t: float) -> float:
-        rb = phi_s(xi_sup[min(int(t / sup_dt), xi_last)] + state.upper_bound())
-        return max(rb, lim_sup[min(int(t / lim_dt), lim_last)] if track else 0.0)
-
     breaches = 0
     reschedules = 0
     candidates = 0
+    bound_checks = 0
+
+    def raw_bound(t: float) -> float:
+        nonlocal bound_checks
+        bound_checks += 1
+        rb = phi_s(xi_sup[min(int(t / sup_dt), xi_last)] + state.upper_bound())
+        return max(rb, lim_sup[min(int(t / lim_dt), lim_last)] if track else 0.0)
 
     diag_dt = cfg.diag_grid_dt
     diag_ts: list = []
@@ -516,24 +612,40 @@ def simulate_hawkes(
     n_uni = [0] * n
     lam_bar = margin * max(raw_bound(0.0), 1e-12)
     now = 0.0
+    t_state = 0.0  # the time the convolution state was last advanced to
     start = np.zeros(n)  # each particle's next candidate is start + e / lam_bar
     next_shrink_check = refresh
     while True:
+        cap = _bound_cap(phi_s, lam_bar, xi_sup[min(int(now / sup_dt), xi_last)])
+        lam_over = lam_bar * (1.0 + 1e-12)
         horizon = min(t_end, now + _SCHEDULE_CANDIDATES / (n * lam_bar))
         ts, ps, thrs, last = _schedule(draws, n_exp, n_uni, start, lam_bar, horizon)
         thrs *= lam_bar  # a candidate is accepted where u lam_bar <= intensity
         new_bar = 0.0
         done = 0
-        for c0 in range(0, ts.size, _SWEEP_CHUNK):
-            c1 = c0 + _SWEEP_CHUNK
-            for s, i, thr in zip(ts[c0:c1].tolist(), ps[c0:c1].tolist(), thrs[c0:c1].tolist()):
+        c0, width = 0, _SWEEP_FIRST
+        while c0 < ts.size:
+            c_ts, c_ps, c_thrs = ts[c0 : c0 + width], ps[c0 : c0 + width], thrs[c0 : c0 + width]
+            c0 += width
+            width = min(2 * width, _SWEEP_CHUNK)
+            pts = _grid_points(next_diag, float(c_ts[-1]), diag_dt)
+            if pts:  # judged in time order with the candidates, before those at the same time
+                at = np.searchsorted(c_ts, pts)
+                c_ts, c_ps, c_thrs = np.insert(c_ts, at, pts), np.insert(c_ps, at, -1), np.insert(c_thrs, at, 0.0)
+            # the work that no decision changes, in bulk: the state's steps and the source
+            c_list = c_ts.tolist()
+            c_steps = state.steps(t_state, c_ts)
+            c_xi = list(map(xi_scalar, c_list))
+            xs_chunk = xi_sup[min(int(c_list[0] / sup_dt), xi_last)]  # bounds xi over the chunk
+            for s, i, thr, step, x in zip(c_list, c_ps.tolist(), c_thrs.tolist(), c_steps, c_xi):
+                lam_z = phi_s(x + advance(step))
+                if i < 0:  # a diagnostic grid point
+                    diag_ts.append(s)
+                    diag_vals.append(lam_z)
+                    next_diag = s + diag_dt
+                    continue
                 done += 1
-                while next_diag <= s:
-                    diag_ts.append(next_diag)
-                    diag_vals.append(phi_s(xi_scalar(next_diag) + state.value_at(next_diag)))
-                    next_diag += diag_dt
-                lam_z = phi_s(xi_scalar(s) + state.value_at(s))
-                over_dominator = lam_z > lam_bar * (1.0 + 1e-12)
+                over_dominator = lam_z > lam_over
                 if over_dominator:
                     # defensive: the rigorous bound makes this unreachable for
                     # nondecreasing Phi; if it fires, the candidate is a sure
@@ -541,11 +653,13 @@ def simulate_hawkes(
                     breaches += 1
                 if thr <= lam_z:
                     events[i].append(s)
-                    state.jump(weight)
-                    rb = raw_bound(s)
-                    if rb > lam_bar or over_dominator:
-                        new_bar = margin * max(rb, lam_z, 1e-12)
-                        break
+                    ub = jump(weight)
+                    # below the cap the bound cannot pass lam_bar (see _bound_cap)
+                    if over_dominator or xs_chunk + ub > cap:
+                        rb = raw_bound(s)
+                        if rb > lam_bar or over_dominator:
+                            new_bar = margin * max(rb, lam_z, 1e-12)
+                            break
                 elif over_dominator:
                     new_bar = margin * max(raw_bound(s), lam_z, 1e-12)
                     break
@@ -555,6 +669,7 @@ def simulate_hawkes(
                     if margin * rb < 0.5 * lam_bar:
                         new_bar = margin * max(rb, 1e-12)
                         break
+            t_state = s
             if new_bar:
                 break
         candidates += done
@@ -594,10 +709,10 @@ def simulate_hawkes(
             now = horizon
             start = last
 
-    while next_diag <= t_end:
-        diag_ts.append(next_diag)
-        diag_vals.append(phi_s(xi_scalar(next_diag) + state.value_at(next_diag)))
-        next_diag += diag_dt
+    pts = _grid_points(next_diag, t_end, diag_dt)
+    for step, x in zip(state.steps(t_state, np.asarray(pts)), map(xi_scalar, pts)):
+        diag_vals.append(phi_s(x + advance(step)))
+    diag_ts += pts
 
     coupled_events = None
     if track:
@@ -618,6 +733,7 @@ def simulate_hawkes(
             "candidates": candidates,
             "breaches": breaches,
             "reschedules": reschedules,
+            "bound_checks": bound_checks,
             "xi_perturbation_applied": pert_amp,
         },
     )
@@ -679,6 +795,18 @@ def run_replicas(fn: Callable, replicas: int, threads: int = 1) -> list:
         return list(ex.map(_mp_worker, range(replicas)))
 
 
+#: the thinning counters of ``HawkesRun.metadata`` that the experiments sum over their runs
+_THINNING_COUNTERS = ("candidates", "reschedules", "breaches", "bound_checks")
+
+
+def _counters(run: HawkesRun) -> dict:
+    return {k: run.metadata[k] for k in _THINNING_COUNTERS}
+
+
+def _sum_counters(counters: Sequence[dict]) -> dict:
+    return {k: int(sum(c[k] for c in counters)) for k in _THINNING_COUNTERS}
+
+
 @dataclass(frozen=True)
 class CouplingResult:
     n_values: tuple
@@ -688,6 +816,7 @@ class CouplingResult:
     slope: float
     replicas: int
     t_end: float
+    counters: dict = field(default_factory=dict)  # _THINNING_COUNTERS summed over every run
 
 
 def coupling_constant(phi: FiringFunction, h: MemoryKernel, lambda_sup: float, c_xi: float = 0.0) -> float:
@@ -717,16 +846,18 @@ def coupling_experiment(
     if limit is None:
         limit = solve_nre(phi, h, xi, SolverConfig(t_end=cfg.t_end, dt=1e-3))
     means = []
+    counters = []
     for n in n_values:
         sub = replace(cfg, n_particles=int(n), track_coupled=True)
 
-        def one(replica: int) -> float:
+        def one(replica: int) -> tuple:
             run = simulate_hawkes(phi, h, xi, sub, limit=limit, replica=replica)
             diffs = [path_sup_difference(run.events[i], run.coupled_events[i]) for i in range(sub.n_particles)]
-            return float(np.mean(diffs))
+            return float(np.mean(diffs)), _counters(run)
 
-        vals = run_replicas(one, cfg.replicas, threads)
+        vals, runs = zip(*run_replicas(one, cfg.replicas, threads))
         means.append(float(np.mean(vals)))
+        counters += runs
     c_tilde = coupling_constant(phi, h, limit.sup_lambda(), cfg.xi_perturbation)
     bounds = tuple(c_tilde * cfg.t_end / math.sqrt(n) for n in n_values)
     slope = float(np.polyfit(np.log(np.asarray(n_values, dtype=float)), np.log(np.asarray(means)), 1)[0])
@@ -738,6 +869,7 @@ def coupling_experiment(
         slope=slope,
         replicas=cfg.replicas,
         t_end=cfg.t_end,
+        counters=_sum_counters(counters),
     )
 
 
@@ -752,6 +884,7 @@ class CLTResult:
     ell: float
     m_t_over_t: float
     i2_term: float
+    counters: dict = field(default_factory=dict)  # _THINNING_COUNTERS summed over the replicas
 
 
 def clt_experiment(
@@ -793,12 +926,13 @@ def clt_experiment(
     sqrt_t = math.sqrt(cfg.t_end)
     sqrt_ell = math.sqrt(ell)
 
-    def one(replica: int) -> float:
+    def one(replica: int) -> tuple:
         run = simulate_hawkes(phi, h, xi, sub, replica=replica)
         ell_hat = run.events[0].size / cfg.t_end
-        return sqrt_t * (ell_hat - ell) / sqrt_ell
+        return sqrt_t * (ell_hat - ell) / sqrt_ell, _counters(run)
 
-    samples = np.asarray(run_replicas(one, cfg.replicas, threads))
+    samples, counters = zip(*run_replicas(one, cfg.replicas, threads))
+    samples = np.asarray(samples)
     return CLTResult(
         samples=samples,
         mean=float(np.mean(samples)),
@@ -809,6 +943,7 @@ def clt_experiment(
         ell=ell,
         m_t_over_t=m_t / cfg.t_end,
         i2_term=i2,
+        counters=_sum_counters(counters),
     )
 
 

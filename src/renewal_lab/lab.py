@@ -440,6 +440,7 @@ def cmd_clt(cfg: dict, out: Path, seed: int, threads: int) -> int:
             "t_over_n": res.t_over_n,
             "i2_term": res.i2_term,
             "m_t_over_t": res.m_t_over_t,
+            **res.counters,
             "config": cfg,
             "seed": seed,
         },
@@ -466,6 +467,7 @@ def cmd_couple(cfg: dict, out: Path, seed: int, threads: int) -> int:
             "c_tilde": res.c_tilde,
             "slope": res.slope,
             "replicas": res.replicas,
+            **res.counters,
             "config": cfg,
             "seed": seed,
         },

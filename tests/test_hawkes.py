@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renewal_lab import model
 from renewal_lab.hawkes import (
+    _bound_cap,
     HawkesConfig,
     clt_experiment,
     coupling_experiment,
@@ -239,6 +242,46 @@ def test_run_replicas_parallel_matches_serial(affine_system):
     serial = run_replicas(one, 6, threads=1)
     parallel = run_replicas(one, 6, threads=2)
     assert serial == parallel
+
+
+_PHI_MAKERS = {
+    "affine": lambda: model.make_affine_phi(1.0),
+    "sigmoid": lambda: model.make_sigmoid_phi(0.5, 1.0, 8.0, 1.0),
+    "cubic_sigmoid": lambda: model.make_cubic_sigmoid_phi(0.2, 2.0, 3.0, 0.5),
+    "constant": lambda: model.make_constant_phi(1.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PHI_MAKERS))
+@given(
+    lam_bar=st.floats(min_value=1e-6, max_value=50.0),
+    x0=st.floats(min_value=-2.0, max_value=3.0),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=20),
+)
+@settings(max_examples=60, deadline=None)
+def test_bound_cap_bounds_phi_below_it(name, lam_bar, x0, fractions):
+    """Every x up to the cap has Phi(x) <= lam_bar: the skipped bound check cannot fire."""
+    phi_s = _PHI_MAKERS[name]().scalar_fn
+    cap = _bound_cap(phi_s, lam_bar, x0)
+    if cap == -math.inf:
+        assert phi_s(x0) > lam_bar * (1.0 - 1e-12)
+        return
+    assert cap >= x0
+    xs = [cap, float(np.nextafter(cap, -math.inf)), *(x0 - 5.0 + f * (cap - x0 + 5.0) for f in fractions)]
+    assert all(phi_s(x) <= lam_bar for x in xs if x <= cap)
+
+
+def test_bound_checks_skip_most_acceptances():
+    """On the clt shape the post-acceptance bound is rarely evaluated, with no breach."""
+    phi = model.make_affine_phi(1.0)
+    h = model.make_scaled_exponential_kernel(0.5, 1.0)
+    xi = model.make_source_equilibrium(h, 2.0)
+    cfg = HawkesConfig(n_particles=500, t_end=10.0, seed=17, track_coupled=False)
+    run = simulate_hawkes(phi, h, xi, cfg)
+    accepted = sum(e.size for e in run.events)
+    assert run.metadata["breaches"] == 0
+    assert accepted > 5000
+    assert run.metadata["bound_checks"] < 0.05 * accepted
 
 
 def test_erlang_kernel_hawkes_runs(bistable):

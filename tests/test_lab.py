@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,33 @@ def test_hawkes_command_and_events_csv(tmp_path):
     doc = json.loads((tmp_path / "summary.json").read_text())
     assert doc["total_events"] == len(lines) - 1
     assert len(doc["estimator_values"]) == 3
+
+
+def test_clt_and_couple_summaries_carry_thinning_counters(tmp_path):
+    base = {"seed": 3, "kernel": {"type": "exponential", "c": 0.5, "alpha": 1.0},
+            "phi": {"type": "affine", "mu": 1.0}, "source": {"type": "equilibrium", "ell": 2.0}}
+    specs = {
+        "clt": {"n_particles": 20, "t_end": 2.0, "replicas": 100, "track_coupled": False, "ell": 2.0},
+        "couple": {"n_particles": 5, "t_end": 5.0, "replicas": 3, "coupling_sizes": [5, 10]},
+    }
+    for name, spec in specs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(base, hawkes=spec)))
+        assert main([name, "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        h = build_kernel(base["kernel"])
+        phi = build_phi(base["phi"])
+        xi = build_source(base["source"], h, phi)
+        hcfg = lab.build_hawkes_config(spec, seed=3)
+        sizes = spec.get("coupling_sizes", [spec["n_particles"]])
+        runs = [
+            lab.simulate_hawkes(phi, h, xi, replace(hcfg, n_particles=n, track_coupled=name == "couple"), replica=r)
+            for n in sizes
+            for r in range(spec["replicas"])
+        ]
+        doc = json.loads((tmp_path / name / "summary.json").read_text())
+        for key in ("candidates", "reschedules", "breaches", "bound_checks"):
+            assert doc[key] == sum(run.metadata[key] for run in runs), (name, key)
+        assert doc["breaches"] == 0 and doc["candidates"] > 0
 
 
 def test_divergence_exit_code(tmp_path):
