@@ -799,12 +799,8 @@ def run_replicas(fn: Callable, replicas: int, threads: int = 1) -> list:
 _THINNING_COUNTERS = ("candidates", "reschedules", "breaches", "bound_checks")
 
 
-def _counters(run: HawkesRun) -> dict:
-    return {k: run.metadata[k] for k in _THINNING_COUNTERS}
-
-
-def _sum_counters(counters: Sequence[dict]) -> dict:
-    return {k: int(sum(c[k] for c in counters)) for k in _THINNING_COUNTERS}
+def _sum_counters(metadata: Sequence[dict]) -> dict:
+    return {k: int(sum(m[k] for m in metadata)) for k in _THINNING_COUNTERS}
 
 
 @dataclass(frozen=True)
@@ -846,18 +842,18 @@ def coupling_experiment(
     if limit is None:
         limit = solve_nre(phi, h, xi, SolverConfig(t_end=cfg.t_end, dt=1e-3))
     means = []
-    counters = []
+    metadata = []
     for n in n_values:
         sub = replace(cfg, n_particles=int(n), track_coupled=True)
 
         def one(replica: int) -> tuple:
             run = simulate_hawkes(phi, h, xi, sub, limit=limit, replica=replica)
             diffs = [path_sup_difference(run.events[i], run.coupled_events[i]) for i in range(sub.n_particles)]
-            return float(np.mean(diffs)), _counters(run)
+            return float(np.mean(diffs)), run.metadata
 
-        vals, runs = zip(*run_replicas(one, cfg.replicas, threads))
+        vals, metas = zip(*run_replicas(one, cfg.replicas, threads))
         means.append(float(np.mean(vals)))
-        counters += runs
+        metadata += metas
     c_tilde = coupling_constant(phi, h, limit.sup_lambda(), cfg.xi_perturbation)
     bounds = tuple(c_tilde * cfg.t_end / math.sqrt(n) for n in n_values)
     slope = float(np.polyfit(np.log(np.asarray(n_values, dtype=float)), np.log(np.asarray(means)), 1)[0])
@@ -869,7 +865,7 @@ def coupling_experiment(
         slope=slope,
         replicas=cfg.replicas,
         t_end=cfg.t_end,
-        counters=_sum_counters(counters),
+        counters=_sum_counters(metadata),
     )
 
 
@@ -929,9 +925,9 @@ def clt_experiment(
     def one(replica: int) -> tuple:
         run = simulate_hawkes(phi, h, xi, sub, replica=replica)
         ell_hat = run.events[0].size / cfg.t_end
-        return sqrt_t * (ell_hat - ell) / sqrt_ell, _counters(run)
+        return sqrt_t * (ell_hat - ell) / sqrt_ell, run.metadata
 
-    samples, counters = zip(*run_replicas(one, cfg.replicas, threads))
+    samples, metadata = zip(*run_replicas(one, cfg.replicas, threads))
     samples = np.asarray(samples)
     return CLTResult(
         samples=samples,
@@ -943,7 +939,7 @@ def clt_experiment(
         ell=ell,
         m_t_over_t=m_t / cfg.t_end,
         i2_term=i2,
-        counters=_sum_counters(counters),
+        counters=_sum_counters(metadata),
     )
 
 

@@ -708,7 +708,6 @@ def _with_exponential_scalar(src: SourceTerm, h: MemoryKernel, scale: float) -> 
         return src
     n, alpha = s.order, s.alpha
     c = scale * s.scale
-    inv_fact = [1.0 / math.factorial(k) for k in range(n + 1)]
 
     if n == 0:  # the partial sum is exactly 1.0
 
@@ -716,6 +715,7 @@ def _with_exponential_scalar(src: SourceTerm, h: MemoryKernel, scale: float) -> 
             return c if t <= 0.0 else c * math.exp(-alpha * t)
 
     else:
+        inv_fact = [1.0 / math.factorial(k) for k in range(n + 1)]
 
         def scalar_fn(t):
             if t <= 0.0:
