@@ -281,7 +281,11 @@ def _erlang_advance(order: int) -> Callable:
     Component k becomes e^{-a} (s_k + s_{k-1} p_1 + ... + s_0 p_k), summed left
     to right: for order 2, ``dec * (s2 + s1 * p1 + s0 * p2)`` on top.  Written
     out, a step runs no Python loop; the order of the sums is part of the
-    stream contract, since the intensity decides acceptances.
+    stream contract, since the intensity decides acceptances.  A nested loop
+    and a ``sum(map(operator.mul, ...))`` form cost the coupled thinning runs
+    17% and 35% of their candidates per second (BENCH_3.json,
+    "erlang_advance_forms"), and ``sum`` of floats is compensated from Python
+    3.12 on, which would change the bits.
     """
     comps = "".join(f"s{k}, " for k in range(order + 1))
     factors = "dec, " + "".join(f"p{m}, " for m in range(1, order + 1))
@@ -403,7 +407,9 @@ def _doubles(values: np.ndarray) -> array.array:
 #: expected candidates per schedule: bounds the memory of the merged schedule
 _SCHEDULE_CANDIDATES = 1 << 16
 #: candidates prepared at a time by the sweep: the first chunk of a schedule,
-#: then doubling up to the last (work prepared past a reschedule is wasted)
+#: then doubling up to the last.  Work prepared past a reschedule is wasted, so
+#: fixed chunks of _SWEEP_CHUNK slow a run that reschedules every few dozen
+#: candidates several-fold (BENCH_3.json, "reschedule_heavy")
 _SWEEP_FIRST = 64
 _SWEEP_CHUNK = 4096
 
@@ -596,10 +602,13 @@ def simulate_hawkes(
     candidates = 0
     bound_checks = 0
 
-    def raw_bound(t: float) -> float:
+    def raw_bound(t: float, ub: Optional[float] = None) -> float:
+        """The dominator bound at t; ub is the state's upper bound if the caller has it."""
         nonlocal bound_checks
         bound_checks += 1
-        rb = phi_s(xi_sup[min(int(t / sup_dt), xi_last)] + state.upper_bound())
+        if ub is None:
+            ub = state.upper_bound()
+        rb = phi_s(xi_sup[min(int(t / sup_dt), xi_last)] + ub)
         return max(rb, lim_sup[min(int(t / lim_dt), lim_last)] if track else 0.0)
 
     diag_dt = cfg.diag_grid_dt
@@ -656,7 +665,7 @@ def simulate_hawkes(
                     ub = jump(weight)
                     # below the cap the bound cannot pass lam_bar (see _bound_cap)
                     if over_dominator or xs_chunk + ub > cap:
-                        rb = raw_bound(s)
+                        rb = raw_bound(s, ub)
                         if rb > lam_bar or over_dominator:
                             new_bar = margin * max(rb, lam_z, 1e-12)
                             break
