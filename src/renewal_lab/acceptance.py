@@ -340,9 +340,10 @@ def criterion_13(threads: int = 1) -> CriterionResult:
     return CriterionResult(
         13,
         "coupling-scaling",
-        below and slope_ok,
+        below and slope_ok and res.counters["breaches"] == 0,
         f"means {tuple(round(m, 4) for m in res.mean_sup_diff)} vs bounds "
-        f"{tuple(round(b, 4) for b in res.bound_values)}, slope {res.slope:.3f}",
+        f"{tuple(round(b, 4) for b in res.bound_values)}, slope {res.slope:.3f}, "
+        f"dominator breaches {res.counters['breaches']}",
         time.time() - t0,
     )
 
@@ -359,9 +360,9 @@ def criterion_14(threads: int = 1) -> CriterionResult:
     return CriterionResult(
         14,
         "estimator-clt",
-        ok,
+        ok and res.counters["breaches"] == 0,
         f"mean {res.mean:+.4f} (tol 0.2), var {res.variance:.4f} (tol 1+-0.3), "
-        f"KS {res.ks_distance:.4f} < {res.ks_critical_1pct:.4f}",
+        f"KS {res.ks_distance:.4f} < {res.ks_critical_1pct:.4f}, dominator breaches {res.counters['breaches']}",
         time.time() - t0,
     )
 

@@ -79,7 +79,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import FiringFunction, MemoryKernel, SourceTerm
+from .model import FiringFunction, MemoryKernel, SourceTerm, add_exponential_perturbation
 from .special import kolmogorov_critical, ks_statistic, normal_cdf
 from .volterra import SolverConfig, Trajectory, solve_nre
 
@@ -118,6 +118,8 @@ class HawkesConfig:
             raise ValueError("need at least one particle")
         if self.t_end <= 0:
             raise ValueError("t_end must be > 0")
+        if self.replicas < 1:
+            raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         if self.thinning_margin <= 1.0:
             raise ValueError("thinning margin must be > 1")
         if self.refresh_horizon <= 0:
@@ -559,13 +561,7 @@ def simulate_hawkes(
     if cfg.xi_perturbation > 0.0:
         sign = 1.0 if _Streams(cfg.seed, replica, [_REPLICA_KEY]).uni[0][0][0] < 0.5 else -1.0
         pert_amp = sign * cfg.xi_perturbation / math.sqrt(n)
-    xi_scalar = xi.scalar_fn
-    if xi_scalar is None:
-        ev = xi.evaluator
-        xi_scalar = lambda t: float(ev(t))
-    if pert_amp != 0.0:
-        base_scalar = xi_scalar
-        xi_scalar = lambda t: base_scalar(t) + pert_amp * math.exp(-t)
+    xi_scalar = (add_exponential_perturbation(xi, pert_amp) if pert_amp != 0.0 else xi).scalar
 
     # running sup of the source from each grid time onward (dominator input)
     sup_dt = min(0.01, cfg.refresh_horizon / 4.0)
@@ -581,10 +577,7 @@ def simulate_hawkes(
         lim_sup = _doubles(_running_sup_from_right(limit.lam))
         lim_last = limit.lam.size - 1
 
-    phi_s = phi.scalar_fn
-    if phi_s is None:
-        pev = phi.evaluator
-        phi_s = lambda v: float(pev(v))
+    phi_s = phi.scalar
 
     state = _make_state(h)
     advance, jump = state.advance, state.jump
@@ -908,6 +901,8 @@ def clt_experiment(
     I2 = sqrt(t)(m_t/t - ell) computed from the solved limit equation.
     """
     threads = resolve_threads(threads)
+    if not ell > 0:
+        raise ValueError(f"the limit value ell must be > 0, got {ell}")
     if cfg.replicas < 100:
         raise ValueError("KS critical values are asymptotic; use at least 100 replicas")
     if phi.lip * h.norm_l1 >= 1.0:

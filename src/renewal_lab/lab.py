@@ -70,6 +70,30 @@ def _check_keys(obj: dict, allowed: set, path: str):
             raise ConfigError(f"{path}.{key}: unknown key")
 
 
+def _get(spec: dict, key: str, default, cast, path: str):
+    """``cast(spec[key])``, or ``cast(default)`` when the key is absent.
+
+    A value the cast rejects, or a float it returns that is not finite, is a
+    ConfigError naming ``path.key``; a default of None makes a numeric or list
+    key required.
+    """
+    try:
+        value = cast(spec.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}.{key}: {exc if key in spec else 'missing'}") from None
+    _require(not isinstance(value, float) or math.isfinite(value), f"{path}.{key}", f"not a finite number: {value}")
+    return value
+
+
+def _list_of(cast):
+    def convert(value):
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {value!r}")
+        return [cast(v) for v in value]
+
+    return convert
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -80,30 +104,28 @@ def build_kernel(spec: dict, path: str = "kernel"):
     kind = spec["type"]
     if kind == "erlang":
         _check_keys(spec, {"type", "n", "alpha"}, path)
-        return model.make_erlang_kernel(int(spec.get("n", 1)), float(spec.get("alpha", 1.0)))
+        return model.make_erlang_kernel(_get(spec, "n", 1, int, path), _get(spec, "alpha", 1.0, float, path))
     if kind == "exponential":
         _check_keys(spec, {"type", "c", "alpha"}, path)
-        return model.make_scaled_exponential_kernel(float(spec.get("c", 1.0)), float(spec.get("alpha", 1.0)))
+        return model.make_scaled_exponential_kernel(_get(spec, "c", 1.0, float, path), _get(spec, "alpha", 1.0, float, path))
     if kind == "compact":
         _check_keys(spec, {"type", "profile", "samples", "support", "mass", "height", "resolution"}, path)
-        support = float(spec.get("support", 1.0))
+        support = _get(spec, "support", 1.0, float, path)
+        _require(support > 0, f"{path}.support", "must be > 0")
         profile = spec.get("profile", "table")
         if profile == "table":
-            _require("samples" in spec, path, "compact table kernel needs 'samples'")
-            return model.make_compact_kernel(spec["samples"], support)
-        res = int(spec.get("resolution", 2001))
+            return model.make_compact_kernel(_get(spec, "samples", None, _list_of(float), path), support)
+        res = _get(spec, "resolution", 2001, int, path)
         xs = np.linspace(0.0, support, res)
         if profile == "bump":
-            mass = float(spec.get("mass", 0.5))
+            mass = _get(spec, "mass", 0.5, float, path)
             vals = xs**2 * (support - xs) ** 2
             vals *= mass / (support**5 / 30.0)
             return model.make_compact_kernel(vals, support)
         if profile == "box":
-            height = float(spec.get("height", 1.0))
-            return model.make_compact_kernel(np.full(res, height), support)
+            return model.make_compact_kernel(np.full(res, _get(spec, "height", 1.0, float, path)), support)
         if profile == "triangle":
-            height = float(spec.get("height", 1.0))
-            return model.make_compact_kernel(height * (1.0 - xs / support), support)
+            return model.make_compact_kernel(_get(spec, "height", 1.0, float, path) * (1.0 - xs / support), support)
         raise ConfigError(f"{path}.profile: unknown profile {profile!r}")
     raise ConfigError(f"{path}.type: unknown kernel type {kind!r}")
 
@@ -111,28 +133,16 @@ def build_kernel(spec: dict, path: str = "kernel"):
 def build_phi(spec: dict, path: str = "phi"):
     _require(isinstance(spec, dict) and "type" in spec, path, "needs a 'type'")
     kind = spec["type"]
-    if kind == "sigmoid":
+    if kind in ("sigmoid", "cubic_sigmoid"):
         _check_keys(spec, {"type", "base", "gain", "slope", "center"}, path)
-        return model.make_sigmoid_phi(
-            float(spec.get("base", 0.5)),
-            float(spec.get("gain", 1.0)),
-            float(spec.get("slope", 8.0)),
-            float(spec.get("center", 1.0)),
-        )
-    if kind == "cubic_sigmoid":
-        _check_keys(spec, {"type", "base", "gain", "slope", "center"}, path)
-        return model.make_cubic_sigmoid_phi(
-            float(spec.get("base", 0.5)),
-            float(spec.get("gain", 1.0)),
-            float(spec.get("slope", 8.0)),
-            float(spec.get("center", 1.0)),
-        )
+        make = model.make_sigmoid_phi if kind == "sigmoid" else model.make_cubic_sigmoid_phi
+        return make(*(_get(spec, k, d, float, path) for k, d in (("base", 0.5), ("gain", 1.0), ("slope", 8.0), ("center", 1.0))))
     if kind == "affine":
         _check_keys(spec, {"type", "mu"}, path)
-        return model.make_affine_phi(float(spec.get("mu", 1.0)))
+        return model.make_affine_phi(_get(spec, "mu", 1.0, float, path))
     if kind == "constant":
         _check_keys(spec, {"type", "value"}, path)
-        return model.make_constant_phi(float(spec.get("value", 1.0)))
+        return model.make_constant_phi(_get(spec, "value", 1.0, float, path))
     if kind == "divergence_example":
         _check_keys(spec, {"type"}, path)
         return model.make_divergence_example_phi()
@@ -149,80 +159,74 @@ def build_source(spec: dict, h, phi, solver_cfg: Optional[SolverConfig] = None, 
         src = model.make_source_empty()
     elif kind == "equilibrium":
         _check_keys(spec, base_keys | {"ell"}, path)
-        src = model.make_source_equilibrium(h, float(spec["ell"]))
+        src = model.make_source_equilibrium(h, _get(spec, "ell", None, float, path))
     elif kind == "locked_equilibrium":
         _check_keys(spec, base_keys | {"ell"}, path)
         _require(solver_cfg is not None, path, "locked equilibrium source needs a solver block")
-        src = equilibrium_locked_source(phi, h, float(spec["ell"]), solver_cfg)
+        src = equilibrium_locked_source(phi, h, _get(spec, "ell", None, float, path), solver_cfg)
     elif kind == "tail":
         _check_keys(spec, base_keys | {"ell0"}, path)
-        src = model.make_source_tail(h, float(spec["ell0"]))
+        src = model.make_source_tail(h, _get(spec, "ell0", None, float, path))
     elif kind == "chi_perturbed":
         _check_keys(spec, base_keys | {"ell0", "chi"}, path)
         chi_spec = spec.get("chi", {"type": "kernel_tail"})
         _check_keys(chi_spec, {"type", "a"}, f"{path}.chi")
-        if chi_spec["type"] == "kernel_tail":
+        chi_kind = chi_spec.get("type")
+        if chi_kind == "kernel_tail":
             chi = lambda t: h.signed_tail(t)
             chi_p = lambda t: -np.asarray(h.evaluator(t), dtype=float)
             decay = h.decay
-        elif chi_spec["type"] == "poly":
-            a = float(chi_spec.get("a", 1.0))
+        elif chi_kind == "poly":
+            a = _get(chi_spec, "a", 1.0, float, f"{path}.chi")
             norm = h.norm_l1
             chi = lambda t: norm / (1.0 + np.asarray(t, dtype=float)) ** a
             chi_p = lambda t: -a * norm / (1.0 + np.asarray(t, dtype=float)) ** (a + 1.0)
             decay = DecayClass.polynomial(rate=a, constant=norm)
         else:
-            raise ConfigError(f"{path}.chi.type: unknown chi type")
-        src = model.make_source_chi_perturbed(h, phi, float(spec["ell0"]), chi, chi_p, decay)
+            raise ConfigError(f"{path}.chi.type: unknown chi type {chi_kind!r}")
+        src = model.make_source_chi_perturbed(h, phi, _get(spec, "ell0", None, float, path), chi, chi_p, decay)
     elif kind == "erlang_poly":
         _check_keys(spec, base_keys | {"n", "alpha", "c"}, path)
-        src = model.make_source_erlang_polynomial(int(spec["n"]), float(spec["alpha"]), spec["c"])
+        src = model.make_source_erlang_polynomial(
+            _get(spec, "n", None, int, path), _get(spec, "alpha", None, float, path), _get(spec, "c", None, _list_of(float), path)
+        )
     elif kind == "divergence_example":
         _check_keys(spec, base_keys | {"a"}, path)
-        src = model.make_source_divergence_example(float(spec.get("a", 2.0)))
+        src = model.make_source_divergence_example(_get(spec, "a", 2.0, float, path))
     else:
         raise ConfigError(f"{path}.type: unknown source type {kind!r}")
     if pert is not None:
-        _check_keys(pert, {"amplitude", "rate"}, f"{path}.perturbation")
-        src = model.add_exponential_perturbation(src, float(pert["amplitude"]), float(pert.get("rate", 1.0)))
+        ppath = f"{path}.perturbation"
+        _check_keys(pert, {"amplitude", "rate"}, ppath)
+        src = model.add_exponential_perturbation(src, _get(pert, "amplitude", None, float, ppath), _get(pert, "rate", 1.0, float, ppath))
     return src
 
 
+# solver block key -> cast; absent keys keep the SolverConfig defaults
+_SOLVER_KEYS = {"dt": float, "t_end": float, "quadrature": str, "inner_tol": float, "inner_max_iter": int,
+                "picard_mode": bool, "picard_tol": float, "picard_max_iter": int}
+
+
 def build_solver(spec: dict, path: str = "solver") -> SolverConfig:
-    _check_keys(spec, {"dt", "t_end", "quadrature", "inner_tol", "inner_max_iter", "picard_mode", "picard_tol", "picard_max_iter"}, path)
+    _check_keys(spec, set(_SOLVER_KEYS), path)
     _require("t_end" in spec, path, "needs 't_end'")
-    return SolverConfig(
-        t_end=float(spec["t_end"]),
-        dt=float(spec.get("dt", 1e-3)),
-        quadrature=spec.get("quadrature", "trapezoid"),
-        inner_tol=float(spec.get("inner_tol", 1e-12)),
-        inner_max_iter=int(spec.get("inner_max_iter", 50)),
-        picard_mode=bool(spec.get("picard_mode", False)),
-        picard_tol=float(spec.get("picard_tol", 1e-13)),
-        picard_max_iter=int(spec.get("picard_max_iter", 200)),
-    )
+    return SolverConfig(**{key: _get(spec, key, None, cast, path) for key, cast in _SOLVER_KEYS.items() if key in spec})
+
+
+# hawkes block key -> (HawkesConfig field, cast); absent keys keep the HawkesConfig defaults
+_HAWKES_KEYS = {
+    "n_particles": ("n_particles", int), "t_end": ("t_end", float), "replicas": ("replicas", int),
+    "margin": ("thinning_margin", float), "refresh": ("refresh_horizon", float), "track_coupled": ("track_coupled", bool),
+    "xi_perturbation": ("xi_perturbation", float), "diag_grid_dt": ("diag_grid_dt", float),
+    "subcritical_override": ("subcritical_override", bool),
+}
 
 
 def build_hawkes_config(spec: dict, seed: int, path: str = "hawkes") -> HawkesConfig:
-    _check_keys(
-        spec,
-        {"n_particles", "t_end", "replicas", "margin", "refresh", "track_coupled", "xi_perturbation",
-         "diag_grid_dt", "subcritical_override", "coupling_sizes", "ell", "checkpoints"},
-        path,
-    )
+    _check_keys(spec, set(_HAWKES_KEYS) | {"checkpoints", "coupling_sizes", "ell"}, path)
     _require("n_particles" in spec and "t_end" in spec, path, "needs 'n_particles' and 't_end'")
-    return HawkesConfig(
-        n_particles=int(spec["n_particles"]),
-        t_end=float(spec["t_end"]),
-        seed=seed,
-        replicas=int(spec.get("replicas", 1)),
-        thinning_margin=float(spec.get("margin", 1.5)),
-        refresh_horizon=float(spec.get("refresh", 0.1)),
-        track_coupled=bool(spec.get("track_coupled", True)),
-        xi_perturbation=float(spec.get("xi_perturbation", 0.0)),
-        diag_grid_dt=float(spec.get("diag_grid_dt", 0.0)),
-        subcritical_override=bool(spec.get("subcritical_override", False)),
-    )
+    fields = {name: _get(spec, key, None, cast, path) for key, (name, cast) in _HAWKES_KEYS.items() if key in spec}
+    return HawkesConfig(seed=seed, **fields)
 
 
 _TOP_KEYS = {"scenario", "seed", "kernel", "phi", "source", "solver", "limit_window", "rates", "hawkes"}
@@ -273,18 +277,24 @@ def _write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(cfg: dict, out: Path, seed: int) -> int:
+def _nre_inputs(cfg: dict):
+    """The solver config, kernel, Phi, source and limit-diagnostic window of solve and envelope."""
     solver = build_solver(cfg.get("solver", {}))
-    h = build_kernel(cfg["kernel"])
-    phi = build_phi(cfg["phi"])
+    h = build_kernel(cfg.get("kernel"))
+    phi = build_phi(cfg.get("phi"))
     xi = build_source(cfg.get("source", {"type": "empty"}), h, phi, solver)
+    window = _get(cfg, "limit_window", min(10.0, 0.25 * solver.t_end), float, "config")
+    return solver, h, phi, xi, window
+
+
+def cmd_solve(cfg: dict, out: Path, seed: int) -> int:
+    solver, h, phi, xi, window = _nre_inputs(cfg)
     traj = solve_nre(phi, h, xi, solver)
     traj.to_csv(out / "trajectory.csv")
     try:
         reports = model.find_fixed_points(phi, h)
     except NoFixedPointError:
         reports = []
-    window = float(cfg.get("limit_window", min(10.0, 0.25 * solver.t_end)))
     diag = limit_diagnostic(traj, reports, window=window)
     _write_json(
         out / "limit.json",
@@ -306,8 +316,8 @@ def cmd_solve(cfg: dict, out: Path, seed: int) -> int:
 
 
 def cmd_equilibria(cfg: dict, out: Path, seed: int) -> int:
-    h = build_kernel(cfg["kernel"])
-    phi = build_phi(cfg["phi"])
+    h = build_kernel(cfg.get("kernel"))
+    phi = build_phi(cfg.get("phi"))
     try:
         reports = model.find_fixed_points(phi, h)
         payload = [_report_dict(r) for r in reports]
@@ -322,22 +332,22 @@ _FIT_MODELS = {"log-vs-t": LOG_VS_T, "log-vs-log-t": LOG_VS_LOG_T, "log-vs-sqrt-
 
 
 def cmd_envelope(cfg: dict, out: Path, seed: int) -> int:
-    solver = build_solver(cfg.get("solver", {}))
-    h = build_kernel(cfg["kernel"])
-    phi = build_phi(cfg["phi"])
-    xi = build_source(cfg.get("source", {"type": "empty"}), h, phi, solver)
+    solver, h, phi, xi, window = _nre_inputs(cfg)
     rspec = cfg.get("rates", {})
     _check_keys(rspec, {"eps0", "window", "fit_model", "slack", "calibrate", "lambda_sup_headroom"}, "rates")
+    eps0 = _get(rspec, "eps0", 0.1, float, "rates")
+    headroom = _get(rspec, "lambda_sup_headroom", 1.05, float, "rates")
+    slack = _get(rspec, "slack", 1.0, float, "rates")
+    fit_model = _FIT_MODELS.get(_get(rspec, "fit_model", "log-vs-t", str, "rates"))
+    _require(fit_model is not None, "rates.fit_model", f"expected one of {', '.join(_FIT_MODELS)}")
+    fit_window = tuple(_get(rspec, "window", None, _list_of(float), "rates")) if "window" in rspec else None
     traj = solve_nre(phi, h, xi, solver)
     traj.to_csv(out / "trajectory.csv")
     reports = model.find_fixed_points(phi, h)
-    window = float(cfg.get("limit_window", min(10.0, 0.25 * solver.t_end)))
     diag = limit_diagnostic(traj, reports, window=window)
     if diag.kind != "converged":
         raise RuntimeError(f"trajectory did not converge (verdict {diag.kind}); no rate analysis possible")
     report = next(r for r in reports if r.ell == diag.ell)
-    eps0 = float(rspec.get("eps0", 0.1))
-    headroom = float(rspec.get("lambda_sup_headroom", 1.05))
     t0 = entry_time(traj, report.ell, eps0)
     ctx = build_rate_context(
         report, phi, h,
@@ -347,11 +357,10 @@ def cmd_envelope(cfg: dict, out: Path, seed: int) -> int:
     )
     env = predict_envelope(ctx)
     env_used = calibrate_envelope(env, traj, report.ell) if rspec.get("calibrate", True) else env
-    ok, worst = verify_envelope(traj, report.ell, env_used, slack=float(rspec.get("slack", 1.0)))
+    ok, worst = verify_envelope(traj, report.ell, env_used, slack=slack)
     fit_payload = None
-    if "window" in rspec:
-        fmodel = _FIT_MODELS[rspec.get("fit_model", "log-vs-t")]
-        fit = fit_empirical_rate(traj, report.ell, tuple(rspec["window"]), fmodel)
+    if fit_window is not None:
+        fit = fit_empirical_rate(traj, report.ell, fit_window, fit_model)
         fit_payload = {"model": fit.model, "slope": fit.slope, "intercept": fit.intercept,
                        "r_squared": fit.r_squared, "n_points": fit.n_points}
     _write_json(
@@ -389,22 +398,29 @@ def _write_events_csv(path, runs):
                     fh.write(f"{rep_idx},{p},{t:.17g}\n")
 
 
-def cmd_hawkes(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    h = build_kernel(cfg["kernel"])
-    phi = build_phi(cfg["phi"])
-    hspec = dict(cfg.get("hawkes", {}))
+def _hawkes_inputs(cfg: dict, seed: int):
+    """The kernel, Phi, source, hawkes block and HawkesConfig of hawkes, clt and couple."""
+    h = build_kernel(cfg.get("kernel"))
+    phi = build_phi(cfg.get("phi"))
+    hspec = cfg.get("hawkes", {})
     hcfg = build_hawkes_config(hspec, seed)
     xi = build_source(cfg.get("source", {"type": "empty"}), h, phi)
+    return h, phi, xi, hspec, hcfg
+
+
+def cmd_hawkes(cfg: dict, out: Path, seed: int, threads: int) -> int:
+    h, phi, xi, hspec, hcfg = _hawkes_inputs(cfg, seed)
+    checkpoints = _get(hspec, "checkpoints", [0.25 * hcfg.t_end, 0.5 * hcfg.t_end, hcfg.t_end], _list_of(float), "hawkes")
     runs = run_replicas(lambda r: simulate_hawkes(phi, h, xi, hcfg, replica=r), hcfg.replicas, threads)
     _write_events_csv(out / "events.csv", runs)
-    checkpoints = hspec.get("checkpoints", [0.25 * hcfg.t_end, 0.5 * hcfg.t_end, hcfg.t_end])
     est = estimator_path(runs[0], checkpoints)
+    total = int(sum(sum(e.size for e in run.events) for run in runs))
     _write_json(
         out / "summary.json",
         {
             "scenario": cfg.get("scenario", ""),
-            "total_events": int(sum(sum(e.size for e in run.events) for run in runs)),
-            "estimator_checkpoints": list(map(float, checkpoints)),
+            "total_events": total,
+            "estimator_checkpoints": checkpoints,
             "estimator_values": [float(v) for v in est],
             "candidates": int(sum(run.metadata["candidates"] for run in runs)),
             "breaches": int(sum(run.metadata["breaches"] for run in runs)),
@@ -412,19 +428,13 @@ def cmd_hawkes(cfg: dict, out: Path, seed: int, threads: int) -> int:
             "seed": seed,
         },
     )
-    print(f"hawkes: {sum(sum(e.size for e in run.events) for run in runs)} events over {hcfg.replicas} replica(s)")
+    print(f"hawkes: {total} events over {hcfg.replicas} replica(s)")
     return 0
 
 
 def cmd_clt(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    h = build_kernel(cfg["kernel"])
-    phi = build_phi(cfg["phi"])
-    hspec = dict(cfg.get("hawkes", {}))
-    ell = hspec.get("ell")
-    _require(ell is not None, "hawkes.ell", "clt experiment needs the limit value 'ell'")
-    hcfg = build_hawkes_config(hspec, seed)
-    xi = build_source(cfg.get("source", {"type": "empty"}), h, phi)
-    res = clt_experiment(phi, h, xi, hcfg, ell=float(ell), threads=threads)
+    h, phi, xi, hspec, hcfg = _hawkes_inputs(cfg, seed)
+    res = clt_experiment(phi, h, xi, hcfg, ell=_get(hspec, "ell", None, float, "hawkes"), threads=threads)
     with open(out / "samples.csv", "w") as fh:
         fh.write("replica,standardized\n")
         for i, v in enumerate(res.samples):
@@ -450,12 +460,8 @@ def cmd_clt(cfg: dict, out: Path, seed: int, threads: int) -> int:
 
 
 def cmd_couple(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    h = build_kernel(cfg["kernel"])
-    phi = build_phi(cfg["phi"])
-    hspec = dict(cfg.get("hawkes", {}))
-    sizes = hspec.get("coupling_sizes", [100, 400, 1600])
-    hcfg = build_hawkes_config(hspec, seed)
-    xi = build_source(cfg.get("source", {"type": "empty"}), h, phi)
+    h, phi, xi, hspec, hcfg = _hawkes_inputs(cfg, seed)
+    sizes = _get(hspec, "coupling_sizes", [100, 400, 1600], _list_of(int), "hawkes")
     res = coupling_experiment(phi, h, xi, hcfg, n_values=sizes, threads=threads)
     _write_json(
         out / "summary.json",
@@ -656,21 +662,10 @@ def main(argv=None) -> int:
             only = [int(v) for v in args.only.split(",")] if args.only else None
             return cmd_suite(out, only=only, threads=resolve_threads(args.threads))
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else _get(cfg, "seed", 0, int, "config")
         threads = resolve_threads(args.threads)
-        if args.command == "solve":
-            return cmd_solve(cfg, out, seed)
-        if args.command == "equilibria":
-            return cmd_equilibria(cfg, out, seed)
-        if args.command == "envelope":
-            return cmd_envelope(cfg, out, seed)
-        if args.command == "hawkes":
-            return cmd_hawkes(cfg, out, seed, threads)
-        if args.command == "clt":
-            return cmd_clt(cfg, out, seed, threads)
-        if args.command == "couple":
-            return cmd_couple(cfg, out, seed, threads)
-        raise ConfigError(f"unknown command {args.command!r}")
+        cmd = globals()[f"cmd_{args.command}"]  # by name at call time, so a wrapper set on the module is called
+        return cmd(cfg, out, seed, threads) if args.command in ("hawkes", "clt", "couple") else cmd(cfg, out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

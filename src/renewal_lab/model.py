@@ -291,13 +291,21 @@ def make_compact_kernel(table: Sequence[float], support: float) -> MemoryKernel:
 # ---------------------------------------------------------------------------
 
 
+def _scalar(self) -> Callable:
+    """The float evaluator hot loops call: ``scalar_fn``, else the vector evaluator on one value."""
+    if self.scalar_fn is not None:
+        return self.scalar_fn
+    ev = self.evaluator
+    return lambda v: float(ev(v))
+
+
 @dataclass(frozen=True)
 class FiringFunction:
     """A firing rate function Phi >= 0 with first and second derivatives.
 
     ``derivative_fn(x, k)``, when provided, evaluates Phi^(k) analytically;
     otherwise higher derivatives fall back to central finite differences.
-    ``scalar_fn`` is an optional fast scalar evaluator used in hot loops.
+    ``scalar_fn`` is an optional fast scalar evaluator; hot loops call ``scalar``.
     """
 
     evaluator: Callable
@@ -311,6 +319,8 @@ class FiringFunction:
     derivative_fn: Optional[Callable] = None
     scalar_fn: Optional[Callable] = None
     label: str = ""
+
+    scalar = property(_scalar)
 
     def __call__(self, x):
         return self.evaluator(x)
@@ -355,6 +365,18 @@ def _fd_derivative(f, x: float, k: int) -> float:
     return float(np.dot(w, vals) / h**k)
 
 
+def _logistic(y):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-y))
+
+
+def _logistic_scalar(base: float, gain: float, y: float) -> float:
+    # below y = -700 the term is under 1e-304 gain, and past -709.78 math.exp(-y) overflows where np.exp gives inf
+    if y < -700.0:
+        return base
+    return base + gain / (1.0 + math.exp(-y))
+
+
 def make_sigmoid_phi(base: float, gain: float, slope: float, center: float) -> FiringFunction:
     """Phi(x) = base + gain / (1 + exp(-slope (x - center))).
 
@@ -366,23 +388,19 @@ def make_sigmoid_phi(base: float, gain: float, slope: float, center: float) -> F
     if base < 0:
         raise ValueError("base must be >= 0 to keep Phi nonnegative")
 
-    def logistic(y):
-        with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-y))
-
     def evaluator(x):
-        return base + gain * logistic(slope * (np.asarray(x, dtype=float) - center))
+        return base + gain * _logistic(slope * (np.asarray(x, dtype=float) - center))
 
     def d1(x):
-        s = logistic(slope * (np.asarray(x, dtype=float) - center))
+        s = _logistic(slope * (np.asarray(x, dtype=float) - center))
         return gain * slope * s * (1.0 - s)
 
     def d2(x):
-        s = logistic(slope * (np.asarray(x, dtype=float) - center))
+        s = _logistic(slope * (np.asarray(x, dtype=float) - center))
         return gain * slope**2 * s * (1.0 - s) * (1.0 - 2.0 * s)
 
     def scalar_fn(x):
-        return base + gain / (1.0 + math.exp(-slope * (x - center)))
+        return _logistic_scalar(base, gain, slope * (x - center))
 
     return FiringFunction(
         evaluator=evaluator,
@@ -458,19 +476,15 @@ def make_cubic_sigmoid_phi(base: float, gain: float, slope: float, center: float
         u = np.asarray(x, dtype=float) - center
         return 6.0 * b * u
 
-    def logistic(y):
-        with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-y))
-
     def evaluator(x):
-        return base + gain * logistic(inner(x))
+        return base + gain * _logistic(inner(x))
 
     def d1(x):
-        s = logistic(inner(x))
+        s = _logistic(inner(x))
         return gain * s * (1.0 - s) * inner_d1(x)
 
     def d2(x):
-        s = logistic(inner(x))
+        s = _logistic(inner(x))
         return gain * (s * (1.0 - s) * (1.0 - 2.0 * s) * inner_d1(x) ** 2 + s * (1.0 - s) * inner_d2(x))
 
     xs = np.linspace(center - 8.0, center + 8.0, 160001)
@@ -479,10 +493,7 @@ def make_cubic_sigmoid_phi(base: float, gain: float, slope: float, center: float
 
     def scalar_fn(x):
         u = x - center
-        y = a * u + b * u**3
-        if y < -700.0:
-            return base
-        return base + gain / (1.0 + math.exp(-y))
+        return _logistic_scalar(base, gain, a * u + b * u**3)
 
     return FiringFunction(
         evaluator=evaluator,
@@ -592,6 +603,8 @@ class SourceTerm:
     label: str = ""
     grid_evaluator: Optional[Callable] = None
     scalar_fn: Optional[Callable] = None
+
+    scalar = property(_scalar)
 
     def __call__(self, t):
         return self.evaluator(t)
@@ -833,17 +846,14 @@ def add_exponential_perturbation(xi: SourceTerm, amplitude: float, rate: float =
 
     bump = DecayClass.exponential(rate=rate, constant=max(abs(amplitude), 1e-300))
     decay = _combine_decays([(xi.decay, xi.sup_bound), (bump, abs(amplitude))])
-    scalar = None
-    if xi.scalar_fn is not None:
-        xs = xi.scalar_fn
-        scalar = lambda t: xs(t) + amplitude * math.exp(-rate * t)
+    xs = xi.scalar
     return SourceTerm(
         evaluator=evaluator,
         derivative=derivative,
         sup_bound=xi.sup_bound + abs(amplitude),
         decay=decay,
         label=f"{xi.label} + {amplitude:g}*exp(-{rate:g}t)",
-        scalar_fn=scalar,
+        scalar_fn=lambda t: xs(t) + amplitude * math.exp(-rate * t),
     )
 
 

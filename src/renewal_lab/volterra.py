@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -211,13 +211,6 @@ def _make_history(h: MemoryKernel, cfg: SolverConfig, ts: np.ndarray, lam: np.nd
     return _DotHistory(h, cfg, ts, lam)
 
 
-def _scalar_phi(phi: FiringFunction) -> Callable:
-    if phi.scalar_fn is not None:
-        return phi.scalar_fn
-    ev = phi.evaluator
-    return lambda v: float(ev(v))
-
-
 # ---------------------------------------------------------------------------
 # the marching solver
 # ---------------------------------------------------------------------------
@@ -241,7 +234,7 @@ def solve_nre(phi: FiringFunction, h: MemoryKernel, xi: SourceTerm, cfg: SolverC
     lam = np.zeros(n_pts)
     xarr = np.zeros(n_pts)
     hist = _make_history(h, cfg, ts, lam)
-    phi_s = _scalar_phi(phi)
+    phi_s = phi.scalar
     damped = abs(hist.beta) * phi.lip >= 1.0
 
     inner_total = 0
@@ -358,7 +351,7 @@ def equilibrium_locked_source(phi: FiringFunction, h: MemoryKernel, ell: float, 
     n_pts = ts.size
     lam = np.zeros(n_pts)
     hist = _make_history(h, cfg, ts, lam)
-    phi_s = _scalar_phi(phi)
+    phi_s = phi.scalar
 
     # An even-mantissa target is reachable by round-to-nearest-even from every
     # summation lattice; an odd-mantissa one is skipped when the partial sums
@@ -430,7 +423,7 @@ def solve_erlang_cascade(
     if c.size != n + 1:
         raise ValueError(f"need {n + 1} initial values, got {c.size}")
     ts = cfg.grid()
-    phi_s = _scalar_phi(phi)
+    phi_s = phi.scalar
     a = alpha
 
     def deriv(state):

@@ -1,31 +1,23 @@
 import pytest
 
-from renewal_lab import model
-from renewal_lab.volterra import SolverConfig, solve_nre
+from renewal_lab import acceptance
 
 
 @pytest.fixture(scope="session")
 def bistable():
     """Bistable reference fixture: sigmoid firing with Erlang(2, 3) kernel."""
-    h = model.make_erlang_kernel(2, 3.0)
-    phi = model.make_sigmoid_phi(0.5, 1.0, 8.0, 1.0)
-    reports = model.find_fixed_points(phi, h)
-    return phi, h, reports
+    return acceptance.bistable_fixture()
 
 
 @pytest.fixture(scope="session")
 def affine():
     """Linear fixture: Phi = 1 + x, h = 0.5 e^{-t}; fixed point 2, tau0 = 0.5."""
-    h = model.make_scaled_exponential_kernel(0.5, 1.0)
-    phi = model.make_affine_phi(1.0)
-    report = model.find_fixed_points(phi, h)[0]
-    return phi, h, report
+    return acceptance.affine_fixture()
 
 
 @pytest.fixture(scope="session")
-def affine_empty_traj(affine):
-    phi, h, _ = affine
-    return solve_nre(phi, h, model.make_source_empty(), SolverConfig(t_end=30.0, dt=1e-3))
+def affine_empty_traj():
+    return acceptance._affine_empty_traj(30.0)
 
 
 def brentq(f, lo, hi, tol=1e-14, max_iter=400):

@@ -6,6 +6,7 @@ particle-system criteria are the long poles (several minutes together).
 """
 
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,3 +21,20 @@ def test_criterion(number):
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {result.number:2d} {result.name}: {result.detail} ({result.runtime:.1f}s)")
     assert result.passed, f"criterion {number} ({result.name}): {result.detail}"
+
+
+_PASSING = {
+    13: ("coupling_experiment", dict(mean_sup_diff=(0.4, 0.2, 0.1), bound_values=(1.0, 1.0, 1.0), slope=-0.5)),
+    14: ("clt_experiment", dict(mean=0.0, variance=1.0, ks_distance=0.01, ks_critical_1pct=0.1)),
+}
+
+
+@pytest.mark.parametrize("number", sorted(_PASSING))
+def test_particle_criteria_fail_on_a_dominator_breach(monkeypatch, number):
+    name, fields = _PASSING[number]
+    for breaches in (0, 1):
+        result = SimpleNamespace(counters={"breaches": breaches}, **fields)
+        monkeypatch.setattr(acceptance, name, lambda *args, **kwargs: result)
+        outcome = acceptance.CRITERIA[number]()
+        assert outcome.passed == (breaches == 0)
+        assert f"dominator breaches {breaches}" in outcome.detail

@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -248,3 +250,89 @@ def test_render_svg_log_scale(tmp_path):
         log_y=True,
     )
     assert (tmp_path / "log.svg").read_text().count("polyline") == 1
+
+
+# every bundled scenario with the command that runs it and the edits that make one run take well under a second
+_SHRUNK = {
+    "bistable_basin_lower": ("solve", {"solver": {"t_end": 2.0}, "limit_window": 1.0}),
+    "bistable_basin_upper": ("solve", {"solver": {"t_end": 2.0}, "limit_window": 1.0}),
+    "bistable_equilibria": ("equilibria", {}),
+    "clt_affine": ("clt", {"hawkes": {"n_particles": 20, "t_end": 2.0, "replicas": 100}}),
+    "coupling_affine": ("couple", {"hawkes": {"n_particles": 5, "t_end": 2.0, "replicas": 3, "coupling_sizes": [5, 10]}}),
+    "divergence_a2": ("solve", {"solver": {"t_end": 2.0}, "limit_window": 1.0}),
+    "empty_source": ("solve", {"solver": {"t_end": 2.0}, "limit_window": 1.0}),
+    "envelope_compact": ("envelope", {"solver": {"dt": 0.002, "t_end": 10.0}, "limit_window": 3.0, "rates": {"window": [1.0, 7.0]}}),
+    "envelope_polyxi": ("envelope", {"solver": {"t_end": 2.0}, "limit_window": 1.0}),
+    "equilibrium_locked": ("solve", {"solver": {"t_end": 2.0}, "limit_window": 1.0}),
+    "erlang_crossing_lower_order": ("solve", {"solver": {"t_end": 2.0}, "limit_window": 1.0}),
+    "hawkes_small": ("hawkes", {"hawkes": {"n_particles": 10, "t_end": 2.0, "checkpoints": [0.5, 1.0, 2.0]}}),
+}
+# further edits, each of which must exit 1 naming its key (range checks in the library name it without the block)
+_EXTRA_EDITS = {
+    "empty_source": [(("solver", "dt"), [1]), (("solver", "t_end"), math.inf)],
+    "hawkes_small": [(("hawkes", "checkpoints"), 5), (("hawkes", "replicas"), 0), (("phi", "mu"), math.nan)],
+    "coupling_affine": [(("hawkes", "coupling_sizes"), 5)],
+    "clt_affine": [(("hawkes", "ell"), 0)],
+    "envelope_compact": [(("rates", "fit_model"), "x"), (("rates", "window"), 5)],
+    "envelope_polyxi": [(("source", "chi"), {})],
+}
+
+
+def _one_value_edits(node, path=()):
+    for key, value in node.items():
+        for bad in (None, "x", 0, -1):
+            yield path + (key,), bad, value
+        if isinstance(value, dict):
+            yield from _one_value_edits(value, path + (key,))
+
+
+def _is_number(value):
+    if isinstance(value, list):
+        return bool(value) and all(map(_is_number, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@pytest.mark.parametrize("name", sorted(_SHRUNK))
+def test_one_value_edits_exit_cleanly_naming_the_key(tmp_path, capsys, name):
+    """Each value of a bundled scenario replaced by None, "x", 0 or -1 exits 0, 1 or 2 without a
+    traceback, and a value a numeric key cannot be cast from exits 1 naming <block>.<key>."""
+    assert sorted(path.stem for path in SCENARIOS.glob("*.json")) == sorted(_SHRUNK)
+    command, shrink = _SHRUNK[name]
+    base = json.loads((SCENARIOS / f"{name}.json").read_text())
+    for key, value in shrink.items():
+        base[key] = dict(base[key], **value) if isinstance(value, dict) else value
+    edits = [(path, bad, ".".join(path) if _is_number(old) and bad in (None, "x") else None)
+             for path, bad, old in _one_value_edits(base)]
+    edits += [(path, bad, path[-1]) for path, bad in _EXTRA_EDITS.get(name, [])]
+    failures = []
+    for path, bad, named in edits:
+        cfg = copy.deepcopy(base)
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        config = tmp_path / "edited.json"
+        config.write_text(json.dumps(cfg))
+        where = f"{'.'.join(path)} = {bad!r}"
+        try:
+            code = main([command, "--config", str(config), "--out", str(tmp_path / "out"), "--threads", "1"])
+        except Exception as exc:
+            failures.append(f"{where}: raised {exc!r}")
+            continue
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2) or "Traceback" in err:
+            failures.append(f"{where}: exit {code}, {err!r}")
+        elif named and not (code == 1 and named in err):
+            failures.append(f"{where}: exit {code} without naming the key: {err!r}")
+    assert not failures, "\n".join(failures)
+
+
+def test_solve_inhibitory_sigmoid_does_not_overflow(tmp_path):
+    doc = {
+        "kernel": {"type": "exponential", "c": -1000.0, "alpha": 1.0},
+        "phi": {"type": "sigmoid", "base": 0.5, "gain": 1.0, "slope": 8.0, "center": 1.0},
+        "solver": {"t_end": 5.0},
+    }
+    cfg = tmp_path / "inhibitory.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0

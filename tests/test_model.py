@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,6 +174,23 @@ def test_sigmoid_nonneg_and_lipschitz(base, gain, slope, center):
     vx, vy = np.asarray(phi(xs)), np.asarray(phi(ys))
     assert np.all(vx >= 0)
     assert np.all(np.abs(vx - vy) <= phi.lip * np.abs(xs - ys) * (1 + 1e-9) + 1e-15)
+
+
+@pytest.mark.parametrize("make", [model.make_sigmoid_phi, model.make_cubic_sigmoid_phi])
+def test_logistic_scalar_is_base_far_below_the_center(make):
+    phi = make(0.5, 1.0, 8.0, 1.0)
+    for x in (-100.0, -1e3, -1e6):
+        assert phi.scalar_fn(x) == float(phi(x)) == 0.5
+
+
+def test_scalar_falls_back_to_the_vector_evaluator(bistable):
+    phi, h, _ = bistable
+    assert phi.scalar is phi.scalar_fn
+    assert replace(phi, scalar_fn=None).scalar(0.7) == float(phi(0.7))
+    tail = model.make_source_tail(h, 0.4)
+    bare = replace(tail, scalar_fn=None)
+    assert bare.scalar(0.3) == float(tail(0.3))
+    assert model.add_exponential_perturbation(bare, 0.02).scalar_fn(0.3) == float(tail(0.3)) + 0.02 * math.exp(-0.3)
 
 
 def test_affine_phi():
