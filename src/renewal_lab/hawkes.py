@@ -9,58 +9,51 @@ particle process Z and its limit process Zbar judge the *same* candidates
 with the same uniforms (the shared-randomness coupling that bounds their
 pathwise distance by C t / sqrt(N)).
 
-Stream contract (``tests/test_hawkes_golden.py`` locks it):
+Stream contract, version 2 (``tests/test_hawkes_golden.py`` locks it):
 
-* Key.  Particle i draws from its own Philox generator with key
-  (seed mod 2^64, (replica mod 2^32) << 32 | k_i mod 2^32), where k_i is i
-  or ``particle_keys[i]``.  Replica-level randomness (the sign of the
-  source perturbation) uses k = 2^32 - 1.
-* Blocks.  A generator is drawn in blocks of 256: ``standard_exponential(256)``
-  or ``random(256)``.  Every stream opens with one block of each, exponentials
-  first.  After that a particle's block of exponentials k (its draws
-  256k..256k+255) or of uniforms j is made when its draw 256k or 256j is first
-  needed, in the order of the draws below.  So exponential block k comes
-  before uniform block j >= 1 iff k < j + ceil(d / 256), where d is the number of
-  exponentials less the number of uniforms the particle has drawn when it
-  draws uniform 256j.
-* Draws.  The particle's first exponential e gives its first candidate
-  e / lam_bar.  Candidates are judged in order of time, then particle index,
-  up to the first one past t_end.  Judging a candidate at s draws the
-  particle's next uniform u (accept if u lam_bar <= intensity; the coupled
-  process accepts if u lam_bar <= limit intensity), then its next
-  exponential e gives its next candidate s + e / lam_bar.
-* Reschedules.  The dominator is rebuilt at a candidate (s, i) when an
-  acceptance raises the bound past it, when a candidate breaches it, or when
-  a refresh check finds it more than twice too large.  Instead of its next
-  exponential, every particle then draws one exponential e under the new
-  lam_bar and is next proposed at s + e / lam_bar.  For a particle other
-  than i this drops its pending candidate, so its exponentials run one
-  further ahead of its uniforms.
+* Key.  A replica draws from three Philox generators keyed by
+  (seed mod 2^64, (replica mod 2^32) << 32 | stream): stream 0 gives standard
+  exponentials e_k, stream 1 particle labels p_k uniform on {0, ..., N-1}
+  (``integers(N)``), stream 2 uniforms u_k (``random``).  Stream 2^32 - 1
+  gives the sign of the source perturbation: + iff its first uniform is
+  below 1/2.
+* Draws.  Draw k of each stream belongs to candidate k.  Candidate k sits at
+  t_k = t_{k-1} + e_k / (N lam_bar), with t_0 = 0, where lam_bar is the
+  dominator in force once candidate k-1 has been judged.  It is judged for
+  particle p_k: accepted if u_k lam_bar <= intensity (the coupled process
+  accepts if u_k lam_bar <= limit intensity).  Candidates are judged in order
+  up to the first one past t_end, which is not judged.
+* Reschedules.  The dominator is rebuilt at a candidate when an acceptance
+  raises the bound past it, when a candidate breaches it, or when a refresh
+  check finds it more than twice too large.  The next candidate takes the
+  next draws under the new lam_bar; no draw is skipped.
+* Exactness.  Every particle fires at the same intensity
+  Phi(xi_N + Y), so the N dominating Poisson(lam_bar) processes of thinning
+  (Lewis-Shedler 1979) superpose to one Poisson(N lam_bar) process whose
+  points carry iid uniform labels.  By memorylessness the time from a
+  reschedule to the next candidate is again exponential at the new rate.  The
+  coupled process judges the same candidates with the same uniforms per
+  label, so the coupling is pathwise as before.
 
-``simulate_hawkes`` realises this without a priority queue: under one
-dominator each particle's candidates are running sums of its exponentials
-(``np.cumsum`` has the bits of repeated ``s + e / lam_bar``).  Those up to a
-horizon, about ``_SCHEDULE_CANDIDATES`` of them, are merged by ``np.lexsort``
-on (time, particle) and judged in one flat loop.  A reschedule drops the rest
-of the merged schedule and rebuilds it from each particle's draw counts; at
-the horizon every particle goes on from its last candidate.
-
-The loop takes the schedule in chunks (growing from ``_SWEEP_FIRST`` to
-``_SWEEP_CHUNK`` candidates, so that little is prepared past a reschedule)
-and first computes in bulk what no decision changes: the source at every
-time, and the convolution state's steps between consecutive times (the decay
-e^{-alpha dt}, and for Erlang kernels the terms (alpha dt)^j / j!) with the
-grid points of the intensity diagnostic merged in.  Each value is made by the
-same floating-point operations in the same order as a step-by-step update:
-numpy for + - * /, ``math.exp`` for every exponential (``np.exp`` may round
-differently).  Per candidate the loop then only advances the state, evaluates
-Phi, accepts and jumps.  After an acceptance the bound is rebuilt only when
-the source's running sup plus the state's upper bound exceeds the cap of
-``_bound_cap``, a point where Phi is at most lam_bar.  Below the cap the
-skipped check could not reschedule: Phi is nondecreasing, the source's
-running sup only falls with time, floating-point addition is monotone, and the
-limit intensity's running sup, the other term of the bound, never exceeds
-lam_bar once lam_bar is built from it.
+``simulate_hawkes`` takes the candidates in chunks (``_SWEEP_FIRST``
+candidates first, doubling up to ``_SWEEP_CHUNK``, back to ``_SWEEP_FIRST``
+after a reschedule, so that little is prepared past one).  A chunk's times
+are one ``np.cumsum`` from the last candidate (which has the bits of the
+repeated t + e / (N lam_bar)); its unjudged draws stay for the next chunk.
+Each chunk first computes in bulk what no decision changes: the source at
+every time, and the convolution state's steps between consecutive times (the
+decay e^{-alpha dt}, and for Erlang kernels the terms (alpha dt)^j / j!)
+with the grid points of the intensity diagnostic merged in.  Each value is
+made by the same floating-point operations in the same order as a
+step-by-step update: numpy for + - * /, ``math.exp`` for every exponential
+(``np.exp`` may round differently).  Per candidate the loop then only
+advances the state, evaluates Phi, accepts and jumps.  After an acceptance
+the bound is rebuilt only when the source's running sup plus the state's
+upper bound exceeds the cap of ``_bound_cap``, a point where Phi is at most
+lam_bar.  Below the cap the skipped check could not reschedule: Phi is
+nondecreasing, the source's running sup only falls with time, floating-point
+addition is monotone, and the limit intensity's running sup, the other term
+of the bound, never exceeds lam_bar once lam_bar is built from it.
 """
 
 from __future__ import annotations
@@ -85,8 +78,8 @@ from .volterra import SolverConfig, Trajectory, solve_nre
 
 _M32 = (1 << 32) - 1
 _M64 = (1 << 64) - 1
-#: particle-key reserved for replica-level randomness (source perturbation)
-_REPLICA_KEY = _M32
+#: the stream of replica-level randomness (source perturbation)
+_REPLICA_STREAM = _M32
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
@@ -111,7 +104,6 @@ class HawkesConfig:
     xi_perturbation: float = 0.0  # C_xi: xi_N = xi +- (C_xi/sqrt(N)) e^{-t}
     diag_grid_dt: float = 0.0
     subcritical_override: bool = False
-    particle_keys: Optional[Sequence[int]] = None
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -124,8 +116,6 @@ class HawkesConfig:
             raise ValueError("thinning margin must be > 1")
         if self.refresh_horizon <= 0:
             raise ValueError("refresh horizon must be > 0")
-        if self.particle_keys is not None and len(self.particle_keys) != self.n_particles:
-            raise ValueError("particle_keys must have one entry per particle")
 
 
 @dataclass
@@ -139,106 +129,38 @@ class HawkesRun:
     metadata: dict = field(default_factory=dict)
 
 
-_BLOCK = 256
+def _philox(seed: int, replica: int, stream: int) -> np.random.Generator:
+    """The generator of one stream of a replica (stream contract, module docstring)."""
+    key = np.array([seed & _M64, ((replica & _M32) << 32) | stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def _span(blocks: list, a: int, b: int) -> np.ndarray:
-    """Draws a..b-1 (absolute stream positions) out of a list of blocks."""
-    k0 = a // _BLOCK
-    k1 = (b - 1) // _BLOCK + 1
-    run = blocks[k0] if k1 == k0 + 1 else np.concatenate(blocks[k0:k1])
-    return run[a - k0 * _BLOCK : b - k0 * _BLOCK]
+class _Draws:
+    """A replica's candidate draws (e_k, p_k, u_k), handed out in order.
 
-
-class _Streams:
-    """The Philox streams of a replica's particles, made in blocks.
-
-    One bit generator is re-keyed per particle through its ``state``: a block
-    of ``_BLOCK`` exponentials or uniforms is drawn after loading the
-    particle's saved state, which is saved again afterwards.  ``ensure`` makes
-    blocks in the order of the stream contract (module docstring), which
-    ``lead`` fixes.
+    ``head(k)`` returns the next k unjudged draws of each stream, drawing what
+    the buffer lacks; ``drop(k)`` marks the first k judged.  The draws a chunk
+    did not judge (past a reschedule) stay for the next one.
     """
 
-    def __init__(self, seed: int, replica: int, keys: Sequence[int]):
-        self._bitgen = np.random.Philox(key=0)
-        self._gen = np.random.Generator(self._bitgen)
-        n = len(keys)
-        self._keys = [[seed & _M64, (((replica & _M32) << 32) | (k & _M32)) & _M64] for k in keys]
-        # per particle, the rest of the bit generator state after its last
-        # block: counter (4 words), buffer (4 words), buffer_pos, has_uint32, uinteger
-        self._regs = np.zeros((n, 11), dtype=np.uint64)
-        self._regs[:, 8] = 4  # a fresh key: empty buffer
-        self._rewind: dict = {}  # (particle, j): registers before uniform block j >= 1
-        self.exp = []  # per particle: exponential blocks
-        self.uni = []  # per particle: uniform blocks
-        for i in range(n):
-            self._load(i)
-            self.exp.append([self._gen.standard_exponential(_BLOCK)])
-            self.uni.append([self._gen.random(_BLOCK)])
-            self._save(i)
+    def __init__(self, seed: int, replica: int, n: int):
+        self._gens = [_philox(seed, replica, s) for s in range(3)]
+        self._n = n
+        self._rest = (np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0))
 
-    def _load(self, i: int) -> None:
-        c0, c1, c2, c3, b0, b1, b2, b3, pos, has32, word = self._regs[i].tolist()
-        self._bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [c0, c1, c2, c3], "key": self._keys[i]},
-            "buffer": [b0, b1, b2, b3],
-            "buffer_pos": pos,
-            "has_uint32": has32,
-            "uinteger": word,
-        }
+    def head(self, k: int) -> tuple:
+        e, p, u = self._rest
+        m = k - e.size
+        if m > 0:
+            exp, lab, uni = self._gens
+            e = np.concatenate([e, exp.standard_exponential(m)])
+            p = np.concatenate([p, lab.integers(self._n, size=m)])
+            u = np.concatenate([u, uni.random(m)])
+            self._rest = e, p, u
+        return e[:k], p[:k], u[:k]
 
-    def _save(self, i: int) -> None:
-        st = self._bitgen.state
-        r = self._regs[i]
-        r[0:4] = st["state"]["counter"]
-        r[4:8] = st["buffer"]
-        r[8] = st["buffer_pos"]
-        r[9] = st["has_uint32"]
-        r[10] = st["uinteger"]
-
-    def _fill(self, i: int, blocks: list, draw: Callable) -> None:
-        self._load(i)
-        blocks.append(draw(_BLOCK))
-        self._save(i)
-
-    def ensure(self, i: int, n_exp: int, n_uni: int, lead: int) -> None:
-        """Make blocks of particle i until it holds n_exp exponentials and n_uni uniforms.
-
-        Exponential block k precedes uniform block j in the stream iff
-        k < j + lead, where lead = ceil((exponentials - uniforms drawn) / _BLOCK).
-        """
-        eb, ub = self.exp[i], self.uni[i]
-        while len(eb) * _BLOCK < n_exp or len(ub) * _BLOCK < n_uni:
-            if len(eb) < len(ub) + lead:
-                self._fill(i, eb, self._gen.standard_exponential)
-            else:
-                self._rewind[(i, len(ub))] = self._regs[i].copy()
-                self._fill(i, ub, self._gen.random)
-
-    def rewind(self, i: int, j: int, lead: int) -> None:
-        """Unmake uniform block j of particle i and every block made after it.
-
-        Called when the particle's lead grows past ``lead`` before its
-        uniform j * _BLOCK is drawn: the stream then holds exponential block
-        j + lead before uniform block j.
-        """
-        if len(self.uni[i]) <= j:
-            return
-        self._regs[i] = self._rewind[(i, j)]
-        for jj in range(j, len(self.uni[i])):
-            del self._rewind[(i, jj)]
-        del self.uni[i][j:]
-        del self.exp[i][j + lead :]
-
-    def release(self, i: int, n_exp: int, n_uni: int) -> None:
-        """Drop the blocks of particle i that lie wholly before the given positions."""
-        for k in range(n_exp // _BLOCK):
-            self.exp[i][k] = None
-        for j in range(n_uni // _BLOCK):
-            self.uni[i][j] = None
-            self._rewind.pop((i, j), None)
+    def drop(self, k: int) -> None:
+        self._rest = tuple(a[k:] for a in self._rest)
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +328,8 @@ def _doubles(values: np.ndarray) -> array.array:
     return array.array("d", np.ascontiguousarray(values, dtype=float).tobytes())
 
 
-#: expected candidates per schedule: bounds the memory of the merged schedule
-_SCHEDULE_CANDIDATES = 1 << 16
-#: candidates prepared at a time by the sweep: the first chunk of a schedule,
-#: then doubling up to the last.  Work prepared past a reschedule is wasted, so
+#: candidates prepared at a time by the sweep: the first chunk under a
+#: dominator, then doubling up to the last.  Work prepared past a reschedule is wasted, so
 #: fixed chunks of _SWEEP_CHUNK slow a run that reschedules every few dozen
 #: candidates several-fold (BENCH_3.json, "reschedule_heavy")
 _SWEEP_FIRST = 64
@@ -454,73 +374,6 @@ def _bound_cap(phi_s: Callable, lam_bar: float, x0: float) -> float:
     return lo
 
 
-def _schedule(draws: _Streams, n_exp: list, n_uni: list, start: np.ndarray, lam_bar: float, horizon: float):
-    """Every particle's candidates up to the horizon under the dominator lam_bar, merged.
-
-    Particle i's candidates are the running sums start[i] + e_1/lam_bar +
-    e_2/lam_bar + ... of its exponentials from n_exp[i] - 1 on, taken in
-    sequence by ``np.cumsum`` along each row so that every time has the bits
-    of the repeated ``s + e / lam_bar``; its candidate k is judged with its
-    uniform n_uni[i] + k.  The merge orders by time, then by particle.
-    Returns times, particles, uniforms and each particle's last time (its
-    start if it has no candidate).
-    """
-    n = len(n_exp)
-    pos = [e - 1 for e in n_exp]
-    last = start.copy()
-    count = np.zeros(n, dtype=np.intp)
-    ts, ps = [], []
-    todo = np.arange(n, dtype=np.int32)
-    width = int(min(_BLOCK, 16 + 1.25 * lam_bar * (horizon - float(start.min()))))
-    while todo.size:
-        # rows [last, e/lam_bar, ...] from the current block of each particle not yet past the horizon
-        rows = np.full((todo.size, width + 1), np.inf)
-        rows[:, 0] = last[todo]
-        filled = []
-        for r, i in enumerate(todo.tolist()):
-            a = pos[i]
-            k = a // _BLOCK
-            if k == len(draws.exp[i]):
-                draws.ensure(i, a + 1, 0, -(-(n_exp[i] - n_uni[i]) // _BLOCK))
-            off = a - k * _BLOCK
-            m = min(width, _BLOCK - off)
-            rows[r, 1 : m + 1] = draws.exp[i][k][off : off + m]
-            filled.append(m)
-        rows[:, 1:] /= lam_bar
-        np.cumsum(rows, axis=1, out=rows)
-        run = rows[:, 1:]
-        inside = run <= horizon
-        got = inside.sum(axis=1)
-        ts.append(run[inside])
-        ps.append(np.repeat(todo, got))
-        count[todo] += got
-        hit = np.flatnonzero(got)
-        last[todo[hit]] = run[hit, got[hit] - 1]
-        more = np.flatnonzero(got == filled)  # all gathered candidates inside: there may be more
-        for r in more.tolist():
-            pos[todo[r]] += filled[r]
-        todo = todo[more]
-    del rows, run, inside
-    if len(ts) > 1:  # put the rounds in particle-major order, each particle's in time order
-        ps = np.concatenate(ps)
-        by_particle = np.argsort(ps, kind="stable")
-        ts, ps = np.concatenate(ts)[by_particle], ps[by_particle]
-    else:
-        ts, ps = ts[0], ps[0]
-    # each particle's uniforms, in the particle-major order of its candidates
-    unis = []
-    for i, c in enumerate(count.tolist()):
-        if c:
-            draws.ensure(i, 0, n_uni[i] + c, -(-(n_exp[i] - n_uni[i]) // _BLOCK))
-            unis.append(_span(draws.uni[i], n_uni[i], n_uni[i] + c))
-    us = np.concatenate(unis) if unis else np.zeros(0)
-    del unis
-    order = np.lexsort((ps, ts))
-    ts = ts[order]
-    ps = ps[order]
-    return ts, ps, us[order], last
-
-
 # ---------------------------------------------------------------------------
 # single-replica simulation
 # ---------------------------------------------------------------------------
@@ -559,7 +412,7 @@ def simulate_hawkes(
     # deterministic per-replica source term xi_N
     pert_amp = 0.0
     if cfg.xi_perturbation > 0.0:
-        sign = 1.0 if _Streams(cfg.seed, replica, [_REPLICA_KEY]).uni[0][0][0] < 0.5 else -1.0
+        sign = 1.0 if _philox(cfg.seed, replica, _REPLICA_STREAM).random() < 0.5 else -1.0
         pert_amp = sign * cfg.xi_perturbation / math.sqrt(n)
     xi_scalar = (add_exponential_perturbation(xi, pert_amp) if pert_amp != 0.0 else xi).scalar
 
@@ -581,12 +434,12 @@ def simulate_hawkes(
 
     state = _make_state(h)
     advance, jump = state.advance, state.jump
-    keys = list(cfg.particle_keys) if cfg.particle_keys is not None else list(range(n))
-    draws = _Streams(cfg.seed, replica, keys)
+    draws = _Draws(cfg.seed, replica, n)
     events = [[] for _ in range(n)]
     track = cfg.track_coupled
-    coupled_ts: list = []  # the coupled process's accepted times and particles, piece by piece
-    coupled_ps: list = []
+    # the coupled process's accepted times and particles, chunk by chunk
+    coupled_ts: list = [np.zeros(0)]
+    coupled_ps: list = [np.zeros(0, dtype=np.int64)]
     weight = 1.0 / n
     refresh = cfg.refresh_horizon
 
@@ -609,107 +462,90 @@ def simulate_hawkes(
     diag_vals: list = []
     next_diag = 0.0 if diag_dt > 0 else math.inf
 
-    # draws made so far per particle; the first exponential schedules the first candidate
-    n_exp = [1] * n
-    n_uni = [0] * n
     lam_bar = margin * max(raw_bound(0.0), 1e-12)
-    now = 0.0
+    cap = _bound_cap(phi_s, lam_bar, xi_sup[0])
+    lam_over = lam_bar * (1.0 + 1e-12)
+    t_cand = 0.0  # the last judged candidate: the next one is t_cand + e / (n lam_bar)
     t_state = 0.0  # the time the convolution state was last advanced to
-    start = np.zeros(n)  # each particle's next candidate is start + e / lam_bar
+    width = _SWEEP_FIRST
     next_shrink_check = refresh
     while True:
-        cap = _bound_cap(phi_s, lam_bar, xi_sup[min(int(now / sup_dt), xi_last)])
-        lam_over = lam_bar * (1.0 + 1e-12)
-        horizon = min(t_end, now + _SCHEDULE_CANDIDATES / (n * lam_bar))
-        ts, ps, thrs, last = _schedule(draws, n_exp, n_uni, start, lam_bar, horizon)
-        thrs *= lam_bar  # a candidate is accepted where u lam_bar <= intensity
+        e, c_ps, c_thrs = draws.head(width)
+        c_ts = np.concatenate(([t_cand], e / (n * lam_bar)))
+        np.cumsum(c_ts, out=c_ts)
+        end = int(np.searchsorted(c_ts, t_end, side="right")) - 1  # the first past t_end is not judged
+        if not end:
+            break
+        c_ts, c_ps = c_ts[1 : end + 1], c_ps[:end]
+        c_thrs = c_thrs[:end] * lam_bar  # a candidate is accepted where u lam_bar <= intensity
+        j_ts, j_ps, j_thrs = c_ts, c_ps, c_thrs
+        pts = _grid_points(next_diag, float(c_ts[-1]), diag_dt)
+        if pts:  # judged in time order with the candidates, before those at the same time
+            at = np.searchsorted(c_ts, pts)
+            j_ts, j_ps, j_thrs = np.insert(c_ts, at, pts), np.insert(c_ps, at, -1), np.insert(c_thrs, at, 0.0)
+        # the work that no decision changes, in bulk: the state's steps and the source
+        j_list = j_ts.tolist()
+        c_steps = state.steps(t_state, j_ts)
+        c_xi = list(map(xi_scalar, j_list))
+        xs_chunk = xi_sup[min(int(j_list[0] / sup_dt), xi_last)]  # bounds xi over the chunk
         new_bar = 0.0
         done = 0
-        c0, width = 0, _SWEEP_FIRST
-        while c0 < ts.size:
-            c_ts, c_ps, c_thrs = ts[c0 : c0 + width], ps[c0 : c0 + width], thrs[c0 : c0 + width]
-            c0 += width
-            width = min(2 * width, _SWEEP_CHUNK)
-            pts = _grid_points(next_diag, float(c_ts[-1]), diag_dt)
-            if pts:  # judged in time order with the candidates, before those at the same time
-                at = np.searchsorted(c_ts, pts)
-                c_ts, c_ps, c_thrs = np.insert(c_ts, at, pts), np.insert(c_ps, at, -1), np.insert(c_thrs, at, 0.0)
-            # the work that no decision changes, in bulk: the state's steps and the source
-            c_list = c_ts.tolist()
-            c_steps = state.steps(t_state, c_ts)
-            c_xi = list(map(xi_scalar, c_list))
-            xs_chunk = xi_sup[min(int(c_list[0] / sup_dt), xi_last)]  # bounds xi over the chunk
-            for s, i, thr, step, x in zip(c_list, c_ps.tolist(), c_thrs.tolist(), c_steps, c_xi):
-                lam_z = phi_s(x + advance(step))
-                if i < 0:  # a diagnostic grid point
-                    diag_ts.append(s)
-                    diag_vals.append(lam_z)
-                    next_diag = s + diag_dt
-                    continue
-                done += 1
-                over_dominator = lam_z > lam_over
-                if over_dominator:
-                    # defensive: the rigorous bound makes this unreachable for
-                    # nondecreasing Phi; if it fires, the candidate is a sure
-                    # acceptance and the dominator must be rebuilt
-                    breaches += 1
-                if thr <= lam_z:
-                    events[i].append(s)
-                    ub = jump(weight)
-                    # below the cap the bound cannot pass lam_bar (see _bound_cap)
-                    if over_dominator or xs_chunk + ub > cap:
-                        rb = raw_bound(s, ub)
-                        if rb > lam_bar or over_dominator:
-                            new_bar = margin * max(rb, lam_z, 1e-12)
-                            break
-                elif over_dominator:
-                    new_bar = margin * max(raw_bound(s), lam_z, 1e-12)
-                    break
-                if s >= next_shrink_check:
-                    next_shrink_check = s + refresh
-                    rb = raw_bound(s)
-                    if margin * rb < 0.5 * lam_bar:
-                        new_bar = margin * max(rb, 1e-12)
+        for s, i, thr, step, x in zip(j_list, j_ps.tolist(), j_thrs.tolist(), c_steps, c_xi):
+            lam_z = phi_s(x + advance(step))
+            if i < 0:  # a diagnostic grid point
+                diag_ts.append(s)
+                diag_vals.append(lam_z)
+                next_diag = s + diag_dt
+                continue
+            done += 1
+            over_dominator = lam_z > lam_over
+            if over_dominator:
+                # defensive: the rigorous bound makes this unreachable for
+                # nondecreasing Phi; if it fires, the candidate is a sure
+                # acceptance and the dominator must be rebuilt
+                breaches += 1
+            if thr <= lam_z:
+                events[i].append(s)
+                ub = jump(weight)
+                # below the cap the bound cannot pass lam_bar (see _bound_cap)
+                if over_dominator or xs_chunk + ub > cap:
+                    rb = raw_bound(s, ub)
+                    if rb > lam_bar or over_dominator:
+                        new_bar = margin * max(rb, lam_z, 1e-12)
                         break
-            t_state = s
-            if new_bar:
+            elif over_dominator:
+                new_bar = margin * max(raw_bound(s), lam_z, 1e-12)
                 break
+            if s >= next_shrink_check:
+                next_shrink_check = s + refresh
+                rb = raw_bound(s)
+                if margin * rb < 0.5 * lam_bar:
+                    new_bar = margin * max(rb, 1e-12)
+                    break
+        t_state = s
         candidates += done
+        draws.drop(done)
         if track:
             # the coupled process needs no state: it accepts the judged candidates
             # whose u lam_bar is at most the interpolated limit intensity
-            k = (ts[:done] / lim_dt).astype(np.intp)
+            k = (c_ts[:done] / lim_dt).astype(np.intp)
             np.minimum(k, lim_last, out=k)
-            bar = ts[:done] - limit.ts[k]
+            bar = c_ts[:done] - limit.ts[k]
             bar *= lim_slope[k]
             bar += limit.lam[k]
-            hit = np.flatnonzero(thrs[:done] <= bar)
-            coupled_ts.append(ts[hit])
-            coupled_ps.append(ps[hit])
-            del k, bar
-        if not new_bar and horizon >= t_end:
+            hit = np.flatnonzero(c_thrs[:done] <= bar)
+            coupled_ts.append(c_ts[hit])
+            coupled_ps.append(c_ps[hit])
+        if not new_bar and end < width:
             break
-        # each particle's judged candidates drew one uniform and one exponential
-        # each; a reschedule at the candidate (s, i) draws one more exponential
-        # for every particle other than i, dropping its pending candidate
-        processed = np.bincount(ps[:done], minlength=n).tolist()
-        for j in range(n):
-            ahead = n_exp[j] - n_uni[j]
-            n_uni[j] += processed[j]
-            n_exp[j] += processed[j]
-            if new_bar and j != i:
-                n_exp[j] += 1
-                if ahead % _BLOCK == 0:  # the block lead ceil(ahead / _BLOCK) grows by one
-                    draws.rewind(j, max(1, -(-n_uni[j] // _BLOCK)), ahead // _BLOCK)
-            draws.release(j, n_exp[j] - 1, n_uni[j])
+        t_cand = s
+        width = min(2 * width, _SWEEP_CHUNK)
         if new_bar:
-            now = s
-            start = np.full(n, s)
             lam_bar = new_bar
+            cap = _bound_cap(phi_s, lam_bar, xi_sup[min(int(s / sup_dt), xi_last)])
+            lam_over = lam_bar * (1.0 + 1e-12)
+            width = _SWEEP_FIRST
             reschedules += 1
-        else:  # the schedule ran to its horizon: every particle goes on from its last candidate
-            now = horizon
-            start = last
 
     pts = _grid_points(next_diag, t_end, diag_dt)
     for step, x in zip(state.steps(t_state, np.asarray(pts)), map(xi_scalar, pts)):
@@ -858,7 +694,10 @@ def coupling_experiment(
         metadata += metas
     c_tilde = coupling_constant(phi, h, limit.sup_lambda(), cfg.xi_perturbation)
     bounds = tuple(c_tilde * cfg.t_end / math.sqrt(n) for n in n_values)
-    slope = float(np.polyfit(np.log(np.asarray(n_values, dtype=float)), np.log(np.asarray(means)), 1)[0])
+    # the log-log fit needs every mean > 0 (a mean of 0: no interaction to couple)
+    slope = math.nan
+    if min(means) > 0.0:
+        slope = float(np.polyfit(np.log(np.asarray(n_values, dtype=float)), np.log(np.asarray(means)), 1)[0])
     return CouplingResult(
         n_values=tuple(int(v) for v in n_values),
         mean_sup_diff=tuple(means),

@@ -85,6 +85,13 @@ def _get(spec: dict, key: str, default, cast, path: str):
     return value
 
 
+def _bool(value) -> bool:
+    """A JSON ``true`` or ``false``; any other value (the string "false" too) is rejected."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _list_of(cast):
     def convert(value):
         if not isinstance(value, list):
@@ -204,7 +211,7 @@ def build_source(spec: dict, h, phi, solver_cfg: Optional[SolverConfig] = None, 
 
 # solver block key -> cast; absent keys keep the SolverConfig defaults
 _SOLVER_KEYS = {"dt": float, "t_end": float, "quadrature": str, "inner_tol": float, "inner_max_iter": int,
-                "picard_mode": bool, "picard_tol": float, "picard_max_iter": int}
+                "picard_mode": _bool, "picard_tol": float, "picard_max_iter": int}
 
 
 def build_solver(spec: dict, path: str = "solver") -> SolverConfig:
@@ -216,9 +223,9 @@ def build_solver(spec: dict, path: str = "solver") -> SolverConfig:
 # hawkes block key -> (HawkesConfig field, cast); absent keys keep the HawkesConfig defaults
 _HAWKES_KEYS = {
     "n_particles": ("n_particles", int), "t_end": ("t_end", float), "replicas": ("replicas", int),
-    "margin": ("thinning_margin", float), "refresh": ("refresh_horizon", float), "track_coupled": ("track_coupled", bool),
+    "margin": ("thinning_margin", float), "refresh": ("refresh_horizon", float), "track_coupled": ("track_coupled", _bool),
     "xi_perturbation": ("xi_perturbation", float), "diag_grid_dt": ("diag_grid_dt", float),
-    "subcritical_override": ("subcritical_override", bool),
+    "subcritical_override": ("subcritical_override", _bool),
 }
 
 
@@ -267,8 +274,10 @@ def _report_dict(r) -> dict:
 
 
 def _write_json(path, obj):
+    """Strict JSON: a float that is not finite is written as null, never as NaN or Infinity."""
+    strict = json.loads(json.dumps(obj), parse_constant=lambda _: None)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(strict, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -341,6 +350,7 @@ def cmd_envelope(cfg: dict, out: Path, seed: int) -> int:
     fit_model = _FIT_MODELS.get(_get(rspec, "fit_model", "log-vs-t", str, "rates"))
     _require(fit_model is not None, "rates.fit_model", f"expected one of {', '.join(_FIT_MODELS)}")
     fit_window = tuple(_get(rspec, "window", None, _list_of(float), "rates")) if "window" in rspec else None
+    calibrate = _get(rspec, "calibrate", True, _bool, "rates")
     traj = solve_nre(phi, h, xi, solver)
     traj.to_csv(out / "trajectory.csv")
     reports = model.find_fixed_points(phi, h)
@@ -356,7 +366,7 @@ def cmd_envelope(cfg: dict, out: Path, seed: int) -> int:
         xi_decay=xi.decay, h_decay=h.decay,
     )
     env = predict_envelope(ctx)
-    env_used = calibrate_envelope(env, traj, report.ell) if rspec.get("calibrate", True) else env
+    env_used = calibrate_envelope(env, traj, report.ell) if calibrate else env
     ok, worst = verify_envelope(traj, report.ell, env_used, slack=slack)
     fit_payload = None
     if fit_window is not None:

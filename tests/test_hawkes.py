@@ -35,8 +35,6 @@ def test_config_validation():
         HawkesConfig(n_particles=0, t_end=1.0, seed=1)
     with pytest.raises(ValueError):
         HawkesConfig(n_particles=1, t_end=1.0, seed=1, thinning_margin=1.0)
-    with pytest.raises(ValueError):
-        HawkesConfig(n_particles=2, t_end=1.0, seed=1, particle_keys=[1])
 
 
 def test_requires_strong_subcriticality(affine_system):
@@ -89,15 +87,18 @@ def test_determinism(affine_system):
         assert np.array_equal(ea, eb)
 
 
-def test_exchangeability_under_key_permutation(affine_system):
-    phi, h, xi, _ = affine_system
-    perm = [2, 0, 1]
-    base = simulate_hawkes(phi, h, xi, HawkesConfig(n_particles=3, t_end=40.0, seed=5, track_coupled=False))
-    permuted = simulate_hawkes(
-        phi, h, xi, HawkesConfig(n_particles=3, t_end=40.0, seed=5, track_coupled=False, particle_keys=perm)
-    )
-    for i in range(3):
-        assert np.array_equal(permuted.events[i], base.events[perm[i]])
+def test_constant_phi_labels_give_every_particle_a_poisson_process():
+    """The superposed stream's labels split it into N homogeneous Poisson(c) processes."""
+    c, t_end = 0.8, 2500.0
+    phi = model.make_constant_phi(c)
+    h = model.make_scaled_exponential_kernel(0.5, 1.0)
+    cfg = HawkesConfig(n_particles=5, t_end=t_end, seed=23, track_coupled=False)
+    run = simulate_hawkes(phi, h, model.make_source_empty(), cfg)
+    for ev in run.events:
+        assert abs(ev.size - c * t_end) <= 4.0 * math.sqrt(c * t_end)
+        gaps = np.diff(np.concatenate([[0.0], ev]))
+        d = ks_statistic(gaps, cdf=lambda x: 1.0 - math.exp(-c * x) if x > 0 else 0.0)
+        assert d < kolmogorov_critical(0.01) / math.sqrt(gaps.size)
 
 
 def test_seed_changes_output(affine_system):

@@ -5,13 +5,15 @@ the ``candidates`` / ``reschedules`` / ``breaches`` counters of one replica.
 The digests lock the stream contract documented in ``renewal_lab.hawkes``: a
 change to how draws are made or consumed changes them.
 
-To print the digests of the current code (only for an intended change of the
-stream contract, stated in CHANGES.md):
+To print the digests and reschedule counts of the current code as
+``DIGESTS`` and ``RESCHEDULES`` dicts to paste below (only for an intended
+change of the stream contract, stated in CHANGES.md):
 
     PYTHONPATH=src python tests/test_hawkes_golden.py
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -79,7 +81,7 @@ def _couple_affine():
 
 
 def _couple_affine_margin():
-    # the coupled process judged across eight reschedules
+    # the coupled process judged across reschedules
     phi, h = _affine()
     xi = model.make_source_empty()
     limit = solve_nre(phi, h, xi, SolverConfig(t_end=40.0, dt=1e-3))
@@ -87,8 +89,7 @@ def _couple_affine_margin():
 
 
 def _stress_erlang():
-    # margin 1.05 reschedules often enough that a particle's exponential draws
-    # run more than one block of 256 ahead of its uniform draws
+    # reschedule-heavy: margin 1.05 rebuilds the dominator every few dozen candidates
     h = model.make_erlang_kernel(2, 3.0)
     phi = model.make_sigmoid_phi(0.5, 1.0, 8.0, 1.0)
     cfg = HawkesConfig(n_particles=20, t_end=200.0, seed=3, track_coupled=False,
@@ -123,46 +124,59 @@ def _sigmoid_exp_diag():
 
 
 def _stress_affine():
-    # about 1,090 candidates and 115 reschedule draws per particle
+    # reschedule-heavy with two particles over a long horizon
     return _affine_empty(n_particles=2, t_end=400.0, seed=5, track_coupled=False, thinning_margin=1.05)
 
 
-# name -> (builder, replica, expected reschedules)
+# name -> (builder, replica)
 CASES = {
-    "affine_empty_n3": (lambda: _affine_empty(n_particles=3, t_end=40.0, seed=5, track_coupled=False), 0, 2),
-    "affine_empty_n3_keys": (lambda: _affine_empty(n_particles=3, t_end=40.0, seed=5, track_coupled=False,
-                                                   particle_keys=[2, 0, 1]), 0, 2),
-    "constant_phi_long": (_constant_phi, 0, 0),
-    "erlang_bistable_diag": (_erlang_bistable, 0, 1),
-    "compact_general": (_compact_general, 0, 1),
-    "xi_perturbation": (_perturbed, 0, 0),
-    "clt_small": (_clt_small, 3, 0),
-    "couple_erlang": (_couple_erlang, 1, 0),
-    "couple_affine": (_couple_affine, 2, 0),
-    "couple_affine_margin": (_couple_affine_margin, 0, 8),
-    "stress_erlang_margin": (_stress_erlang, 0, 299),
-    "stress_affine_margin": (_stress_affine, 0, 231),
-    "erlang1_margin": (_erlang1_margin, 0, 46),
-    "couple_erlang3": (_couple_erlang3, 0, 0),
-    "sigmoid_exp_diag": (_sigmoid_exp_diag, 0, 5),
+    "affine_empty_n3": (lambda: _affine_empty(n_particles=3, t_end=40.0, seed=5, track_coupled=False), 0),
+    "constant_phi_long": (_constant_phi, 0),
+    "erlang_bistable_diag": (_erlang_bistable, 0),
+    "compact_general": (_compact_general, 0),
+    "xi_perturbation": (_perturbed, 0),
+    "clt_small": (_clt_small, 3),
+    "couple_erlang": (_couple_erlang, 1),
+    "couple_affine": (_couple_affine, 2),
+    "couple_affine_margin": (_couple_affine_margin, 0),
+    "stress_erlang_margin": (_stress_erlang, 0),
+    "stress_affine_margin": (_stress_affine, 0),
+    "erlang1_margin": (_erlang1_margin, 0),
+    "couple_erlang3": (_couple_erlang3, 0),
+    "sigmoid_exp_diag": (_sigmoid_exp_diag, 0),
 }
 
 DIGESTS = {
-    "affine_empty_n3": "345a2701eb2cfa148d0d86624fcea3aaf00dbfb02cbcd800df1df8e27b36f92e",
-    "affine_empty_n3_keys": "1d01ac32e97114e890462c493ca043777e252a5cc0d233ea9a46e44b1bbd1b1c",
-    "clt_small": "beb858144175e205041a04051543ba3f635593df39c1c1600cc90edf041e44e1",
-    "compact_general": "2b9e78fa9a533a482b69ee89abad6a8f78dd2c8d564d040d7de277579d4555c9",
-    "constant_phi_long": "77f7e451c13adbfad91727766a06026a9602c1ea883410830f5a08507d68fce4",
-    "couple_affine": "d372c6cc778ac86ed2fe9eb1b9f38dbd561ccf78c22aca259c594ab0eeb481b3",
-    "couple_affine_margin": "cf5126da17327b0486b55409099ecb02118aff3eb49641cefb1715c1aed4bed0",
-    "couple_erlang3": "6ffbc16b3a4555c037f3da4b647383373c899d894e5f4d881e2ae5705de6d61c",
-    "couple_erlang": "11d7ea2217dab9f69d1ee9be7cbedf506c15e834821f4ff0808a2ee815a07bce",
-    "erlang1_margin": "61d08eeaf4ec9df0d155054e4949aa0398ea12613c60e8ec3ea3c84d232d1ad5",
-    "erlang_bistable_diag": "41d595f560c227efddc6668c3fd8982c72052a5d98294ed012a160ebb6166096",
-    "sigmoid_exp_diag": "fdf3ff3a792d5cac0a07137b8458cc386bc385e687d4d00de399394c61bcffbe",
-    "stress_affine_margin": "1c0830da997980fc6ea50a16a84a2c2ede990b5fc6d21e76911aee96c10c5635",
-    "stress_erlang_margin": "a979ea8eefbac6b0abed43d70cd8086e255266160b7bbd16db877a55c2bb0f3d",
-    "xi_perturbation": "92b34dbba724d6bf2c4343edffd19bbe3d560ac64af026b72e668e549a19d6cb",
+    "affine_empty_n3": "5dba518e8bec6226da9c80ec06d083e5029b758849353da07207bb20e1d3604f",
+    "clt_small": "cb936cc547f7a2ede787c6aee4c9abd300fab07eab0349a49cafb0f0d3cf158e",
+    "compact_general": "0d63acb1a25e6d715cad464e369ca9b4ed87dba2f2262030c22059755dc6238c",
+    "constant_phi_long": "97121120de8b87a92d7fe9dccb1906e20e8a18f735d80f235194f23dc8b97e4e",
+    "couple_affine": "3ed0f5ac4a02b9c1bbb685eac25e06a8b9128014a7e3b713e633e789dbcf63c4",
+    "couple_affine_margin": "70072795558a941b8e8e1408820f1fc4442bac73b005098549104f8ba8c84059",
+    "couple_erlang": "5f898517d2f2de0f88a033f658dc64a923625de80f4c31b093f53f204c3b912f",
+    "couple_erlang3": "3d106691b7e1bb6e0bb433f2a222ed588d646ad6f270737f96e76461fb749eeb",
+    "erlang1_margin": "06a224bb3d85c7614e31bf97a17e8113e1b9365ad4eff6c05d4c23d78bd31d73",
+    "erlang_bistable_diag": "047a36f8746e6d3f8a57cbfb217ff42de99395deb7acde87b6abdd77068a4d5a",
+    "sigmoid_exp_diag": "3c3311832f3921b29ac627159c98987eea3e2b026b3e3b9f81625c87eaa5a356",
+    "stress_affine_margin": "efcdf279c012205c22d3a2bf7db4c957ebd035927bc4b843519efb210af65386",
+    "stress_erlang_margin": "c3a73b03c0fbb3f2d7deae178b65ee27aa8722f7b8f8649ce43716467b4300be",
+    "xi_perturbation": "b4e83ad3868b7bfd81c157dbbe8057ab2fe35043e1b538db16ffcf75988fe60d"
+}
+RESCHEDULES = {
+    "affine_empty_n3": 2,
+    "clt_small": 0,
+    "compact_general": 1,
+    "constant_phi_long": 0,
+    "couple_affine": 0,
+    "couple_affine_margin": 5,
+    "couple_erlang": 0,
+    "couple_erlang3": 0,
+    "erlang1_margin": 74,
+    "erlang_bistable_diag": 1,
+    "sigmoid_exp_diag": 5,
+    "stress_affine_margin": 273,
+    "stress_erlang_margin": 186,
+    "xi_perturbation": 0
 }
 
 
@@ -173,7 +187,7 @@ def _events_bytes(per_particle) -> bytes:
 
 
 def run_digest(name: str):
-    build, replica, _ = CASES[name]
+    build, replica = CASES[name]
     phi, h, xi, cfg, limit = build()
     run = simulate_hawkes(phi, h, xi, cfg, limit=limit, replica=replica)
     dig = hashlib.sha256()
@@ -191,18 +205,21 @@ def run_digest(name: str):
 def test_golden_stream_digest(name):
     digest, meta = run_digest(name)
     assert meta["breaches"] == 0
-    assert meta["reschedules"] == CASES[name][2]
+    assert meta["reschedules"] == RESCHEDULES[name]
     assert digest == DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_schedule_size_does_not_change_streams(name, monkeypatch):
-    """Schedules of a few dozen candidates cut every run into many pieces."""
-    monkeypatch.setattr(hawkes, "_SCHEDULE_CANDIDATES", 40)
+    """Chunks of a few dozen candidates cut every run into many pieces."""
+    monkeypatch.setattr(hawkes, "_SWEEP_FIRST", 3)
+    monkeypatch.setattr(hawkes, "_SWEEP_CHUNK", 40)
     assert run_digest(name)[0] == DIGESTS[name]
 
 
 if __name__ == "__main__":
-    for case in sorted(CASES):
-        d, m = run_digest(case)
-        print(f"{case}: {d} candidates={m['candidates']} reschedules={m['reschedules']} breaches={m['breaches']}")
+    runs = {case: run_digest(case) for case in sorted(CASES)}
+    print("DIGESTS =", json.dumps({case: digest for case, (digest, _) in runs.items()}, indent=4))
+    print("RESCHEDULES =", json.dumps({case: meta["reschedules"] for case, (_, meta) in runs.items()}, indent=4))
+    for case, (_, meta) in runs.items():
+        print(f"# {case}: candidates={meta['candidates']} breaches={meta['breaches']}")

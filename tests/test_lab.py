@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -156,6 +157,32 @@ def test_clt_and_couple_summaries_carry_thinning_counters(tmp_path):
         assert doc["breaches"] == 0 and doc["candidates"] > 0
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_couple_without_interaction_writes_strict_json(tmp_path):
+    """kernel.c = 0 makes every mean sup difference 0: the slope is null, never NaN."""
+    doc = json.loads((SCENARIOS / "coupling_affine.json").read_text())
+    doc["kernel"]["c"] = 0.0
+    doc["hawkes"].update(n_particles=5, t_end=2.0, replicas=3, coupling_sizes=[5, 10])
+    config = tmp_path / "uncoupled.json"
+    config.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["couple", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert summary["mean_sup_diff"] == [0.0, 0.0]
+    assert summary["slope"] is None
+
+
+def test_write_json_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "doc.json"
+    lab._write_json(path, {"a": [math.inf, (-math.inf, 1.5)], "b": np.float64("nan"), "c": {"d": math.nan}})
+    doc = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert doc == {"a": [None, [None, 1.5]], "b": None, "c": {"d": None}}
+
+
 def test_divergence_exit_code(tmp_path):
     cfg = tmp_path / "div.json"
     doc = json.loads((SCENARIOS / "divergence_a2.json").read_text())
@@ -269,11 +296,12 @@ _SHRUNK = {
 }
 # further edits, each of which must exit 1 naming its key (range checks in the library name it without the block)
 _EXTRA_EDITS = {
-    "empty_source": [(("solver", "dt"), [1]), (("solver", "t_end"), math.inf)],
-    "hawkes_small": [(("hawkes", "checkpoints"), 5), (("hawkes", "replicas"), 0), (("phi", "mu"), math.nan)],
+    "empty_source": [(("solver", "dt"), [1]), (("solver", "t_end"), math.inf), (("solver", "picard_mode"), "false")],
+    "hawkes_small": [(("hawkes", "checkpoints"), 5), (("hawkes", "replicas"), 0), (("phi", "mu"), math.nan),
+                     (("hawkes", "track_coupled"), "false"), (("hawkes", "subcritical_override"), "false")],
     "coupling_affine": [(("hawkes", "coupling_sizes"), 5)],
     "clt_affine": [(("hawkes", "ell"), 0)],
-    "envelope_compact": [(("rates", "fit_model"), "x"), (("rates", "window"), 5)],
+    "envelope_compact": [(("rates", "fit_model"), "x"), (("rates", "window"), 5), (("rates", "calibrate"), "false")],
     "envelope_polyxi": [(("source", "chi"), {})],
 }
 
