@@ -63,7 +63,6 @@ import concurrent.futures
 import functools
 import math
 import multiprocessing
-import operator
 import os
 import types
 import warnings
@@ -229,21 +228,37 @@ def _erlang_advance(order: int) -> Callable:
     return namespace["advance"]
 
 
+@functools.lru_cache(maxsize=None)
+def _erlang_upper_bound(order: int) -> Callable:
+    """The ``upper_bound`` of an Erlang state of one order: scale * sum_i peak_i s_i, written out.
+
+    peak_i = sup_x x^m e^{-x} / m! (m = order - i) bounds the future transfer
+    from component i to the top.  The sum runs left to right from 0.0, the
+    order builtin ``sum`` has up to Python 3.11; from 3.12 on ``sum`` of floats
+    is compensated, and the bound sets lam_bar and with it every candidate time.
+    """
+    comps = "".join(f"s{i}, " for i in range(order + 1))
+    peaks = [m**m * math.exp(-m) / math.factorial(m) if m > 0 else 1.0 for m in range(order, -1, -1)]
+    total = " + ".join(["0.0"] + [f"{peak!r} * s{i}" for i, peak in enumerate(peaks)])
+    namespace: dict = {}
+    exec(f"def upper_bound(self):\n    {comps}= self.s\n    return self.scale * ({total})\n", namespace)
+    return namespace["upper_bound"]
+
+
 class _ErlangState:
     """Convolution state for Erlang kernels of order >= 1 (delayed excitation)."""
 
-    __slots__ = ("order", "alpha", "scale", "s", "peaks", "advance")
+    __slots__ = ("order", "alpha", "scale", "s", "advance", "upper_bound")
 
     def __init__(self, order: int, alpha: float, scale: float):
         self.order = order
         self.alpha = alpha
         self.scale = scale
         self.s = [0.0] * (order + 1)
-        # sup_x x^m e^{-x} / m! bounds the future transfer from component i to
-        # the top (m = order - i), listed by i
-        self.peaks = [m**m * math.exp(-m) / math.factorial(m) if m > 0 else 1.0 for m in range(order, -1, -1)]
         #: advance(step): advance by one of the steps and return Y there
         self.advance = types.MethodType(_erlang_advance(order), self)
+        #: upper_bound(): a bound on Y from now on if no event comes
+        self.upper_bound = types.MethodType(_erlang_upper_bound(order), self)
 
     def steps(self, t0: float, times: np.ndarray) -> list:
         """Per step (e^{-a}, p_1, ..., p_order) with a = alpha dt and p_j = p_{j-1} (a / j), p_0 = 1."""
@@ -259,9 +274,6 @@ class _ErlangState:
     def jump(self, weight: float) -> float:
         self.s[0] += self.alpha * weight
         return self.upper_bound()
-
-    def upper_bound(self) -> float:
-        return self.scale * sum(map(operator.mul, self.peaks, self.s))
 
 
 class _GeneralState:
@@ -674,8 +686,10 @@ def coupling_experiment(
 
     For each N the mean over replicas and particles of sup_{s<=t} |Z_s - Zbar_s|
     is compared against C t / sqrt(N); the log-log slope across N estimates the
-    -1/2 scaling.
+    -1/2 scaling, so at least two distinct sizes are needed.
     """
+    if len(set(map(int, n_values))) < 2:
+        raise ValueError(f"coupling_sizes: the log-log slope needs at least two distinct sizes, got {list(n_values)}")
     threads = resolve_threads(threads)
     if limit is None:
         limit = solve_nre(phi, h, xi, SolverConfig(t_end=cfg.t_end, dt=1e-3))

@@ -472,6 +472,7 @@ def cmd_clt(cfg: dict, out: Path, seed: int, threads: int) -> int:
 def cmd_couple(cfg: dict, out: Path, seed: int, threads: int) -> int:
     h, phi, xi, hspec, hcfg = _hawkes_inputs(cfg, seed)
     sizes = _get(hspec, "coupling_sizes", [100, 400, 1600], _list_of(int), "hawkes")
+    _require(len(set(sizes)) >= 2, "hawkes.coupling_sizes", f"the log-log slope needs at least two distinct sizes, got {sizes}")
     res = coupling_experiment(phi, h, xi, hcfg, n_values=sizes, threads=threads)
     _write_json(
         out / "summary.json",

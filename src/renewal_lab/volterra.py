@@ -13,9 +13,10 @@ general path a full history dot product.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +36,8 @@ LEFT_RECTANGLE = "left-rectangle"
 OVERFLOW_THRESHOLD = 1e12
 #: tail slope (per unit time) above which a trajectory is flagged divergent
 DIVERGENT_SLOPE = 1e-3
+#: rows formatted per write by Trajectory.to_csv
+_CSV_CHUNK = 8192
 
 
 class NonConvergenceError(Exception):
@@ -67,8 +70,9 @@ class SolverConfig:
             raise ValueError("t_end must be >= dt")
         if self.quadrature not in (TRAPEZOID, LEFT_RECTANGLE):
             raise ValueError(f"unknown quadrature {self.quadrature!r}")
-        if self.inner_tol <= 0 or self.picard_tol <= 0:
-            raise ValueError("tolerances must be > 0")
+        for key in ("inner_tol", "picard_tol"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
         for key in ("inner_max_iter", "picard_max_iter"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
@@ -102,17 +106,16 @@ class Trajectory:
     def lam_at(self, t):
         return np.interp(t, self.ts, self.lam)
 
-    def x_at(self, t):
-        return np.interp(t, self.ts, self.x)
-
     def sup_lambda(self) -> float:
         return float(np.max(self.lam))
 
     def to_csv(self, path) -> None:
+        """Write t, lambda, x with 17 significant digits, which read back bit-exactly."""
         with open(path, "w") as fh:
             fh.write("t,lambda,x\n")
-            for t, l, xv in zip(self.ts, self.lam, self.x):
-                fh.write(f"{t:.17g},{l:.17g},{xv:.17g}\n")
+            for i in range(0, self.ts.size, _CSV_CHUNK):
+                rows = zip(*(col[i : i + _CSV_CHUNK].tolist() for col in (self.ts, self.lam, self.x)))
+                fh.write("".join([f"{t:.17g},{l:.17g},{xv:.17g}\n" for t, l, xv in rows]))
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -131,51 +134,67 @@ def read_trajectory_csv(path) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _erlang_decay(order: int) -> Callable:
+    """``bind(q_0, ..., q_order)``: the one-step decay of the Erlang components, written out.
+
+    With q_m = e^{-a} a^m / m! (a = alpha dt), component k becomes
+    0.0 + q_k T_0 + q_{k-1} T_1 + ... + q_0 T_k, summed left to right from 0.0
+    as builtin ``sum`` does up to Python 3.11 (it is compensated from 3.12 on,
+    which would change the bits).  Written out, a step runs no Python loop.
+    """
+    qs = ", ".join(f"q{m}" for m in range(order + 1))
+    comps = "".join(f"T{i}, " for i in range(order + 1))
+    new = ", ".join("0.0 + " + " + ".join(f"q{k - i} * T{i}" for i in range(k + 1)) for k in range(order + 1))
+    namespace: dict = {}
+    exec(f"def bind({qs}):\n    def decay(T):\n        {comps}= T\n        return [{new}]\n    return decay\n", namespace)
+    return namespace["bind"]
+
+
 class _ErlangHistory:
     """Exact O(order^2)-per-step recursion for h = scale * alpha^{k+1} t^k e^{-alpha t}/k!."""
 
-    def __init__(self, form: ErlangForm, cfg: SolverConfig, ts: np.ndarray, lam: np.ndarray):
-        self.order = form.order
-        self.alpha = form.alpha
+    def __init__(self, form: ErlangForm, cfg: SolverConfig):
+        k = form.order
+        self.order = k
         self.scale = form.scale
         self.dt = cfg.dt
         self.trapezoid = cfg.quadrature == TRAPEZOID
-        self.lam = lam
-        self.ts = ts
-        k = self.order
         ad = form.alpha * cfg.dt
         decay = math.exp(-ad)
-        self.coeffs = [[decay * ad ** (kk - i) / math.factorial(kk - i) for i in range(kk + 1)] for kk in range(k + 1)]
-        self.T = [0.0] * (k + 1)
-        self._decayed: Optional[list] = None
-        self.h0 = self.scale * self.alpha if k == 0 else 0.0
+        self._decay = _erlang_decay(k)(*(decay * ad**m / math.factorial(m) for m in range(k + 1)))
+        self._dt_alpha = cfg.dt * form.alpha
+        self._neg_alpha = -form.alpha
+        self._half_dt = 0.5 * cfg.dt
+        self.T = self._decayed = [0.0] * (k + 1)
+        self.lam0 = 0.0
+        h0 = self.scale * form.alpha if k == 0 else 0.0
         self._hcoeff = self.scale * form.alpha ** (k + 1) / math.factorial(k)
-        self.beta = 0.5 * cfg.dt * self.h0 if self.trapezoid else 0.0
-
-    def _h_at(self, t: float) -> float:
-        return self._hcoeff * math.exp(-self.alpha * t) * t**self.order if t > 0 else self.h0
+        self.beta = 0.5 * cfg.dt * h0 if self.trapezoid else 0.0
 
     def explicit_part(self, n: int):
         if n == 0:
-            self._decayed = None
             return 0.0, 0.0
-        dec = [sum(self.coeffs[k][i] * self.T[i] for i in range(k + 1)) for k in range(self.order + 1)]
-        self._decayed = dec
-        pre = self.scale * dec[self.order]
+        self._decayed = dec = self._decay(self.T)
+        pre = self.scale * dec[-1]
         if self.trapezoid:
-            pre -= 0.5 * self.dt * self._h_at(self.ts[n]) * self.lam[0]
+            # end correction of the trapezoid weight of lambda_0 at t_n; dt * n has the bits of cfg.grid()[n]
+            t = self.dt * n
+            pre -= self._half_dt * (self._hcoeff * math.exp(self._neg_alpha * t) * t**self.order) * self.lam0
         return pre, self.beta
 
     def commit(self, n: int, lam_n: float) -> None:
         if n == 0:
-            self.T = [0.0] * (self.order + 1)
+            self.lam0 = float(lam_n)
+            T = [0.0] * (self.order + 1)
         else:
-            self.T = list(self._decayed)
-        self.T[0] += self.dt * self.alpha * lam_n
+            T = self._decayed
+        T[0] += self._dt_alpha * lam_n
+        self.T = T
 
 
 class _DotHistory:
-    """Direct product-quadrature history via dot products over past values."""
+    """Direct product-quadrature history via dot products over the past values the caller stored in ``lam``."""
 
     def __init__(self, h: MemoryKernel, cfg: SolverConfig, ts: np.ndarray, lam: np.ndarray, window: Optional[int] = None):
         self.dt = cfg.dt
@@ -199,12 +218,12 @@ class _DotHistory:
         return pre, self.beta
 
     def commit(self, n: int, lam_n: float) -> None:
-        self.lam[n] = lam_n
+        """Nothing to do: the caller has stored lam_n in ``lam``."""
 
 
 def _make_history(h: MemoryKernel, cfg: SolverConfig, ts: np.ndarray, lam: np.ndarray):
     if h.structure is not None:
-        return _ErlangHistory(h.structure, cfg, ts, lam)
+        return _ErlangHistory(h.structure, cfg)
     if h.decay.kind == "compact":
         window = int(math.ceil(h.decay.horizon / cfg.dt)) + 1
         return _DotHistory(h, cfg, ts, lam, window=window)
@@ -228,8 +247,8 @@ def solve_nre(phi: FiringFunction, h: MemoryKernel, xi: SourceTerm, cfg: SolverC
 
     ts = cfg.grid()
     n_pts = ts.size
-    xi_vals = xi.on_grid(ts)
-    if xi_vals.shape != ts.shape:
+    xi_grid = xi.on_grid(ts)
+    if xi_grid.shape != ts.shape:
         raise ValueError("source term grid evaluation has wrong shape")
     lam = np.zeros(n_pts)
     xarr = np.zeros(n_pts)
@@ -237,6 +256,13 @@ def solve_nre(phi: FiringFunction, h: MemoryKernel, xi: SourceTerm, cfg: SolverC
     phi_s = phi.scalar
     damped = abs(hist.beta) * phi.lip >= 1.0
 
+    # memoryviews read and write Python floats: the loop makes no numpy scalar
+    xi_vals = memoryview(np.ascontiguousarray(xi_grid, dtype=float))
+    lam_out = memoryview(lam)
+    x_out = memoryview(xarr)
+    explicit_part, commit = hist.explicit_part, hist.commit
+    tol, max_iter = cfg.inner_tol, cfg.inner_max_iter
+    isfinite = math.isfinite
     inner_total = 0
     inner_max = 0
     divergent = False
@@ -244,34 +270,33 @@ def solve_nre(phi: FiringFunction, h: MemoryKernel, xi: SourceTerm, cfg: SolverC
     lam_prev = 0.0
 
     for n in range(n_pts):
-        pre, beta = hist.explicit_part(n)
+        pre, beta = explicit_part(n)
         base = xi_vals[n] + pre
         if beta == 0.0:
             xn = base
             ln = phi_s(xn)
         else:
             lam_c = lam_prev
-            converged = False
-            for it in range(cfg.inner_max_iter):
+            for it in range(max_iter):
                 nxt = phi_s(base + beta * lam_c)
-                if abs(nxt - lam_c) <= cfg.inner_tol * max(1.0, abs(nxt)):
+                if abs(nxt - lam_c) <= tol * max(1.0, abs(nxt)):
                     lam_c = nxt
-                    converged = True
-                    inner_total += it + 1
-                    inner_max = max(inner_max, it + 1)
                     break
                 lam_c = 0.5 * (lam_c + nxt) if damped else nxt
-            if not converged:
+            else:
                 raise NonConvergenceError(n, float(ts[n]), abs(phi_s(base + beta * lam_c) - lam_c))
+            inner_total += it + 1
+            if it >= inner_max:
+                inner_max = it + 1
             xn = base + beta * lam_c
             ln = phi_s(xn)
-        if not math.isfinite(ln) or ln > OVERFLOW_THRESHOLD or abs(xn) > OVERFLOW_THRESHOLD:
+        if not isfinite(ln) or ln > OVERFLOW_THRESHOLD or abs(xn) > OVERFLOW_THRESHOLD:
             divergent = True
             cut = n
             break
-        lam[n] = ln
-        xarr[n] = xn
-        hist.commit(n, ln)
+        lam_out[n] = ln
+        x_out[n] = xn
+        commit(n, ln)
         lam_prev = ln
 
     meta = {
@@ -349,8 +374,6 @@ def equilibrium_locked_source(phi: FiringFunction, h: MemoryKernel, ell: float, 
     """
     ts = cfg.grid()
     n_pts = ts.size
-    lam = np.zeros(n_pts)
-    hist = _make_history(h, cfg, ts, lam)
     phi_s = phi.scalar
 
     # An even-mantissa target is reachable by round-to-nearest-even from every
@@ -358,10 +381,15 @@ def equilibrium_locked_source(phi: FiringFunction, h: MemoryKernel, ell: float, 
     # land exactly on rounding ties.
     target_x = _even_mantissa(float(h.kappa) * float(ell))
     lam_star = phi_s(target_x)
+    # a history reads lambda only before the step it builds, so the constant path can be stored up front
+    lam = np.full(n_pts, lam_star)
+    hist = _make_history(h, cfg, ts, lam)
+    explicit_part, commit = hist.explicit_part, hist.commit
 
     xi_vals = np.empty(n_pts)
+    xi_out = memoryview(xi_vals)
     for n in range(n_pts):
-        pre, beta = hist.explicit_part(n)
+        pre, beta = explicit_part(n)
         w = beta * lam_star
         cand0 = (target_x - w) - pre
         # step at the rounding granularity of the dominant term so the search
@@ -378,9 +406,8 @@ def equilibrium_locked_source(phi: FiringFunction, h: MemoryKernel, ell: float, 
                 break
         if cand is None:
             raise RuntimeError("failed to lock equilibrium source on the grid")
-        xi_vals[n] = cand
-        lam[n] = lam_star
-        hist.commit(n, lam_star)
+        xi_out[n] = cand
+        commit(n, lam_star)
 
     analytic = make_source_equilibrium(h, ell)
 
@@ -402,20 +429,42 @@ def equilibrium_locked_source(phi: FiringFunction, h: MemoryKernel, ell: float, 
 # ---------------------------------------------------------------------------
 
 
-def solve_erlang_cascade(
-    phi: FiringFunction,
-    n: int,
-    alpha: float,
-    c: Sequence[float],
-    cfg: SolverConfig,
-    keep_states: bool = False,
-) -> Trajectory:
+@functools.lru_cache(maxsize=None)
+def _rk4_step(order: int) -> Callable:
+    """``bind(phi_s, a, dt)``: one classical RK4 step of the cascade of one order, written out.
+
+    ``step(y)`` takes and returns the states x_0..x_order as a list of floats.
+    The derivative of x_j is a (x_{j+1} - x_j) for j < order and
+    a (Phi(x_0) - x_order) on top; the stage states are y + (0.5 dt) k and
+    y + dt k, and the update is y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4),
+    component by component.  Written out, a step runs no Python loop.
+    """
+
+    def deriv(k: str, xs: list) -> list:
+        lines = [f"{k}_{j} = a * ({xs[j + 1]} - {xs[j]})" for j in range(order)]
+        return lines + [f"{k}_{order} = a * (phi_s({xs[0]}) - {xs[order]})"]
+
+    ys = [f"y{j}" for j in range(order + 1)]
+    ss = [f"s{j}" for j in range(order + 1)]
+    body = ["".join(f"{v}, " for v in ys) + "= y"] + deriv("k1", ys)
+    for prev, k, w in (("k1", "k2", "half_dt"), ("k2", "k3", "half_dt"), ("k3", "k4", "dt")):
+        body += [f"s{j} = y{j} + {w} * {prev}_{j}" for j in range(order + 1)] + deriv(k, ss)
+    new = ", ".join(f"y{j} + sixth_dt * (((k1_{j} + 2.0 * k2_{j}) + 2.0 * k3_{j}) + k4_{j})" for j in range(order + 1))
+    body.append(f"return [{new}]")
+    src = "def bind(phi_s, a, dt):\n    half_dt, sixth_dt = 0.5 * dt, dt / 6.0\n    def step(y):\n"
+    src += "".join(f"        {line}\n" for line in body) + "    return step\n"
+    namespace: dict = {}
+    exec(src, namespace)
+    return namespace["bind"]
+
+
+def solve_erlang_cascade(phi: FiringFunction, n: int, alpha: float, c: Sequence[float], cfg: SolverConfig) -> Trajectory:
     """Integrate the autonomous ODE cascade equivalent to the Erlang-kernel equation.
 
     States x_0..x_n follow x_k' = -alpha(x_k - x_{k+1}) for k < n and
     x_n' = -alpha x_n + alpha Phi(x_0), from initial condition c; classical
-    fourth-order Runge-Kutta at step dt.  The implied source term is the
-    Erlang-polynomial source with coefficients c.
+    fourth-order Runge-Kutta at step dt, on Python floats.  The implied source
+    term is the Erlang-polynomial source with coefficients c.
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
@@ -424,39 +473,26 @@ def solve_erlang_cascade(
         raise ValueError(f"need {n + 1} initial values, got {c.size}")
     ts = cfg.grid()
     phi_s = phi.scalar
-    a = alpha
-
-    def deriv(state):
-        out = np.empty_like(state)
-        out[:-1] = a * (state[1:] - state[:-1])
-        out[-1] = a * (phi_s(state[0]) - state[-1])
-        return out
-
+    dt = cfg.dt
+    step = _rk4_step(n)(phi_s, alpha, dt)
     n_pts = ts.size
     x0_path = np.empty(n_pts)
-    states = np.empty((n_pts, n + 1)) if keep_states else None
-    y = c.copy()
-    dt = cfg.dt
+    x0_out = memoryview(x0_path)
+    y = c.tolist()
     divergent = False
     cut = n_pts
     for i in range(n_pts):
-        x0_path[i] = y[0]
-        if states is not None:
-            states[i] = y
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > OVERFLOW_THRESHOLD:
+        x0_out[i] = y[0]
+        # false for an infinite or NaN component too
+        if not all(abs(v) <= OVERFLOW_THRESHOLD for v in y):
             divergent = True
             cut = i
             break
         if i == n_pts - 1:
             break
-        k1 = deriv(y)
-        k2 = deriv(y + 0.5 * dt * k1)
-        k3 = deriv(y + 0.5 * dt * k2)
-        k4 = deriv(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = step(y)
 
-    x0_path = x0_path[:cut]
-    lam = np.array([phi_s(v) for v in x0_path])
+    lam = np.fromiter(map(phi_s, x0_out[:cut]), dtype=float, count=cut)
     meta = {
         "method": "erlang-cascade-rk4",
         "dt": dt,
@@ -465,10 +501,7 @@ def solve_erlang_cascade(
         "initial": c.tolist(),
         "inner_tol": cfg.inner_tol,
     }
-    traj = Trajectory(ts=ts[:cut], lam=lam, x=x0_path, divergent=divergent, metadata=meta)
-    if keep_states:
-        traj.metadata["states"] = states[:cut]
-    return traj
+    return Trajectory(ts=ts[:cut], lam=lam, x=x0_path[:cut], divergent=divergent, metadata=meta)
 
 
 # ---------------------------------------------------------------------------

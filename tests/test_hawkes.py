@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from renewal_lab import model
 from renewal_lab.hawkes import (
     _bound_cap,
+    _ErlangState,
     HawkesConfig,
     clt_experiment,
     coupling_experiment,
@@ -161,6 +162,26 @@ def test_coupling_slope_small_scale(affine_system):
     assert -0.8 < res.slope < -0.2
     # (C_xi + sqrt(||lambda||_inf) ||h||_2) / (1 - ||h||_1 |Phi|_Lip) = 1 as t -> inf
     assert res.c_tilde == pytest.approx(1.0, abs=1e-3)
+
+
+def test_coupling_needs_two_distinct_sizes(affine_system):
+    phi, h, xi, limit = affine_system
+    cfg = HawkesConfig(n_particles=5, t_end=2.0, seed=31, replicas=3)
+    for sizes in ((5,), (5, 5)):
+        with pytest.raises(ValueError, match="coupling_sizes"):
+            coupling_experiment(phi, h, xi, cfg, n_values=sizes, limit=limit, threads=1)
+
+
+def test_erlang_upper_bound_sums_left_to_right():
+    """The dominator bound of an Erlang state is summed left to right, not compensated (math.fsum,
+    or builtin sum from Python 3.12 on): the bound sets lam_bar and with it every candidate time."""
+    state = _ErlangState(2, 3.0, 1.5)
+    peaks = [2.0**2 * math.exp(-2.0) / 2.0, math.exp(-1.0), 1.0]
+    state.s = [1.0, 1e-16, 1e-16]
+    terms = [p * s for p, s in zip(peaks, state.s)]
+    plain = (0.0 + terms[0] + terms[1]) + terms[2]
+    assert plain != math.fsum(terms)  # the inputs tell the two sums apart
+    assert state.upper_bound() == 1.5 * plain
 
 
 def test_clt_requires_enough_replicas(affine_system):

@@ -296,10 +296,12 @@ _SHRUNK = {
 }
 # further edits, each of which must exit 1 naming its key (range checks in the library name it without the block)
 _EXTRA_EDITS = {
-    "empty_source": [(("solver", "dt"), [1]), (("solver", "t_end"), math.inf), (("solver", "picard_mode"), "false")],
+    "empty_source": [(("solver", "dt"), [1]), (("solver", "t_end"), math.inf), (("solver", "picard_mode"), "false"),
+                     (("solver", "inner_tol"), 0), (("solver", "picard_tol"), 0), (("solver", "quadrature"), "x"),
+                     (("solver", "inner_max_iter"), 0)],
     "hawkes_small": [(("hawkes", "checkpoints"), 5), (("hawkes", "replicas"), 0), (("phi", "mu"), math.nan),
                      (("hawkes", "track_coupled"), "false"), (("hawkes", "subcritical_override"), "false")],
-    "coupling_affine": [(("hawkes", "coupling_sizes"), 5)],
+    "coupling_affine": [(("hawkes", "coupling_sizes"), 5), (("hawkes", "coupling_sizes"), [5]), (("hawkes", "coupling_sizes"), [5, 5])],
     "clt_affine": [(("hawkes", "ell"), 0)],
     "envelope_compact": [(("rates", "fit_model"), "x"), (("rates", "window"), 5), (("rates", "calibrate"), "false")],
     "envelope_polyxi": [(("source", "chi"), {})],

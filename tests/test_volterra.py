@@ -29,7 +29,7 @@ def test_solver_config_validation():
         SolverConfig(t_end=0.0005, dt=1e-3)
     with pytest.raises(ValueError):
         SolverConfig(t_end=1.0, quadrature="midpoint")
-    for key in ("inner_max_iter", "picard_max_iter"):
+    for key in ("inner_max_iter", "picard_max_iter", "inner_tol", "picard_tol"):
         with pytest.raises(ValueError, match=key):
             SolverConfig(t_end=1.0, picard_mode=True, **{key: 0})
     cfg = SolverConfig(t_end=2.0, dt=0.5)

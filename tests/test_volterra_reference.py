@@ -351,7 +351,7 @@ def test_locked_source_dense_matches_reference(bistable):
     assert np.array_equal(xi.on_grid(cfg.grid()), ref_locked_values(phi, dense, reports[1].ell, cfg))
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_cascade_matches_reference(bistable, order):
     phi = bistable[0]
     c = [1.4 - 0.3 * k for k in range(order + 1)]
