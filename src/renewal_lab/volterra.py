@@ -37,7 +37,7 @@ OVERFLOW_THRESHOLD = 1e12
 #: tail slope (per unit time) above which a trajectory is flagged divergent
 DIVERGENT_SLOPE = 1e-3
 #: rows formatted per write by Trajectory.to_csv
-_CSV_CHUNK = 8192
+_CSV_CHUNK = 1024
 
 
 class NonConvergenceError(Exception):
