@@ -200,11 +200,14 @@ class _DotHistory:
         self.dt = cfg.dt
         self.trapezoid = cfg.quadrature == TRAPEZOID
         self.lam = lam
-        self.hg = np.asarray(h.evaluator(ts), dtype=float)
-        self.hrev = self.hg[::-1].copy()
+        hg = np.ascontiguousarray(h.evaluator(ts), dtype=float)
+        self.hrev = hg[::-1].copy()
+        self.hg = memoryview(hg)  # items are Python floats
         self.N = ts.size - 1
         self.window = window if window is not None else self.N + 1
         self.beta = 0.5 * cfg.dt * self.hg[0] if self.trapezoid else 0.0
+        self.w0 = (0.5 * self.dt) if self.trapezoid else self.dt
+        self.lam0 = 0.0
 
     def explicit_part(self, n: int):
         if n == 0:
@@ -213,12 +216,12 @@ class _DotHistory:
         acc = float(np.dot(self.lam[j0:n], self.hrev[self.N - n + j0 : self.N]))
         pre = self.dt * acc
         if n <= self.window:
-            w0 = (0.5 * self.dt) if self.trapezoid else self.dt
-            pre += w0 * self.hg[n] * self.lam[0]
+            pre += self.w0 * self.hg[n] * self.lam0
         return pre, self.beta
 
     def commit(self, n: int, lam_n: float) -> None:
-        """Nothing to do: the caller has stored lam_n in ``lam``."""
+        if n == 0:
+            self.lam0 = float(lam_n)
 
 
 def _make_history(h: MemoryKernel, cfg: SolverConfig, ts: np.ndarray, lam: np.ndarray):
