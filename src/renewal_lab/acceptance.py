@@ -1,16 +1,18 @@
 """The acceptance suite: every headline quantitative claim as a pass/fail check.
 
-Each criterion function returns a CriterionResult with the measured numbers in
-``detail``; ``run_all`` executes them in order.  Tolerances are fixed here and
-mirror the statements they verify; randomised suites use fixed seeds.
+Each criterion body returns ``(passed, detail)`` with the measured numbers in
+``detail``; ``_criterion`` registers it in ``CRITERIA``, times it and wraps the
+pair into a CriterionResult, and ``run_all`` executes them in order.
+Tolerances are fixed here and mirror the statements they verify; randomised
+suites use fixed seeds.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import functools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,7 +57,7 @@ class CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def bistable_fixture():
     """Reference bistable fixture: sigmoid firing with an order-2 Erlang kernel."""
     h = model.make_erlang_kernel(2, 3.0)
@@ -64,7 +66,7 @@ def bistable_fixture():
     return phi, h, reports
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def affine_fixture():
     """Linear-case fixture: Phi = 1 + x with h = 0.5 e^{-t} (ell = 2, tau0 = 0.5)."""
     h = model.make_scaled_exponential_kernel(0.5, 1.0)
@@ -73,7 +75,7 @@ def affine_fixture():
     return phi, h, report
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _affine_empty_traj(t_end: float, dt: float = 1e-3):
     phi, h, _ = affine_fixture()
     return solve_nre(phi, h, model.make_source_empty(), SolverConfig(t_end=t_end, dt=dt))
@@ -83,20 +85,37 @@ def _affine_empty_traj(t_end: float, dt: float = 1e-3):
 # criteria
 # ---------------------------------------------------------------------------
 
+#: criterion number -> ``run(threads=1) -> CriterionResult``
+CRITERIA: dict[int, Callable] = {}
 
-def criterion_01(threads: int = 1) -> CriterionResult:
+
+def _criterion(number: int, name: str) -> Callable:
+    """Register a body returning ``(passed, detail)`` as criterion ``number``, timed as a whole."""
+
+    def register(body: Callable) -> Callable:
+        @functools.wraps(body)
+        def run(threads: int = 1) -> CriterionResult:
+            t0 = time.time()
+            passed, detail = body(threads)
+            return CriterionResult(number, name, passed, detail, time.time() - t0)
+
+        CRITERIA[number] = run
+        return run
+
+    return register
+
+
+@_criterion(1, "linear-subcritical-limit")
+def criterion_01(threads: int = 1) -> tuple:
     """Linear subcritical limit: lambda_t -> mu / (1 - ||h||_1)."""
-    t0 = time.time()
     traj = _affine_empty_traj(30.0)
     err = abs(float(traj.lam[-1]) - 2.0)
-    return CriterionResult(
-        1, "linear-subcritical-limit", err <= 1e-3, f"|lambda(30) - 2| = {err:.3e} (tol 1e-3)", time.time() - t0
-    )
+    return err <= 1e-3, f"|lambda(30) - 2| = {err:.3e} (tol 1e-3)"
 
 
-def criterion_02(threads: int = 1) -> CriterionResult:
+@_criterion(2, "equilibrium-invariance")
+def criterion_02(threads: int = 1) -> tuple:
     """Equilibrium sources keep the solution constant on [0, 50] to 1e-6."""
-    t0 = time.time()
     phi, h, reports = bistable_fixture()
     cfg = SolverConfig(t_end=50.0, dt=1e-3)
     worst = 0.0
@@ -104,14 +123,12 @@ def criterion_02(threads: int = 1) -> CriterionResult:
         xi = equilibrium_locked_source(phi, h, rep.ell, cfg)
         traj = solve_nre(phi, h, xi, cfg)
         worst = max(worst, float(np.max(np.abs(traj.lam - rep.ell))))
-    return CriterionResult(
-        2, "equilibrium-invariance", worst <= 1e-6, f"worst sup deviation {worst:.3e} (tol 1e-6)", time.time() - t0
-    )
+    return worst <= 1e-6, f"worst sup deviation {worst:.3e} (tol 1e-6)"
 
 
-def criterion_03(threads: int = 1) -> CriterionResult:
+@_criterion(3, "sigmoid-fixed-points")
+def criterion_03(threads: int = 1) -> tuple:
     """Three sigmoid fixed points at the reference locations, stable/unstable/stable."""
-    t0 = time.time()
     phi, h, reports = bistable_fixture()
     targets = (0.5212, 1.0, 1.4788)
     kinds = ("subcritical", "supercritical", "subcritical")
@@ -122,12 +139,12 @@ def criterion_03(threads: int = 1) -> CriterionResult:
             errs.append(abs(rep.ell - tgt))
             ok &= abs(rep.ell - tgt) <= 1e-3 and rep.stability.kind == kind
     detail = f"roots {[round(r.ell, 6) for r in reports]}, errors {[f'{e:.2e}' for e in errs]}"
-    return CriterionResult(3, "sigmoid-fixed-points", ok, detail, time.time() - t0)
+    return ok, detail
 
 
-def criterion_04(threads: int = 1) -> CriterionResult:
+@_criterion(4, "basins-of-attraction")
+def criterion_04(threads: int = 1) -> tuple:
     """Tail-source starts below/above the unstable point land on the matching stable root."""
-    t0 = time.time()
     phi, h, reports = bistable_fixture()
     low, high = reports[0].ell, reports[2].ell
     cfg = SolverConfig(t_end=80.0, dt=1e-3)
@@ -140,30 +157,24 @@ def criterion_04(threads: int = 1) -> CriterionResult:
         good = diag.kind == "converged" and diag.ell == target and diag.residual <= 1e-2
         ok &= good
         details.append(f"{ell0}->{'-' if diag.ell == low else '+' if diag.ell == high else '?'}")
-    return CriterionResult(4, "basins-of-attraction", ok, " ".join(details), time.time() - t0)
+    return ok, " ".join(details)
 
 
-def criterion_05(threads: int = 1) -> CriterionResult:
+@_criterion(5, "empty-source-convergence")
+def criterion_05(threads: int = 1) -> tuple:
     """Empty source: strictly nondecreasing solution converging to the lowest root."""
-    t0 = time.time()
     phi, h, reports = bistable_fixture()
     traj = solve_nre(phi, h, model.make_source_empty(), SolverConfig(t_end=30.0, dt=1e-3))
     mono = check_monotone(traj, NON_DECREASING, tol=1e-8)
     diag = limit_diagnostic(traj, reports, window=5.0)
     strict = bool(np.all(np.diff(traj.lam[traj.ts <= 10.0]) > 0))
     ok = mono.ok and strict and diag.kind == "converged" and diag.ell == reports[0].ell
-    return CriterionResult(
-        5,
-        "empty-source-convergence",
-        ok,
-        f"nondecreasing={mono.ok} strict(early)={strict} limit={diag.ell}",
-        time.time() - t0,
-    )
+    return ok, f"nondecreasing={mono.ok} strict(early)={strict} limit={diag.ell}"
 
 
-def criterion_06(threads: int = 1) -> CriterionResult:
+@_criterion(6, "lower-order-source-crossing")
+def criterion_06(threads: int = 1) -> tuple:
     """Erlang-polynomial source of full vs lower order: crossing the unstable point."""
-    t0 = time.time()
     phi, h, reports = bistable_fixture()
     cfg = SolverConfig(t_end=80.0, dt=1e-3)
     outcomes = []
@@ -173,14 +184,12 @@ def criterion_06(threads: int = 1) -> CriterionResult:
         diag = limit_diagnostic(traj, reports, window=10.0)
         outcomes.append((diag.kind == "converged" and diag.ell == target, diag.ell))
     ok = all(o for o, _ in outcomes)
-    return CriterionResult(
-        6, "lower-order-source-crossing", ok, f"L=2 -> {outcomes[0][1]}, L=1 -> {outcomes[1][1]}", time.time() - t0
-    )
+    return ok, f"L=2 -> {outcomes[0][1]}, L=1 -> {outcomes[1][1]}"
 
 
-def criterion_07(threads: int = 1) -> CriterionResult:
+@_criterion(7, "supercritical-instability")
+def criterion_07(threads: int = 1) -> tuple:
     """One-sided perturbations of the unstable equilibrium source escape and settle."""
-    t0 = time.time()
     phi, h, reports = bistable_fixture()
     lu = reports[1]
     cfg = SolverConfig(t_end=40.0, dt=1e-3)
@@ -193,12 +202,12 @@ def criterion_07(threads: int = 1) -> CriterionResult:
         diag = limit_diagnostic(traj, reports, window=5.0)
         ok &= exited and diag.kind == "converged" and diag.ell == target
         details.append(f"{amp:+}: exit={exited} -> {diag.ell}")
-    return CriterionResult(7, "supercritical-instability", ok, "; ".join(details), time.time() - t0)
+    return ok, "; ".join(details)
 
 
-def criterion_08(threads: int = 1) -> CriterionResult:
+@_criterion(8, "divergent-closed-form-domination")
+def criterion_08(threads: int = 1) -> tuple:
     """The divergent example dominates its closed-form lower trajectory."""
-    t0 = time.time()
     a = 2.0
     phi = model.make_divergence_example_phi()
     h = model.make_scaled_exponential_kernel(1.0, 1.0)
@@ -210,18 +219,12 @@ def criterion_08(threads: int = 1) -> CriterionResult:
     lam_end = float(traj.lam[-1])
     diag = limit_diagnostic(traj, reports, window=20.0)
     ok = min_gap >= -1e-3 and lam_end > 0.5 * float(y[-1]) and diag.kind == "divergent"
-    return CriterionResult(
-        8,
-        "divergent-closed-form-domination",
-        ok,
-        f"min(x - y) = {min_gap:.3e}, lambda(200) = {lam_end:.2f} > {0.5 * float(y[-1]):.2f}, verdict {diag.kind}",
-        time.time() - t0,
-    )
+    return ok, f"min(x - y) = {min_gap:.3e}, lambda(200) = {lam_end:.2f} > {0.5 * float(y[-1]):.2f}, verdict {diag.kind}"
 
 
-def criterion_09(threads: int = 1) -> CriterionResult:
+@_criterion(9, "erlang-cascade-cross-validation")
+def criterion_09(threads: int = 1) -> tuple:
     """Marching solver vs ODE cascade agree to 1e-4 across five scenarios."""
-    t0 = time.time()
     phi, h, _ = bistable_fixture()
     cfg = SolverConfig(t_end=20.0, dt=1e-3)
     worst = 0.0
@@ -229,14 +232,12 @@ def criterion_09(threads: int = 1) -> CriterionResult:
         tr_march = solve_nre(phi, h, model.make_source_erlang_polynomial(2, 3.0, c), cfg)
         tr_casc = solve_erlang_cascade(phi, 2, 3.0, c, cfg)
         worst = max(worst, float(np.max(np.abs(tr_march.lam - tr_casc.lam))))
-    return CriterionResult(
-        9, "erlang-cascade-cross-validation", worst <= 1e-4, f"worst sup error {worst:.3e} (tol 1e-4)", time.time() - t0
-    )
+    return worst <= 1e-4, f"worst sup error {worst:.3e} (tol 1e-4)"
 
 
-def criterion_10(threads: int = 1) -> CriterionResult:
+@_criterion(10, "stable-manifold-oscillation")
+def criterion_10(threads: int = 1) -> tuple:
     """Oscillatory approach from the linearised stable plane of a supercritical point."""
-    t0 = time.time()
     # S-shaped firing with flat second and third derivative at the fixed point,
     # so the off-plane contamination enters only at fifth order in epsilon
     phi = model.make_cubic_sigmoid_phi(0.5, 1.0, 8.0, 1.0)
@@ -253,18 +254,12 @@ def criterion_10(threads: int = 1) -> CriterionResult:
     env1 = float(np.max(np.abs(dev[traj.ts <= period])))
     env2 = float(np.max(np.abs(dev[(traj.ts > period) & (traj.ts <= 2.0 * period)])))
     ok = changes >= 2 and env2 < env1 and tau0 > 1.0
-    return CriterionResult(
-        10,
-        "stable-manifold-oscillation",
-        ok,
-        f"tau0={tau0:g}, sign changes={changes}, envelope {env1:.3e} -> {env2:.3e}",
-        time.time() - t0,
-    )
+    return ok, f"tau0={tau0:g}, sign changes={changes}, envelope {env1:.3e} -> {env2:.3e}"
 
 
-def criterion_11(threads: int = 1) -> CriterionResult:
+@_criterion(11, "envelope-rate-verification")
+def criterion_11(threads: int = 1) -> tuple:
     """Fitted decay rates dominate the predicted envelopes (one-sided)."""
-    t0 = time.time()
     # compact kernel + compact source: exponential decay at rate log(1/tau)/(S v t0)
     support = 1.0
     xs = np.linspace(0.0, support, 2001)
@@ -290,18 +285,12 @@ def criterion_11(threads: int = 1) -> CriterionResult:
     traj_b = solve_nre(phi_b, h_b, xi_b, SolverConfig(t_end=400.0, dt=1e-3))
     fit_b = fit_empirical_rate(traj_b, rep_b.ell, (40.0, 380.0), LOG_VS_LOG_T)
     ok_b = fit_b.slope <= -0.9
-    return CriterionResult(
-        11,
-        "envelope-rate-verification",
-        ok_a and ok_b,
-        f"compact: slope {fit_a.slope:.3f} <= {required_a:.3f}; poly: slope {fit_b.slope:.3f} <= -0.9",
-        time.time() - t0,
-    )
+    return ok_a and ok_b, f"compact: slope {fit_a.slope:.3f} <= {required_a:.3f}; poly: slope {fit_b.slope:.3f} <= -0.9"
 
 
-def criterion_12(threads: int = 1) -> CriterionResult:
+@_criterion(12, "iteration-bound-dominance")
+def criterion_12(threads: int = 1) -> tuple:
     """The k-step iteration bound dominates the observed error on a (k, M) grid."""
-    t0 = time.time()
     phi, h, rep = affine_fixture()
     traj = _affine_empty_traj(160.0)
     eps0 = 0.1
@@ -323,47 +312,39 @@ def criterion_12(threads: int = 1) -> CriterionResult:
             actual = abs(float(traj.lam_at((k + 1) * m_val)) - rep.ell)
             worst_margin = min(worst_margin, bound - actual)
             ok &= actual <= bound
-    return CriterionResult(
-        12, "iteration-bound-dominance", ok, f"10x10 grid, min(bound - error) = {worst_margin:.3e}", time.time() - t0
-    )
+    return ok, f"10x10 grid, min(bound - error) = {worst_margin:.3e}"
 
 
-def criterion_13(threads: int = 1) -> CriterionResult:
+@_criterion(13, "coupling-scaling")
+def criterion_13(threads: int = 1) -> tuple:
     """Coupling distance scales like 1/sqrt(N) below the explicit constant."""
-    t0 = time.time()
     phi, h, _ = affine_fixture()
     xi = model.make_source_empty()
     cfg = HawkesConfig(n_particles=100, t_end=20.0, seed=2024, replicas=100)
     res = coupling_experiment(phi, h, xi, cfg, n_values=(100, 400, 1600), threads=threads)
     below = all(m <= b for m, b in zip(res.mean_sup_diff, res.bound_values))
     slope_ok = abs(res.slope + 0.5) <= 0.15
-    return CriterionResult(
-        13,
-        "coupling-scaling",
+    return (
         below and slope_ok and res.counters["breaches"] == 0,
         f"means {tuple(round(m, 4) for m in res.mean_sup_diff)} vs bounds "
         f"{tuple(round(b, 4) for b in res.bound_values)}, slope {res.slope:.3f}, "
-        f"dominator breaches {res.counters['breaches']}",
-        time.time() - t0,
+        f"dominator breaches {res.counters['breaches']}"
     )
 
 
-def criterion_14(threads: int = 1) -> CriterionResult:
+@_criterion(14, "estimator-clt")
+def criterion_14(threads: int = 1) -> tuple:
     """Estimator fluctuations are asymptotically normal at desk scale."""
-    t0 = time.time()
     phi, h, _ = affine_fixture()
     ell = 2.0
     xi = model.make_source_equilibrium(h, ell)  # keeps m_t = ell * t exactly
     cfg = HawkesConfig(n_particles=2000, t_end=100.0, seed=7, replicas=200, track_coupled=False)
     res = clt_experiment(phi, h, xi, cfg, ell=ell, threads=threads)
     ok = abs(res.mean) <= 0.2 and abs(res.variance - 1.0) <= 0.3 and res.ks_distance < res.ks_critical_1pct
-    return CriterionResult(
-        14,
-        "estimator-clt",
+    return (
         ok and res.counters["breaches"] == 0,
         f"mean {res.mean:+.4f} (tol 0.2), var {res.variance:.4f} (tol 1+-0.3), "
-        f"KS {res.ks_distance:.4f} < {res.ks_critical_1pct:.4f}, dominator breaches {res.counters['breaches']}",
-        time.time() - t0,
+        f"KS {res.ks_distance:.4f} < {res.ks_critical_1pct:.4f}, dominator breaches {res.counters['breaches']}"
     )
 
 
@@ -379,9 +360,9 @@ def _random_kernel(rng) -> "model.MemoryKernel":
     return model.make_compact_kernel(vals, support)
 
 
-def criterion_15(threads: int = 1) -> CriterionResult:
+@_criterion(15, "comparison-and-monotonicity-suites")
+def criterion_15(threads: int = 1) -> tuple:
     """Randomised comparison and monotonicity property suites (20 instances each)."""
-    t0 = time.time()
     rng = np.random.default_rng(321)
     cfg = SolverConfig(t_end=8.0, dt=1e-3)
     comparison_violations = 0
@@ -420,32 +401,7 @@ def criterion_15(threads: int = 1) -> CriterionResult:
         if not check_monotone(traj, NON_DECREASING, tol=1e-8 * traj.sup_lambda()).ok:
             monotone_violations += 1
     ok = comparison_violations == 0 and monotone_violations == 0
-    return CriterionResult(
-        15,
-        "comparison-and-monotonicity-suites",
-        ok,
-        f"comparison violations {comparison_violations}/20, monotonicity violations {monotone_violations}/20",
-        time.time() - t0,
-    )
-
-
-CRITERIA: dict[int, Callable] = {
-    1: criterion_01,
-    2: criterion_02,
-    3: criterion_03,
-    4: criterion_04,
-    5: criterion_05,
-    6: criterion_06,
-    7: criterion_07,
-    8: criterion_08,
-    9: criterion_09,
-    10: criterion_10,
-    11: criterion_11,
-    12: criterion_12,
-    13: criterion_13,
-    14: criterion_14,
-    15: criterion_15,
-}
+    return ok, f"comparison violations {comparison_violations}/20, monotonicity violations {monotone_violations}/20"
 
 
 def run_all(only: Optional[list] = None, threads: int = 1) -> list:

@@ -72,7 +72,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .model import FiringFunction, MemoryKernel, SourceTerm, add_exponential_perturbation
-from .special import kolmogorov_critical, ks_statistic, normal_cdf
+from .special import kolmogorov_critical, ks_statistic, normal_cdf, running_sup_from_right
 from .volterra import SolverConfig, Trajectory, solve_nre
 
 _M32 = (1 << 32) - 1
@@ -291,7 +291,7 @@ class _GeneralState:
         grid = np.linspace(0.0, min(self.support, 200.0), 4001)
         vals = np.asarray(h.evaluator(grid), dtype=float)
         self._env_grid = grid
-        self._env = np.maximum.accumulate(vals[::-1])[::-1]
+        self._env = running_sup_from_right(vals)
 
     def steps(self, t0: float, times: np.ndarray) -> list:
         return times.tolist()
@@ -329,10 +329,6 @@ def _make_state(h: MemoryKernel):
             return _ExpState(s.alpha, s.scale)
         return _ErlangState(s.order, s.alpha, s.scale)
     return _GeneralState(h)
-
-
-def _running_sup_from_right(values: np.ndarray) -> np.ndarray:
-    return np.maximum.accumulate(values[::-1])[::-1]
 
 
 def _doubles(values: np.ndarray) -> array.array:
@@ -431,7 +427,7 @@ def simulate_hawkes(
     # running sup of the source from each grid time onward (dominator input)
     sup_dt = min(0.01, cfg.refresh_horizon / 4.0)
     sup_grid = sup_dt * np.arange(int(math.ceil(t_end / sup_dt)) + 2)
-    xi_sup = _doubles(_running_sup_from_right(np.asarray([xi_scalar(t) for t in sup_grid])))
+    xi_sup = _doubles(running_sup_from_right(np.asarray([xi_scalar(t) for t in sup_grid])))
     xi_last = len(xi_sup) - 1
 
     # the limit intensity, linearly interpolated, and its running sup
@@ -439,7 +435,7 @@ def simulate_hawkes(
     if cfg.track_coupled:
         lim_dt = float(limit.ts[1] - limit.ts[0])
         lim_slope = np.diff(limit.lam, append=limit.lam[-1]) / lim_dt
-        lim_sup = _doubles(_running_sup_from_right(limit.lam))
+        lim_sup = _doubles(running_sup_from_right(limit.lam))
         lim_last = limit.lam.size - 1
 
     phi_s = phi.scalar

@@ -51,6 +51,7 @@ from .volterra import (
     limit_diagnostic,
     read_trajectory_csv,
     solve_nre,
+    write_csv,
 )
 
 
@@ -390,22 +391,10 @@ def cmd_envelope(cfg: dict, out: Path, seed: int) -> int:
         },
     )
     mask = traj.ts >= env_used.sigma_t0
-    with open(out / "fit.csv", "w") as fh:
-        fh.write("t,abs_error,bound\n")
-        bound = env_used.evaluate(traj.ts[mask])
-        for t, e, b in zip(traj.ts[mask], np.abs(traj.lam[mask] - report.ell), bound):
-            fh.write(f"{t:.17g},{e:.17g},{b:.17g}\n")
+    ts = traj.ts[mask]
+    write_csv(out / "fit.csv", "t,abs_error,bound", ts, np.abs(traj.lam[mask] - report.ell), env_used.evaluate(ts))
     print(f"envelope: case {env.case}, verified={ok}, worst ratio {worst:.3g}")
     return 0
-
-
-def _write_events_csv(path, runs):
-    with open(path, "w") as fh:
-        fh.write("replica,particle,event_time\n")
-        for rep_idx, run in enumerate(runs):
-            for p, ev in enumerate(run.events):
-                for t in ev:
-                    fh.write(f"{rep_idx},{p},{t:.17g}\n")
 
 
 def _hawkes_inputs(cfg: dict, seed: int):
@@ -422,9 +411,16 @@ def cmd_hawkes(cfg: dict, out: Path, seed: int, threads: int) -> int:
     h, phi, xi, hspec, hcfg = _hawkes_inputs(cfg, seed)
     checkpoints = _get(hspec, "checkpoints", [0.25 * hcfg.t_end, 0.5 * hcfg.t_end, hcfg.t_end], _list_of(float), "hawkes")
     runs = run_replicas(lambda r: simulate_hawkes(phi, h, xi, hcfg, replica=r), hcfg.replicas, threads)
-    _write_events_csv(out / "events.csv", runs)
+    sizes = np.array([[ev.size for ev in run.events] for run in runs])
+    write_csv(
+        out / "events.csv",
+        "replica,particle,event_time",
+        np.repeat(np.arange(hcfg.replicas), sizes.sum(axis=1)),
+        np.repeat(np.tile(np.arange(hcfg.n_particles), hcfg.replicas), sizes.ravel()),
+        np.concatenate([ev for run in runs for ev in run.events]),
+    )
     est = estimator_path(runs[0], checkpoints)
-    total = int(sum(sum(e.size for e in run.events) for run in runs))
+    total = int(sizes.sum())
     _write_json(
         out / "summary.json",
         {
@@ -445,10 +441,7 @@ def cmd_hawkes(cfg: dict, out: Path, seed: int, threads: int) -> int:
 def cmd_clt(cfg: dict, out: Path, seed: int, threads: int) -> int:
     h, phi, xi, hspec, hcfg = _hawkes_inputs(cfg, seed)
     res = clt_experiment(phi, h, xi, hcfg, ell=_get(hspec, "ell", None, float, "hawkes"), threads=threads)
-    with open(out / "samples.csv", "w") as fh:
-        fh.write("replica,standardized\n")
-        for i, v in enumerate(res.samples):
-            fh.write(f"{i},{v:.17g}\n")
+    write_csv(out / "samples.csv", "replica,standardized", np.arange(res.samples.size), res.samples)
     _write_json(
         out / "summary.json",
         {

@@ -93,13 +93,13 @@ class DecayClass:
         return DecayClass("unclassified")
 
     def envelope(self, t):
-        """Evaluate the decay envelope itself (1.0 where unclassified)."""
+        """Evaluate the decay envelope itself (inf where unclassified, and at t <= 0 for polynomial decay)."""
         t = np.asarray(t, dtype=float)
         if self.kind == "exponential":
             return self.constant * np.exp(-self.rate * t)
         if self.kind == "polynomial":
-            with np.errstate(divide="ignore"):
-                return self.constant * np.where(t > 0, t, np.inf) ** (-self.rate)
+            with np.errstate(divide="ignore", over="ignore"):
+                return self.constant * np.maximum(t, 0.0) ** (-self.rate)
         if self.kind == "compact":
             return np.where(t > self.horizon, 0.0, np.inf)
         return np.full_like(t, np.inf)

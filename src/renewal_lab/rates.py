@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import SUBCRITICAL, DecayClass, FiringFunction, FixedPointReport, MemoryKernel, SourceTerm
-from .special import lambert_w
+from .special import lambert_w, running_sup_from_right
 from .volterra import Trajectory
 
 _E = math.e
@@ -340,30 +340,18 @@ def verify_envelope(traj: Trajectory, ell: float, env: Envelope, slack: float = 
 
 
 def sup_tail_from_decay(decay: DecayClass, sup_bound: Optional[float] = None) -> Callable:
-    """v_t = sup_{s >= t} |xi_s| from a decay class (closed form)."""
-
-    def v(t):
-        t = np.asarray(t, dtype=float)
-        if decay.kind == "exponential":
-            out = decay.constant * np.exp(-decay.rate * t)
-        elif decay.kind == "polynomial":
-            out = decay.constant * np.maximum(t, 1e-300) ** (-decay.rate)
-        elif decay.kind == "compact":
-            out = np.where(t > decay.horizon, 0.0, sup_bound if sup_bound is not None else np.inf)
-        else:
-            raise ValueError("unclassified decay has no closed-form sup tail")
-        if sup_bound is not None:
-            out = np.minimum(out, sup_bound)
-        return out
-
-    return v
+    """v_t = sup_{s >= t} |xi_s| from a decay class: its nonincreasing envelope, capped at sup_bound."""
+    if decay.kind == "unclassified":
+        raise ValueError("unclassified decay has no closed-form sup tail")
+    cap = math.inf if sup_bound is None else sup_bound
+    return lambda t: np.minimum(decay.envelope(t), cap)
 
 
 def sup_tail_from_grid(xi: SourceTerm, t_end: float, dt: float = 1e-3) -> Callable:
     """v_t = sup_{s >= t} |xi_s| estimated by a running maximum on a grid."""
     ts = dt * np.arange(int(round(t_end / dt)) + 1)
     vals = np.abs(xi.on_grid(ts))
-    running = np.maximum.accumulate(vals[::-1])[::-1]
+    running = running_sup_from_right(vals)
 
     def v(t):
         t = np.asarray(t, dtype=float)

@@ -1,4 +1,4 @@
-"""Small numerical utilities: Lambert W, normal/Kolmogorov distributions, quadrature."""
+"""Small numerical utilities: Lambert W, running sup, normal/Kolmogorov distributions, quadrature."""
 
 from __future__ import annotations
 
@@ -61,6 +61,11 @@ def lambert_w(x: float, branch: int = 0, tol: float = 1e-12, max_iter: int = 80)
     if abs(w * ew - x) > 1e-8 * scale:
         raise RuntimeError(f"lambert_w failed to converge for x={x}, branch={branch}")
     return w
+
+
+def running_sup_from_right(values: np.ndarray) -> np.ndarray:
+    """``out[i] = max(values[i:])``: the running maximum taken from the right."""
+    return np.maximum.accumulate(values[::-1])[::-1]
 
 
 def normal_cdf(x):

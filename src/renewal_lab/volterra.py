@@ -14,6 +14,7 @@ general path a full history dot product.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -36,7 +37,7 @@ LEFT_RECTANGLE = "left-rectangle"
 OVERFLOW_THRESHOLD = 1e12
 #: tail slope (per unit time) above which a trajectory is flagged divergent
 DIVERGENT_SLOPE = 1e-3
-#: rows formatted per write by Trajectory.to_csv
+#: rows formatted per write by write_csv
 _CSV_CHUNK = 1024
 
 
@@ -110,12 +111,20 @@ class Trajectory:
         return float(np.max(self.lam))
 
     def to_csv(self, path) -> None:
-        """Write t, lambda, x with 17 significant digits, which read back bit-exactly."""
-        with open(path, "w") as fh:
-            fh.write("t,lambda,x\n")
-            for i in range(0, self.ts.size, _CSV_CHUNK):
-                rows = zip(*(col[i : i + _CSV_CHUNK].tolist() for col in (self.ts, self.lam, self.x)))
-                fh.write("".join([f"{t:.17g},{l:.17g},{xv:.17g}\n" for t, l, xv in rows]))
+        write_csv(path, "t,lambda,x", self.ts, self.lam, self.x)
+
+
+def write_csv(path, header: str, *columns: np.ndarray) -> None:
+    """Write the header line, then one row per index of the equal-length columns.
+
+    Every value is formatted ``.17g``: a float reads back bit-exactly and an
+    int below 10**17 prints as itself.
+    """
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(columns[0]), _CSV_CHUNK):
+            fh.write("".join(itertools.starmap(row.format, zip(*(col[i : i + _CSV_CHUNK].tolist() for col in columns)))))
 
 
 def read_trajectory_csv(path) -> Trajectory:

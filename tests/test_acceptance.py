@@ -36,5 +36,5 @@ def test_particle_criteria_fail_on_a_dominator_breach(monkeypatch, number):
         result = SimpleNamespace(counters={"breaches": breaches}, **fields)
         monkeypatch.setattr(acceptance, name, lambda *args, **kwargs: result)
         outcome = acceptance.CRITERIA[number]()
-        assert outcome.passed == (breaches == 0)
+        assert (outcome.number, outcome.passed) == (number, breaches == 0)
         assert f"dominator breaches {breaches}" in outcome.detail

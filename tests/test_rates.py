@@ -248,6 +248,25 @@ def test_partial_sum_lemma_bounds():
             assert s <= c1 * M**-a * k**-a * (1.0 + 1e-12)
 
 
+def test_sup_tail_from_decay_is_the_capped_envelope():
+    ts = np.array([0.0, 1e-3, 0.5, 1.0, 2.0, 40.0])
+    for decay in (DecayClass.exponential(0.7, 2.0), DecayClass.polynomial(1.5, 2.0), DecayClass.compact(1.0)):
+        for cap in (None, 1.5):
+            v = sup_tail_from_decay(decay, cap)
+            want = decay.envelope(ts) if cap is None else np.minimum(decay.envelope(ts), cap)
+            assert np.array_equal(v(ts), want)
+            assert np.all(v(ts)[1:] <= v(ts)[:-1])
+    # the closed forms of each class, bit for bit at t > 0
+    assert np.array_equal(sup_tail_from_decay(DecayClass.exponential(0.7, 2.0))(ts), 2.0 * np.exp(-0.7 * ts))
+    assert np.array_equal(sup_tail_from_decay(DecayClass.polynomial(1.5, 2.0))(ts[1:]), 2.0 * ts[1:] ** -1.5)
+    assert sup_tail_from_decay(DecayClass.compact(1.0), 3.0)(np.array([0.5, 1.5])).tolist() == [3.0, 0.0]
+    # C t^-a is unbounded as t -> 0: the tail there is the cap, never 0
+    assert sup_tail_from_decay(DecayClass.polynomial(1.5, 2.0), 4.0)(0.0) == 4.0
+    assert sup_tail_from_decay(DecayClass.polynomial(1.5, 2.0))(0.0) == math.inf
+    with pytest.raises(ValueError, match="unclassified"):
+        sup_tail_from_decay(DecayClass.unclassified())
+
+
 def test_sup_tail_from_grid(affine):
     phi, h, _ = affine
     xi = model.make_source_equilibrium(h, 2.0)  # e^{-t}, already nonincreasing

@@ -14,6 +14,7 @@ from renewal_lab.special import (
     ks_statistic,
     lambert_w,
     normal_cdf,
+    running_sup_from_right,
 )
 
 
@@ -70,3 +71,9 @@ def test_adaptive_simpson():
     val, _ = quad(f, 0.0, 40.0)
     assert adaptive_simpson(f, 0.0, 40.0, tol=1e-12) == pytest.approx(val, abs=1e-10)
     assert adaptive_simpson(f, 1.0, 1.0) == 0.0
+
+
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
+def test_running_sup_from_right_is_the_max_of_each_suffix(values):
+    out = running_sup_from_right(np.asarray(values))
+    assert out.tolist() == [max(values[i:]) for i in range(len(values))]
