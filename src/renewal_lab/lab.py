@@ -23,6 +23,7 @@ import numpy as np
 from . import model
 from .hawkes import (
     HawkesConfig,
+    _sum_counters,
     clt_experiment,
     coupling_experiment,
     estimator_path,
@@ -74,15 +75,16 @@ def _check_keys(obj: dict, allowed: set, path: str):
 def _get(spec: dict, key: str, default, cast, path: str):
     """``cast(spec[key])``, or ``cast(default)`` when the key is absent.
 
-    A value the cast rejects, or a float it returns that is not finite, is a
-    ConfigError naming ``path.key``; a default of None makes a numeric or list
-    key required.
+    A value the cast rejects, or a float it returns (alone or in a list) that
+    is not finite, is a ConfigError naming ``path.key``; a default of None
+    makes a numeric or list key required.
     """
     try:
         value = cast(spec.get(key, default))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}.{key}: {exc if key in spec else 'missing'}") from None
-    _require(not isinstance(value, float) or math.isfinite(value), f"{path}.{key}", f"not a finite number: {value}")
+    for v in value if isinstance(value, list) else (value,):
+        _require(not isinstance(v, float) or math.isfinite(v), f"{path}.{key}", f"not a finite number: {v}")
     return value
 
 
@@ -124,6 +126,7 @@ def build_kernel(spec: dict, path: str = "kernel"):
         if profile == "table":
             return model.make_compact_kernel(_get(spec, "samples", None, _list_of(float), path), support)
         res = _get(spec, "resolution", 2001, int, path)
+        _require(res >= 2, f"{path}.resolution", f"must be >= 2, got {res}")
         xs = np.linspace(0.0, support, res)
         if profile == "bump":
             mass = _get(spec, "mass", 0.5, float, path)
@@ -206,7 +209,9 @@ def build_source(spec: dict, h, phi, solver_cfg: Optional[SolverConfig] = None, 
     if pert is not None:
         ppath = f"{path}.perturbation"
         _check_keys(pert, {"amplitude", "rate"}, ppath)
-        src = model.add_exponential_perturbation(src, _get(pert, "amplitude", None, float, ppath), _get(pert, "rate", 1.0, float, ppath))
+        amplitude, rate = _get(pert, "amplitude", None, float, ppath), _get(pert, "rate", 1.0, float, ppath)
+        _require(rate > 0, f"{ppath}.rate", f"must be > 0, got {rate}")
+        src = model.add_exponential_perturbation(src, amplitude, rate)
     return src
 
 
@@ -225,8 +230,7 @@ def build_solver(spec: dict, path: str = "solver") -> SolverConfig:
 _HAWKES_KEYS = {
     "n_particles": ("n_particles", int), "t_end": ("t_end", float), "replicas": ("replicas", int),
     "margin": ("thinning_margin", float), "refresh": ("refresh_horizon", float), "track_coupled": ("track_coupled", _bool),
-    "xi_perturbation": ("xi_perturbation", float), "diag_grid_dt": ("diag_grid_dt", float),
-    "subcritical_override": ("subcritical_override", _bool),
+    "xi_perturbation": ("xi_perturbation", float), "subcritical_override": ("subcritical_override", _bool),
 }
 
 
@@ -351,6 +355,7 @@ def cmd_envelope(cfg: dict, out: Path, seed: int) -> int:
     fit_model = _FIT_MODELS.get(_get(rspec, "fit_model", "log-vs-t", str, "rates"))
     _require(fit_model is not None, "rates.fit_model", f"expected one of {', '.join(_FIT_MODELS)}")
     fit_window = tuple(_get(rspec, "window", None, _list_of(float), "rates")) if "window" in rspec else None
+    _require(fit_window is None or len(fit_window) == 2, "rates.window", f"expected [t_lo, t_hi], got {fit_window}")
     calibrate = _get(rspec, "calibrate", True, _bool, "rates")
     traj = solve_nre(phi, h, xi, solver)
     traj.to_csv(out / "trajectory.csv")
@@ -428,8 +433,7 @@ def cmd_hawkes(cfg: dict, out: Path, seed: int, threads: int) -> int:
             "total_events": total,
             "estimator_checkpoints": checkpoints,
             "estimator_values": [float(v) for v in est],
-            "candidates": int(sum(run.metadata["candidates"] for run in runs)),
-            "breaches": int(sum(run.metadata["breaches"] for run in runs)),
+            **_sum_counters([run.metadata for run in runs]),
             "config": cfg,
             "seed": seed,
         },

@@ -348,14 +348,16 @@ def sup_tail_from_decay(decay: DecayClass, sup_bound: Optional[float] = None) ->
 
 
 def sup_tail_from_grid(xi: SourceTerm, t_end: float, dt: float = 1e-3) -> Callable:
-    """v_t = sup_{s >= t} |xi_s| estimated by a running maximum on a grid."""
+    """v_t = sup_{s >= t} |xi_s| estimated by a running maximum on a grid.
+
+    t is looked up at the grid point at or before it, whose running maximum
+    also covers the stretch up to t.
+    """
     ts = dt * np.arange(int(round(t_end / dt)) + 1)
-    vals = np.abs(xi.on_grid(ts))
-    running = running_sup_from_right(vals)
+    running = running_sup_from_right(np.abs(xi.on_grid(ts)))
 
     def v(t):
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.ceil(t / dt - 1e-12).astype(int), 0, running.size - 1)
+        idx = np.clip(np.floor(np.asarray(t, dtype=float) / dt).astype(int), 0, running.size - 1)
         return running[idx]
 
     return v

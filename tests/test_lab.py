@@ -62,6 +62,12 @@ def test_compact_kernel_profiles():
     assert tab.norm_l1 == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_table_kernel_rejects_non_finite_samples(bad):
+    with pytest.raises(ConfigError, match=r"^kernel\.samples: not a finite number"):
+        build_kernel({"type": "compact", "profile": "table", "samples": [1.0, bad, 0.5], "support": 1.0})
+
+
 def test_solve_command_round_trip(tmp_path):
     code = main(
         [
@@ -134,6 +140,7 @@ def test_clt_and_couple_summaries_carry_thinning_counters(tmp_path):
     base = {"seed": 3, "kernel": {"type": "exponential", "c": 0.5, "alpha": 1.0},
             "phi": {"type": "affine", "mu": 1.0}, "source": {"type": "equilibrium", "ell": 2.0}}
     specs = {
+        "hawkes": {"n_particles": 5, "t_end": 5.0, "replicas": 3, "checkpoints": [5.0]},
         "clt": {"n_particles": 20, "t_end": 2.0, "replicas": 100, "track_coupled": False, "ell": 2.0},
         "couple": {"n_particles": 5, "t_end": 5.0, "replicas": 3, "coupling_sizes": [5, 10]},
     }
@@ -147,7 +154,7 @@ def test_clt_and_couple_summaries_carry_thinning_counters(tmp_path):
         hcfg = lab.build_hawkes_config(spec, seed=3)
         sizes = spec.get("coupling_sizes", [spec["n_particles"]])
         runs = [
-            lab.simulate_hawkes(phi, h, xi, replace(hcfg, n_particles=n, track_coupled=name == "couple"), replica=r)
+            lab.simulate_hawkes(phi, h, xi, replace(hcfg, n_particles=n, track_coupled=name != "clt"), replica=r)
             for n in sizes
             for r in range(spec["replicas"])
         ]
@@ -299,11 +306,18 @@ _EXTRA_EDITS = {
     "empty_source": [(("solver", "dt"), [1]), (("solver", "t_end"), math.inf), (("solver", "picard_mode"), "false"),
                      (("solver", "inner_tol"), 0), (("solver", "picard_tol"), 0), (("solver", "quadrature"), "x"),
                      (("solver", "inner_max_iter"), 0)],
+    "bistable_basin_lower": [(("source", "perturbation"), 5), (("source", "perturbation"), {"amplitude": 0.1, "rate": 0})],
+    "erlang_crossing_lower_order": [(("source", "c"), [1.4, math.nan, 0.0]), (("source", "c"), [math.inf, 1.4, 0.0])],
     "hawkes_small": [(("hawkes", "checkpoints"), 5), (("hawkes", "replicas"), 0), (("phi", "mu"), math.nan),
-                     (("hawkes", "track_coupled"), "false"), (("hawkes", "subcritical_override"), "false")],
+                     (("hawkes", "track_coupled"), "false"), (("hawkes", "subcritical_override"), "false"),
+                     (("hawkes", "checkpoints"), [0.5, math.nan]), (("hawkes", "checkpoints"), [0.5, math.inf]),
+                     (("hawkes", "diag_grid_dt"), 0.5)],
     "coupling_affine": [(("hawkes", "coupling_sizes"), 5), (("hawkes", "coupling_sizes"), [5]), (("hawkes", "coupling_sizes"), [5, 5])],
     "clt_affine": [(("hawkes", "ell"), 0)],
-    "envelope_compact": [(("rates", "fit_model"), "x"), (("rates", "window"), 5), (("rates", "calibrate"), "false")],
+    "envelope_compact": [(("rates", "fit_model"), "x"), (("rates", "window"), 5), (("rates", "calibrate"), "false"),
+                         (("rates", "window"), [1.0]), (("rates", "window"), [1.0, 2.0, 3.0]),
+                         (("rates", "window"), [1.0, math.nan]), (("kernel", "resolution"), 0),
+                         (("kernel", "resolution"), -1), (("kernel", "resolution"), 1)],
     "envelope_polyxi": [(("source", "chi"), {})],
 }
 

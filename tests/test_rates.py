@@ -276,6 +276,14 @@ def test_sup_tail_from_grid(affine):
     assert np.all(np.diff(v(np.linspace(0, 9, 400))) <= 1e-15)
 
 
+def test_sup_tail_from_grid_bounds_the_source_between_grid_points(affine):
+    phi, h, _ = affine
+    xi = model.make_source_equilibrium(h, 2.0)  # e^{-t}
+    v = sup_tail_from_grid(xi, t_end=10.0, dt=1e-3)
+    ts = np.concatenate([[0.0005, 1.0004], np.random.default_rng(5).uniform(0.0, 10.0, 1000)])
+    assert np.all(v(ts) >= np.abs(xi.on_grid(ts)))
+
+
 # ---------------------------------------------------------------------------
 # empirical fits
 # ---------------------------------------------------------------------------
