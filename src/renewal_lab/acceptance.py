@@ -97,7 +97,7 @@ def _criterion(number: int, name: str) -> Callable:
         def run(threads: int = 1) -> CriterionResult:
             t0 = time.time()
             passed, detail = body(threads)
-            return CriterionResult(number, name, passed, detail, time.time() - t0)
+            return CriterionResult(number, name, bool(passed), detail, time.time() - t0)
 
         CRITERIA[number] = run
         return run

@@ -5,12 +5,15 @@ Runs the full desk-scale suite, printing one pass/fail line per criterion
 particle-system criteria are the long poles (several minutes together).
 """
 
+import json
 import os
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from renewal_lab import acceptance
+from renewal_lab.lab import main
 
 _THREADS = max(1, int(os.environ.get("RENEWAL_LAB_THREADS", "2")))
 
@@ -20,7 +23,7 @@ def test_criterion(number):
     result = acceptance.CRITERIA[number](threads=_THREADS)
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {result.number:2d} {result.name}: {result.detail} ({result.runtime:.1f}s)")
-    assert result.passed, f"criterion {number} ({result.name}): {result.detail}"
+    assert result.passed is True, f"criterion {number} ({result.name}): {result.detail}"
 
 
 _PASSING = {
@@ -38,3 +41,12 @@ def test_particle_criteria_fail_on_a_dominator_breach(monkeypatch, number):
         outcome = acceptance.CRITERIA[number]()
         assert (outcome.number, outcome.passed) == (number, breaches == 0)
         assert f"dominator breaches {breaches}" in outcome.detail
+
+
+def test_suite_report_takes_a_numpy_verdict(tmp_path, monkeypatch):
+    """A body may compute its verdict with numpy; the result and suite_report.json carry a plain bool."""
+    monkeypatch.setattr(acceptance, "CRITERIA", {})
+    acceptance._criterion(1, "numpy-verdict")(lambda threads: (np.float64(1.0) <= 2.0, "1 <= 2"))
+    assert main(["suite", "--out", str(tmp_path)]) == 0
+    (report,) = json.loads((tmp_path / "suite_report.json").read_text())
+    assert (report["name"], report["passed"], report["detail"]) == ("numpy-verdict", True, "1 <= 2")
