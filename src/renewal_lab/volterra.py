@@ -111,6 +111,7 @@ class Trajectory:
         return float(np.max(self.lam))
 
     def to_csv(self, path) -> None:
+        """Write t, lambda, x with 17 significant digits, which read back bit-exactly."""
         write_csv(path, "t,lambda,x", self.ts, self.lam, self.x)
 
 
