@@ -52,6 +52,7 @@ from .volterra import (
     read_trajectory_csv,
     solve_erlang_cascade,
     solve_nre,
+    solve_picard,
 )
 from .rates import (
     Envelope,
@@ -81,6 +82,7 @@ from .hawkes import (
     coupling_experiment,
     estimator_path,
     functional_clt_check,
+    intensity_path,
     path_sup_difference,
     simulate_hawkes,
 )

@@ -42,10 +42,9 @@ are one ``np.cumsum`` from the last candidate (which has the bits of the
 repeated t + e / (N lam_bar)); its unjudged draws stay for the next chunk.
 Each chunk first computes in bulk what no decision changes: the source at
 every time, and the convolution state's steps between consecutive times (the
-decay e^{-alpha dt}, and for Erlang kernels the terms (alpha dt)^j / j!)
-with the grid points of the intensity diagnostic merged in.  Each value is
-made by the same floating-point operations in the same order as a
-step-by-step update: numpy for + - * /, ``math.exp`` for every exponential
+decay e^{-alpha dt}, and for Erlang kernels the terms (alpha dt)^j / j!).
+Each value is made by the same floating-point operations in the same order as
+a step-by-step update: numpy for + - * /, ``math.exp`` for every exponential
 (``np.exp`` may round differently).  Per candidate the loop then only
 advances the state, evaluates Phi, accepts and jumps.  After an acceptance
 the bound is rebuilt only when the source's running sup plus the state's
@@ -98,10 +97,8 @@ class HawkesConfig:
     seed: int
     replicas: int = 1
     thinning_margin: float = 1.5
-    refresh_horizon: float = 0.1
     track_coupled: bool = True
     xi_perturbation: float = 0.0  # C_xi: xi_N = xi +- (C_xi/sqrt(N)) e^{-t}
-    diag_grid_dt: float = 0.0
     subcritical_override: bool = False
 
     def __post_init__(self):
@@ -113,18 +110,14 @@ class HawkesConfig:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         if self.thinning_margin <= 1.0:
             raise ValueError("thinning margin must be > 1")
-        if self.refresh_horizon <= 0:
-            raise ValueError("refresh horizon must be > 0")
 
 
 @dataclass
 class HawkesRun:
-    """One replica: per-particle event times, coupled limit events, diagnostics."""
+    """One replica: per-particle event times, coupled limit events, counters."""
 
     events: list
     coupled_events: Optional[list]
-    intensity_grid: Optional[np.ndarray]
-    intensity_values: Optional[np.ndarray]
     metadata: dict = field(default_factory=dict)
 
 
@@ -342,15 +335,8 @@ def _doubles(values: np.ndarray) -> array.array:
 #: candidates several-fold (BENCH_3.json, "reschedule_heavy")
 _SWEEP_FIRST = 64
 _SWEEP_CHUNK = 4096
-
-
-def _grid_points(start: float, upto: float, dt: float) -> list:
-    """start, start + dt, (start + dt) + dt, ... up to upto."""
-    pts = []
-    while start <= upto:
-        pts.append(start)
-        start += dt
-    return pts
+#: the time between refresh checks, which rebuild a dominator more than twice too large
+_REFRESH = 0.1
 
 
 def _bound_cap(phi_s: Callable, lam_bar: float, x0: float) -> float:
@@ -425,7 +411,7 @@ def simulate_hawkes(
     xi_scalar = (add_exponential_perturbation(xi, pert_amp) if pert_amp != 0.0 else xi).scalar
 
     # running sup of the source from each grid time onward (dominator input)
-    sup_dt = min(0.01, cfg.refresh_horizon / 4.0)
+    sup_dt = min(0.01, _REFRESH / 4.0)
     sup_grid = sup_dt * np.arange(int(math.ceil(t_end / sup_dt)) + 2)
     xi_sup = _doubles(running_sup_from_right(np.asarray([xi_scalar(t) for t in sup_grid])))
     xi_last = len(xi_sup) - 1
@@ -433,7 +419,7 @@ def simulate_hawkes(
     # the limit intensity, linearly interpolated, and its running sup
     # (coupled acceptance must be dominated too)
     if cfg.track_coupled:
-        lim_dt = float(limit.ts[1] - limit.ts[0])
+        lim_dt = limit.dt
         lim_slope = np.diff(limit.lam, append=limit.lam[-1]) / lim_dt
         lim_sup = _doubles(running_sup_from_right(limit.lam))
         lim_last = limit.lam.size - 1
@@ -449,7 +435,6 @@ def simulate_hawkes(
     coupled_ts: list = [np.zeros(0)]
     coupled_ps: list = [np.zeros(0, dtype=np.int64)]
     weight = 1.0 / n
-    refresh = cfg.refresh_horizon
 
     breaches = 0
     reschedules = 0
@@ -465,18 +450,12 @@ def simulate_hawkes(
         rb = phi_s(xi_sup[min(int(t / sup_dt), xi_last)] + ub)
         return max(rb, lim_sup[min(int(t / lim_dt), lim_last)] if track else 0.0)
 
-    diag_dt = cfg.diag_grid_dt
-    diag_ts: list = []
-    diag_vals: list = []
-    next_diag = 0.0 if diag_dt > 0 else math.inf
-
     lam_bar = margin * max(raw_bound(0.0), 1e-12)
     cap = _bound_cap(phi_s, lam_bar, xi_sup[0])
     lam_over = lam_bar * (1.0 + 1e-12)
-    t_cand = 0.0  # the last judged candidate: the next one is t_cand + e / (n lam_bar)
-    t_state = 0.0  # the time the convolution state was last advanced to
+    t_cand = 0.0  # the last judged candidate, where the state was last advanced to
     width = _SWEEP_FIRST
-    next_shrink_check = refresh
+    next_shrink_check = _REFRESH
     while True:
         e, c_ps, c_thrs = draws.head(width)
         c_ts = np.concatenate(([t_cand], e / (n * lam_bar)))
@@ -486,26 +465,14 @@ def simulate_hawkes(
             break
         c_ts, c_ps = c_ts[1 : end + 1], c_ps[:end]
         c_thrs = c_thrs[:end] * lam_bar  # a candidate is accepted where u lam_bar <= intensity
-        j_ts, j_ps, j_thrs = c_ts, c_ps, c_thrs
-        pts = _grid_points(next_diag, float(c_ts[-1]), diag_dt)
-        if pts:  # judged in time order with the candidates, before those at the same time
-            at = np.searchsorted(c_ts, pts)
-            j_ts, j_ps, j_thrs = np.insert(c_ts, at, pts), np.insert(c_ps, at, -1), np.insert(c_thrs, at, 0.0)
         # the work that no decision changes, in bulk: the state's steps and the source
-        j_list = j_ts.tolist()
-        c_steps = state.steps(t_state, j_ts)
-        c_xi = list(map(xi_scalar, j_list))
-        xs_chunk = xi_sup[min(int(j_list[0] / sup_dt), xi_last)]  # bounds xi over the chunk
+        c_list = c_ts.tolist()
+        c_steps = state.steps(t_cand, c_ts)
+        c_xi = list(map(xi_scalar, c_list))
+        xs_chunk = xi_sup[min(int(c_list[0] / sup_dt), xi_last)]  # bounds xi over the chunk
         new_bar = 0.0
-        done = 0
-        for s, i, thr, step, x in zip(j_list, j_ps.tolist(), j_thrs.tolist(), c_steps, c_xi):
+        for done, (s, i, thr, step, x) in enumerate(zip(c_list, c_ps.tolist(), c_thrs.tolist(), c_steps, c_xi), 1):
             lam_z = phi_s(x + advance(step))
-            if i < 0:  # a diagnostic grid point
-                diag_ts.append(s)
-                diag_vals.append(lam_z)
-                next_diag = s + diag_dt
-                continue
-            done += 1
             over_dominator = lam_z > lam_over
             if over_dominator:
                 # defensive: the rigorous bound makes this unreachable for
@@ -525,12 +492,11 @@ def simulate_hawkes(
                 new_bar = margin * max(raw_bound(s), lam_z, 1e-12)
                 break
             if s >= next_shrink_check:
-                next_shrink_check = s + refresh
+                next_shrink_check = s + _REFRESH
                 rb = raw_bound(s)
                 if margin * rb < 0.5 * lam_bar:
                     new_bar = margin * max(rb, 1e-12)
                     break
-        t_state = s
         candidates += done
         draws.drop(done)
         if track:
@@ -555,11 +521,6 @@ def simulate_hawkes(
             width = _SWEEP_FIRST
             reschedules += 1
 
-    pts = _grid_points(next_diag, t_end, diag_dt)
-    for step, x in zip(state.steps(t_state, np.asarray(pts)), map(xi_scalar, pts)):
-        diag_vals.append(phi_s(x + advance(step)))
-    diag_ts += pts
-
     coupled_events = None
     if track:
         cp = np.concatenate(coupled_ps)
@@ -569,8 +530,6 @@ def simulate_hawkes(
     return HawkesRun(
         events=[np.asarray(e) for e in events],
         coupled_events=coupled_events,
-        intensity_grid=np.asarray(diag_ts) if diag_dt > 0 else None,
-        intensity_values=np.asarray(diag_vals) if diag_dt > 0 else None,
         metadata={
             "seed": cfg.seed,
             "replica": replica,
@@ -599,6 +558,24 @@ def estimator_path(run: HawkesRun, checkpoints: Sequence[float], particle: int =
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(cps > 0, counts / np.where(cps > 0, cps, 1.0), 0.0)
     return out
+
+
+def intensity_path(run: HawkesRun, phi: FiringFunction, h: MemoryKernel, xi: SourceTerm, ts: Sequence[float]) -> np.ndarray:
+    """The particles' common intensity Phi(xi_N(t) + (1/N) sum_{events e < t} h(t - e)) at each t.
+
+    xi_N is xi with the run's source perturbation.  An event at t itself is
+    left out: the value is the left limit, the intensity a candidate at t meets.
+    """
+    pert = run.metadata["xi_perturbation_applied"]
+    xi_s = (add_exponential_perturbation(xi, pert) if pert != 0.0 else xi).scalar
+    phi_s = phi.scalar
+    events = np.sort(np.concatenate(run.events))
+    n = run.metadata["n_particles"]
+    out = []
+    for t in np.asarray(ts, dtype=float).tolist():
+        past = events[: np.searchsorted(events, t, side="left")]
+        out.append(phi_s(xi_s(t) + float(np.sum(h.evaluator(t - past))) / n))
+    return np.asarray(out)
 
 
 def path_sup_difference(times_a: np.ndarray, times_b: np.ndarray) -> int:
@@ -820,7 +797,7 @@ def functional_clt_check(
     if np.any(u < 0) or np.any(u > 1):
         raise ValueError("u grid must lie in [0, 1]")
     t_end = runs[0].metadata["t_end"]
-    dt = float(limit.ts[1] - limit.ts[0])
+    dt = limit.dt
     m_path = np.concatenate([[0.0], np.cumsum(0.5 * (limit.lam[1:] + limit.lam[:-1]) * dt)])
     m_t = float(m_path[-1])
     m_at_u = np.interp(u * t_end, limit.ts, m_path)

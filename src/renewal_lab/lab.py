@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -124,7 +123,9 @@ def build_kernel(spec: dict, path: str = "kernel"):
         _require(support > 0, f"{path}.support", "must be > 0")
         profile = spec.get("profile", "table")
         if profile == "table":
-            return model.make_compact_kernel(_get(spec, "samples", None, _list_of(float), path), support)
+            samples = _get(spec, "samples", None, _list_of(float), path)
+            _require(samples and min(samples) >= 0, f"{path}.samples", f"must be a nonempty list of values >= 0, got {samples}")
+            return model.make_compact_kernel(samples, support)
         res = _get(spec, "resolution", 2001, int, path)
         _require(res >= 2, f"{path}.resolution", f"must be >= 2, got {res}")
         xs = np.linspace(0.0, support, res)
@@ -216,8 +217,7 @@ def build_source(spec: dict, h, phi, solver_cfg: Optional[SolverConfig] = None, 
 
 
 # solver block key -> cast; absent keys keep the SolverConfig defaults
-_SOLVER_KEYS = {"dt": float, "t_end": float, "quadrature": str, "inner_tol": float, "inner_max_iter": int,
-                "picard_mode": _bool, "picard_tol": float, "picard_max_iter": int}
+_SOLVER_KEYS = {"dt": float, "t_end": float, "quadrature": str, "inner_tol": float, "inner_max_iter": int}
 
 
 def build_solver(spec: dict, path: str = "solver") -> SolverConfig:
@@ -229,7 +229,7 @@ def build_solver(spec: dict, path: str = "solver") -> SolverConfig:
 # hawkes block key -> (HawkesConfig field, cast); absent keys keep the HawkesConfig defaults
 _HAWKES_KEYS = {
     "n_particles": ("n_particles", int), "t_end": ("t_end", float), "replicas": ("replicas", int),
-    "margin": ("thinning_margin", float), "refresh": ("refresh_horizon", float), "track_coupled": ("track_coupled", _bool),
+    "margin": ("thinning_margin", float), "track_coupled": ("track_coupled", _bool),
     "xi_perturbation": ("xi_perturbation", float), "subcritical_override": ("subcritical_override", _bool),
 }
 

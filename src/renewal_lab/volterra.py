@@ -39,6 +39,9 @@ OVERFLOW_THRESHOLD = 1e12
 DIVERGENT_SLOPE = 1e-3
 #: rows formatted per write by write_csv
 _CSV_CHUNK = 1024
+#: solve_picard stops when a sweep moves lambda by at most this, and fails after this many sweeps
+PICARD_TOL = 1e-13
+PICARD_MAX_ITER = 200
 
 
 class NonConvergenceError(Exception):
@@ -60,9 +63,6 @@ class SolverConfig:
     quadrature: str = TRAPEZOID
     inner_tol: float = 1e-12
     inner_max_iter: int = 50
-    picard_mode: bool = False
-    picard_tol: float = 1e-13
-    picard_max_iter: int = 200
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -71,12 +71,10 @@ class SolverConfig:
             raise ValueError("t_end must be >= dt")
         if self.quadrature not in (TRAPEZOID, LEFT_RECTANGLE):
             raise ValueError(f"unknown quadrature {self.quadrature!r}")
-        for key in ("inner_tol", "picard_tol"):
-            if getattr(self, key) <= 0:
-                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
-        for key in ("inner_max_iter", "picard_max_iter"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.inner_tol <= 0:
+            raise ValueError(f"inner_tol must be > 0, got {self.inner_tol}")
+        if self.inner_max_iter < 1:
+            raise ValueError(f"inner_max_iter must be >= 1, got {self.inner_max_iter}")
 
     @property
     def n_steps(self) -> int:
@@ -255,9 +253,6 @@ def solve_nre(phi: FiringFunction, h: MemoryKernel, xi: SourceTerm, cfg: SolverC
     error for the trapezoid rule.  If lambda exceeds the overflow threshold the
     partial trajectory is returned with the divergent flag set.
     """
-    if cfg.picard_mode:
-        return _solve_picard(phi, h, xi, cfg)
-
     ts = cfg.grid()
     n_pts = ts.size
     xi_grid = xi.on_grid(ts)
@@ -328,8 +323,13 @@ def solve_nre(phi: FiringFunction, h: MemoryKernel, xi: SourceTerm, cfg: SolverC
     return Trajectory(ts=ts[:cut], lam=lam[:cut], x=xarr[:cut], divergent=divergent, metadata=meta)
 
 
-def _solve_picard(phi: FiringFunction, h: MemoryKernel, xi: SourceTerm, cfg: SolverConfig) -> Trajectory:
-    """Global Picard iteration on the whole grid (cross-validation mode)."""
+def solve_picard(phi: FiringFunction, h: MemoryKernel, xi: SourceTerm, cfg: SolverConfig) -> Trajectory:
+    """Global Picard iteration on the whole grid, the reference for the marching of ``solve_nre``.
+
+    Sweeps lambda <- Phi(xi + h * lambda) with the config's quadrature until a
+    sweep moves lambda by at most PICARD_TOL, or raises NonConvergenceError
+    after PICARD_MAX_ITER sweeps.
+    """
     ts = cfg.grid()
     n_pts = ts.size
     xi_vals = xi.on_grid(ts)
@@ -343,11 +343,11 @@ def _solve_picard(phi: FiringFunction, h: MemoryKernel, xi: SourceTerm, cfg: Sol
         return dt * conv - dt * hg[0] * lam
 
     lam = np.asarray(phi.evaluator(xi_vals), dtype=float)
-    for it in range(cfg.picard_max_iter):
+    for it in range(PICARD_MAX_ITER):
         new = np.asarray(phi.evaluator(xi_vals + conv_sum(lam)), dtype=float)
         delta = float(np.max(np.abs(new - lam)))
         lam = new
-        if delta <= cfg.picard_tol:
+        if delta <= PICARD_TOL:
             break
     else:
         raise NonConvergenceError(n_pts - 1, float(ts[-1]), delta)
@@ -357,7 +357,7 @@ def _solve_picard(phi: FiringFunction, h: MemoryKernel, xi: SourceTerm, cfg: Sol
         ts=ts,
         lam=lam,
         x=x,
-        metadata={"method": f"picard-{cfg.quadrature}", "dt": dt, "iterations": it + 1, "inner_tol": cfg.picard_tol},
+        metadata={"method": f"picard-{cfg.quadrature}", "dt": dt, "iterations": it + 1, "inner_tol": PICARD_TOL},
     )
 
 

@@ -10,10 +10,12 @@ from renewal_lab.hawkes import (
     _bound_cap,
     _ErlangState,
     HawkesConfig,
+    HawkesRun,
     clt_experiment,
     coupling_experiment,
     estimator_path,
     functional_clt_check,
+    intensity_path,
     path_sup_difference,
     run_replicas,
     simulate_hawkes,
@@ -144,14 +146,33 @@ def test_mean_intensity_tracks_limit(affine_system):
     """Propagation of chaos: the common intensity path stays in a CLT-scale band."""
     phi, h, xi, _ = affine_system
     limit = solve_nre(phi, h, xi, SolverConfig(t_end=10.0, dt=1e-3))
-    cfg = HawkesConfig(n_particles=2000, t_end=10.0, seed=21, track_coupled=False, diag_grid_dt=0.25)
+    cfg = HawkesConfig(n_particles=2000, t_end=10.0, seed=21, track_coupled=False)
     run = simulate_hawkes(phi, h, xi, cfg)
-    lam_emp = run.intensity_values
-    lam_ref = limit.lam_at(run.intensity_grid)
+    grid = np.arange(41) * 0.25
+    lam_emp = intensity_path(run, phi, h, xi, grid)
+    lam_ref = limit.lam_at(grid)
     # fluctuation scale of the mean-field potential is ||h||_2 sqrt(||lambda||_inf / N),
     # amplified by 1/(1 - ||h||_1 |Phi|_Lip) = 2; 5 sigma band
     band = 5.0 * h.norm_l2 * math.sqrt(2.0 / cfg.n_particles) * 2.0
     assert float(np.max(np.abs(lam_emp - lam_ref))) <= band
+
+
+def test_intensity_path_closed_form():
+    """Phi(xi_N(t) + (1/N) sum_{e < t} h(t - e)) for hand-made events, exponential h and a perturbed source."""
+    phi = model.make_affine_phi(1.0)
+    h = model.make_scaled_exponential_kernel(0.5, 2.0)
+    events = [np.array([0.5, 1.0]), np.array([1.0, 2.0])]
+    run = HawkesRun(events=events, coupled_events=None,
+                    metadata={"n_particles": 2, "xi_perturbation_applied": 0.3})
+    got = intensity_path(run, phi, h, model.make_source_empty(), [0.0, 0.75, 1.0, 1.5, 3.0])
+
+    def expected(t, past):
+        return 1.0 + 0.3 * math.exp(-t) + sum(0.5 * math.exp(-2.0 * (t - e)) for e in past) / 2
+
+    # at t = 1 the two events at 1 are not yet in the sum: the left limit
+    want = [expected(0.0, []), expected(0.75, [0.5]), expected(1.0, [0.5]),
+            expected(1.5, [0.5, 1.0, 1.0]), expected(3.0, [0.5, 1.0, 1.0, 2.0])]
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_coupling_slope_small_scale(affine_system):
@@ -310,13 +331,13 @@ def test_erlang_kernel_hawkes_runs(bistable):
     """Delayed-excitation kernels exercise the Erlang state bound."""
     phi, h, _ = bistable
     xi = model.make_source_tail(h, 0.5)
-    cfg = HawkesConfig(n_particles=200, t_end=10.0, seed=6, track_coupled=False,
-                       subcritical_override=True, diag_grid_dt=0.5)
+    cfg = HawkesConfig(n_particles=200, t_end=10.0, seed=6, track_coupled=False, subcritical_override=True)
     run = simulate_hawkes(phi, h, xi, cfg)
     assert sum(e.size for e in run.events) > 0
     limit = solve_nre(phi, h, xi, SolverConfig(t_end=10.0, dt=1e-3))
     # the empirical intensity stays in a wide band around the limit
-    assert float(np.max(np.abs(run.intensity_values - limit.lam_at(run.intensity_grid)))) < 0.2
+    grid = np.arange(21) * 0.5
+    assert float(np.max(np.abs(intensity_path(run, phi, h, xi, grid) - limit.lam_at(grid)))) < 0.2
 
 
 def test_general_kernel_path_poisson():

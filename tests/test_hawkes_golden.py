@@ -1,7 +1,7 @@
 """Golden digests of the thinning streams of ``simulate_hawkes``.
 
-Each case hashes the events, the coupled events, the intensity diagnostic and
-the ``candidates`` / ``reschedules`` / ``breaches`` counters of one replica.
+Each case hashes the events, the coupled events and the ``candidates`` /
+``reschedules`` / ``breaches`` counters of one replica.
 The digests lock the stream contract documented in ``renewal_lab.hawkes``: a
 change to how draws are made or consumed changes them.
 
@@ -42,7 +42,7 @@ def _erlang_bistable():
     h = model.make_erlang_kernel(2, 3.0)
     phi = model.make_sigmoid_phi(0.5, 1.0, 8.0, 1.0)
     cfg = HawkesConfig(n_particles=200, t_end=10.0, seed=6, track_coupled=False,
-                       subcritical_override=True, diag_grid_dt=0.5)
+                       subcritical_override=True)
     return phi, h, model.make_source_tail(h, 0.5), cfg, None
 
 
@@ -114,12 +114,11 @@ def _couple_erlang3():
     return phi, h, xi, HawkesConfig(n_particles=50, t_end=10.0, seed=8), limit
 
 
-def _sigmoid_exp_diag():
-    # order 0 with the intensity diagnostic, across reschedules
+def _sigmoid_exp_margin():
+    # order 0 with a sigmoid Phi, across reschedules
     h = model.make_scaled_exponential_kernel(0.5, 1.0)
     phi = model.make_sigmoid_phi(0.5, 1.0, 2.0, 1.0)
-    cfg = HawkesConfig(n_particles=20, t_end=20.0, seed=4, track_coupled=False,
-                       diag_grid_dt=0.1, thinning_margin=1.05)
+    cfg = HawkesConfig(n_particles=20, t_end=20.0, seed=4, track_coupled=False, thinning_margin=1.05)
     return phi, h, model.make_source_empty(), cfg, None
 
 
@@ -132,7 +131,7 @@ def _stress_affine():
 CASES = {
     "affine_empty_n3": (lambda: _affine_empty(n_particles=3, t_end=40.0, seed=5, track_coupled=False), 0),
     "constant_phi_long": (_constant_phi, 0),
-    "erlang_bistable_diag": (_erlang_bistable, 0),
+    "erlang_bistable": (_erlang_bistable, 0),
     "compact_general": (_compact_general, 0),
     "xi_perturbation": (_perturbed, 0),
     "clt_small": (_clt_small, 3),
@@ -143,7 +142,7 @@ CASES = {
     "stress_affine_margin": (_stress_affine, 0),
     "erlang1_margin": (_erlang1_margin, 0),
     "couple_erlang3": (_couple_erlang3, 0),
-    "sigmoid_exp_diag": (_sigmoid_exp_diag, 0),
+    "sigmoid_exp_margin": (_sigmoid_exp_margin, 0),
 }
 
 DIGESTS = {
@@ -156,8 +155,8 @@ DIGESTS = {
     "couple_erlang": "5f898517d2f2de0f88a033f658dc64a923625de80f4c31b093f53f204c3b912f",
     "couple_erlang3": "3d106691b7e1bb6e0bb433f2a222ed588d646ad6f270737f96e76461fb749eeb",
     "erlang1_margin": "06a224bb3d85c7614e31bf97a17e8113e1b9365ad4eff6c05d4c23d78bd31d73",
-    "erlang_bistable_diag": "047a36f8746e6d3f8a57cbfb217ff42de99395deb7acde87b6abdd77068a4d5a",
-    "sigmoid_exp_diag": "3c3311832f3921b29ac627159c98987eea3e2b026b3e3b9f81625c87eaa5a356",
+    "erlang_bistable": "968592eabf2a388c442b9c94c37de5940eb940b0f7c117476de7a2056611825f",
+    "sigmoid_exp_margin": "31c715bfdea8e3e27a0e98b0eb09122f1afef064a2f5bac2c5cd3aac479fbefe",
     "stress_affine_margin": "efcdf279c012205c22d3a2bf7db4c957ebd035927bc4b843519efb210af65386",
     "stress_erlang_margin": "c3a73b03c0fbb3f2d7deae178b65ee27aa8722f7b8f8649ce43716467b4300be",
     "xi_perturbation": "b4e83ad3868b7bfd81c157dbbe8057ab2fe35043e1b538db16ffcf75988fe60d"
@@ -172,8 +171,8 @@ RESCHEDULES = {
     "couple_erlang": 0,
     "couple_erlang3": 0,
     "erlang1_margin": 74,
-    "erlang_bistable_diag": 1,
-    "sigmoid_exp_diag": 5,
+    "erlang_bistable": 1,
+    "sigmoid_exp_margin": 5,
     "stress_affine_margin": 273,
     "stress_erlang_margin": 186,
     "xi_perturbation": 0
@@ -194,8 +193,6 @@ def run_digest(name: str):
     dig.update(_events_bytes(run.events))
     if run.coupled_events is not None:
         dig.update(_events_bytes(run.coupled_events))
-    if run.intensity_values is not None:
-        dig.update(np.asarray(run.intensity_values, dtype=np.float64).tobytes())
     meta = run.metadata
     dig.update(f"{meta['candidates']},{meta['reschedules']},{meta['breaches']}".encode())
     return dig.hexdigest(), meta

@@ -2,7 +2,7 @@ import copy
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -247,10 +247,10 @@ def test_bad_config_returns_one(tmp_path):
     assert main(["solve", "--config", str(notjson), "--out", str(tmp_path)]) == 1
 
 
-@pytest.mark.parametrize("key", ["inner_max_iter", "picard_max_iter"])
+@pytest.mark.parametrize("key", ["inner_max_iter"])
 def test_zero_iteration_cap_exits_one_naming_the_key(tmp_path, capsys, key):
     doc = json.loads((SCENARIOS / "empty_source.json").read_text())
-    doc["solver"].update({"picard_mode": True, key: 0})
+    doc["solver"][key] = 0
     cfg = tmp_path / "cap.json"
     cfg.write_text(json.dumps(doc))
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
@@ -305,13 +305,14 @@ _SHRUNK = {
 _EXTRA_EDITS = {
     "empty_source": [(("solver", "dt"), [1]), (("solver", "t_end"), math.inf), (("solver", "picard_mode"), "false"),
                      (("solver", "inner_tol"), 0), (("solver", "picard_tol"), 0), (("solver", "quadrature"), "x"),
-                     (("solver", "inner_max_iter"), 0)],
+                     (("solver", "inner_max_iter"), 0), (("solver", "picard_mode"), True),
+                     (("solver", "picard_max_iter"), 5)],
     "bistable_basin_lower": [(("source", "perturbation"), 5), (("source", "perturbation"), {"amplitude": 0.1, "rate": 0})],
     "erlang_crossing_lower_order": [(("source", "c"), [1.4, math.nan, 0.0]), (("source", "c"), [math.inf, 1.4, 0.0])],
     "hawkes_small": [(("hawkes", "checkpoints"), 5), (("hawkes", "replicas"), 0), (("phi", "mu"), math.nan),
                      (("hawkes", "track_coupled"), "false"), (("hawkes", "subcritical_override"), "false"),
                      (("hawkes", "checkpoints"), [0.5, math.nan]), (("hawkes", "checkpoints"), [0.5, math.inf]),
-                     (("hawkes", "diag_grid_dt"), 0.5)],
+                     (("hawkes", "diag_grid_dt"), 0.5), (("hawkes", "refresh"), 0.5)],
     "coupling_affine": [(("hawkes", "coupling_sizes"), 5), (("hawkes", "coupling_sizes"), [5]), (("hawkes", "coupling_sizes"), [5, 5])],
     "clt_affine": [(("hawkes", "ell"), 0)],
     "envelope_compact": [(("rates", "fit_model"), "x"), (("rates", "window"), 5), (("rates", "calibrate"), "false"),
@@ -380,3 +381,25 @@ def test_solve_inhibitory_sigmoid_does_not_overflow(tmp_path):
     cfg = tmp_path / "inhibitory.json"
     cfg.write_text(json.dumps(doc))
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
+def test_config_keys_map_onto_config_fields():
+    """Every solver and hawkes key reaches a config field and every field but the seed has a key."""
+    assert set(lab._SOLVER_KEYS) == {f.name for f in fields(lab.SolverConfig)}
+    assert {name for name, _ in lab._HAWKES_KEYS.values()} == {f.name for f in fields(lab.HawkesConfig)} - {"seed"}
+
+
+@pytest.mark.parametrize("samples", [[], [1.0, -0.5]], ids=["empty", "negative"])
+def test_bad_table_kernel_exits_one_naming_the_key(tmp_path, capsys, samples):
+    doc = {
+        "kernel": {"type": "compact", "profile": "table", "samples": samples, "support": 1.0},
+        "phi": {"type": "affine", "mu": 1.0},
+        "solver": {"t_end": 1.0},
+    }
+    cfg = tmp_path / "table.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 1
+    assert "kernel.samples" in capsys.readouterr().err
+    doc["kernel"]["samples"] = [0.4, 0.4]
+    cfg.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "good")]) == 0

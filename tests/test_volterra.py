@@ -19,6 +19,7 @@ from renewal_lab.volterra import (
     read_trajectory_csv,
     solve_erlang_cascade,
     solve_nre,
+    solve_picard,
 )
 
 
@@ -29,9 +30,9 @@ def test_solver_config_validation():
         SolverConfig(t_end=0.0005, dt=1e-3)
     with pytest.raises(ValueError):
         SolverConfig(t_end=1.0, quadrature="midpoint")
-    for key in ("inner_max_iter", "picard_max_iter", "inner_tol", "picard_tol"):
+    for key in ("inner_max_iter", "inner_tol"):
         with pytest.raises(ValueError, match=key):
-            SolverConfig(t_end=1.0, picard_mode=True, **{key: 0})
+            SolverConfig(t_end=1.0, **{key: 0})
     cfg = SolverConfig(t_end=2.0, dt=0.5)
     assert cfg.n_steps == 4
     assert np.allclose(cfg.grid(), [0.0, 0.5, 1.0, 1.5, 2.0])
@@ -77,7 +78,7 @@ def test_picard_matches_marching(affine):
     xi = model.make_source_tail(h, 0.5)
     cfg = SolverConfig(t_end=5.0, dt=1e-3)
     marching = solve_nre(phi, h, xi, cfg)
-    picard = solve_nre(phi, h, xi, SolverConfig(t_end=5.0, dt=1e-3, picard_mode=True))
+    picard = solve_picard(phi, h, xi, cfg)
     assert np.max(np.abs(marching.lam - picard.lam)) < 1e-8
 
 
