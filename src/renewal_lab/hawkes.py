@@ -471,8 +471,10 @@ def simulate_hawkes(
         c_xi = list(map(xi_scalar, c_list))
         xs_chunk = xi_sup[min(int(c_list[0] / sup_dt), xi_last)]  # bounds xi over the chunk
         new_bar = 0.0
-        for done, (s, i, thr, step, x) in enumerate(zip(c_list, c_ps.tolist(), c_thrs.tolist(), c_steps, c_xi), 1):
+        done = 0
+        for s, i, thr, step, x in zip(c_list, c_ps.tolist(), c_thrs.tolist(), c_steps, c_xi):
             lam_z = phi_s(x + advance(step))
+            done += 1
             over_dominator = lam_z > lam_over
             if over_dominator:
                 # defensive: the rigorous bound makes this unreachable for
