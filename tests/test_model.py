@@ -299,19 +299,28 @@ def _partial_sum_scalar(n, alpha, kscale, scale):
     return scalar_fn
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
 def test_equilibrium_scalar_source_matches_partial_sum_bit_for_bit(n):
-    ts = [-1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-12, 1e-3, 0.37, 1.0, 2.5, 17.0, 60.0, 700.0, 800.0, 1e6]
+    ts = [-math.inf, -1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-12, 1e-3, 0.37, 1.0, 2.5, 17.0, 60.0, 700.0, 800.0, 1e6,
+          math.inf, math.nan]
     kernels = [model.make_erlang_kernel(n, 1.5), model.make_erlang_kernel(n, 0.3)]
     if n == 0:
         kernels.append(model.make_scaled_exponential_kernel(0.7, 2.0))
     for h in kernels:
         s = h.structure
         for ell in (0.25, 1.0, 2.0, 3.7):
-            fast = model.make_source_equilibrium(h, ell).scalar_fn
             slow = _partial_sum_scalar(s.order, s.alpha, s.scale, ell)
-            for t in ts:
-                assert fast(t).hex() == slow(t).hex(), (h.label, ell, t)
+            for amp, rate in ((0.0, 1.0), (0.3, 1.0), (-0.05, 2.5)):
+                for make in (model.make_source_equilibrium, model.make_source_tail):
+                    xi = make(h, ell)
+                    if amp:
+                        xi = model.add_exponential_perturbation(xi, amp, rate)
+                        ref = lambda t: slow(t) + amp * math.exp(-rate * t)
+                    else:
+                        ref = slow
+                    fast = xi.scalar_fn
+                    for t in ts:
+                        assert fast(t).hex() == ref(t).hex(), (h.label, make.__name__, ell, amp, t)
 
 
 def test_tail_source_and_rho_identity(bistable):
