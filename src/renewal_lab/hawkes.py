@@ -413,7 +413,7 @@ def simulate_hawkes(
     # running sup of the source from each grid time onward (dominator input)
     sup_dt = min(0.01, _REFRESH / 4.0)
     sup_grid = sup_dt * np.arange(int(math.ceil(t_end / sup_dt)) + 2)
-    xi_sup = _doubles(running_sup_from_right(np.asarray([xi_scalar(t) for t in sup_grid])))
+    xi_sup = _doubles(running_sup_from_right(np.asarray(list(map(xi_scalar, sup_grid.tolist())))))
     xi_last = len(xi_sup) - 1
 
     # the limit intensity, linearly interpolated, and its running sup
@@ -583,19 +583,16 @@ def intensity_path(run: HawkesRun, phi: FiringFunction, h: MemoryKernel, xi: Sou
 def path_sup_difference(times_a: np.ndarray, times_b: np.ndarray) -> int:
     """sup_s |A_s - B_s| for two counting processes given their jump times.
 
-    Jumps at identical times cancel (coupled processes share candidate times).
+    The times need not be sorted.  The difference A - B is read just after
+    every jump time of either side, counting the jumps at or before it, so
+    jumps at identical times cancel (coupled processes share candidate times).
     """
     if times_a.size == 0 and times_b.size == 0:
         return 0
-    allt = np.concatenate([times_a, times_b])
-    deltas = np.concatenate([np.ones(times_a.size), -np.ones(times_b.size)])
-    order = np.argsort(allt, kind="stable")
-    ts = allt[order]
-    ds = deltas[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(ts)) + 1])
-    grouped = np.add.reduceat(ds, starts)
-    cum = np.cumsum(grouped)
-    return int(np.max(np.abs(cum)))
+    a, b = np.sort(times_a), np.sort(times_b)
+    at = np.concatenate((a, b))
+    d = np.searchsorted(a, at, "right") - np.searchsorted(b, at, "right")
+    return int(np.abs(d).max())
 
 
 # fork-shared context for replica workers (closures cannot be pickled)

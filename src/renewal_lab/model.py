@@ -9,6 +9,7 @@ across workers.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -714,32 +715,37 @@ def make_source_tail(h: MemoryKernel, ell0: float) -> SourceTerm:
     return replace(src, label=f"tail(ell0={ell0:g}) of {h.label}")
 
 
+@functools.lru_cache(maxsize=None)
+def _erlang_tail_scalar(order: int) -> Callable:
+    """``bind(c, alpha)``: t -> c e^{-alpha t} sum_{k <= order} (alpha t)^k / k!, written out.
+
+    The partial sum runs from k = order down to 0, left to right from 0.0: for
+    order 2 the value is ``c * exp(-at) * (0.0 + at**2 * 0.5 + at**1 * 1.0 +
+    at**0 * 1.0)``.  Written out, a call runs no Python loop; the thinning
+    streams read the source at every candidate, so the order of the operations
+    is part of their bits.  At order 0 the partial sum is exactly 1.0 and the
+    value is ``c * exp(-alpha * t)``.
+    """
+    if order == 0:
+        body = "return c * exp(-alpha * t)"
+    else:
+        terms = " + ".join(["0.0"] + [f"at**{k} * {1.0 / math.factorial(k)!r}" for k in range(order, -1, -1)])
+        body = f"at = alpha * t\n        return c * exp(-at) * ({terms})"
+    namespace: dict = {"exp": math.exp}
+    exec(
+        f"def bind(c, alpha):\n    def scalar_fn(t):\n        if t <= 0.0:\n            return c\n        {body}\n"
+        "    return scalar_fn\n",
+        namespace,
+    )
+    return namespace["bind"]
+
+
 def _with_exponential_scalar(src: SourceTerm, h: MemoryKernel, scale: float) -> SourceTerm:
     """Attach a math-only scalar evaluator for Erlang-structured kernels (hot loops)."""
     s = h.structure
     if s is None:
         return src
-    n, alpha = s.order, s.alpha
-    c = scale * s.scale
-
-    if n == 0:  # the partial sum is exactly 1.0
-
-        def scalar_fn(t):
-            return c if t <= 0.0 else c * math.exp(-alpha * t)
-
-    else:
-        inv_fact = [1.0 / math.factorial(k) for k in range(n + 1)]
-
-        def scalar_fn(t):
-            if t <= 0.0:
-                return c
-            at = alpha * t
-            acc = 0.0
-            for k in range(n, -1, -1):
-                acc += at**k * inv_fact[k]
-            return c * math.exp(-at) * acc
-
-    return replace(src, scalar_fn=scalar_fn)
+    return replace(src, scalar_fn=_erlang_tail_scalar(s.order)(scale * s.scale, s.alpha))
 
 
 def make_source_chi_perturbed(
