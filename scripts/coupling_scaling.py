@@ -20,12 +20,17 @@ def main():
     ap.add_argument("--seed", type=int, default=2024)
     ap.add_argument("--threads", type=int, default=None)
     args = ap.parse_args()
+    if len(set(args.sizes)) < 2 or min(args.sizes) < 1:
+        ap.error(f"--sizes: the log-log slope needs at least two distinct sizes >= 1, got {args.sizes}")
 
     phi = rl.make_affine_phi(1.0)
     h = rl.make_scaled_exponential_kernel(0.5, 1.0)
     xi = rl.make_source_empty()
-    cfg = rl.HawkesConfig(n_particles=args.sizes[0], t_end=args.t_end, seed=args.seed, replicas=args.replicas)
-    res = rl.coupling_experiment(phi, h, xi, cfg, n_values=args.sizes, threads=args.threads)
+    try:
+        cfg = rl.HawkesConfig(n_particles=args.sizes[0], t_end=args.t_end, seed=args.seed, replicas=args.replicas)
+        res = rl.coupling_experiment(phi, h, xi, cfg, n_values=args.sizes, threads=args.threads)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     print(f"coupling constant C = {res.c_tilde:.6f}, horizon t = {args.t_end}")
     print(f"{'N':>6}  {'mean sup diff':>14}  {'bound C t/sqrt(N)':>18}")

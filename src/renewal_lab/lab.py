@@ -175,7 +175,11 @@ def build_source(spec: dict, h, phi, solver_cfg: Optional[SolverConfig] = None, 
     elif kind == "locked_equilibrium":
         _check_keys(spec, base_keys | {"ell"}, path)
         _require(solver_cfg is not None, path, "locked equilibrium source needs a solver block")
-        src = equilibrium_locked_source(phi, h, _get(spec, "ell", None, float, path), solver_cfg)
+        ell = _get(spec, "ell", None, float, path)
+        try:
+            src = equilibrium_locked_source(phi, h, ell, solver_cfg)
+        except RuntimeError as exc:
+            raise ConfigError(f"{path}.ell: {exc}") from exc
     elif kind == "tail":
         _check_keys(spec, base_keys | {"ell0"}, path)
         src = model.make_source_tail(h, _get(spec, "ell0", None, float, path))

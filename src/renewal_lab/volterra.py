@@ -384,6 +384,13 @@ def equilibrium_locked_source(phi: FiringFunction, h: MemoryKernel, ell: float, 
     xi(t_n) so that the discrete step map reproduces the constant value
     Phi(kappa ell) bit-exactly: the discrete scheme then preserves its own
     equilibrium for any horizon.  Off the solver grid the analytic tail is used.
+
+    Raises RuntimeError, naming the step n, t_n and the quadrature, when no
+    value within 64 rounding steps of the exact one makes the rounded sums hit
+    the target.  Known case: the bistable sigmoid Phi(0.5, 1, 8, 1) with the
+    order-0 Erlang kernel of rate 3 under the trapezoid rule, at the centre
+    root ell = 1 with dt = 1e-3 and at the upper root ell = 1.4788 with
+    dt = 5e-4 (the left rectangle and orders 1 and 3 lock there).
     """
     ts = cfg.grid()
     n_pts = ts.size
@@ -418,7 +425,10 @@ def equilibrium_locked_source(phi: FiringFunction, h: MemoryKernel, ell: float, 
             if cand is not None:
                 break
         if cand is None:
-            raise RuntimeError("failed to lock equilibrium source on the grid")
+            raise RuntimeError(
+                f"failed to lock the equilibrium source of ell = {ell!r} on the grid at step {n} "
+                f"(t_n = {ts[n]:.17g}, {cfg.quadrature} quadrature)"
+            )
         xi_out[n] = cand
         commit(n, lam_star)
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +195,19 @@ def test_coupling_needs_two_distinct_sizes(affine_system):
     for sizes in ((5,), (5, 5)):
         with pytest.raises(ValueError, match="coupling_sizes"):
             coupling_experiment(phi, h, xi, cfg, n_values=sizes, limit=limit, threads=1)
+
+
+@pytest.mark.parametrize("sizes", [["100"], ["100", "100"], ["0", "100"]])
+def test_coupling_script_rejects_bad_sizes_naming_the_option(sizes):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "coupling_scaling.py"), "--sizes", *sizes],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "--sizes" in proc.stderr.splitlines()[-1]
+    assert "Traceback" not in proc.stderr
 
 
 def test_erlang_upper_bound_sums_left_to_right():

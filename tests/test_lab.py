@@ -389,6 +389,19 @@ def test_config_keys_map_onto_config_fields():
     assert {name for name, _ in lab._HAWKES_KEYS.values()} == {f.name for f in fields(lab.HawkesConfig)} - {"seed"}
 
 
+def test_unlockable_equilibrium_exits_one_naming_the_step(tmp_path, capsys):
+    """The order-0 kernel under the trapezoid rule cannot lock the centre root of the bundled scenario."""
+    doc = json.loads((SCENARIOS / "equilibrium_locked.json").read_text())
+    doc["kernel"]["n"] = 0
+    doc["solver"]["t_end"] = 0.1
+    cfg = tmp_path / "locked.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "source.ell" in err and "step 10 " in err and "t_n = 0.01," in err and "trapezoid" in err, err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("samples", [[], [1.0, -0.5]], ids=["empty", "negative"])
 def test_bad_table_kernel_exits_one_naming_the_key(tmp_path, capsys, samples):
     doc = {
