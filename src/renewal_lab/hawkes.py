@@ -590,8 +590,8 @@ def path_sup_difference(times_a: np.ndarray, times_b: np.ndarray) -> int:
     if times_a.size == 0 and times_b.size == 0:
         return 0
     a, b = np.sort(times_a), np.sort(times_b)
-    at = np.concatenate((a, b))
-    d = np.searchsorted(a, at, "right") - np.searchsorted(b, at, "right")
+    ts = np.concatenate((a, b))
+    d = np.searchsorted(a, ts, "right") - np.searchsorted(b, ts, "right")
     return int(np.abs(d).max())
 
 

@@ -389,8 +389,9 @@ def equilibrium_locked_source(phi: FiringFunction, h: MemoryKernel, ell: float, 
     value within 64 rounding steps of the exact one makes the rounded sums hit
     the target.  Known case: the bistable sigmoid Phi(0.5, 1, 8, 1) with the
     order-0 Erlang kernel of rate 3 under the trapezoid rule, at the centre
-    root ell = 1 with dt = 1e-3 and at the upper root ell = 1.4788 with
-    dt = 5e-4 (the left rectangle and orders 1 and 3 lock there).
+    root ell = 1 with dt = 1e-3 and at the upper root ell ~ 1.4788 with
+    dt = 5e-4.  On t <= 50 every other pairing of the three roots with
+    dt in {1e-3, 5e-4}, either quadrature and kernel orders 0, 1 and 3 locks.
     """
     ts = cfg.grid()
     n_pts = ts.size
