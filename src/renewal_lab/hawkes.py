@@ -103,13 +103,13 @@ class HawkesConfig:
 
     def __post_init__(self):
         if self.n_particles < 1:
-            raise ValueError("need at least one particle")
+            raise ValueError(f"n_particles must be >= 1, got {self.n_particles}")
         if self.t_end <= 0:
             raise ValueError("t_end must be > 0")
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         if self.thinning_margin <= 1.0:
-            raise ValueError("thinning margin must be > 1")
+            raise ValueError(f"thinning_margin must be > 1, got {self.thinning_margin}")
 
 
 @dataclass
@@ -658,10 +658,10 @@ def coupling_experiment(
 
     For each N the mean over replicas and particles of sup_{s<=t} |Z_s - Zbar_s|
     is compared against C t / sqrt(N); the log-log slope across N estimates the
-    -1/2 scaling, so at least two distinct sizes are needed.
+    -1/2 scaling, so at least two distinct sizes, each >= 1, are needed.
     """
-    if len(set(map(int, n_values))) < 2:
-        raise ValueError(f"coupling_sizes: the log-log slope needs at least two distinct sizes, got {list(n_values)}")
+    if len(set(map(int, n_values))) < 2 or min(map(int, n_values)) < 1:
+        raise ValueError(f"coupling_sizes: the log-log slope needs at least two distinct sizes >= 1, got {list(n_values)}")
     threads = resolve_threads(threads)
     if limit is None:
         limit = solve_nre(phi, h, xi, SolverConfig(t_end=cfg.t_end, dt=1e-3))

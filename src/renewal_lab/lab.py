@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Optional
 
@@ -64,19 +65,12 @@ def _require(cond: bool, path: str, msg: str):
         raise ConfigError(f"{path}: {msg}")
 
 
-def _check_keys(obj: dict, allowed: set, path: str):
-    _require(isinstance(obj, dict), path, "expected an object")
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key")
-
-
 def _get(spec: dict, key: str, default, cast, path: str):
     """``cast(spec[key])``, or ``cast(default)`` when the key is absent.
 
     A value the cast rejects, or a float it returns (alone or in a list) that
     is not finite, is a ConfigError naming ``path.key``; a default of None
-    makes a numeric or list key required.
+    makes a key required.
     """
     try:
         value = cast(spec.get(key, default))
@@ -87,11 +81,35 @@ def _get(spec: dict, key: str, default, cast, path: str):
     return value
 
 
-def _bool(value) -> bool:
-    """A JSON ``true`` or ``false``; any other value (the string "false" too) is rejected."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
+def _read(spec: dict, path: str, *keys, also=()) -> list:
+    """``_get`` of each ``(key, default, cast)`` of ``keys``, in order; a key of the object ``spec``
+    that is neither among ``keys`` nor in ``also`` (read by the caller) is a ConfigError naming it."""
+    _require(isinstance(spec, dict), path, "expected an object")
+    known = {key for key, _, _ in keys}.union(also)
+    for key in spec:
+        _require(key in known, f"{path}.{key}", "unknown key")
+    return [_get(spec, key, default, cast, path) for key, default, cast in keys]
+
+
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string", dict: "an object"}
+
+
+def _strict(kind: type):
+    """The cast to ``kind`` that takes only a JSON value of that kind: true and false are no numbers,
+    and an integer is also a float, so ``int(2.5)``, ``int(True)`` and ``float("3.0")`` never run."""
+    accepts = (int, float) if kind is float else kind
+
+    def cast(value):
+        if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepts):
+            raise TypeError(f"expected {_KINDS[kind]}, got {value!r}")
+        return kind(value)
+
+    return cast
+
+
+# the cast of each declared type of a config field, by name (the config modules postpone annotations)
+_CASTS = {kind.__name__: _strict(kind) for kind in _KINDS}
+_bool, _int, _float, _str, _object = _CASTS.values()
 
 
 def _list_of(cast):
@@ -103,6 +121,16 @@ def _list_of(cast):
     return convert
 
 
+def _config(cls, spec: dict, path: str, *extra, also=(), **fixed):
+    """A ``cls`` with the ``fixed`` fields, each other field read from ``spec`` by the cast of its
+    declared type (absent: the field's default, or missing when it has none), then the values of
+    the ``extra`` reads of ``spec``."""
+    free = [f for f in fields(cls) if f.name not in fixed]
+    keys = [(f.name, None if f.default is MISSING else f.default, _CASTS[f.type]) for f in free]
+    values = _read(spec, path, *keys, *extra, also=also)
+    return cls(**fixed, **{f.name: v for f, v in zip(free, values)}), *values[len(free):]
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -112,140 +140,106 @@ def build_kernel(spec: dict, path: str = "kernel"):
     _require(isinstance(spec, dict) and "type" in spec, path, "needs a 'type'")
     kind = spec["type"]
     if kind == "erlang":
-        _check_keys(spec, {"type", "n", "alpha"}, path)
-        return model.make_erlang_kernel(_get(spec, "n", 1, int, path), _get(spec, "alpha", 1.0, float, path))
+        return model.make_erlang_kernel(*_read(spec, path, ("n", 1, _int), ("alpha", 1.0, _float), also=("type",)))
     if kind == "exponential":
-        _check_keys(spec, {"type", "c", "alpha"}, path)
-        return model.make_scaled_exponential_kernel(_get(spec, "c", 1.0, float, path), _get(spec, "alpha", 1.0, float, path))
-    if kind == "compact":
-        _check_keys(spec, {"type", "profile", "samples", "support", "mass", "height", "resolution"}, path)
-        support = _get(spec, "support", 1.0, float, path)
-        _require(support > 0, f"{path}.support", "must be > 0")
-        profile = spec.get("profile", "table")
-        if profile == "table":
-            samples = _get(spec, "samples", None, _list_of(float), path)
-            _require(samples and min(samples) >= 0, f"{path}.samples", f"must be a nonempty list of values >= 0, got {samples}")
-            return model.make_compact_kernel(samples, support)
-        res = _get(spec, "resolution", 2001, int, path)
-        _require(res >= 2, f"{path}.resolution", f"must be >= 2, got {res}")
-        xs = np.linspace(0.0, support, res)
-        if profile == "bump":
-            mass = _get(spec, "mass", 0.5, float, path)
-            vals = xs**2 * (support - xs) ** 2
-            vals *= mass / (support**5 / 30.0)
-            return model.make_compact_kernel(vals, support)
-        if profile == "box":
-            return model.make_compact_kernel(np.full(res, _get(spec, "height", 1.0, float, path)), support)
-        if profile == "triangle":
-            return model.make_compact_kernel(_get(spec, "height", 1.0, float, path) * (1.0 - xs / support), support)
-        raise ConfigError(f"{path}.profile: unknown profile {profile!r}")
-    raise ConfigError(f"{path}.type: unknown kernel type {kind!r}")
+        return model.make_scaled_exponential_kernel(*_read(spec, path, ("c", 1.0, _float), ("alpha", 1.0, _float), also=("type",)))
+    if kind != "compact":
+        raise ConfigError(f"{path}.type: unknown kernel type {kind!r}")
+    profile = _get(spec, "profile", "table", _str, path)
+    support = _get(spec, "support", 1.0, _float, path)
+    _require(support > 0, f"{path}.support", "must be > 0")
+    also = ("type", "profile", "support")
+    if profile == "table":
+        samples, = _read(spec, path, ("samples", None, _list_of(_float)), also=also)
+        _require(samples and min(samples) >= 0, f"{path}.samples", f"must be a nonempty list of values >= 0, got {samples}")
+        return model.make_compact_kernel(samples, support)
+    _require(profile in ("bump", "box", "triangle"), f"{path}.profile", f"unknown profile {profile!r}")
+    size = ("mass", 0.5, _float) if profile == "bump" else ("height", 1.0, _float)
+    size, res = _read(spec, path, size, ("resolution", 2001, _int), also=also)
+    _require(res >= 2, f"{path}.resolution", f"must be >= 2, got {res}")
+    xs = np.linspace(0.0, support, res)
+    if profile == "bump":
+        vals = xs**2 * (support - xs) ** 2
+        vals *= size / (support**5 / 30.0)
+    else:
+        vals = np.full(res, size) if profile == "box" else size * (1.0 - xs / support)
+    return model.make_compact_kernel(vals, support)
 
 
 def build_phi(spec: dict, path: str = "phi"):
     _require(isinstance(spec, dict) and "type" in spec, path, "needs a 'type'")
     kind = spec["type"]
     if kind in ("sigmoid", "cubic_sigmoid"):
-        _check_keys(spec, {"type", "base", "gain", "slope", "center"}, path)
         make = model.make_sigmoid_phi if kind == "sigmoid" else model.make_cubic_sigmoid_phi
-        return make(*(_get(spec, k, d, float, path) for k, d in (("base", 0.5), ("gain", 1.0), ("slope", 8.0), ("center", 1.0))))
+        keys = (("base", 0.5), ("gain", 1.0), ("slope", 8.0), ("center", 1.0))
+        return make(*_read(spec, path, *((k, d, _float) for k, d in keys), also=("type",)))
     if kind == "affine":
-        _check_keys(spec, {"type", "mu"}, path)
-        return model.make_affine_phi(_get(spec, "mu", 1.0, float, path))
+        return model.make_affine_phi(*_read(spec, path, ("mu", 1.0, _float), also=("type",)))
     if kind == "constant":
-        _check_keys(spec, {"type", "value"}, path)
-        return model.make_constant_phi(_get(spec, "value", 1.0, float, path))
+        return model.make_constant_phi(*_read(spec, path, ("value", 1.0, _float), also=("type",)))
     if kind == "divergence_example":
-        _check_keys(spec, {"type"}, path)
-        return model.make_divergence_example_phi()
+        return model.make_divergence_example_phi(*_read(spec, path, also=("type",)))
     raise ConfigError(f"{path}.type: unknown firing-function type {kind!r}")
 
 
 def build_source(spec: dict, h, phi, solver_cfg: Optional[SolverConfig] = None, path: str = "source"):
     _require(isinstance(spec, dict) and "type" in spec, path, "needs a 'type'")
     kind = spec["type"]
-    pert = spec.get("perturbation")
-    base_keys = {"type", "perturbation"}
+
+    def read(*keys):
+        return _read(spec, path, *keys, also=("type", "perturbation"))
+
     if kind == "empty":
-        _check_keys(spec, base_keys, path)
-        src = model.make_source_empty()
+        src = model.make_source_empty(*read())
     elif kind == "equilibrium":
-        _check_keys(spec, base_keys | {"ell"}, path)
-        src = model.make_source_equilibrium(h, _get(spec, "ell", None, float, path))
+        src = model.make_source_equilibrium(h, *read(("ell", None, _float)))
     elif kind == "locked_equilibrium":
-        _check_keys(spec, base_keys | {"ell"}, path)
         _require(solver_cfg is not None, path, "locked equilibrium source needs a solver block")
-        ell = _get(spec, "ell", None, float, path)
+        ell, = read(("ell", None, _float))
         try:
             src = equilibrium_locked_source(phi, h, ell, solver_cfg)
         except RuntimeError as exc:
             raise ConfigError(f"{path}.ell: {exc}") from exc
     elif kind == "tail":
-        _check_keys(spec, base_keys | {"ell0"}, path)
-        src = model.make_source_tail(h, _get(spec, "ell0", None, float, path))
+        src = model.make_source_tail(h, *read(("ell0", None, _float)))
     elif kind == "chi_perturbed":
-        _check_keys(spec, base_keys | {"ell0", "chi"}, path)
-        chi_spec = spec.get("chi", {"type": "kernel_tail"})
-        _check_keys(chi_spec, {"type", "a"}, f"{path}.chi")
+        ell0, chi_spec = read(("ell0", None, _float), ("chi", {"type": "kernel_tail"}, _object))
         chi_kind = chi_spec.get("type")
         if chi_kind == "kernel_tail":
+            _read(chi_spec, f"{path}.chi", also=("type",))
             chi = lambda t: h.signed_tail(t)
             chi_p = lambda t: -np.asarray(h.evaluator(t), dtype=float)
             decay = h.decay
         elif chi_kind == "poly":
-            a = _get(chi_spec, "a", 1.0, float, f"{path}.chi")
+            a, = _read(chi_spec, f"{path}.chi", ("a", 1.0, _float), also=("type",))
             norm = h.norm_l1
             chi = lambda t: norm / (1.0 + np.asarray(t, dtype=float)) ** a
             chi_p = lambda t: -a * norm / (1.0 + np.asarray(t, dtype=float)) ** (a + 1.0)
             decay = DecayClass.polynomial(rate=a, constant=norm)
         else:
             raise ConfigError(f"{path}.chi.type: unknown chi type {chi_kind!r}")
-        src = model.make_source_chi_perturbed(h, phi, _get(spec, "ell0", None, float, path), chi, chi_p, decay)
+        src = model.make_source_chi_perturbed(h, phi, ell0, chi, chi_p, decay)
     elif kind == "erlang_poly":
-        _check_keys(spec, base_keys | {"n", "alpha", "c"}, path)
-        src = model.make_source_erlang_polynomial(
-            _get(spec, "n", None, int, path), _get(spec, "alpha", None, float, path), _get(spec, "c", None, _list_of(float), path)
-        )
+        src = model.make_source_erlang_polynomial(*read(("n", None, _int), ("alpha", None, _float), ("c", None, _list_of(_float))))
     elif kind == "divergence_example":
-        _check_keys(spec, base_keys | {"a"}, path)
-        src = model.make_source_divergence_example(_get(spec, "a", 2.0, float, path))
+        src = model.make_source_divergence_example(*read(("a", 2.0, _float)))
     else:
         raise ConfigError(f"{path}.type: unknown source type {kind!r}")
+    pert = spec.get("perturbation")
     if pert is not None:
         ppath = f"{path}.perturbation"
-        _check_keys(pert, {"amplitude", "rate"}, ppath)
-        amplitude, rate = _get(pert, "amplitude", None, float, ppath), _get(pert, "rate", 1.0, float, ppath)
+        amplitude, rate = _read(pert, ppath, ("amplitude", None, _float), ("rate", 1.0, _float))
         _require(rate > 0, f"{ppath}.rate", f"must be > 0, got {rate}")
         src = model.add_exponential_perturbation(src, amplitude, rate)
     return src
 
 
-# solver block key -> cast; absent keys keep the SolverConfig defaults
-_SOLVER_KEYS = {"dt": float, "t_end": float, "quadrature": str, "inner_tol": float, "inner_max_iter": int}
-
-
 def build_solver(spec: dict, path: str = "solver") -> SolverConfig:
-    _check_keys(spec, set(_SOLVER_KEYS), path)
-    _require("t_end" in spec, path, "needs 't_end'")
-    return SolverConfig(**{key: _get(spec, key, None, cast, path) for key, cast in _SOLVER_KEYS.items() if key in spec})
+    return _config(SolverConfig, spec, path)[0]
 
 
-# hawkes block key -> (HawkesConfig field, cast); absent keys keep the HawkesConfig defaults
-_HAWKES_KEYS = {
-    "n_particles": ("n_particles", int), "t_end": ("t_end", float), "replicas": ("replicas", int),
-    "margin": ("thinning_margin", float), "track_coupled": ("track_coupled", _bool),
-    "xi_perturbation": ("xi_perturbation", float), "subcritical_override": ("subcritical_override", _bool),
-}
-
-
-def build_hawkes_config(spec: dict, seed: int, path: str = "hawkes") -> HawkesConfig:
-    _check_keys(spec, set(_HAWKES_KEYS) | {"checkpoints", "coupling_sizes", "ell"}, path)
-    _require("n_particles" in spec and "t_end" in spec, path, "needs 'n_particles' and 't_end'")
-    fields = {name: _get(spec, key, None, cast, path) for key, (name, cast) in _HAWKES_KEYS.items() if key in spec}
-    return HawkesConfig(seed=seed, **fields)
-
-
-_TOP_KEYS = {"scenario", "seed", "kernel", "phi", "source", "solver", "limit_window", "rates", "hawkes"}
+# the top-level keys some command reads; each command accepts only its own
+_TOP_KEYS = ("scenario", "seed", "kernel", "phi", "source", "solver", "limit_window", "rates", "hawkes")
 
 
 def load_config(path) -> dict:
@@ -254,7 +248,7 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})")
-    _check_keys(cfg, _TOP_KEYS, "config")
+    _read(cfg, "config", also=_TOP_KEYS)
     return cfg
 
 
@@ -295,17 +289,27 @@ def _write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 
-def _nre_inputs(cfg: dict):
-    """The solver config, kernel, Phi, source and limit-diagnostic window of solve and envelope."""
-    solver = build_solver(cfg.get("solver", {}))
-    h = build_kernel(cfg.get("kernel"))
-    phi = build_phi(cfg.get("phi"))
-    xi = build_source(cfg.get("source", {"type": "empty"}), h, phi, solver)
-    window = _get(cfg, "limit_window", min(10.0, 0.25 * solver.t_end), float, "config")
-    return solver, h, phi, xi, window
+def _model(cfg: dict, *blocks, also=()) -> list:
+    """The kernel and Phi of ``cfg``, then its ``(name, default)`` blocks as objects; a top-level key
+    that is none of these, ``scenario``, ``seed`` or ``also`` (read by the caller) is a ConfigError."""
+    keys = [(name, default, _object) for name, default in (("kernel", None), ("phi", None), *blocks)]
+    kspec, pspec, *rest = _read(cfg, "config", *keys, also=("scenario", "seed", *also))
+    return [build_kernel(kspec), build_phi(pspec), *rest]
 
 
-def cmd_solve(cfg: dict, out: Path, seed: int) -> int:
+_EMPTY = {"type": "empty"}
+
+
+def _nre_inputs(cfg: dict, *blocks):
+    """The solver config, kernel, Phi, source and limit-diagnostic window of solve and envelope, then ``blocks``."""
+    h, phi, sspec, solver_spec, *rest = _model(cfg, ("source", _EMPTY), ("solver", {}), *blocks, also=("limit_window",))
+    solver = build_solver(solver_spec)
+    xi = build_source(sspec, h, phi, solver)
+    window = _get(cfg, "limit_window", min(10.0, 0.25 * solver.t_end), _float, "config")
+    return solver, h, phi, xi, window, *rest
+
+
+def cmd_solve(cfg: dict, out: Path, seed: int, threads: int) -> int:
     solver, h, phi, xi, window = _nre_inputs(cfg)
     traj = solve_nre(phi, h, xi, solver)
     traj.to_csv(out / "trajectory.csv")
@@ -333,9 +337,8 @@ def cmd_solve(cfg: dict, out: Path, seed: int) -> int:
     return 2 if diag.kind == "divergent" else 0
 
 
-def cmd_equilibria(cfg: dict, out: Path, seed: int) -> int:
-    h = build_kernel(cfg.get("kernel"))
-    phi = build_phi(cfg.get("phi"))
+def cmd_equilibria(cfg: dict, out: Path, seed: int, threads: int) -> int:
+    h, phi = _model(cfg)
     try:
         reports = model.find_fixed_points(phi, h)
         payload = [_report_dict(r) for r in reports]
@@ -349,18 +352,16 @@ def cmd_equilibria(cfg: dict, out: Path, seed: int) -> int:
 _FIT_MODELS = {"log-vs-t": LOG_VS_T, "log-vs-log-t": LOG_VS_LOG_T, "log-vs-sqrt-t": LOG_VS_SQRT_T}
 
 
-def cmd_envelope(cfg: dict, out: Path, seed: int) -> int:
-    solver, h, phi, xi, window = _nre_inputs(cfg)
-    rspec = cfg.get("rates", {})
-    _check_keys(rspec, {"eps0", "window", "fit_model", "slack", "calibrate", "lambda_sup_headroom"}, "rates")
-    eps0 = _get(rspec, "eps0", 0.1, float, "rates")
-    headroom = _get(rspec, "lambda_sup_headroom", 1.05, float, "rates")
-    slack = _get(rspec, "slack", 1.0, float, "rates")
-    fit_model = _FIT_MODELS.get(_get(rspec, "fit_model", "log-vs-t", str, "rates"))
+def cmd_envelope(cfg: dict, out: Path, seed: int, threads: int) -> int:
+    solver, h, phi, xi, window, rspec = _nre_inputs(cfg, ("rates", {}))
+    eps0, headroom, slack, fit_name, calibrate = _read(
+        rspec, "rates", ("eps0", 0.1, _float), ("lambda_sup_headroom", 1.05, _float), ("slack", 1.0, _float),
+        ("fit_model", "log-vs-t", _str), ("calibrate", True, _bool), also=("window",),
+    )
+    fit_model = _FIT_MODELS.get(fit_name)
     _require(fit_model is not None, "rates.fit_model", f"expected one of {', '.join(_FIT_MODELS)}")
-    fit_window = tuple(_get(rspec, "window", None, _list_of(float), "rates")) if "window" in rspec else None
+    fit_window = tuple(_get(rspec, "window", None, _list_of(_float), "rates")) if "window" in rspec else None
     _require(fit_window is None or len(fit_window) == 2, "rates.window", f"expected [t_lo, t_hi], got {fit_window}")
-    calibrate = _get(rspec, "calibrate", True, _bool, "rates")
     traj = solve_nre(phi, h, xi, solver)
     traj.to_csv(out / "trajectory.csv")
     reports = model.find_fixed_points(phi, h)
@@ -406,19 +407,18 @@ def cmd_envelope(cfg: dict, out: Path, seed: int) -> int:
     return 0
 
 
-def _hawkes_inputs(cfg: dict, seed: int):
-    """The kernel, Phi, source, hawkes block and HawkesConfig of hawkes, clt and couple."""
-    h = build_kernel(cfg.get("kernel"))
-    phi = build_phi(cfg.get("phi"))
-    hspec = cfg.get("hawkes", {})
-    hcfg = build_hawkes_config(hspec, seed)
-    xi = build_source(cfg.get("source", {"type": "empty"}), h, phi)
-    return h, phi, xi, hspec, hcfg
+def _hawkes_inputs(cfg: dict, seed: int, *extra, also=(), **fixed):
+    """The kernel, Phi, source, hawkes block and HawkesConfig of hawkes, clt and couple, then the
+    values of the ``extra`` reads of the hawkes block; the command sets the ``fixed`` fields."""
+    h, phi, sspec, hspec = _model(cfg, ("source", _EMPTY), ("hawkes", {}))
+    hcfg, *values = _config(HawkesConfig, hspec, "hawkes", *extra, also=also, seed=seed, **fixed)
+    return h, phi, build_source(sspec, h, phi), hspec, hcfg, *values
 
 
 def cmd_hawkes(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    h, phi, xi, hspec, hcfg = _hawkes_inputs(cfg, seed)
-    checkpoints = _get(hspec, "checkpoints", [0.25 * hcfg.t_end, 0.5 * hcfg.t_end, hcfg.t_end], _list_of(float), "hawkes")
+    # the particle system alone: nothing here reads a coupled limit process
+    h, phi, xi, hspec, hcfg = _hawkes_inputs(cfg, seed, also=("checkpoints",), track_coupled=False)
+    checkpoints = _get(hspec, "checkpoints", [0.25 * hcfg.t_end, 0.5 * hcfg.t_end, hcfg.t_end], _list_of(_float), "hawkes")
     runs = run_replicas(lambda r: simulate_hawkes(phi, h, xi, hcfg, replica=r), hcfg.replicas, threads)
     sizes = np.array([[ev.size for ev in run.events] for run in runs])
     write_csv(
@@ -447,8 +447,8 @@ def cmd_hawkes(cfg: dict, out: Path, seed: int, threads: int) -> int:
 
 
 def cmd_clt(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    h, phi, xi, hspec, hcfg = _hawkes_inputs(cfg, seed)
-    res = clt_experiment(phi, h, xi, hcfg, ell=_get(hspec, "ell", None, float, "hawkes"), threads=threads)
+    h, phi, xi, _, hcfg, ell = _hawkes_inputs(cfg, seed, ("ell", None, _float), track_coupled=False)
+    res = clt_experiment(phi, h, xi, hcfg, ell=ell, threads=threads)
     write_csv(out / "samples.csv", "replica,standardized", np.arange(res.samples.size), res.samples)
     _write_json(
         out / "summary.json",
@@ -471,9 +471,9 @@ def cmd_clt(cfg: dict, out: Path, seed: int, threads: int) -> int:
 
 
 def cmd_couple(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    h, phi, xi, hspec, hcfg = _hawkes_inputs(cfg, seed)
-    sizes = _get(hspec, "coupling_sizes", [100, 400, 1600], _list_of(int), "hawkes")
-    _require(len(set(sizes)) >= 2, "hawkes.coupling_sizes", f"the log-log slope needs at least two distinct sizes, got {sizes}")
+    # n_particles: coupling_experiment sets it to each of the coupling sizes
+    read_sizes = ("coupling_sizes", [100, 400, 1600], _list_of(_int))
+    h, phi, xi, _, hcfg, sizes = _hawkes_inputs(cfg, seed, read_sizes, n_particles=1, track_coupled=True)
     res = coupling_experiment(phi, h, xi, hcfg, n_values=sizes, threads=threads)
     _write_json(
         out / "summary.json",
@@ -674,10 +674,9 @@ def main(argv=None) -> int:
             only = [int(v) for v in args.only.split(",")] if args.only else None
             return cmd_suite(out, only=only, threads=resolve_threads(args.threads))
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else _get(cfg, "seed", 0, int, "config")
-        threads = resolve_threads(args.threads)
-        cmd = globals()[f"cmd_{args.command}"]  # by name at call time, so a wrapper set on the module is called
-        return cmd(cfg, out, seed, threads) if args.command in ("hawkes", "clt", "couple") else cmd(cfg, out, seed)
+        seed = args.seed if args.seed is not None else _get(cfg, "seed", 0, _int, "config")
+        # by name at call time, so a wrapper set on the module is called
+        return globals()[f"cmd_{args.command}"](cfg, out, seed, resolve_threads(args.threads))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

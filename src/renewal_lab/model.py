@@ -720,16 +720,16 @@ def _erlang_tail_scalar(order: int) -> Callable:
     """``bind(c, alpha)``: t -> c e^{-alpha t} sum_{k <= order} (alpha t)^k / k!, written out.
 
     The partial sum runs from k = order down to 0, left to right from 0.0: for
-    order 2 the value is ``c * exp(-at) * (0.0 + at**2 * 0.5 + at**1 * 1.0 +
-    at**0 * 1.0)``.  Written out, a call runs no Python loop; the thinning
-    streams read the source at every candidate, so the order of the operations
-    is part of their bits.  At order 0 the partial sum is exactly 1.0 and the
-    value is ``c * exp(-alpha * t)``.
+    order 2 the value is ``c * exp(-at) * (0.0 + at**2 * 0.5 + at + 1.0)``,
+    the last two terms being ``at**1 * 1.0`` and ``at**0 * 1.0`` to the bit.
+    Written out, a call runs no Python loop; the thinning streams read the
+    source at every candidate, so the order of the operations is part of their
+    bits.  At order 0 the partial sum is exactly 1.0: ``c * exp(-alpha * t)``.
     """
     if order == 0:
         body = "return c * exp(-alpha * t)"
     else:
-        terms = " + ".join(["0.0"] + [f"at**{k} * {1.0 / math.factorial(k)!r}" for k in range(order, -1, -1)])
+        terms = " + ".join(["0.0", *(f"at**{k} * {1.0 / math.factorial(k)!r}" for k in range(order, 1, -1)), "at", "1.0"])
         body = f"at = alpha * t\n        return c * exp(-at) * ({terms})"
     namespace: dict = {"exp": math.exp}
     exec(

@@ -2,30 +2,40 @@ import copy
 import json
 import math
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import renewal_lab.lab as lab
-from renewal_lab.lab import ConfigError, build_kernel, build_phi, build_solver, build_source, load_config, main, render_svg
+from renewal_lab.lab import ConfigError, build_kernel, build_phi, build_source, load_config, main, render_svg
 
 SCENARIOS = Path(lab.__file__).parent / "scenarios"
 
 
-def test_all_bundled_scenarios_validate_and_build():
-    files = sorted(SCENARIOS.glob("*.json"))
-    assert len(files) >= 10
-    for path in files:
-        cfg = load_config(path)
-        h = build_kernel(cfg["kernel"])
-        phi = build_phi(cfg["phi"])
-        solver = build_solver(cfg["solver"]) if "solver" in cfg else None
-        if "source" in cfg:
-            build_source(cfg["source"], h, phi, solver)
-        if "hawkes" in cfg:
-            lab.build_hawkes_config(cfg["hawkes"], seed=int(cfg.get("seed", 0)))
+class _Reached(Exception):
+    """Raised in place of a command's numerical work; its args are the arguments the work was given."""
+
+
+def _stop_at_the_work(monkeypatch):
+    """Make each command stop where its numerical work starts, after it has read and built its config."""
+
+    def reached(*args, **kwargs):
+        raise _Reached(*args)
+
+    for name in ("solve_nre", "simulate_hawkes", "clt_experiment", "coupling_experiment"):
+        monkeypatch.setattr(lab, name, reached)
+    monkeypatch.setattr(lab.model, "find_fixed_points", reached)
+
+
+def test_all_bundled_scenarios_validate_and_build(tmp_path, monkeypatch):
+    """Every block of each bundled scenario is read and built by the command that runs the scenario."""
+    assert sorted(path.stem for path in SCENARIOS.glob("*.json")) == sorted(_SHRUNK)
+    _stop_at_the_work(monkeypatch)
+    for name, (command, _) in _SHRUNK.items():
+        with pytest.raises(_Reached):
+            main([command, "--config", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path / name), "--threads", "1"])
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -141,8 +151,8 @@ def test_clt_and_couple_summaries_carry_thinning_counters(tmp_path):
             "phi": {"type": "affine", "mu": 1.0}, "source": {"type": "equilibrium", "ell": 2.0}}
     specs = {
         "hawkes": {"n_particles": 5, "t_end": 5.0, "replicas": 3, "checkpoints": [5.0]},
-        "clt": {"n_particles": 20, "t_end": 2.0, "replicas": 100, "track_coupled": False, "ell": 2.0},
-        "couple": {"n_particles": 5, "t_end": 5.0, "replicas": 3, "coupling_sizes": [5, 10]},
+        "clt": {"n_particles": 20, "t_end": 2.0, "replicas": 100, "ell": 2.0},
+        "couple": {"t_end": 5.0, "replicas": 3, "coupling_sizes": [5, 10]},
     }
     for name, spec in specs.items():
         path = tmp_path / f"{name}.json"
@@ -151,10 +161,9 @@ def test_clt_and_couple_summaries_carry_thinning_counters(tmp_path):
         h = build_kernel(base["kernel"])
         phi = build_phi(base["phi"])
         xi = build_source(base["source"], h, phi)
-        hcfg = lab.build_hawkes_config(spec, seed=3)
-        sizes = spec.get("coupling_sizes", [spec["n_particles"]])
+        sizes = spec.get("coupling_sizes", [spec.get("n_particles")])
         runs = [
-            lab.simulate_hawkes(phi, h, xi, replace(hcfg, n_particles=n, track_coupled=name != "clt"), replica=r)
+            lab.simulate_hawkes(phi, h, xi, lab.HawkesConfig(n, spec["t_end"], 3, track_coupled=name == "couple"), replica=r)
             for n in sizes
             for r in range(spec["replicas"])
         ]
@@ -172,7 +181,7 @@ def test_couple_without_interaction_writes_strict_json(tmp_path):
     """kernel.c = 0 makes every mean sup difference 0: the slope is null, never NaN."""
     doc = json.loads((SCENARIOS / "coupling_affine.json").read_text())
     doc["kernel"]["c"] = 0.0
-    doc["hawkes"].update(n_particles=5, t_end=2.0, replicas=3, coupling_sizes=[5, 10])
+    doc["hawkes"].update(t_end=2.0, replicas=3, coupling_sizes=[5, 10])
     config = tmp_path / "uncoupled.json"
     config.write_text(json.dumps(doc))
     with warnings.catch_warnings():
@@ -292,7 +301,7 @@ _SHRUNK = {
     "bistable_basin_upper": ("solve", {"solver": {"t_end": 2.0}, "limit_window": 1.0}),
     "bistable_equilibria": ("equilibria", {}),
     "clt_affine": ("clt", {"hawkes": {"n_particles": 20, "t_end": 2.0, "replicas": 100}}),
-    "coupling_affine": ("couple", {"hawkes": {"n_particles": 5, "t_end": 2.0, "replicas": 3, "coupling_sizes": [5, 10]}}),
+    "coupling_affine": ("couple", {"hawkes": {"t_end": 2.0, "replicas": 3, "coupling_sizes": [5, 10]}}),
     "divergence_a2": ("solve", {"solver": {"t_end": 2.0}, "limit_window": 1.0}),
     "empty_source": ("solve", {"solver": {"t_end": 2.0}, "limit_window": 1.0}),
     "envelope_compact": ("envelope", {"solver": {"dt": 0.002, "t_end": 10.0}, "limit_window": 3.0, "rates": {"window": [1.0, 7.0]}}),
@@ -301,25 +310,32 @@ _SHRUNK = {
     "erlang_crossing_lower_order": ("solve", {"solver": {"t_end": 2.0}, "limit_window": 1.0}),
     "hawkes_small": ("hawkes", {"hawkes": {"n_particles": 10, "t_end": 2.0, "checkpoints": [0.5, 1.0, 2.0]}}),
 }
-# further edits, each of which must exit 1 naming its key (range checks in the library name it without the block)
+# further edits, each of which must exit 1 naming its key (range checks in the library name it without the block);
+# a block or key the command does not read, and a number of the wrong JSON type, are such edits too
 _EXTRA_EDITS = {
     "empty_source": [(("solver", "dt"), [1]), (("solver", "t_end"), math.inf), (("solver", "picard_mode"), "false"),
                      (("solver", "inner_tol"), 0), (("solver", "picard_tol"), 0), (("solver", "quadrature"), "x"),
                      (("solver", "inner_max_iter"), 0), (("solver", "picard_mode"), True),
-                     (("solver", "picard_max_iter"), 5)],
+                     (("solver", "picard_max_iter"), 5), (("rates",), {"eps0": 0.1}), (("kernel", "n"), 2.5),
+                     (("kernel", "alpha"), True), (("kernel", "alpha"), "3.0"), (("solver", "inner_max_iter"), 3.9)],
     "bistable_basin_lower": [(("source", "perturbation"), 5), (("source", "perturbation"), {"amplitude": 0.1, "rate": 0})],
+    "bistable_equilibria": [(("source",), {"type": "empty"})],
     "erlang_crossing_lower_order": [(("source", "c"), [1.4, math.nan, 0.0]), (("source", "c"), [math.inf, 1.4, 0.0])],
     "hawkes_small": [(("hawkes", "checkpoints"), 5), (("hawkes", "replicas"), 0), (("phi", "mu"), math.nan),
                      (("hawkes", "track_coupled"), "false"), (("hawkes", "subcritical_override"), "false"),
                      (("hawkes", "checkpoints"), [0.5, math.nan]), (("hawkes", "checkpoints"), [0.5, math.inf]),
-                     (("hawkes", "diag_grid_dt"), 0.5), (("hawkes", "refresh"), 0.5)],
-    "coupling_affine": [(("hawkes", "coupling_sizes"), 5), (("hawkes", "coupling_sizes"), [5]), (("hawkes", "coupling_sizes"), [5, 5])],
-    "clt_affine": [(("hawkes", "ell"), 0)],
+                     (("hawkes", "diag_grid_dt"), 0.5), (("hawkes", "refresh"), 0.5), (("solver",), {"t_end": 1.0}),
+                     (("limit_window",), 1.0), (("hawkes", "coupling_sizes"), [5, 10]), (("hawkes", "margin"), 1.5),
+                     (("hawkes", "track_coupled"), True), (("hawkes", "n_particles"), 50.9),
+                     (("hawkes", "n_particles"), 0), (("hawkes", "thinning_margin"), 1.0)],
+    "coupling_affine": [(("hawkes", "coupling_sizes"), 5), (("hawkes", "coupling_sizes"), [5]), (("hawkes", "coupling_sizes"), [5, 5]),
+                        (("hawkes", "coupling_sizes"), [0, 10]), (("hawkes", "n_particles"), 5), (("hawkes", "ell"), 2.0)],
+    "clt_affine": [(("hawkes", "ell"), 0), (("hawkes", "checkpoints"), [1.0]), (("hawkes", "track_coupled"), False)],
     "envelope_compact": [(("rates", "fit_model"), "x"), (("rates", "window"), 5), (("rates", "calibrate"), "false"),
                          (("rates", "window"), [1.0]), (("rates", "window"), [1.0, 2.0, 3.0]),
                          (("rates", "window"), [1.0, math.nan]), (("kernel", "resolution"), 0),
-                         (("kernel", "resolution"), -1), (("kernel", "resolution"), 1)],
-    "envelope_polyxi": [(("source", "chi"), {})],
+                         (("kernel", "resolution"), -1), (("kernel", "resolution"), 1), (("kernel", "height"), 1.0)],
+    "envelope_polyxi": [(("source", "chi"), {}), (("source", "chi"), {"type": "kernel_tail", "a": 1.0})],
 }
 
 
@@ -383,10 +399,35 @@ def test_solve_inhibitory_sigmoid_does_not_overflow(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
-def test_config_keys_map_onto_config_fields():
-    """Every solver and hawkes key reaches a config field and every field but the seed has a key."""
-    assert set(lab._SOLVER_KEYS) == {f.name for f in fields(lab.SolverConfig)}
-    assert {name for name, _ in lab._HAWKES_KEYS.values()} == {f.name for f in fields(lab.HawkesConfig)} - {"seed"}
+# a value other than the default for every field of SolverConfig and HawkesConfig
+_SETTINGS = {"t_end": 3.0, "dt": 0.002, "quadrature": "left-rectangle", "inner_tol": 1e-10, "inner_max_iter": 7,
+             "n_particles": 7, "seed": 5, "replicas": 3, "thinning_margin": 1.25, "track_coupled": False,
+             "xi_perturbation": 0.5, "subcritical_override": True}
+
+
+# each command with a scenario it runs, the block that sets its config and the fields the command fixes itself
+_FIELD_OWNERS = [
+    ("solve", "empty_source", "solver", lab.SolverConfig, set()),
+    ("envelope", "envelope_compact", "solver", lab.SolverConfig, set()),
+    ("hawkes", "hawkes_small", "hawkes", lab.HawkesConfig, {"seed", "track_coupled"}),
+    ("clt", "clt_affine", "hawkes", lab.HawkesConfig, {"seed", "track_coupled"}),
+    ("couple", "coupling_affine", "hawkes", lab.HawkesConfig, {"seed", "track_coupled", "n_particles"}),
+]
+
+
+def test_cli_sets_every_config_field_the_command_does_not_fix(tmp_path, monkeypatch):
+    """The solver or hawkes block sets each field of the config it builds that the command does not fix itself."""
+    _stop_at_the_work(monkeypatch)
+    for command, scenario, block, cls, fixed in _FIELD_OWNERS:
+        settable = {f.name: _SETTINGS[f.name] for f in fields(cls) if f.name not in fixed}
+        doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+        doc[block] = {**doc[block], **settable}
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps(doc))
+        with pytest.raises(_Reached) as reached:
+            main([command, "--config", str(config), "--out", str(tmp_path / command), "--threads", "1"])
+        got = next(arg for arg in reached.value.args if isinstance(arg, cls))
+        assert {name: getattr(got, name) for name in settable} == settable, command
 
 
 def test_unlockable_equilibrium_exits_one_naming_the_step(tmp_path, capsys):
