@@ -8,7 +8,6 @@ and point-process experiments.
 """
 
 from .model import (
-    BoundednessReport,
     DecayClass,
     ErlangForm,
     FiringFunction,
@@ -18,7 +17,6 @@ from .model import (
     SourceTerm,
     Stability,
     add_exponential_perturbation,
-    check_global_boundedness_conditions,
     classify_critical,
     divergence_a_star,
     divergence_lower_envelope,
@@ -65,12 +63,9 @@ from .rates import (
     calibrate_envelope,
     fit_empirical_rate,
     iteration_bound,
-    jacobian_eigenvalues,
     predict_envelope,
     stable_manifold_ic,
-    stationary_perturbation_constants,
     sup_tail_from_decay,
-    sup_tail_from_grid,
     verify_envelope,
 )
 from .hawkes import (
@@ -81,7 +76,6 @@ from .hawkes import (
     clt_experiment,
     coupling_experiment,
     estimator_path,
-    functional_clt_check,
     intensity_path,
     path_sup_difference,
     simulate_hawkes,

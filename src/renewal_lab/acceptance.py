@@ -28,6 +28,7 @@ from .rates import (
     iteration_bound,
     oscillatory_mode,
     stable_manifold_ic,
+    sup_tail_from_decay,
 )
 from .volterra import (
     NON_DECREASING,
@@ -301,7 +302,7 @@ def criterion_12(threads: int = 1) -> tuple:
         eps0=eps0, t0=t_entry,
         xi_decay=DecayClass.compact(horizon=0.0), h_decay=h.decay,
     )
-    v_xi = lambda t: 0.0
+    v_xi = sup_tail_from_decay(ctx.xi_decay)
     h_tail = lambda m: float(h.tail(m))
     worst_margin = math.inf
     ok = True
@@ -406,4 +407,7 @@ def criterion_15(threads: int = 1) -> tuple:
 
 def run_all(only: Optional[list] = None, threads: int = 1) -> list:
     numbers = sorted(CRITERIA) if only is None else sorted(only)
+    unknown = [n for n in numbers if n not in CRITERIA]
+    if unknown:
+        raise ValueError(f"--only: no criterion {', '.join(map(str, unknown))}; the criteria are {min(CRITERIA)}-{max(CRITERIA)}")
     return [CRITERIA[n](threads=threads) for n in numbers]

@@ -85,7 +85,17 @@ def resolve_threads(threads: Optional[int] = None) -> int:
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get("RENEWAL_LAB_THREADS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(f"RENEWAL_LAB_THREADS must be an integer, got {env!r}") from None
+
+
+def _solve_limit(phi: FiringFunction, h: MemoryKernel, xi: SourceTerm, t_end: float) -> Trajectory:
+    """The limit equation, solved on the one grid the particle experiments use (dt = 1e-3)."""
+    return solve_nre(phi, h, xi, SolverConfig(t_end=t_end, dt=1e-3))
 
 
 @dataclass(frozen=True)
@@ -401,7 +411,7 @@ def simulate_hawkes(
     margin = cfg.thinning_margin
 
     if cfg.track_coupled and limit is None:
-        limit = solve_nre(phi, h, xi, SolverConfig(t_end=t_end, dt=1e-3))
+        limit = _solve_limit(phi, h, xi, t_end)
 
     # deterministic per-replica source term xi_N
     pert_amp = 0.0
@@ -567,6 +577,8 @@ def intensity_path(run: HawkesRun, phi: FiringFunction, h: MemoryKernel, xi: Sou
 
     xi_N is xi with the run's source perturbation.  An event at t itself is
     left out: the value is the left limit, the intensity a candidate at t meets.
+    It is kept as the tests' independent recomputation of the intensity that
+    ``simulate_hawkes`` thins against, until a compensator check replaces it.
     """
     pert = run.metadata["xi_perturbation_applied"]
     xi_s = (add_exponential_perturbation(xi, pert) if pert != 0.0 else xi).scalar
@@ -664,7 +676,7 @@ def coupling_experiment(
         raise ValueError(f"coupling_sizes: the log-log slope needs at least two distinct sizes >= 1, got {list(n_values)}")
     threads = resolve_threads(threads)
     if limit is None:
-        limit = solve_nre(phi, h, xi, SolverConfig(t_end=cfg.t_end, dt=1e-3))
+        limit = _solve_limit(phi, h, xi, cfg.t_end)
     means = []
     metadata = []
     for n in n_values:
@@ -743,7 +755,7 @@ def clt_experiment(
     if t_over_n > 0.1:
         warnings.warn(f"t/N = {t_over_n:.3g} > 0.1: asymptotic regime is doubtful", UserWarning)
     if limit is None:
-        limit = solve_nre(phi, h, xi, SolverConfig(t_end=cfg.t_end, dt=1e-3))
+        limit = _solve_limit(phi, h, xi, cfg.t_end)
     m_t = float(np.trapezoid(limit.lam, limit.ts))
     i2 = (m_t / cfg.t_end - ell) * math.sqrt(cfg.t_end)
 
@@ -769,47 +781,4 @@ def clt_experiment(
         m_t_over_t=m_t / cfg.t_end,
         i2_term=i2,
         counters=_sum_counters(metadata),
-    )
-
-
-@dataclass(frozen=True)
-class FunctionalCLTResult:
-    u_grid: np.ndarray
-    means: np.ndarray
-    variances: np.ndarray
-    covariance: np.ndarray
-    replicas: int
-
-
-def functional_clt_check(
-    runs: Sequence[HawkesRun],
-    limit: Trajectory,
-    u_grid: Sequence[float],
-    particle: int = 0,
-) -> FunctionalCLTResult:
-    """Finite-dimensional check of the Brownian rescaling of Z along u in [0, 1].
-
-    Computes sqrt(m_t) (Z_{ut} - m_{ut}) / m_t per replica at each u; under the
-    limit law the mean vanishes, Var -> u and Cov(u, v) -> min(u, v).
-    """
-    u = np.asarray(u_grid, dtype=float)
-    if np.any(u < 0) or np.any(u > 1):
-        raise ValueError("u grid must lie in [0, 1]")
-    t_end = runs[0].metadata["t_end"]
-    dt = limit.dt
-    m_path = np.concatenate([[0.0], np.cumsum(0.5 * (limit.lam[1:] + limit.lam[:-1]) * dt)])
-    m_t = float(m_path[-1])
-    m_at_u = np.interp(u * t_end, limit.ts, m_path)
-    rows = []
-    for run in runs:
-        counts = np.searchsorted(run.events[particle], u * t_end, side="right")
-        rows.append(math.sqrt(m_t) * (counts - m_at_u) / m_t)
-    mat = np.asarray(rows)
-    cov = np.cov(mat.T) if mat.shape[0] > 1 else np.zeros((u.size, u.size))
-    return FunctionalCLTResult(
-        u_grid=u,
-        means=np.mean(mat, axis=0),
-        variances=np.var(mat, axis=0, ddof=1),
-        covariance=np.atleast_2d(cov),
-        replicas=len(runs),
     )

@@ -671,7 +671,10 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "suite":
-            only = [int(v) for v in args.only.split(",")] if args.only else None
+            try:
+                only = [int(v) for v in args.only.split(",")] if args.only else None
+            except ValueError:
+                raise ValueError(f"--only takes comma-separated criterion numbers, got {args.only!r}") from None
             return cmd_suite(out, only=only, threads=resolve_threads(args.threads))
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else _get(cfg, "seed", 0, _int, "config")

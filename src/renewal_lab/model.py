@@ -1145,54 +1145,3 @@ def find_fixed_points(
             )
         )
     return reports
-
-
-@dataclass(frozen=True)
-class BoundednessReport:
-    strong_subcritical: bool
-    uniform_bound: Optional[float]
-    global_subcritical: bool
-    global_supercritical: bool
-    asymptotic_ratio: float
-    estimated: bool = True
-    sample_cap: float = 1e8
-
-
-def check_global_boundedness_conditions(
-    phi: FiringFunction,
-    h: MemoryKernel,
-    xi: SourceTerm,
-    ratio_margin: float = 0.02,
-    sample_cap: float = 1e8,
-) -> BoundednessReport:
-    """Boundedness diagnostics for a model triple.
-
-    strong_subcritical tests |Phi|_Lip ||h||_1 < 1 and, when it holds, reports
-    the uniform bound (Phi(0) + |Phi|_Lip ||xi||_inf) / (1 - |Phi|_Lip ||h||_1).
-    The asymptotic flags estimate limsup Phi(x)/|x| * ||h||_1 by sampling at
-    geometrically spaced |x| up to a cap; they are estimates, not proofs.
-    """
-    strong = phi.lip * h.norm_l1 < 1.0
-    bound = None
-    if strong:
-        bound = (phi.phi_at_zero + phi.lip * xi.sup_bound) / (1.0 - phi.lip * h.norm_l1)
-
-    xs = np.geomspace(1.0, sample_cap, 200)
-    ratios = []
-    for x in np.concatenate([xs, -xs]):
-        try:
-            val = float(phi(x))
-        except (ValueError, FloatingPointError, OverflowError):
-            continue
-        ratios.append((abs(x), val / abs(x)))
-    tail = sorted(ratios)[-60:]
-    est = max(r for _, r in tail) * h.norm_l1
-    return BoundednessReport(
-        strong_subcritical=strong,
-        uniform_bound=bound,
-        global_subcritical=est < 1.0 - ratio_margin,
-        global_supercritical=est > 1.0 + ratio_margin,
-        asymptotic_ratio=est,
-        estimated=True,
-        sample_cap=sample_cap,
-    )

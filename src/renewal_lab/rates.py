@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import SUBCRITICAL, DecayClass, FiringFunction, FixedPointReport, MemoryKernel, SourceTerm
-from .special import lambert_w, running_sup_from_right
+from .model import SUBCRITICAL, DecayClass, FiringFunction, FixedPointReport, MemoryKernel
+from .special import lambert_w
 from .volterra import Trajectory
 
 _E = math.e
@@ -103,32 +103,6 @@ def build_rate_context(
         xi_decay=xi_decay,
         h_decay=h_decay,
     )
-
-
-def stationary_perturbation_constants(phi: FiringFunction, h: MemoryKernel, report: FixedPointReport, epsilon: float):
-    """Explicit (eps0_max, delta) for stability under perturbed equilibrium sources.
-
-    Any eps0 < eps0_max = 2 rho / (3 ||Phi''|| ||h||_1^2) (rho = 1 - tau0) is
-    admissible, and perturbations with sup |eta| <= delta keep the solution in
-    the epsilon-ball around the fixed point.  The constants are valid bounds
-    but not claimed tight.
-    """
-    if report.stability.kind != SUBCRITICAL:
-        raise ValueError("constants are defined for subcritical fixed points")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    tau0 = report.tau0
-    rho = 1.0 - tau0
-    tau1 = tau0 + rho / 3.0
-    tau2 = tau0 + 2.0 * rho / 3.0
-    if phi.d2_sup > 0:
-        eps0_max = 2.0 * (tau1 - tau0) / (phi.d2_sup * h.norm_l1**2)
-    else:
-        eps0_max = math.inf
-    lip = max(phi.lip, 1e-300)
-    denom = max(tau0 / h.norm_l1 + 1.5 * phi.d2_sup * h.norm_l1 * epsilon, 1e-300)
-    delta = min(epsilon / (2.0 * lip), epsilon * h.norm_l1, epsilon * (tau2 - tau1) / denom)
-    return eps0_max, delta
 
 
 # ---------------------------------------------------------------------------
@@ -347,22 +321,6 @@ def sup_tail_from_decay(decay: DecayClass, sup_bound: Optional[float] = None) ->
     return lambda t: np.minimum(decay.envelope(t), cap)
 
 
-def sup_tail_from_grid(xi: SourceTerm, t_end: float, dt: float = 1e-3) -> Callable:
-    """v_t = sup_{s >= t} |xi_s| estimated by a running maximum on a grid.
-
-    t is looked up at the grid point at or before it, whose running maximum
-    also covers the stretch up to t.
-    """
-    ts = dt * np.arange(int(round(t_end / dt)) + 1)
-    running = running_sup_from_right(np.abs(xi.on_grid(ts)))
-
-    def v(t):
-        idx = np.clip(np.floor(np.asarray(t, dtype=float) / dt).astype(int), 0, running.size - 1)
-        return running[idx]
-
-    return v
-
-
 def iteration_bound(ctx: RateContext, xi_sup_fn: Callable, h_tail_fn: Callable, k: int, M: float) -> float:
     """k-step contraction bound on |lambda_{(k+1)M} - ell|.
 
@@ -439,37 +397,6 @@ def fit_empirical_rate(traj: Trajectory, ell: float, window, model: str, min_poi
 # ---------------------------------------------------------------------------
 # Erlang cascade linearisation
 # ---------------------------------------------------------------------------
-
-
-def cascade_jacobian(n: int, alpha: float, phi_prime_at_ell: float) -> np.ndarray:
-    """Jacobian of the autonomous cascade at the constant equilibrium."""
-    J = -np.eye(n + 1)
-    for i in range(n):
-        J[i, i + 1] = 1.0
-    J[n, 0] += phi_prime_at_ell
-    return alpha * J
-
-
-def jacobian_eigenvalues(n: int, alpha: float, phi_prime_at_ell: float, check_tol: float = 1e-10) -> np.ndarray:
-    """Closed-form eigenvalues alpha (phi'(ell)^{1/(n+1)} e^{2 i k pi/(n+1)} - 1), k = 0..n.
-
-    Cross-checked against a numerical eigensolve of the companion matrix; a
-    disagreement beyond check_tol raises.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    if phi_prime_at_ell <= 0:
-        raise ValueError("phi_prime_at_ell must be > 0")
-    ks = np.arange(n + 1)
-    root = phi_prime_at_ell ** (1.0 / (n + 1))
-    closed = alpha * (root * np.exp(2j * np.pi * ks / (n + 1)) - 1.0)
-    numeric = np.linalg.eigvals(cascade_jacobian(n, alpha, phi_prime_at_ell))
-    order = np.lexsort((closed.imag, closed.real))
-    order_num = np.lexsort((numeric.imag, numeric.real))
-    scale = max(1.0, float(np.max(np.abs(closed))))
-    if np.max(np.abs(closed[order] - numeric[order_num])) > check_tol * scale:
-        raise RuntimeError("closed-form eigenvalues disagree with the numerical eigensolve")
-    return closed
 
 
 def oscillatory_mode(n: int, alpha: float, tau0: float):

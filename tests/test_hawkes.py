@@ -18,7 +18,6 @@ from renewal_lab.hawkes import (
     clt_experiment,
     coupling_experiment,
     estimator_path,
-    functional_clt_check,
     intensity_path,
     path_sup_difference,
     run_replicas,
@@ -260,23 +259,6 @@ def test_clt_bias_term_from_limit_equation(affine_system):
     expected = -2.0 * (1.0 - math.exp(-20.0)) / math.sqrt(40.0)
     assert res.i2_term == pytest.approx(expected, abs=1e-4)
     assert res.t_over_n == pytest.approx(0.1)
-
-
-def test_functional_clt_finite_dimensional():
-    phi = model.make_affine_phi(1.0)
-    h = model.make_scaled_exponential_kernel(0.5, 1.0)
-    xi = model.make_source_equilibrium(h, 2.0)
-    limit = solve_nre(phi, h, xi, SolverConfig(t_end=40.0, dt=1e-3))
-    cfg = HawkesConfig(n_particles=200, t_end=40.0, seed=99, track_coupled=False)
-    runs = [simulate_hawkes(phi, h, xi, cfg, replica=r) for r in range(100)]
-    res = functional_clt_check(runs, limit, u_grid=[0.0, 0.5, 1.0])
-    assert np.all(res.means[0] == 0.0)  # u = 0 is identically zero
-    assert abs(res.means[2]) < 0.3
-    assert res.variances[2] == pytest.approx(1.0, abs=0.5)  # Var at u = 1
-    assert res.variances[1] == pytest.approx(0.5, abs=0.35)  # Var at u = 1/2
-    assert res.covariance[1, 2] == pytest.approx(0.5, abs=0.35)  # Cov(u, v) = min(u, v)
-    with pytest.raises(ValueError):
-        functional_clt_check(runs, limit, u_grid=[0.0, 1.5])
 
 
 def test_perturbed_source_mode(affine_system):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import renewal_lab.lab as lab
+from renewal_lab import acceptance
 from renewal_lab.lab import ConfigError, build_kernel, build_phi, build_source, load_config, main, render_svg
 
 SCENARIOS = Path(lab.__file__).parent / "scenarios"
@@ -18,15 +19,15 @@ class _Reached(Exception):
     """Raised in place of a command's numerical work; its args are the arguments the work was given."""
 
 
+def _reached(*args, **kwargs):
+    raise _Reached(*args)
+
+
 def _stop_at_the_work(monkeypatch):
     """Make each command stop where its numerical work starts, after it has read and built its config."""
-
-    def reached(*args, **kwargs):
-        raise _Reached(*args)
-
     for name in ("solve_nre", "simulate_hawkes", "clt_experiment", "coupling_experiment"):
-        monkeypatch.setattr(lab, name, reached)
-    monkeypatch.setattr(lab.model, "find_fixed_points", reached)
+        monkeypatch.setattr(lab, name, _reached)
+    monkeypatch.setattr(lab.model, "find_fixed_points", _reached)
 
 
 def test_all_bundled_scenarios_validate_and_build(tmp_path, monkeypatch):
@@ -254,6 +255,28 @@ def test_bad_config_returns_one(tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{")
     assert main(["solve", "--config", str(notjson), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,threads_env,names",
+    [
+        (["suite", "--only", "99"], None, ("--only", "99", "1-15")),
+        (["suite", "--only", "x"], None, ("--only", "'x'")),
+        (["hawkes", "--config", str(SCENARIOS / "hawkes_small.json")], "abc", ("RENEWAL_LAB_THREADS", "'abc'")),
+    ],
+    ids=["unknown-criterion", "not-a-number", "threads-env"],
+)
+def test_bad_cli_values_exit_one_naming_them(tmp_path, capsys, monkeypatch, argv, threads_env, names):
+    """A bad flag or environment value exits 1 naming it, before any criterion or simulation runs."""
+    _stop_at_the_work(monkeypatch)
+    monkeypatch.setattr(acceptance, "CRITERIA", dict.fromkeys(acceptance.CRITERIA, _reached))
+    if threads_env is None:
+        monkeypatch.delenv("RENEWAL_LAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("RENEWAL_LAB_THREADS", threads_env)
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert all(name in err for name in names) and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("key", ["inner_max_iter"])

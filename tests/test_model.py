@@ -549,32 +549,3 @@ def test_signed_kernel_classification_caveat():
     for rep in reps:
         if rep.stability.kind != "subcritical":
             assert "signed" in rep.stability.note
-
-
-# ---------------------------------------------------------------------------
-# boundedness report
-# ---------------------------------------------------------------------------
-
-
-def test_boundedness_affine_bound(affine):
-    phi, h, _ = affine
-    rep = model.check_global_boundedness_conditions(phi, h, model.make_source_empty())
-    assert rep.strong_subcritical
-    assert rep.uniform_bound == pytest.approx(2.0)
-    assert rep.global_subcritical and not rep.global_supercritical
-
-
-def test_boundedness_divergence_example():
-    phi = model.make_divergence_example_phi()
-    h = model.make_scaled_exponential_kernel(1.0, 1.0)
-    rep = model.check_global_boundedness_conditions(phi, h, model.make_source_empty())
-    assert not rep.strong_subcritical
-    assert rep.asymptotic_ratio == pytest.approx(1.0, abs=1e-3)
-    assert not rep.global_subcritical and not rep.global_supercritical
-    assert rep.estimated
-
-
-def test_boundedness_bounded_phi(bistable):
-    phi, h, _ = bistable
-    rep = model.check_global_boundedness_conditions(phi, h, model.make_source_empty())
-    assert rep.global_subcritical  # bounded Phi: ratio -> 0

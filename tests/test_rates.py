@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from renewal_lab import model
 from renewal_lab.model import DecayClass
 from renewal_lab.rates import (
     LOG_VS_SQRT_T,
@@ -13,15 +12,12 @@ from renewal_lab.rates import (
     WindowTooNoisyError,
     build_rate_context,
     calibrate_envelope,
-    cascade_jacobian,
     fit_empirical_rate,
     iteration_bound,
-    jacobian_eigenvalues,
     oscillatory_mode,
     predict_envelope,
     stable_manifold_ic,
     sup_tail_from_decay,
-    sup_tail_from_grid,
     tau_of_eps0,
     verify_envelope,
 )
@@ -68,24 +64,6 @@ def test_rate_context_rejects_large_eps0(bistable):
     ctx = build_rate_context(rep, phi, h, lambda_sup=1.5, eps0=0.9 * exc.value.eps0_star, t0=0.0,
                              xi_decay=DecayClass.exponential(1.0, 1.0))
     assert ctx.tau < 1.0
-
-
-def test_stationary_perturbation_constants(bistable, affine):
-    from renewal_lab.rates import stationary_perturbation_constants
-
-    phi, h, reports = bistable
-    eps0_max, delta = stationary_perturbation_constants(phi, h, reports[2], epsilon=0.01)
-    # eps0_max = 2 rho / (3 ||Phi''|| ||h||_1^2)
-    rho = 1.0 - reports[2].tau0
-    assert eps0_max == pytest.approx(2.0 * rho / (3.0 * phi.d2_sup))
-    assert 0.0 < delta <= 0.01 * h.norm_l1
-    # affine firing: no curvature constraint on eps0
-    phi_a, h_a, rep_a = affine
-    eps0_max_a, delta_a = stationary_perturbation_constants(phi_a, h_a, rep_a, epsilon=0.1)
-    assert math.isinf(eps0_max_a)
-    assert delta_a > 0.0
-    with pytest.raises(ValueError):
-        stationary_perturbation_constants(phi, h, reports[1], epsilon=0.01)
 
 
 def test_rate_context_requires_subcritical(bistable):
@@ -267,23 +245,6 @@ def test_sup_tail_from_decay_is_the_capped_envelope():
         sup_tail_from_decay(DecayClass.unclassified())
 
 
-def test_sup_tail_from_grid(affine):
-    phi, h, _ = affine
-    xi = model.make_source_equilibrium(h, 2.0)  # e^{-t}, already nonincreasing
-    v = sup_tail_from_grid(xi, t_end=10.0, dt=1e-3)
-    ts = np.array([0.0, 1.0, 5.0])
-    assert np.allclose(v(ts), np.exp(-ts), atol=2e-3)
-    assert np.all(np.diff(v(np.linspace(0, 9, 400))) <= 1e-15)
-
-
-def test_sup_tail_from_grid_bounds_the_source_between_grid_points(affine):
-    phi, h, _ = affine
-    xi = model.make_source_equilibrium(h, 2.0)  # e^{-t}
-    v = sup_tail_from_grid(xi, t_end=10.0, dt=1e-3)
-    ts = np.concatenate([[0.0005, 1.0004], np.random.default_rng(5).uniform(0.0, 10.0, 1000)])
-    assert np.all(v(ts) >= np.abs(xi.on_grid(ts)))
-
-
 # ---------------------------------------------------------------------------
 # empirical fits
 # ---------------------------------------------------------------------------
@@ -317,33 +278,46 @@ def test_fit_model_selection(affine, affine_empty_traj):
 # ---------------------------------------------------------------------------
 
 
+def _companion(n, alpha, dphi):
+    """The cascade's Jacobian at a constant equilibrium, for a numerical eigensolve (the oracle)."""
+    J = -np.eye(n + 1)
+    for i in range(n):
+        J[i, i + 1] = 1.0
+    J[n, 0] += dphi
+    return alpha * J
+
+
 def test_jacobian_eigenvalues_reference():
-    eig = np.sort_complex(jacobian_eigenvalues(2, 1.0, 8.0))
+    eig = np.sort_complex(np.linalg.eigvals(_companion(2, 1.0, 8.0)))
     expected = np.sort_complex(np.array([1.0 + 0j, -2.0 + 1j * math.sqrt(3.0), -2.0 - 1j * math.sqrt(3.0)]))
     assert np.allclose(eig, expected, atol=1e-12)
+    assert np.allclose(oscillatory_mode(2, 1.0, 8.0), (-2.0, math.sqrt(3.0)), rtol=0.0, atol=1e-12)
 
 
 def test_jacobian_single_mode():
-    eig = jacobian_eigenvalues(0, 2.0, 0.25)
-    assert eig.shape == (1,)
-    assert eig[0] == pytest.approx(2.0 * (0.25 - 1.0))
+    """Order 0 has one mode, and the k = 1 mode is that mode."""
+    mu, nu = oscillatory_mode(0, 2.0, 0.25)
+    assert mu == pytest.approx(2.0 * (0.25 - 1.0))
+    assert abs(nu) < 1e-15
 
 
 @pytest.mark.parametrize("n", range(7))
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
 @pytest.mark.parametrize("dphi", [0.25, 1.0, 8.0])
 def test_jacobian_closed_form_vs_numeric(n, alpha, dphi):
-    closed = jacobian_eigenvalues(n, alpha, dphi, check_tol=1e-10)  # raises on mismatch
-    numeric = np.linalg.eigvals(cascade_jacobian(n, alpha, dphi))
-    order_c = np.lexsort((closed.imag, closed.real))
-    order_n = np.lexsort((numeric.imag, numeric.real))
-    assert np.allclose(closed[order_c], numeric[order_n], atol=1e-10 * max(1.0, alpha * dphi))
+    """oscillatory_mode's closed form is an eigenvalue of the numerically solved Jacobian."""
+    mode = complex(*oscillatory_mode(n, alpha, dphi))
+    numeric = np.linalg.eigvals(_companion(n, alpha, dphi))
+    assert np.min(np.abs(numeric - mode)) <= 1e-10 * max(1.0, alpha * dphi)
 
 
-def test_stability_criterion_via_real_parts():
-    for dphi in (0.25, 0.9, 1.1, 8.0):
-        eig = jacobian_eigenvalues(3, 1.5, dphi)
-        assert (np.max(eig.real) < 0) == (dphi < 1.0)
+def test_stability_criterion_via_real_parts(bistable):
+    """A fixed point is classified subcritical exactly when every cascade mode decays."""
+    _, _, reports = bistable  # the order-2 Erlang kernel at rate 3 has mass 1, so Phi'(ell) = tau0
+    assert [rep.stability.kind for rep in reports] == ["subcritical", "supercritical", "subcritical"]
+    for rep in reports:
+        spectrum = np.linalg.eigvals(_companion(2, 3.0, rep.tau0))
+        assert (np.max(spectrum.real) < 0) == (rep.stability.kind == "subcritical")
 
 
 def test_stable_manifold_ic():
@@ -360,7 +334,7 @@ def test_stable_manifold_ic():
 def test_linearised_flow_decays_with_oscillation():
     """Integrate Y' = J Y from eps*w1: damped oscillation (independent oracle)."""
     tau0 = 2.0
-    J = cascade_jacobian(2, 1.0, tau0)
+    J = _companion(2, 1.0, tau0)
     y = stable_manifold_ic(0.0, tau0, epsilon=1.0)  # pure w1
     dt = 1e-3
     mu, nu = oscillatory_mode(2, 1.0, tau0)
