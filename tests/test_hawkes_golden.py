@@ -114,6 +114,15 @@ def _couple_erlang3():
     return phi, h, xi, HawkesConfig(n_particles=50, t_end=10.0, seed=8), limit
 
 
+def _couple_erlang4_margin():
+    # Erlang order 4, coupled, across reschedules
+    h = model.make_erlang_kernel(4, 5.0)
+    phi = model.make_sigmoid_phi(0.5, 1.0, 2.0, 1.0)
+    xi = model.make_source_tail(h, 1.4)
+    limit = solve_nre(phi, h, xi, SolverConfig(t_end=20.0, dt=1e-3))
+    return phi, h, xi, HawkesConfig(n_particles=100, t_end=20.0, seed=11, thinning_margin=1.05), limit
+
+
 def _sigmoid_exp_margin():
     # order 0 with a sigmoid Phi, across reschedules
     h = model.make_scaled_exponential_kernel(0.5, 1.0)
@@ -142,6 +151,7 @@ CASES = {
     "stress_affine_margin": (_stress_affine, 0),
     "erlang1_margin": (_erlang1_margin, 0),
     "couple_erlang3": (_couple_erlang3, 0),
+    "couple_erlang4_margin": (_couple_erlang4_margin, 0),
     "sigmoid_exp_margin": (_sigmoid_exp_margin, 0),
 }
 
@@ -154,6 +164,7 @@ DIGESTS = {
     "couple_affine_margin": "70072795558a941b8e8e1408820f1fc4442bac73b005098549104f8ba8c84059",
     "couple_erlang": "5f898517d2f2de0f88a033f658dc64a923625de80f4c31b093f53f204c3b912f",
     "couple_erlang3": "3d106691b7e1bb6e0bb433f2a222ed588d646ad6f270737f96e76461fb749eeb",
+    "couple_erlang4_margin": "8e8df49957984586f5c439b9e618896b0b4dbf7b891d84d971f105831ab0da27",
     "erlang1_margin": "06a224bb3d85c7614e31bf97a17e8113e1b9365ad4eff6c05d4c23d78bd31d73",
     "erlang_bistable": "968592eabf2a388c442b9c94c37de5940eb940b0f7c117476de7a2056611825f",
     "sigmoid_exp_margin": "31c715bfdea8e3e27a0e98b0eb09122f1afef064a2f5bac2c5cd3aac479fbefe",
@@ -170,6 +181,7 @@ RESCHEDULES = {
     "couple_affine_margin": 5,
     "couple_erlang": 0,
     "couple_erlang3": 0,
+    "couple_erlang4_margin": 4,
     "erlang1_margin": 74,
     "erlang_bistable": 1,
     "sigmoid_exp_margin": 5,
