@@ -45,14 +45,25 @@ every time, and the convolution state's steps between consecutive times (the
 decay e^{-alpha dt}, and for Erlang kernels the terms (alpha dt)^j / j!).
 Each value is made by the same floating-point operations in the same order as
 a step-by-step update: numpy for + - * /, ``math.exp`` for every exponential
-(``np.exp`` may round differently).  Per candidate the loop then only
-advances the state, evaluates Phi, accepts and jumps.  After an acceptance
-the bound is rebuilt only when the source's running sup plus the state's
-upper bound exceeds the cap of ``_bound_cap``, a point where Phi is at most
-lam_bar.  Below the cap the skipped check could not reschedule: Phi is
-nondecreasing, the source's running sup only falls with time, floating-point
-addition is monotone, and the limit intensity's running sup, the other term
-of the bound, never exceeds lam_bar once lam_bar is built from it.
+(``np.exp`` may round differently).
+
+The chunk is then judged by a sweep generated from one template,
+``_SWEEP_TEMPLATE``, into which each kind of convolution state writes its
+snippets: order 0 keeps Y in a local, an Erlang state of order k its
+components s0..sk with the sums written out, and a kernel without structure
+calls its own methods.  The state is loaded into locals once per chunk and
+written back once, so a candidate costs no method call.  The sweep records
+the chunk indices of the accepted candidates; the times and particles are
+gathered from them with numpy and split per particle at the end.  A breach
+(an intensity above the dominator) is tested only on acceptance, because only
+an accepted candidate can breach: u < 1 makes u lam_bar <= lam_bar, which is
+below the breach level lam_bar (1 + 1e-12).  After an acceptance the bound is
+rebuilt only when the source's running sup plus the state's upper bound
+exceeds the cap of ``_bound_cap``, a point where Phi is at most lam_bar.
+Below the cap the skipped check could not reschedule: Phi is nondecreasing,
+the source's running sup only falls with time, floating-point addition is
+monotone, and the limit intensity's running sup, the other term of the
+bound, never exceeds lam_bar once lam_bar is built from it.
 """
 
 from __future__ import annotations
@@ -63,7 +74,6 @@ import functools
 import math
 import multiprocessing
 import os
-import types
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -166,6 +176,101 @@ class _Draws:
 
 
 # ---------------------------------------------------------------------------
+# the thinning sweep, generated per convolution state
+# ---------------------------------------------------------------------------
+
+#: One chunk of candidates judged in order (stream contract, module docstring).
+#: The state's snippets fill the slots: ``load`` copies the state into locals,
+#: ``steps`` names the columns of ``state.steps`` one candidate reads,
+#: ``advance`` moves the locals to the candidate, ``value`` is Y there,
+#: ``jump`` adds an event of the given weight, ``bound`` is the state's upper
+#: bound on Y from now on, and ``store`` writes the locals back.  The sweep
+#: returns the candidates judged, the new dominator (0.0 if none is due),
+#: the breaches, the next refresh time and the chunk indices of the accepted
+#: candidates.
+_SWEEP_TEMPLATE = """\
+def sweep(state, c_list, c_thrs, c_xi, c_steps, weight, phi_s, lam_bar, lam_over, cap, xs_chunk,
+          margin, next_check, raw_bound):
+    {load}
+    accepted = []
+    push = accepted.append
+    breaches = 0
+    new_bar = 0.0
+    for k, s, thr, x, {steps} in zip(range(len(c_list)), c_list, c_thrs, c_xi, *c_steps):
+        {advance}
+        lam_z = phi_s(x + {value})
+        if thr <= lam_z:
+            push(k)
+            {jump}
+            ub = {bound}
+            # a breach is accepted: lam_z > lam_over >= lam_bar >= u lam_bar = thr (u < 1)
+            if lam_z > lam_over:
+                breaches += 1
+                new_bar = margin * max(raw_bound(s, ub), lam_z, 1e-12)
+                break
+            # below the cap the bound cannot pass lam_bar (see _bound_cap)
+            if xs_chunk + ub > cap:
+                rb = raw_bound(s, ub)
+                if rb > lam_bar:
+                    new_bar = margin * max(rb, lam_z, 1e-12)
+                    break
+        if s >= next_check:
+            next_check = s + _REFRESH
+            rb = raw_bound(s, {bound})
+            if margin * rb < 0.5 * lam_bar:
+                new_bar = margin * max(rb, 1e-12)
+                break
+    {store}
+    return k + 1, new_bar, breaches, next_check, accepted
+"""
+
+
+def _compile_sweep(load: Sequence[str], steps: str, advance: str, value: str, jump: str, bound: str,
+                   store: str) -> Callable:
+    """The sweep of ``_SWEEP_TEMPLATE`` with one state's snippets written in."""
+    src = _SWEEP_TEMPLATE.format(load="\n    ".join(load), steps=steps, advance=advance, value=value,
+                                 jump=jump, bound=bound, store=store)
+    namespace: dict = {}
+    exec(src, globals(), namespace)
+    return namespace["sweep"]
+
+
+@functools.lru_cache(maxsize=None)
+def _erlang_sweep(order: int) -> Callable:
+    """The sweep of an Erlang state of one order, its components s0..s{order} in locals.
+
+    A step makes component k e^{-a} (s_k + s_{k-1} p_1 + ... + s_0 p_k), summed
+    left to right: for order 2, ``dec * (s2 + s1 * p1 + s0 * p2)`` on top, and
+    Y = scale * s_order.  An event adds alpha * weight to s0.  The upper bound
+    is scale * sum_i peak_i s_i with peak_i = sup_x x^m e^{-x} / m!
+    (m = order - i), the most component i can still pass to the top, summed
+    left to right from 0.0.  The order of every sum is part of the stream
+    contract: the intensity decides acceptances, and the bound sets lam_bar and
+    with it every candidate time.  Written out, a candidate runs no Python loop;
+    a nested loop and a ``sum(map(operator.mul, ...))`` form cost the coupled
+    thinning runs 17% and 35% of their candidates per second (BENCH_3.json,
+    "erlang_advance_forms"), and ``sum`` of floats is compensated from Python
+    3.12 on, which would change the bits.
+    """
+    comps = ", ".join(f"s{k}" for k in range(order + 1))
+    new = ", ".join(
+        "dec * (" + " + ".join([f"s{k}"] + [f"s{k - m} * p{m}" for m in range(1, k + 1)]) + ")"
+        for k in range(order + 1)
+    )
+    peaks = [m**m * math.exp(-m) / math.factorial(m) if m > 0 else 1.0 for m in range(order, -1, -1)]
+    total = " + ".join(["0.0"] + [f"{peak!r} * s{i}" for i, peak in enumerate(peaks)])
+    return _compile_sweep(
+        load=(f"{comps} = state.s", "scale = state.scale", "jump_by = state.alpha * weight"),
+        steps="dec, " + ", ".join(f"p{m}" for m in range(1, order + 1)),
+        advance=f"{comps} = {new}",
+        value=f"scale * s{order}",
+        jump="s0 += jump_by",
+        bound=f"scale * ({total})",
+        store=f"state.s = [{comps}]",
+    )
+
+
+# ---------------------------------------------------------------------------
 # convolution state of the mean-field interaction
 # ---------------------------------------------------------------------------
 
@@ -174,6 +279,17 @@ class _ExpState:
     """Y_t = (1/N) sum_j int h(t-s) dZ_s for h = scale * alpha e^{-alpha t} (order 0)."""
 
     __slots__ = ("alpha", "h0", "y")
+
+    #: Y itself is the state, and its own upper bound
+    sweep = staticmethod(_compile_sweep(
+        load=("y = state.y", "jump_by = state.h0 * weight"),
+        steps="dec",
+        advance="y *= dec",
+        value="y",
+        jump="y += jump_by",
+        bound="y",
+        store="state.y = y",
+    ))
 
     def __init__(self, alpha: float, scale: float):
         self.alpha = alpha
@@ -184,87 +300,23 @@ class _ExpState:
         """The decay factors e^{-alpha (t_k - t_{k-1})} from t0 through the nondecreasing times."""
         dts = np.diff(times, prepend=t0)
         dts *= -self.alpha
-        return list(map(math.exp, dts.tolist()))
-
-    def advance(self, step: float) -> float:
-        """Advance the state by one of its steps and return Y there."""
-        self.y *= step
-        return self.y
-
-    def jump(self, weight: float) -> float:
-        """Add an event of the given weight now; return the upper bound after it."""
-        self.y += self.h0 * weight
-        return self.y
-
-    def upper_bound(self) -> float:
-        return self.y
-
-
-@functools.lru_cache(maxsize=None)
-def _erlang_advance(order: int) -> Callable:
-    """The ``advance`` of an Erlang state of one order, written out term by term.
-
-    Component k becomes e^{-a} (s_k + s_{k-1} p_1 + ... + s_0 p_k), summed left
-    to right: for order 2, ``dec * (s2 + s1 * p1 + s0 * p2)`` on top.  Written
-    out, a step runs no Python loop; the order of the sums is part of the
-    stream contract, since the intensity decides acceptances.  A nested loop
-    and a ``sum(map(operator.mul, ...))`` form cost the coupled thinning runs
-    17% and 35% of their candidates per second (BENCH_3.json,
-    "erlang_advance_forms"), and ``sum`` of floats is compensated from Python
-    3.12 on, which would change the bits.
-    """
-    comps = "".join(f"s{k}, " for k in range(order + 1))
-    factors = "dec, " + "".join(f"p{m}, " for m in range(1, order + 1))
-    new = ", ".join(
-        "dec * (" + " + ".join([f"s{k}"] + [f"s{k - m} * p{m}" for m in range(1, k + 1)]) + ")"
-        for k in range(order + 1)
-    )
-    namespace: dict = {}
-    exec(
-        f"def advance(self, step):\n"
-        f"    {factors}= step\n"
-        f"    {comps}= self.s\n"
-        f"    self.s = s = [{new}]\n"
-        f"    return self.scale * s[-1]\n",
-        namespace,
-    )
-    return namespace["advance"]
-
-
-@functools.lru_cache(maxsize=None)
-def _erlang_upper_bound(order: int) -> Callable:
-    """The ``upper_bound`` of an Erlang state of one order: scale * sum_i peak_i s_i, written out.
-
-    peak_i = sup_x x^m e^{-x} / m! (m = order - i) bounds the future transfer
-    from component i to the top.  The sum runs left to right from 0.0, the
-    order builtin ``sum`` has up to Python 3.11; from 3.12 on ``sum`` of floats
-    is compensated, and the bound sets lam_bar and with it every candidate time.
-    """
-    comps = "".join(f"s{i}, " for i in range(order + 1))
-    peaks = [m**m * math.exp(-m) / math.factorial(m) if m > 0 else 1.0 for m in range(order, -1, -1)]
-    total = " + ".join(["0.0"] + [f"{peak!r} * s{i}" for i, peak in enumerate(peaks)])
-    namespace: dict = {}
-    exec(f"def upper_bound(self):\n    {comps}= self.s\n    return self.scale * ({total})\n", namespace)
-    return namespace["upper_bound"]
+        return [list(map(math.exp, dts.tolist()))]
 
 
 class _ErlangState:
     """Convolution state for Erlang kernels of order >= 1 (delayed excitation)."""
 
-    __slots__ = ("order", "alpha", "scale", "s", "advance", "upper_bound")
+    __slots__ = ("order", "alpha", "scale", "s", "sweep")
 
     def __init__(self, order: int, alpha: float, scale: float):
         self.order = order
         self.alpha = alpha
         self.scale = scale
         self.s = [0.0] * (order + 1)
-        #: advance(step): advance by one of the steps and return Y there
-        self.advance = types.MethodType(_erlang_advance(order), self)
-        #: upper_bound(): a bound on Y from now on if no event comes
-        self.upper_bound = types.MethodType(_erlang_upper_bound(order), self)
+        self.sweep = _erlang_sweep(order)
 
     def steps(self, t0: float, times: np.ndarray) -> list:
-        """Per step (e^{-a}, p_1, ..., p_order) with a = alpha dt and p_j = p_{j-1} (a / j), p_0 = 1."""
+        """Per step the columns e^{-a}, p_1, ..., p_order with a = alpha dt and p_j = p_{j-1} (a / j), p_0 = 1."""
         ad = np.diff(times, prepend=t0)
         ad *= self.alpha
         cols = [list(map(math.exp, (-ad).tolist())), ad.tolist()]
@@ -272,15 +324,22 @@ class _ErlangState:
         for j in range(2, self.order + 1):
             p = p * (ad / j)
             cols.append(p.tolist())
-        return list(zip(*cols))
-
-    def jump(self, weight: float) -> float:
-        self.s[0] += self.alpha * weight
-        return self.upper_bound()
+        return cols
 
 
 class _GeneralState:
     """O(events) fallback for nonnegative kernels without analytic structure."""
+
+    #: the state's own methods do the work
+    sweep = staticmethod(_compile_sweep(
+        load=("advance, jump, upper_bound = state.advance, state.jump, state.upper_bound",),
+        steps="t",
+        advance="y = advance(t)",
+        value="y",
+        jump="jump(weight)",
+        bound="upper_bound()",
+        store="pass",
+    ))
 
     def __init__(self, h: MemoryKernel):
         if not h.nonneg:
@@ -297,7 +356,7 @@ class _GeneralState:
         self._env = running_sup_from_right(vals)
 
     def steps(self, t0: float, times: np.ndarray) -> list:
-        return times.tolist()
+        return [times.tolist()]
 
     def advance(self, t: float) -> float:
         self.t = max(self.t, t)
@@ -309,10 +368,9 @@ class _GeneralState:
         offs = self.t - np.asarray(self.events)
         return float(np.dot(np.asarray(self.h.evaluator(offs)), np.asarray(self.weights)))
 
-    def jump(self, weight: float) -> float:
+    def jump(self, weight: float) -> None:
         self.events.append(self.t)
         self.weights.append(weight)
-        return self.upper_bound()
 
     def upper_bound(self) -> float:
         if not self.events:
@@ -332,6 +390,18 @@ def _make_state(h: MemoryKernel):
             return _ExpState(s.alpha, s.scale)
         return _ErlangState(s.order, s.alpha, s.scale)
     return _GeneralState(h)
+
+
+def _by_particle(ts: Sequence[np.ndarray], ps: Sequence[np.ndarray], n: int) -> list:
+    """Events gathered chunk by chunk as times ts and particles ps, split per particle in time order.
+
+    The labels are sorted stably in the narrowest unsigned type that holds them:
+    numpy radix-sorts 8- and 16-bit keys, 5x faster than int64 at 400k events.
+    """
+    p = np.concatenate(ps).astype(np.min_scalar_type(n))
+    order = np.argsort(p, kind="stable")
+    cuts = np.cumsum(np.bincount(p, minlength=n))[:-1]
+    return np.split(np.concatenate(ts)[order], cuts)
 
 
 def _doubles(values: np.ndarray) -> array.array:
@@ -355,7 +425,9 @@ def _bound_cap(phi_s: Callable, lam_bar: float, x0: float) -> float:
     Every point the search returns was evaluated, so for a nondecreasing Phi
     every x <= cap has Phi(x) <= lam_bar: the slack 1e-12 covers a computed Phi
     that rounds a few ulp against its monotonicity.  The search stops 2^64
-    above x0 (a bounded Phi may stay below lam_bar).
+    above x0 (a bounded Phi may stay below lam_bar).  The bisection stops once
+    the bracket is within 1e-9 relative, not at float resolution: a cap a
+    little low only costs bound checks that cannot reschedule.
     """
     target = lam_bar * (1.0 - 1e-12)
     if not phi_s(x0) <= target:
@@ -367,10 +439,8 @@ def _bound_cap(phi_s: Callable, lam_bar: float, x0: float) -> float:
             return lo
         step *= 2.0
     hi = x0 + step
-    for _ in range(100):
+    while hi - lo > 1e-9 * max(1.0, abs(lo)):
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
         if phi_s(mid) <= target:
             lo = mid
         else:
@@ -437,11 +507,12 @@ def simulate_hawkes(
     phi_s = phi.scalar
 
     state = _make_state(h)
-    advance, jump = state.advance, state.jump
+    sweep = state.sweep
     draws = _Draws(cfg.seed, replica, n)
-    events = [[] for _ in range(n)]
     track = cfg.track_coupled
-    # the coupled process's accepted times and particles, chunk by chunk
+    # the accepted times and particles of each process, chunk by chunk
+    event_ts: list = [np.zeros(0)]
+    event_ps: list = [np.zeros(0, dtype=np.int64)]
     coupled_ts: list = [np.zeros(0)]
     coupled_ps: list = [np.zeros(0, dtype=np.int64)]
     weight = 1.0 / n
@@ -451,21 +522,19 @@ def simulate_hawkes(
     candidates = 0
     bound_checks = 0
 
-    def raw_bound(t: float, ub: Optional[float] = None) -> float:
-        """The dominator bound at t; ub is the state's upper bound if the caller has it."""
+    def raw_bound(t: float, ub: float) -> float:
+        """The dominator bound at t, given the state's upper bound ub."""
         nonlocal bound_checks
         bound_checks += 1
-        if ub is None:
-            ub = state.upper_bound()
         rb = phi_s(xi_sup[min(int(t / sup_dt), xi_last)] + ub)
         return max(rb, lim_sup[min(int(t / lim_dt), lim_last)] if track else 0.0)
 
-    lam_bar = margin * max(raw_bound(0.0), 1e-12)
+    lam_bar = margin * max(raw_bound(0.0, 0.0), 1e-12)  # the state starts empty
     cap = _bound_cap(phi_s, lam_bar, xi_sup[0])
     lam_over = lam_bar * (1.0 + 1e-12)
     t_cand = 0.0  # the last judged candidate, where the state was last advanced to
     width = _SWEEP_FIRST
-    next_shrink_check = _REFRESH
+    next_check = _REFRESH
     while True:
         e, c_ps, c_thrs = draws.head(width)
         c_ts = np.concatenate(([t_cand], e / (n * lam_bar)))
@@ -477,40 +546,18 @@ def simulate_hawkes(
         c_thrs = c_thrs[:end] * lam_bar  # a candidate is accepted where u lam_bar <= intensity
         # the work that no decision changes, in bulk: the state's steps and the source
         c_list = c_ts.tolist()
-        c_steps = state.steps(t_cand, c_ts)
         c_xi = list(map(xi_scalar, c_list))
         xs_chunk = xi_sup[min(int(c_list[0] / sup_dt), xi_last)]  # bounds xi over the chunk
-        new_bar = 0.0
-        done = 0
-        for s, i, thr, step, x in zip(c_list, c_ps.tolist(), c_thrs.tolist(), c_steps, c_xi):
-            lam_z = phi_s(x + advance(step))
-            done += 1
-            over_dominator = lam_z > lam_over
-            if over_dominator:
-                # defensive: the rigorous bound makes this unreachable for
-                # nondecreasing Phi; if it fires, the candidate is a sure
-                # acceptance and the dominator must be rebuilt
-                breaches += 1
-            if thr <= lam_z:
-                events[i].append(s)
-                ub = jump(weight)
-                # below the cap the bound cannot pass lam_bar (see _bound_cap)
-                if over_dominator or xs_chunk + ub > cap:
-                    rb = raw_bound(s, ub)
-                    if rb > lam_bar or over_dominator:
-                        new_bar = margin * max(rb, lam_z, 1e-12)
-                        break
-            elif over_dominator:
-                new_bar = margin * max(raw_bound(s), lam_z, 1e-12)
-                break
-            if s >= next_shrink_check:
-                next_shrink_check = s + _REFRESH
-                rb = raw_bound(s)
-                if margin * rb < 0.5 * lam_bar:
-                    new_bar = margin * max(rb, 1e-12)
-                    break
+        done, new_bar, chunk_breaches, next_check, accepted = sweep(
+            state, c_list, c_thrs.tolist(), c_xi, state.steps(t_cand, c_ts), weight, phi_s,
+            lam_bar, lam_over, cap, xs_chunk, margin, next_check, raw_bound,
+        )
+        breaches += chunk_breaches
         candidates += done
         draws.drop(done)
+        accepted = np.array(accepted, dtype=np.intp)
+        event_ts.append(c_ts[accepted])
+        event_ps.append(c_ps[accepted])
         if track:
             # the coupled process needs no state: it accepts the judged candidates
             # whose u lam_bar is at most the interpolated limit intensity
@@ -524,24 +571,18 @@ def simulate_hawkes(
             coupled_ps.append(c_ps[hit])
         if not new_bar and end < width:
             break
-        t_cand = s
+        t_cand = c_list[done - 1]
         width = min(2 * width, _SWEEP_CHUNK)
         if new_bar:
             lam_bar = new_bar
-            cap = _bound_cap(phi_s, lam_bar, xi_sup[min(int(s / sup_dt), xi_last)])
+            cap = _bound_cap(phi_s, lam_bar, xi_sup[min(int(t_cand / sup_dt), xi_last)])
             lam_over = lam_bar * (1.0 + 1e-12)
             width = _SWEEP_FIRST
             reschedules += 1
 
-    coupled_events = None
-    if track:
-        cp = np.concatenate(coupled_ps)
-        by_particle = np.argsort(cp, kind="stable")
-        cuts = np.cumsum(np.bincount(cp, minlength=n))[:-1]
-        coupled_events = np.split(np.concatenate(coupled_ts)[by_particle], cuts)
     return HawkesRun(
-        events=[np.asarray(e) for e in events],
-        coupled_events=coupled_events,
+        events=_by_particle(event_ts, event_ps, n),
+        coupled_events=_by_particle(coupled_ts, coupled_ps, n) if track else None,
         metadata={
             "seed": cfg.seed,
             "replica": replica,
@@ -619,14 +660,18 @@ def run_replicas(fn: Callable, replicas: int, threads: int = 1) -> list:
     """Run fn(replica) for replica = 0..R-1, optionally on a fork-based pool.
 
     Results are returned ordered by replica index, so aggregation is
-    schedule-independent.
+    schedule-independent.  The context is cleared when the pool is done, so it
+    keeps no closure (and the limit trajectory the closure holds) alive.
     """
     if threads <= 1 or replicas == 1:
         return [fn(r) for r in range(replicas)]
     _MP_CTX["fn"] = fn
-    ctx = multiprocessing.get_context("fork")
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(threads, replicas), mp_context=ctx) as ex:
-        return list(ex.map(_mp_worker, range(replicas)))
+    try:
+        ctx = multiprocessing.get_context("fork")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(threads, replicas), mp_context=ctx) as ex:
+            return list(ex.map(_mp_worker, range(replicas)))
+    finally:
+        _MP_CTX.clear()
 
 
 #: the thinning counters of ``HawkesRun.metadata`` that the experiments sum over their runs

@@ -1045,6 +1045,17 @@ def _classify(phi: FiringFunction, h: MemoryKernel, ell: float, margin: float) -
     return classify_critical(phi, h, ell)
 
 
+def _g_on_grid(phi: FiringFunction, kappa: float, ells: np.ndarray) -> np.ndarray:
+    """g(ell) = Phi(kappa ell) - ell at every grid point, in one call of the vector evaluator.
+
+    A value may differ in the last bit from the scalar g of ``find_fixed_points``
+    (numpy rounds the cubic sigmoid's u**3 differently on arrays), never in
+    sign on the tests' cases; only the signs choose the brackets, and the
+    bisection and Newton polish use the scalar g.
+    """
+    return np.asarray(phi.evaluator(kappa * ells), dtype=float) - ells
+
+
 def find_fixed_points(
     phi: FiringFunction,
     h: MemoryKernel,
@@ -1073,14 +1084,13 @@ def find_fixed_points(
             phi_sup_est = max(float(phi(0.0)), 1.0)
         l_max = max(4.0 * phi_sup_est, 10.0)
         while l_max < max_bracket:
-            ext = np.linspace(l_max, 2.0 * l_max, 257)
-            gv = np.array([g(v) for v in ext])
+            gv = _g_on_grid(phi, kappa, np.linspace(l_max, 2.0 * l_max, 257))
             if np.all(gv >= 0) or np.all(gv <= 0):
                 break
             l_max *= 2.0
 
     xs = np.linspace(0.0, l_max, grid + 1)
-    gv = np.array([g(v) for v in xs])
+    gv = _g_on_grid(phi, kappa, xs)
 
     roots = []
     # exact zeros count as roots only when isolated: a run of zeros is

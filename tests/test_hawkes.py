@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renewal_lab import model
+from renewal_lab import hawkes, model
 from renewal_lab.hawkes import (
     _bound_cap,
     _ErlangState,
@@ -218,7 +218,47 @@ def test_erlang_upper_bound_sums_left_to_right():
     terms = [p * s for p, s in zip(peaks, state.s)]
     plain = (0.0 + terms[0] + terms[1]) + terms[2]
     assert plain != math.fsum(terms)  # the inputs tell the two sums apart
-    assert state.upper_bound() == 1.5 * plain
+    seen = []
+    # one candidate that leaves the state as it is (e^{-a} = 1, p_1 = p_2 = 0),
+    # is rejected, and is due a refresh check, which reads the bound
+    state.sweep(state, c_list=[1.0], c_thrs=[math.inf], c_xi=[0.0], c_steps=[[1.0], [0.0], [0.0]],
+                weight=0.5, phi_s=lambda x: 0.0, lam_bar=1.0, lam_over=1.0, cap=0.0, xs_chunk=0.0,
+                margin=1.5, next_check=0.0, raw_bound=lambda t, ub: seen.append(ub) or 1.0)
+    assert seen == [1.5 * plain]
+    assert state.s == [1.0, 1e-16, 1e-16]
+
+
+def test_breach_rebuilds_the_dominator_at_an_accepted_candidate(monkeypatch):
+    """A falling Phi declared nondecreasing makes the dominator bound wrong; the sweep catches each
+    breach at an acceptance (u lam_bar <= lam_bar < the breach level) and rebuilds lam_bar there."""
+    phi = model.FiringFunction(
+        evaluator=lambda x: np.maximum(3.0 - np.asarray(x, float), 0.1),
+        d1=lambda x: np.where(np.asarray(x, float) < 2.9, -1.0, 0.0),
+        d2=lambda x: np.zeros_like(np.asarray(x, float)),
+        lip=1.0, d2_sup=0.0, phi_at_zero=3.0, nondecreasing=True, strictly_increasing=False,
+    )
+    h = model.make_scaled_exponential_kernel(0.5, 1.0)
+    chunks = []
+    sweep = hawkes._ExpState.sweep
+
+    def recording(*args, **kw):
+        out = sweep(*args, **kw)
+        chunks.append(out)
+        return out
+
+    monkeypatch.setattr(hawkes._ExpState, "sweep", staticmethod(recording))
+    cfg = HawkesConfig(n_particles=50, t_end=5.0, seed=3, track_coupled=False)
+    run = simulate_hawkes(phi, h, model.make_source_tail(h, 8.0), cfg)
+    assert run.metadata["breaches"] > 0
+    assert run.metadata["reschedules"] >= run.metadata["breaches"]
+    assert sum(c[2] for c in chunks) == run.metadata["breaches"]
+    # a breach ends its chunk: the last judged candidate breached, and it was accepted
+    for done, new_bar, breaches, _, accepted in chunks:
+        if breaches:
+            assert breaches == 1 and new_bar > 0.0 and accepted[-1] == done - 1
+    for ev in run.events:
+        assert np.all(np.diff(ev) >= 0.0)
+        assert ev.size == 0 or (ev[0] >= 0.0 and ev[-1] <= cfg.t_end)
 
 
 def test_clt_requires_enough_replicas(affine_system):
@@ -284,6 +324,19 @@ def test_run_replicas_parallel_matches_serial(affine_system):
     serial = run_replicas(one, 6, threads=1)
     parallel = run_replicas(one, 6, threads=2)
     assert serial == parallel
+
+
+def test_run_replicas_releases_the_worker_context():
+    """A pooled call leaves no closure behind, on success and on failure."""
+
+    def fail(replica):
+        raise RuntimeError(f"replica {replica}")
+
+    assert run_replicas(abs, 3, threads=2) == [0, 1, 2]
+    assert hawkes._MP_CTX == {}
+    with pytest.raises(RuntimeError, match="replica"):
+        run_replicas(fail, 3, threads=2)
+    assert hawkes._MP_CTX == {}
 
 
 _PHI_MAKERS = {

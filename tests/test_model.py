@@ -471,6 +471,44 @@ def test_affine_fixed_point_closed_form(mu, c, alpha):
     assert reports[0].stability.kind == "subcritical"
 
 
+def _scalar_g_on_grid(phi, kappa, ells):
+    """The grid scan one point at a time, as ``find_fixed_points`` first made it."""
+    return np.array([float(phi(kappa * v)) - v for v in ells])
+
+
+def _fixed_points_or_error(phi, h):
+    try:
+        return model.find_fixed_points(phi, h)
+    except NoFixedPointError as err:
+        return str(err)
+
+
+def test_vectorised_grid_scan_matches_the_scalar_scan(monkeypatch):
+    """One vector evaluation per scan gives the scalar scan's signs of g, hence its brackets and roots."""
+    rng = np.random.default_rng(11)
+    cubic = model.make_cubic_sigmoid_phi(1.12302, 4.73156, 0.708527, 1.31399)
+    cases = [
+        (cubic, model.make_erlang_kernel(1, 1.0)),
+        (model.make_divergence_example_phi(), model.make_erlang_kernel(2, 2.0)),
+        (model.make_constant_phi(0.7), model.make_scaled_exponential_kernel(0.5, 1.0)),
+        (model.make_affine_phi(1.0), model.make_scaled_exponential_kernel(1.0, 1.0)),  # no root
+    ]
+    for _ in range(12):
+        phi = model.make_sigmoid_phi(*rng.uniform([0.0, 0.2, 0.5, -1.0], [2.0, 5.0, 10.0, 4.0]))
+        cases.append((phi, model.make_erlang_kernel(int(rng.integers(0, 4)), float(rng.uniform(0.5, 4.0)))))
+    xs = np.linspace(0.0, 50.0, 4097)
+    for phi, h in cases:
+        got = model._g_on_grid(phi, h.kappa, xs)
+        want = _scalar_g_on_grid(phi, h.kappa, xs)
+        assert np.array_equal(np.sign(got), np.sign(want)), phi.label
+    # the values may differ in the last bit: u**3 rounds differently on arrays and on scalars
+    assert not np.array_equal(model._g_on_grid(cubic, 1.0, xs), _scalar_g_on_grid(cubic, 1.0, xs))
+    reports = [_fixed_points_or_error(phi, h) for phi, h in cases]
+    assert isinstance(reports[3], str) and max(len(r) for r in reports if isinstance(r, list)) == 3
+    monkeypatch.setattr(model, "_g_on_grid", _scalar_g_on_grid)
+    assert reports == [_fixed_points_or_error(phi, h) for phi, h in cases]
+
+
 def test_no_fixed_point_regime():
     h = model.make_scaled_exponential_kernel(1.0, 1.0)  # ||h||_1 = 1
     phi = FiringFunction(
