@@ -1049,9 +1049,9 @@ def _g_on_grid(phi: FiringFunction, kappa: float, ells: np.ndarray) -> np.ndarra
     """g(ell) = Phi(kappa ell) - ell at every grid point, in one call of the vector evaluator.
 
     A value may differ in the last bit from the scalar g of ``find_fixed_points``
-    (numpy rounds the cubic sigmoid's u**3 differently on arrays), never in
-    sign on the tests' cases; only the signs choose the brackets, and the
-    bisection and Newton polish use the scalar g.
+    (numpy may round the cubic sigmoid's u**3 differently on arrays than on
+    scalars); only the signs choose the brackets, and the bisection and Newton
+    polish use the scalar g.
     """
     return np.asarray(phi.evaluator(kappa * ells), dtype=float) - ells
 

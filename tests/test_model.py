@@ -484,11 +484,13 @@ def _fixed_points_or_error(phi, h):
 
 
 def test_vectorised_grid_scan_matches_the_scalar_scan(monkeypatch):
-    """One vector evaluation per scan gives the scalar scan's signs of g, hence its brackets and roots."""
+    """One vector evaluation per scan gives the scalar scan's signs of g, hence its brackets and roots.
+
+    Only the signs are compared: numpy may round the cubic sigmoid's u**3 differently on
+    arrays and on scalars (the first case differs in the last bit on AVX-512 numpy 2.4)."""
     rng = np.random.default_rng(11)
-    cubic = model.make_cubic_sigmoid_phi(1.12302, 4.73156, 0.708527, 1.31399)
     cases = [
-        (cubic, model.make_erlang_kernel(1, 1.0)),
+        (model.make_cubic_sigmoid_phi(1.12302, 4.73156, 0.708527, 1.31399), model.make_erlang_kernel(1, 1.0)),
         (model.make_divergence_example_phi(), model.make_erlang_kernel(2, 2.0)),
         (model.make_constant_phi(0.7), model.make_scaled_exponential_kernel(0.5, 1.0)),
         (model.make_affine_phi(1.0), model.make_scaled_exponential_kernel(1.0, 1.0)),  # no root
@@ -501,8 +503,6 @@ def test_vectorised_grid_scan_matches_the_scalar_scan(monkeypatch):
         got = model._g_on_grid(phi, h.kappa, xs)
         want = _scalar_g_on_grid(phi, h.kappa, xs)
         assert np.array_equal(np.sign(got), np.sign(want)), phi.label
-    # the values may differ in the last bit: u**3 rounds differently on arrays and on scalars
-    assert not np.array_equal(model._g_on_grid(cubic, 1.0, xs), _scalar_g_on_grid(cubic, 1.0, xs))
     reports = [_fixed_points_or_error(phi, h) for phi, h in cases]
     assert isinstance(reports[3], str) and max(len(r) for r in reports if isinstance(r, list)) == 3
     monkeypatch.setattr(model, "_g_on_grid", _scalar_g_on_grid)
