@@ -11,6 +11,7 @@ import argparse
 from pathlib import Path
 
 import renewal_lab as rl
+from renewal_lab.acceptance import bistable_fixture
 from renewal_lab.lab import render_svg
 
 
@@ -23,9 +24,7 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    h = rl.make_erlang_kernel(2, 3.0)
-    phi = rl.make_sigmoid_phi(0.5, 1.0, 8.0, 1.0)
-    reports = rl.find_fixed_points(phi, h)
+    phi, h, reports = bistable_fixture()
     print("fixed points:", [f"{r.ell:.6f} ({r.stability.kind}, tau0={r.tau0:.3f})" for r in reports])
 
     cfg = rl.SolverConfig(t_end=args.t_end, dt=args.dt)
@@ -33,7 +32,8 @@ def main():
     for ell0 in (0.2, 0.5, 0.8, 0.95, 1.05, 1.2, 1.5, 2.0):
         traj = rl.solve_nre(phi, h, rl.make_source_tail(h, ell0), cfg)
         diag = rl.limit_diagnostic(traj, reports, window=10.0)
-        print(f"ell0 = {ell0:4}: -> {diag.ell:.6f} (residual {diag.residual:.2e})")
+        limit = diag.kind if diag.ell is None else f"{diag.ell:.6f} (residual {diag.residual:.2e})"
+        print(f"ell0 = {ell0:4}: -> {limit}")
         traj.to_csv(out / f"basin_ell0_{ell0:g}.csv")
         color = "#c0392b" if ell0 < 1.0 else "#2471a3"
         series.append({"xs": traj.ts, "ys": traj.lam, "color": color, "label": f"ell0={ell0:g}"})

@@ -10,6 +10,7 @@ exponent (expected -1/2).
 import argparse
 
 import renewal_lab as rl
+from renewal_lab.acceptance import affine_fixture
 
 
 def main():
@@ -23,8 +24,7 @@ def main():
     if len(set(args.sizes)) < 2 or min(args.sizes) < 1:
         ap.error(f"--sizes: the log-log slope needs at least two distinct sizes >= 1, got {args.sizes}")
 
-    phi = rl.make_affine_phi(1.0)
-    h = rl.make_scaled_exponential_kernel(0.5, 1.0)
+    phi, h, _ = affine_fixture()
     xi = rl.make_source_empty()
     try:
         cfg = rl.HawkesConfig(n_particles=args.sizes[0], t_end=args.t_end, seed=args.seed, replicas=args.replicas)

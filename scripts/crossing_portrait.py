@@ -12,6 +12,7 @@ import argparse
 from pathlib import Path
 
 import renewal_lab as rl
+from renewal_lab.acceptance import bistable_fixture
 from renewal_lab.lab import render_svg
 
 
@@ -23,9 +24,7 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    h = rl.make_erlang_kernel(2, 3.0)
-    phi = rl.make_sigmoid_phi(0.5, 1.0, 8.0, 1.0)
-    reports = rl.find_fixed_points(phi, h)
+    phi, h, reports = bistable_fixture()
     cfg = rl.SolverConfig(t_end=args.t_end, dt=1e-3)
 
     series = []
@@ -36,7 +35,7 @@ def main():
         xi = rl.make_source_erlang_polynomial(2, 3.0, c)
         traj = rl.solve_nre(phi, h, xi, cfg)
         diag = rl.limit_diagnostic(traj, reports, window=10.0)
-        print(f"{name}: -> {diag.ell:.6f}")
+        print(f"{name}: -> {diag.kind if diag.ell is None else f'{diag.ell:.6f}'}")
         traj.to_csv(out / f"crossing_{name.split()[0]}.csv")
         series.append({"xs": traj.ts, "ys": traj.lam, "color": color, "label": name})
     render_svg(series, out / "crossing_portrait.svg", title="crossing the unstable point", ylabel="lambda")

@@ -169,8 +169,8 @@ def criterion_05(threads: int = 1) -> tuple:
     mono = check_monotone(traj, NON_DECREASING, tol=1e-8)
     diag = limit_diagnostic(traj, reports, window=5.0)
     strict = bool(np.all(np.diff(traj.lam[traj.ts <= 10.0]) > 0))
-    ok = mono.ok and strict and diag.kind == "converged" and diag.ell == reports[0].ell
-    return ok, f"nondecreasing={mono.ok} strict(early)={strict} limit={diag.ell}"
+    ok = mono and strict and diag.kind == "converged" and diag.ell == reports[0].ell
+    return ok, f"nondecreasing={mono} strict(early)={strict} limit={diag.ell}"
 
 
 @_criterion(6, "lower-order-source-crossing")
@@ -379,7 +379,7 @@ def criterion_15(threads: int = 1) -> tuple:
         xi = model.make_source_tail(h, float(rng.uniform(0.0, 1.0)))
         tr1 = solve_nre(phi1, h, xi, cfg)
         tr2 = solve_nre(phi2, h, xi, cfg)
-        if not compare_solutions(tr1, tr2, tol=1e-6).dominated:
+        if not compare_solutions(tr1, tr2, tol=1e-6):
             comparison_violations += 1
 
     monotone_violations = 0
@@ -399,7 +399,7 @@ def criterion_15(threads: int = 1) -> tuple:
             continue  # hypothesis of the monotonicity statement not met; redraw
         tested += 1
         traj = solve_nre(phi, h, xi, cfg)
-        if not check_monotone(traj, NON_DECREASING, tol=1e-8 * traj.sup_lambda()).ok:
+        if not check_monotone(traj, NON_DECREASING, tol=1e-8 * traj.sup_lambda()):
             monotone_violations += 1
     ok = comparison_violations == 0 and monotone_violations == 0
     return ok, f"comparison violations {comparison_violations}/20, monotonicity violations {monotone_violations}/20"

@@ -690,7 +690,6 @@ class CouplingResult:
     c_tilde: float
     slope: float
     replicas: int
-    t_end: float
     counters: dict = field(default_factory=dict)  # _THINNING_COUNTERS summed over every run
 
 
@@ -748,7 +747,6 @@ def coupling_experiment(
         c_tilde=c_tilde,
         slope=slope,
         replicas=cfg.replicas,
-        t_end=cfg.t_end,
         counters=_sum_counters(metadata),
     )
 
@@ -761,7 +759,6 @@ class CLTResult:
     ks_distance: float
     ks_critical_1pct: float
     t_over_n: float
-    ell: float
     m_t_over_t: float
     i2_term: float
     counters: dict = field(default_factory=dict)  # _THINNING_COUNTERS summed over the replicas
@@ -822,7 +819,6 @@ def clt_experiment(
         ks_distance=ks_statistic(samples, normal_cdf),
         ks_critical_1pct=kolmogorov_critical(0.01) / math.sqrt(cfg.replicas),
         t_over_n=t_over_n,
-        ell=ell,
         m_t_over_t=m_t / cfg.t_end,
         i2_term=i2,
         counters=_sum_counters(metadata),

@@ -629,8 +629,8 @@ def cmd_suite(out: Path, only=None, threads: int = 1) -> int:
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         all_ok &= res.passed
-        print(f"[{status}] {res.name}  ({res.runtime:.1f}s)  {res.detail}")
-        payload.append({"name": res.name, "passed": res.passed, "detail": res.detail, "runtime": res.runtime})
+        print(f"[{status}] {res.number:2d} {res.name}  ({res.runtime:.1f}s)  {res.detail}")
+        payload.append({"number": res.number, "name": res.name, "passed": res.passed, "detail": res.detail, "runtime": res.runtime})
     _write_json(out / "suite_report.json", payload)
     return 0 if all_ok else 1
 

@@ -19,11 +19,6 @@ import numpy as np
 
 from .special import adaptive_simpson
 
-# strict positivity flags for kernels
-POSITIVE_AT_ZERO = "positive-at-zero"
-POSITIVE_ON_OPEN_HALF_LINE = "positive-on-open-half-line"
-POSITIVE_NEITHER = "neither"
-
 #: classification margin around tau0 = 1 (below solver-discernible effect size)
 CRITICAL_MARGIN = 1e-6
 #: |Phi^(k)| threshold factor for declaring a higher derivative nonzero
@@ -139,10 +134,8 @@ class MemoryKernel:
     norm_l2: float
     tail: Callable
     signed_tail: Callable
-    sup_bound: float
     nonneg: bool
     decay: DecayClass
-    strict_positivity: str
     structure: Optional[ErlangForm] = None
     label: str = ""
 
@@ -183,7 +176,6 @@ def make_erlang_kernel(n: int, alpha: float) -> MemoryKernel:
         return np.where(t < 0, 0.0, coeff * np.exp(-alpha * np.maximum(t, 0.0)) * np.maximum(t, 0.0) ** n)
 
     tail = _erlang_tail_factory(n, alpha)
-    sup_bound = alpha if n == 0 else alpha * n**n * math.exp(-n) / math.factorial(n)
     # H_t <= A exp(-alpha t / 2); A located by scanning the closed form
     ts = np.linspace(0.0, (4.0 * n + 40.0) / alpha, 4001)
     a_const = float(np.max(tail(ts) * np.exp(0.5 * alpha * ts))) * (1.0 + 1e-9)
@@ -195,10 +187,8 @@ def make_erlang_kernel(n: int, alpha: float) -> MemoryKernel:
         norm_l2=norm_l2,
         tail=tail,
         signed_tail=tail,
-        sup_bound=sup_bound,
         nonneg=True,
         decay=DecayClass.exponential(rate=0.5 * alpha, constant=a_const),
-        strict_positivity=POSITIVE_AT_ZERO if n == 0 else POSITIVE_ON_OPEN_HALF_LINE,
         structure=ErlangForm(order=n, alpha=alpha, scale=1.0),
         label=f"erlang(n={n}, alpha={alpha:g})",
     )
@@ -228,10 +218,8 @@ def make_scaled_exponential_kernel(c: float, alpha: float) -> MemoryKernel:
         norm_l2=abs(c) / math.sqrt(2.0 * alpha),
         tail=tail,
         signed_tail=signed_tail,
-        sup_bound=abs(c),
         nonneg=c >= 0,
         decay=DecayClass.exponential(rate=alpha, constant=abs(c) / alpha if c != 0 else 1e-300),
-        strict_positivity=POSITIVE_AT_ZERO if c > 0 else POSITIVE_NEITHER,
         structure=ErlangForm(order=0, alpha=alpha, scale=c / alpha),
         label=f"exponential(c={c:g}, alpha={alpha:g})",
     )
@@ -276,12 +264,8 @@ def make_compact_kernel(table: Sequence[float], support: float) -> MemoryKernel:
         norm_l2=norm_l2,
         tail=tail,
         signed_tail=tail,
-        sup_bound=float(np.max(vals)),
         nonneg=True,
         decay=DecayClass.compact(horizon=support),
-        strict_positivity=POSITIVE_AT_ZERO
-        if vals[0] > 0
-        else (POSITIVE_ON_OPEN_HALF_LINE if np.all(vals[1:-1] > 0) else POSITIVE_NEITHER),
         structure=None,
         label=f"compact(S={support:g})",
     )
@@ -292,21 +276,13 @@ def make_compact_kernel(table: Sequence[float], support: float) -> MemoryKernel:
 # ---------------------------------------------------------------------------
 
 
-def _scalar(self) -> Callable:
-    """The float evaluator hot loops call: ``scalar_fn``, else the vector evaluator on one value."""
-    if self.scalar_fn is not None:
-        return self.scalar_fn
-    ev = self.evaluator
-    return lambda v: float(ev(v))
-
-
 @dataclass(frozen=True)
 class FiringFunction:
     """A firing rate function Phi >= 0 with first and second derivatives.
 
+    ``scalar`` is the Python-float evaluator hot loops call.
     ``derivative_fn(x, k)``, when provided, evaluates Phi^(k) analytically;
     otherwise higher derivatives fall back to central finite differences.
-    ``scalar_fn`` is an optional fast scalar evaluator; hot loops call ``scalar``.
     """
 
     evaluator: Callable
@@ -314,14 +290,10 @@ class FiringFunction:
     d2: Callable
     lip: float
     d2_sup: float
-    phi_at_zero: float
     nondecreasing: bool
-    strictly_increasing: bool
+    scalar: Callable
     derivative_fn: Optional[Callable] = None
-    scalar_fn: Optional[Callable] = None
     label: str = ""
-
-    scalar = property(_scalar)
 
     def __call__(self, x):
         return self.evaluator(x)
@@ -400,7 +372,7 @@ def make_sigmoid_phi(base: float, gain: float, slope: float, center: float) -> F
         s = _logistic(slope * (np.asarray(x, dtype=float) - center))
         return gain * slope**2 * s * (1.0 - s) * (1.0 - 2.0 * s)
 
-    def scalar_fn(x):
+    def scalar(x):
         return _logistic_scalar(base, gain, slope * (x - center))
 
     return FiringFunction(
@@ -409,10 +381,8 @@ def make_sigmoid_phi(base: float, gain: float, slope: float, center: float) -> F
         d2=d2,
         lip=gain * slope / 4.0,
         d2_sup=gain * slope**2 / (6.0 * math.sqrt(3.0)),
-        phi_at_zero=float(evaluator(0.0)),
         nondecreasing=True,
-        strictly_increasing=True,
-        scalar_fn=scalar_fn,
+        scalar=scalar,
         label=f"sigmoid({base:g},{gain:g},{slope:g},{center:g})",
     )
 
@@ -441,11 +411,9 @@ def make_affine_phi(mu: float) -> FiringFunction:
         d2=d2,
         lip=1.0,
         d2_sup=0.0,
-        phi_at_zero=mu,
         nondecreasing=True,
-        strictly_increasing=False,
+        scalar=lambda x: mu + x if x > -mu else 0.0,
         derivative_fn=lambda x, k: 0.0,
-        scalar_fn=lambda x: mu + x if x > -mu else 0.0,
         label=f"affine(mu={mu:g})",
     )
 
@@ -492,7 +460,7 @@ def make_cubic_sigmoid_phi(base: float, gain: float, slope: float, center: float
     lip = float(np.max(np.abs(d1(xs)))) * (1.0 + 1e-9)
     d2_sup = float(np.max(np.abs(d2(xs)))) * (1.0 + 1e-9)
 
-    def scalar_fn(x):
+    def scalar(x):
         u = x - center
         return _logistic_scalar(base, gain, a * u + b * u**3)
 
@@ -502,10 +470,8 @@ def make_cubic_sigmoid_phi(base: float, gain: float, slope: float, center: float
         d2=d2,
         lip=lip,
         d2_sup=d2_sup,
-        phi_at_zero=float(evaluator(0.0)),
         nondecreasing=True,
-        strictly_increasing=True,
-        scalar_fn=scalar_fn,
+        scalar=scalar,
         label=f"cubic-sigmoid({base:g},{gain:g},{slope:g},{center:g})",
     )
 
@@ -525,11 +491,9 @@ def make_constant_phi(value: float) -> FiringFunction:
         d2=zero,
         lip=0.0,
         d2_sup=0.0,
-        phi_at_zero=value,
         nondecreasing=True,
-        strictly_increasing=False,
+        scalar=lambda x: value,
         derivative_fn=lambda x, k: 0.0,
-        scalar_fn=lambda x: value,
         label=f"constant({value:g})",
     )
 
@@ -567,7 +531,7 @@ def make_divergence_example_phi() -> FiringFunction:
     lip = float(np.max(np.abs(d1(xs)))) * (1.0 + 1e-9)
     d2_sup = float(np.max(np.abs(d2(xs)))) * (1.0 + 1e-9)
 
-    def scalar_fn(x):
+    def scalar(x):
         return x - math.exp(-x) + math.exp(-1.5 * x) * math.sqrt(2.0 + x)
 
     return FiringFunction(
@@ -576,10 +540,8 @@ def make_divergence_example_phi() -> FiringFunction:
         d2=d2,
         lip=lip,
         d2_sup=d2_sup,
-        phi_at_zero=math.sqrt(2.0) - 1.0,
         nondecreasing=True,
-        strictly_increasing=True,
-        scalar_fn=scalar_fn,
+        scalar=scalar,
         label="divergence-example",
     )
 
@@ -605,10 +567,16 @@ class SourceTerm:
     grid_evaluator: Optional[Callable] = None
     scalar_fn: Optional[Callable] = None
 
-    scalar = property(_scalar)
-
     def __call__(self, t):
         return self.evaluator(t)
+
+    @property
+    def scalar(self) -> Callable:
+        """The float evaluator hot loops call: ``scalar_fn``, else the vector evaluator on one value."""
+        if self.scalar_fn is not None:
+            return self.scalar_fn
+        ev = self.evaluator
+        return lambda v: float(ev(v))
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
         if self.grid_evaluator is not None:

@@ -41,7 +41,6 @@ class RateContext:
 
     ell: float
     tau0: float
-    eps0: float
     lambda_sup: float
     tau: float
     t0: float
@@ -95,7 +94,6 @@ def build_rate_context(
     return RateContext(
         ell=report.ell,
         tau0=report.tau0,
-        eps0=eps0,
         lambda_sup=lambda_sup,
         tau=tau,
         t0=t0,

@@ -541,7 +541,6 @@ MIXED = "mixed"
 class RhoReport:
     """Sign profile of rho(t) = xi'(t) + h(t) Phi(xi(0)) on a grid."""
 
-    grid: np.ndarray
     values: np.ndarray
     summary: str
     strict_delta: float  # length of the strict-sign window (0, delta); 0 if none
@@ -560,7 +559,7 @@ def compute_rho(h: MemoryKernel, xi: SourceTerm, phi: FiringFunction, grid) -> R
         summary = ALL_NONPOS
         sgn = -1.0
     else:
-        return RhoReport(grid=grid, values=values, summary=MIXED, strict_delta=0.0)
+        return RhoReport(values=values, summary=MIXED, strict_delta=0.0)
     inner = np.where((grid > 0) & (sgn * values > tol))[0]
     delta = 0.0
     if inner.size:
@@ -569,52 +568,28 @@ def compute_rho(h: MemoryKernel, xi: SourceTerm, phi: FiringFunction, grid) -> R
         if inner[0] == first_inner:
             stop = inner[np.concatenate([np.diff(inner) > 1, [True]])][0]
             delta = float(grid[stop])
-    return RhoReport(grid=grid, values=values, summary=summary, strict_delta=delta)
+    return RhoReport(values=values, summary=summary, strict_delta=delta)
 
 
 NON_DECREASING = "nondecreasing"
 NON_INCREASING = "nonincreasing"
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
-    ok: bool
-    first_violation: Optional[int]
-    worst: float
-
-
-def check_monotone(traj: Trajectory, direction: str, tol: float) -> MonotoneReport:
-    """Check monotonicity of lambda along the grid within a -tol slack."""
+def check_monotone(traj: Trajectory, direction: str, tol: float) -> bool:
+    """Whether lambda is monotone along the grid within a -tol slack."""
     diffs = np.diff(traj.lam)
     if direction == NON_DECREASING:
-        bad = diffs < -tol
-        worst = float(-np.min(diffs)) if diffs.size else 0.0
-    elif direction == NON_INCREASING:
-        bad = diffs > tol
-        worst = float(np.max(diffs)) if diffs.size else 0.0
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    if np.any(bad):
-        return MonotoneReport(ok=False, first_violation=int(np.argmax(bad)), worst=worst)
-    return MonotoneReport(ok=True, first_violation=None, worst=worst)
+        return not np.any(diffs < -tol)
+    if direction == NON_INCREASING:
+        return not np.any(diffs > tol)
+    raise ValueError(f"unknown direction {direction!r}")
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    dominated: bool
-    max_violation: float
-    at_index: Optional[int]
-
-
-def compare_solutions(traj1: Trajectory, traj2: Trajectory, tol: float) -> ComparisonReport:
-    """Pointwise dominance lambda_1 <= lambda_2 + tol on a common grid."""
+def compare_solutions(traj1: Trajectory, traj2: Trajectory, tol: float) -> bool:
+    """Whether lambda_1 <= lambda_2 + tol pointwise on a common grid."""
     if traj1.ts.shape != traj2.ts.shape or not np.allclose(traj1.ts, traj2.ts):
         raise ValueError("trajectories must share the same grid")
-    gap = traj1.lam - traj2.lam
-    worst = float(np.max(gap))
-    if worst > tol:
-        return ComparisonReport(dominated=False, max_violation=worst, at_index=int(np.argmax(gap)))
-    return ComparisonReport(dominated=True, max_violation=max(worst, 0.0), at_index=None)
+    return not float(np.max(traj1.lam - traj2.lam)) > tol
 
 
 CONVERGED = "converged"

@@ -43,10 +43,12 @@ def test_particle_criteria_fail_on_a_dominator_breach(monkeypatch, number):
         assert f"dominator breaches {breaches}" in outcome.detail
 
 
-def test_suite_report_takes_a_numpy_verdict(tmp_path, monkeypatch):
-    """A body may compute its verdict with numpy; the result and suite_report.json carry a plain bool."""
+def test_suite_report_takes_a_numpy_verdict(tmp_path, monkeypatch, capsys):
+    """A body may compute its verdict with numpy; the result and suite_report.json carry a plain bool.
+    The printed line and the report carry the criterion's number, the one ``--only`` selects it by."""
     monkeypatch.setattr(acceptance, "CRITERIA", {})
-    acceptance._criterion(1, "numpy-verdict")(lambda threads: (np.float64(1.0) <= 2.0, "1 <= 2"))
-    assert main(["suite", "--out", str(tmp_path)]) == 0
+    acceptance._criterion(7, "numpy-verdict")(lambda threads: (np.float64(1.0) <= 2.0, "1 <= 2"))
+    assert main(["suite", "--out", str(tmp_path), "--only", "7"]) == 0
     (report,) = json.loads((tmp_path / "suite_report.json").read_text())
-    assert (report["name"], report["passed"], report["detail"]) == ("numpy-verdict", True, "1 <= 2")
+    assert (report["number"], report["name"], report["passed"], report["detail"]) == (7, "numpy-verdict", True, "1 <= 2")
+    assert capsys.readouterr().out.startswith("[PASS]  7 numpy-verdict  (")

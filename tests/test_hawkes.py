@@ -235,7 +235,7 @@ def test_breach_rebuilds_the_dominator_at_an_accepted_candidate(monkeypatch):
         evaluator=lambda x: np.maximum(3.0 - np.asarray(x, float), 0.1),
         d1=lambda x: np.where(np.asarray(x, float) < 2.9, -1.0, 0.0),
         d2=lambda x: np.zeros_like(np.asarray(x, float)),
-        lip=1.0, d2_sup=0.0, phi_at_zero=3.0, nondecreasing=True, strictly_increasing=False,
+        lip=1.0, d2_sup=0.0, nondecreasing=True, scalar=lambda x: max(3.0 - x, 0.1),
     )
     h = model.make_scaled_exponential_kernel(0.5, 1.0)
     chunks = []
@@ -356,7 +356,7 @@ _PHI_MAKERS = {
 @settings(max_examples=60, deadline=None)
 def test_bound_cap_bounds_phi_below_it(name, lam_bar, x0, fractions):
     """Every x up to the cap has Phi(x) <= lam_bar: the skipped bound check cannot fire."""
-    phi_s = _PHI_MAKERS[name]().scalar_fn
+    phi_s = _PHI_MAKERS[name]().scalar
     cap = _bound_cap(phi_s, lam_bar, x0)
     if cap == -math.inf:
         assert phi_s(x0) > lam_bar * (1.0 - 1e-12)

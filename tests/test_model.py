@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from conftest import brentq
 from renewal_lab import model
 from renewal_lab.model import (
-    POSITIVE_AT_ZERO,
-    POSITIVE_ON_OPEN_HALF_LINE,
     DecayClass,
     FiringFunction,
     NoFixedPointError,
@@ -46,14 +44,12 @@ def test_erlang_order_zero_is_plain_exponential():
     assert np.allclose(h(ts), np.exp(-ts))
     assert h.norm_l1 == 1.0
     assert np.allclose(h.tail(ts), np.exp(-ts))
-    assert h.strict_positivity == POSITIVE_AT_ZERO
 
 
 def test_erlang_normalisation_and_zero_at_origin():
     h = model.make_erlang_kernel(2, 3.0)
     assert h.norm_l1 == 1.0
     assert h(0.0) == 0.0
-    assert h.strict_positivity == POSITIVE_ON_OPEN_HALF_LINE
     assert h.structure.order == 2 and h.structure.alpha == 3.0
 
 
@@ -134,7 +130,6 @@ def test_sigmoid_reference_values():
     assert float(phi(60.0)) == pytest.approx(1.5)  # base + gain
     assert phi.lip == pytest.approx(2.0)
     assert phi.d2_sup == pytest.approx(64.0 / (6.0 * math.sqrt(3.0)))
-    assert phi.strictly_increasing
 
 
 @pytest.mark.parametrize(
@@ -180,13 +175,11 @@ def test_sigmoid_nonneg_and_lipschitz(base, gain, slope, center):
 def test_logistic_scalar_is_base_far_below_the_center(make):
     phi = make(0.5, 1.0, 8.0, 1.0)
     for x in (-100.0, -1e3, -1e6):
-        assert phi.scalar_fn(x) == float(phi(x)) == 0.5
+        assert phi.scalar(x) == float(phi(x)) == 0.5
 
 
 def test_scalar_falls_back_to_the_vector_evaluator(bistable):
-    phi, h, _ = bistable
-    assert phi.scalar is phi.scalar_fn
-    assert replace(phi, scalar_fn=None).scalar(0.7) == float(phi(0.7))
+    _, h, _ = bistable
     tail = model.make_source_tail(h, 0.4)
     bare = replace(tail, scalar_fn=None)
     assert bare.scalar(0.3) == float(tail(0.3))
@@ -195,7 +188,7 @@ def test_scalar_falls_back_to_the_vector_evaluator(bistable):
 
 def test_affine_phi():
     phi = model.make_affine_phi(1.0)
-    assert phi.phi_at_zero == 1.0
+    assert float(phi(0.0)) == 1.0
     assert float(phi.d1(5.0)) == 1.0
     assert float(phi(-3.0)) == 0.0  # clipped to stay nonnegative
     assert float(phi(2.0)) == 3.0
@@ -206,7 +199,7 @@ def test_affine_phi():
 
 def test_divergence_example_phi():
     phi = model.make_divergence_example_phi()
-    assert phi.phi_at_zero == pytest.approx(math.sqrt(2.0) - 1.0)
+    assert float(phi(0.0)) == pytest.approx(math.sqrt(2.0) - 1.0)
     # Phi(x)/x -> 1
     assert float(phi(5e4)) / 5e4 == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError):
@@ -231,9 +224,8 @@ def test_higher_derivative_fallback():
         d2=lambda x: 6.0 * np.asarray(x, float),
         lip=12.0,
         d2_sup=12.0,
-        phi_at_zero=0.0,
         nondecreasing=True,
-        strictly_increasing=False,
+        scalar=lambda x: x**3,
     )
     assert cubic.derivative(0.5, 3) == pytest.approx(6.0, abs=1e-6)
     assert abs(cubic.derivative(0.5, 4)) < 1e-5
@@ -517,9 +509,8 @@ def test_no_fixed_point_regime():
         d2=lambda x: np.exp(-np.asarray(x, float)) / (1.0 + np.exp(-np.asarray(x, float))) ** 2,
         lip=1.0,
         d2_sup=0.25,
-        phi_at_zero=math.log(2.0),
         nondecreasing=True,
-        strictly_increasing=True,
+        scalar=lambda x: float(np.logaddexp(0.0, x)),
     )
     with pytest.raises(NoFixedPointError):
         model.find_fixed_points(phi, h)
@@ -546,9 +537,8 @@ def _taylor_phi(ell, coeffs):
         d2=lambda x: np.vectorize(lambda v: deriv(v, 2))(x),
         lip=10.0,
         d2_sup=10.0,
-        phi_at_zero=float(evaluator(0.0)),
         nondecreasing=True,
-        strictly_increasing=True,
+        scalar=lambda x: float(evaluator(x)),
         derivative_fn=deriv,
     )
 

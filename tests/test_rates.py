@@ -79,7 +79,7 @@ def test_rate_context_requires_subcritical(bistable):
 
 
 def _ctx(xi_decay, h_decay, tau=0.5, t0=1.0):
-    return RateContext(ell=2.0, tau0=tau, eps0=0.1, lambda_sup=2.0, tau=tau, t0=t0,
+    return RateContext(ell=2.0, tau0=tau, lambda_sup=2.0, tau=tau, t0=t0,
                        norm_l1=0.5, xi_decay=xi_decay, h_decay=h_decay)
 
 
@@ -178,7 +178,7 @@ def test_verify_envelope_cases(affine, affine_empty_traj):
 
 
 def test_iteration_bound_zero_tau():
-    ctx = RateContext(ell=1.0, tau0=0.0, eps0=0.1, lambda_sup=1.0, tau=0.0, t0=0.0,
+    ctx = RateContext(ell=1.0, tau0=0.0, lambda_sup=1.0, tau=0.0, t0=0.0,
                       norm_l1=0.5, xi_decay=B(0.0), h_decay=E(1.0, 0.5))
     assert iteration_bound(ctx, lambda t: 0.0, lambda m: 0.5 * math.exp(-m), k=3, M=1.0) == 0.0
 

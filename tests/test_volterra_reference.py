@@ -362,7 +362,7 @@ def test_cascade_matches_reference(bistable, order):
 def test_divergent_cascade_matches_reference():
     # Phi(x) = 2 + 8x drives the order-1 cascade past the overflow threshold
     phi = model.make_affine_phi(1.0)
-    phi2 = replace(phi, scalar_fn=lambda x: 2.0 + 8.0 * x, lip=8.0)
+    phi2 = replace(phi, scalar=lambda x: 2.0 + 8.0 * x, lip=8.0)
     cfg = SolverConfig(t_end=40.0, dt=1e-2)
     got = solve_erlang_cascade(phi2, 1, 1.0, [0.5, 0.5], cfg)
     _assert_same(got, ref_solve_erlang_cascade(phi2, 1, 1.0, [0.5, 0.5], cfg))
