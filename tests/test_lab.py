@@ -257,6 +257,20 @@ def test_bad_config_returns_one(tmp_path):
     assert main(["solve", "--config", str(notjson), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("command", ["equilibria", "solve"])
+@pytest.mark.parametrize("c", [-1.0, -50.0])
+def test_divergence_phi_below_its_domain_exits_one(tmp_path, capsys, command, c):
+    """An inhibitory kernel drives the divergence example's argument below -2, where Phi is undefined."""
+    doc = {"kernel": {"type": "exponential", "c": c, "alpha": 1.0}, "phi": {"type": "divergence_example"}}
+    if command == "solve":
+        doc["solver"] = {"t_end": 5.0}
+    cfg = tmp_path / "domain.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "defined for x >= -2 only" in err and "Traceback" not in err, err
+
+
 @pytest.mark.parametrize(
     "argv,threads_env,names",
     [
