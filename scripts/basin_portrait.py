@@ -14,6 +14,9 @@ import renewal_lab as rl
 from renewal_lab.acceptance import bistable_fixture
 from renewal_lab.lab import render_svg
 
+#: the tail window the limit diagnostic reads; a run must be longer
+WINDOW = 10.0
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
@@ -21,6 +24,8 @@ def main():
     ap.add_argument("--t-end", type=float, default=80.0)
     ap.add_argument("--dt", type=float, default=1e-3)
     args = ap.parse_args()
+    if args.t_end <= WINDOW:
+        ap.error(f"--t-end must exceed the limit window {WINDOW:g}, got {args.t_end:g}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -31,7 +36,7 @@ def main():
     series = []
     for ell0 in (0.2, 0.5, 0.8, 0.95, 1.05, 1.2, 1.5, 2.0):
         traj = rl.solve_nre(phi, h, rl.make_source_tail(h, ell0), cfg)
-        diag = rl.limit_diagnostic(traj, reports, window=10.0)
+        diag = rl.limit_diagnostic(traj, reports, window=WINDOW)
         limit = diag.kind if diag.ell is None else f"{diag.ell:.6f} (residual {diag.residual:.2e})"
         print(f"ell0 = {ell0:4}: -> {limit}")
         traj.to_csv(out / f"basin_ell0_{ell0:g}.csv")

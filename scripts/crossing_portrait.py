@@ -15,12 +15,17 @@ import renewal_lab as rl
 from renewal_lab.acceptance import bistable_fixture
 from renewal_lab.lab import render_svg
 
+#: the tail window the limit diagnostic reads; a run must be longer
+WINDOW = 10.0
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/crossing")
     ap.add_argument("--t-end", type=float, default=80.0)
     args = ap.parse_args()
+    if args.t_end <= WINDOW:
+        ap.error(f"--t-end must exceed the limit window {WINDOW:g}, got {args.t_end:g}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -34,7 +39,7 @@ def main():
     ):
         xi = rl.make_source_erlang_polynomial(2, 3.0, c)
         traj = rl.solve_nre(phi, h, xi, cfg)
-        diag = rl.limit_diagnostic(traj, reports, window=10.0)
+        diag = rl.limit_diagnostic(traj, reports, window=WINDOW)
         print(f"{name}: -> {diag.kind if diag.ell is None else f'{diag.ell:.6f}'}")
         traj.to_csv(out / f"crossing_{name.split()[0]}.csv")
         series.append({"xs": traj.ts, "ys": traj.lam, "color": color, "label": name})

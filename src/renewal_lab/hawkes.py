@@ -49,8 +49,8 @@ a step-by-step update: numpy for + - * /, ``math.exp`` for every exponential
 
 The chunk is then judged by a sweep generated from one template,
 ``_SWEEP_TEMPLATE``, into which each kind of convolution state writes its
-snippets: order 0 keeps Y in a local, an Erlang state of order k its
-components s0..sk with the sums written out, and a kernel without structure
+snippets: an Erlang state of order k (order 0 included) keeps its components
+s0..sk in locals with the sums written out, and a kernel without structure
 calls its own methods.  The state is loaded into locals once per chunk and
 written back once, so a candidate costs no method call.  The sweep records
 the chunk indices of the accepted candidates; the times and particles are
@@ -241,12 +241,13 @@ def _erlang_sweep(order: int) -> Callable:
 
     A step makes component k e^{-a} (s_k + s_{k-1} p_1 + ... + s_0 p_k), summed
     left to right: for order 2, ``dec * (s2 + s1 * p1 + s0 * p2)`` on top, and
-    Y = scale * s_order.  An event adds alpha * weight to s0.  The upper bound
-    is scale * sum_i peak_i s_i with peak_i = sup_x x^m e^{-x} / m!
-    (m = order - i), the most component i can still pass to the top, summed
-    left to right from 0.0.  The order of every sum is part of the stream
-    contract: the intensity decides acceptances, and the bound sets lam_bar and
-    with it every candidate time.  Written out, a candidate runs no Python loop;
+    Y = s_order.  An event adds h0 * weight to s0, h0 = scale * alpha.  The
+    upper bound is peak_0 s_0 + ... + peak_{order-1} s_{order-1} + s_order with
+    peak_i = sup_x x^m e^{-x} / m! (m = order - i), the most component i can
+    still pass to the top, summed left to right; at order 0 it is Y itself.
+    The order of every sum is part of the stream contract: the intensity
+    decides acceptances, and the bound sets lam_bar and with it every
+    candidate time.  Written out, a candidate runs no Python loop;
     a nested loop and a ``sum(map(operator.mul, ...))`` form cost the coupled
     thinning runs 17% and 35% of their candidates per second (BENCH_3.json,
     "erlang_advance_forms"), and ``sum`` of floats is compensated from Python
@@ -257,15 +258,14 @@ def _erlang_sweep(order: int) -> Callable:
         "dec * (" + " + ".join([f"s{k}"] + [f"s{k - m} * p{m}" for m in range(1, k + 1)]) + ")"
         for k in range(order + 1)
     )
-    peaks = [m**m * math.exp(-m) / math.factorial(m) if m > 0 else 1.0 for m in range(order, -1, -1)]
-    total = " + ".join(["0.0"] + [f"{peak!r} * s{i}" for i, peak in enumerate(peaks)])
+    peaks = [m**m * math.exp(-m) / math.factorial(m) for m in range(order, 0, -1)]
     return _compile_sweep(
-        load=(f"{comps} = state.s", "scale = state.scale", "jump_by = state.alpha * weight"),
-        steps="dec, " + ", ".join(f"p{m}" for m in range(1, order + 1)),
+        load=(f"{comps}, = state.s", "jump_by = state.h0 * weight"),
+        steps=", ".join(["dec"] + [f"p{m}" for m in range(1, order + 1)]),
         advance=f"{comps} = {new}",
-        value=f"scale * s{order}",
+        value=f"s{order}",
         jump="s0 += jump_by",
-        bound=f"scale * ({total})",
+        bound=" + ".join([f"{peak!r} * s{i}" for i, peak in enumerate(peaks)] + [f"s{order}"]),
         store=f"state.s = [{comps}]",
     )
 
@@ -275,43 +275,15 @@ def _erlang_sweep(order: int) -> Callable:
 # ---------------------------------------------------------------------------
 
 
-class _ExpState:
-    """Y_t = (1/N) sum_j int h(t-s) dZ_s for h = scale * alpha e^{-alpha t} (order 0)."""
-
-    __slots__ = ("alpha", "h0", "y")
-
-    #: Y itself is the state, and its own upper bound
-    sweep = staticmethod(_compile_sweep(
-        load=("y = state.y", "jump_by = state.h0 * weight"),
-        steps="dec",
-        advance="y *= dec",
-        value="y",
-        jump="y += jump_by",
-        bound="y",
-        store="state.y = y",
-    ))
-
-    def __init__(self, alpha: float, scale: float):
-        self.alpha = alpha
-        self.h0 = scale * alpha
-        self.y = 0.0
-
-    def steps(self, t0: float, times: np.ndarray) -> list:
-        """The decay factors e^{-alpha (t_k - t_{k-1})} from t0 through the nondecreasing times."""
-        dts = np.diff(times, prepend=t0)
-        dts *= -self.alpha
-        return [list(map(math.exp, dts.tolist()))]
-
-
 class _ErlangState:
-    """Convolution state for Erlang kernels of order >= 1 (delayed excitation)."""
+    """Y_t = (1/N) sum_j int h(t-s) dZ_s for h = scale alpha^(order+1) t^order e^{-alpha t} / order!."""
 
-    __slots__ = ("order", "alpha", "scale", "s", "sweep")
+    __slots__ = ("order", "alpha", "h0", "s", "sweep")
 
     def __init__(self, order: int, alpha: float, scale: float):
         self.order = order
         self.alpha = alpha
-        self.scale = scale
+        self.h0 = scale * alpha
         self.s = [0.0] * (order + 1)
         self.sweep = _erlang_sweep(order)
 
@@ -319,10 +291,11 @@ class _ErlangState:
         """Per step the columns e^{-a}, p_1, ..., p_order with a = alpha dt and p_j = p_{j-1} (a / j), p_0 = 1."""
         ad = np.diff(times, prepend=t0)
         ad *= self.alpha
-        cols = [list(map(math.exp, (-ad).tolist())), ad.tolist()]
+        cols = [list(map(math.exp, (-ad).tolist()))]
         p = ad
-        for j in range(2, self.order + 1):
-            p = p * (ad / j)
+        for j in range(1, self.order + 1):
+            if j > 1:
+                p = p * (ad / j)
             cols.append(p.tolist())
         return cols
 
@@ -342,8 +315,6 @@ class _GeneralState:
     ))
 
     def __init__(self, h: MemoryKernel):
-        if not h.nonneg:
-            raise ValueError("thinning requires a nonnegative kernel (or Erlang structure)")
         self.h = h
         self.events: list = []
         self.weights: list = []
@@ -382,14 +353,12 @@ class _GeneralState:
 
 
 def _make_state(h: MemoryKernel):
-    if h.structure is not None:
-        s = h.structure
-        if s.scale < 0:
-            raise ValueError("thinning requires a nonnegative kernel")
-        if s.order == 0:
-            return _ExpState(s.alpha, s.scale)
-        return _ErlangState(s.order, s.alpha, s.scale)
-    return _GeneralState(h)
+    if not h.nonneg:
+        raise ValueError("thinning requires a nonnegative kernel")
+    s = h.structure
+    if s is None:
+        return _GeneralState(h)
+    return _ErlangState(s.order, s.alpha, s.scale)
 
 
 def _by_particle(ts: Sequence[np.ndarray], ps: Sequence[np.ndarray], n: int) -> list:
@@ -789,8 +758,6 @@ def clt_experiment(
     for name, decay in (("source", xi.decay), ("kernel tail", h.decay)):
         # hypotheses: polynomial decay faster than t^{-1/2} (exponential and
         # compact decay are stronger and qualify for any rate)
-        if decay.kind == "unclassified":
-            raise ValueError(f"{name} decay must be classified for the fluctuation experiment")
         if decay.kind == "polynomial" and decay.rate <= 0.5:
             raise ValueError(f"{name} polynomial decay rate must exceed 1/2, got {decay.rate}")
     t_over_n = cfg.t_end / cfg.n_particles

@@ -51,8 +51,8 @@ class DecayClass:
     """Decay behaviour of a source term xi or a kernel tail H.
 
     kind is one of "exponential" (|z_t| <= constant * exp(-rate t)),
-    "polynomial" (|z_t| <= constant * t^-rate), "compact" (z_t = 0 for
-    t > horizon) or "unclassified".
+    "polynomial" (|z_t| <= constant * t^-rate) or "compact" (z_t = 0 for
+    t > horizon).
     """
 
     kind: str
@@ -61,7 +61,7 @@ class DecayClass:
     horizon: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("exponential", "polynomial", "compact", "unclassified"):
+        if self.kind not in ("exponential", "polynomial", "compact"):
             raise ValueError(f"unknown decay kind {self.kind!r}")
         if self.kind in ("exponential", "polynomial"):
             if self.rate is None or self.rate <= 0:
@@ -84,21 +84,15 @@ class DecayClass:
     def compact(horizon: float) -> "DecayClass":
         return DecayClass("compact", horizon=horizon)
 
-    @staticmethod
-    def unclassified() -> "DecayClass":
-        return DecayClass("unclassified")
-
     def envelope(self, t):
-        """Evaluate the decay envelope itself (inf where unclassified, and at t <= 0 for polynomial decay)."""
+        """Evaluate the decay envelope itself (inf at t <= 0 for polynomial decay)."""
         t = np.asarray(t, dtype=float)
         if self.kind == "exponential":
             return self.constant * np.exp(-self.rate * t)
         if self.kind == "polynomial":
             with np.errstate(divide="ignore", over="ignore"):
                 return self.constant * np.maximum(t, 0.0) ** (-self.rate)
-        if self.kind == "compact":
-            return np.where(t > self.horizon, 0.0, np.inf)
-        return np.full_like(t, np.inf)
+        return np.where(t > self.horizon, 0.0, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +274,12 @@ def make_compact_kernel(table: Sequence[float], support: float) -> MemoryKernel:
 class FiringFunction:
     """A firing rate function Phi >= 0 with first and second derivatives.
 
-    ``scalar`` is the Python-float evaluator hot loops call.
+    ``scalar`` is Phi on one Python float, its one definition: hot loops call
+    it, and ``evaluator`` maps it over arrays, so every path reads the same bits.
     ``derivative_fn(x, k)``, when provided, evaluates Phi^(k) analytically;
     otherwise higher derivatives fall back to central finite differences.
     """
 
-    evaluator: Callable
     d1: Callable
     d2: Callable
     lip: float
@@ -298,24 +292,29 @@ class FiringFunction:
     def __call__(self, x):
         return self.evaluator(x)
 
+    def evaluator(self, x) -> np.ndarray:
+        """Phi at every point of x: ``scalar`` mapped over the array, in its shape."""
+        x = np.asarray(x, dtype=float)
+        return np.fromiter(map(self.scalar, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
     def derivative(self, x: float, k: int) -> float:
         """k-th derivative at x, analytic when available, else finite differences."""
         if k == 0:
-            return float(self.evaluator(x))
+            return float(self.scalar(x))
         if k == 1:
             return float(self.d1(x))
         if k == 2:
             return float(self.d2(x))
         if self.derivative_fn is not None:
             return float(self.derivative_fn(x, k))
-        return _fd_derivative(self.evaluator, x, k)
+        return _fd_derivative(self.scalar, x, k)
 
     def fd_noise_floor(self, x: float, k: int) -> float:
         """Rough magnitude below which a finite-difference k-th derivative is noise."""
         if k <= 2 or self.derivative_fn is not None:
             return 0.0
         h = _FD_STEPS[k]
-        scale = max(1.0, abs(float(self.evaluator(x))))
+        scale = max(1.0, abs(float(self.scalar(x))))
         return 64.0 * np.finfo(float).eps * scale / h**k
 
 
@@ -361,9 +360,6 @@ def make_sigmoid_phi(base: float, gain: float, slope: float, center: float) -> F
     if base < 0:
         raise ValueError("base must be >= 0 to keep Phi nonnegative")
 
-    def evaluator(x):
-        return base + gain * _logistic(slope * (np.asarray(x, dtype=float) - center))
-
     def d1(x):
         s = _logistic(slope * (np.asarray(x, dtype=float) - center))
         return gain * slope * s * (1.0 - s)
@@ -376,7 +372,6 @@ def make_sigmoid_phi(base: float, gain: float, slope: float, center: float) -> F
         return _logistic_scalar(base, gain, slope * (x - center))
 
     return FiringFunction(
-        evaluator=evaluator,
         d1=d1,
         d2=d2,
         lip=gain * slope / 4.0,
@@ -396,9 +391,6 @@ def make_affine_phi(mu: float) -> FiringFunction:
     if mu < 0:
         raise ValueError("mu must be >= 0")
 
-    def evaluator(x):
-        return np.maximum(mu + np.asarray(x, dtype=float), 0.0)
-
     def d1(x):
         return np.where(np.asarray(x, dtype=float) > -mu, 1.0, 0.0)
 
@@ -406,7 +398,6 @@ def make_affine_phi(mu: float) -> FiringFunction:
         return np.zeros_like(np.asarray(x, dtype=float))
 
     return FiringFunction(
-        evaluator=evaluator,
         d1=d1,
         d2=d2,
         lip=1.0,
@@ -445,9 +436,6 @@ def make_cubic_sigmoid_phi(base: float, gain: float, slope: float, center: float
         u = np.asarray(x, dtype=float) - center
         return 6.0 * b * u
 
-    def evaluator(x):
-        return base + gain * _logistic(inner(x))
-
     def d1(x):
         s = _logistic(inner(x))
         return gain * s * (1.0 - s) * inner_d1(x)
@@ -465,7 +453,6 @@ def make_cubic_sigmoid_phi(base: float, gain: float, slope: float, center: float
         return _logistic_scalar(base, gain, a * u + b * u**3)
 
     return FiringFunction(
-        evaluator=evaluator,
         d1=d1,
         d2=d2,
         lip=lip,
@@ -481,12 +468,8 @@ def make_constant_phi(value: float) -> FiringFunction:
     if value < 0:
         raise ValueError("value must be >= 0")
 
-    def evaluator(x):
-        return np.full_like(np.asarray(x, dtype=float), value)
-
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return FiringFunction(
-        evaluator=evaluator,
         d1=zero,
         d2=zero,
         lip=0.0,
@@ -512,10 +495,6 @@ def make_divergence_example_phi() -> FiringFunction:
             raise ValueError("evaluator defined for x >= -2 only")
         return x
 
-    def evaluator(x):
-        x = _check(x)
-        return x - np.exp(-x) + np.exp(-1.5 * x) * np.sqrt(2.0 + x)
-
     def d1(x):
         x = _check(x)
         root = np.sqrt(2.0 + x)
@@ -532,10 +511,11 @@ def make_divergence_example_phi() -> FiringFunction:
     d2_sup = float(np.max(np.abs(d2(xs)))) * (1.0 + 1e-9)
 
     def scalar(x):
+        if x < -2.0:
+            raise ValueError("evaluator defined for x >= -2 only")
         return x - math.exp(-x) + math.exp(-1.5 * x) * math.sqrt(2.0 + x)
 
     return FiringFunction(
-        evaluator=evaluator,
         d1=d1,
         d2=d2,
         lip=lip,
@@ -610,8 +590,6 @@ def _combine_decays(parts) -> DecayClass:
     if not parts:
         return DecayClass.compact(horizon=0.0)
     kinds = {d.kind for d, _ in parts}
-    if "unclassified" in kinds:
-        return DecayClass.unclassified()
     if kinds == {"compact"}:
         return DecayClass.compact(horizon=max(d.horizon for d, _ in parts))
     if "polynomial" in kinds:
@@ -643,9 +621,7 @@ def _tail_decay_of_kernel(h: MemoryKernel, scale: float) -> DecayClass:
         return DecayClass.exponential(rate=d.rate, constant=abs(scale) * d.constant)
     if d.kind == "compact":
         return DecayClass.compact(horizon=d.horizon)
-    if d.kind == "polynomial":
-        return DecayClass.polynomial(rate=d.rate, constant=abs(scale) * d.constant)
-    return DecayClass.unclassified()
+    return DecayClass.polynomial(rate=d.rate, constant=abs(scale) * d.constant)
 
 
 def make_source_equilibrium(h: MemoryKernel, ell: float) -> SourceTerm:
@@ -740,7 +716,7 @@ def make_source_chi_perturbed(
     if np.any(np.diff(cvals) > tol):
         raise ValueError("chi must be nonincreasing on the sample grid")
 
-    level = float(phi(h.norm_l1 * ell0))
+    level = phi.scalar(h.norm_l1 * ell0)
     coeff = ell0 - level
 
     def evaluator(t):
@@ -1014,13 +990,7 @@ def _classify(phi: FiringFunction, h: MemoryKernel, ell: float, margin: float) -
 
 
 def _g_on_grid(phi: FiringFunction, kappa: float, ells: np.ndarray) -> np.ndarray:
-    """g(ell) = Phi(kappa ell) - ell at every grid point, in one call of the vector evaluator.
-
-    A value may differ in the last bit from the scalar g of ``find_fixed_points``
-    (numpy may round the cubic sigmoid's u**3 differently on arrays than on
-    scalars); only the signs choose the brackets, and the bisection and Newton
-    polish use the scalar g.
-    """
+    """g(ell) = Phi(kappa ell) - ell at every grid point, in one call of the vector evaluator."""
     return np.asarray(phi.evaluator(kappa * ells), dtype=float) - ells
 
 
@@ -1042,14 +1012,14 @@ def find_fixed_points(
     kappa = h.kappa
 
     def g(ell):
-        return float(phi(kappa * ell)) - ell
+        return phi.scalar(kappa * ell) - ell
 
     if l_max is None:
         probe = np.linspace(0.0, 10.0 * max(1.0, h.norm_l1), 64)
         try:
             phi_sup_est = float(np.max(phi.evaluator(kappa * probe)))
         except (ValueError, FloatingPointError):
-            phi_sup_est = max(float(phi(0.0)), 1.0)
+            phi_sup_est = max(phi.scalar(0.0), 1.0)
         l_max = max(4.0 * phi_sup_est, 10.0)
         while l_max < max_bracket:
             gv = _g_on_grid(phi, kappa, np.linspace(l_max, 2.0 * l_max, 257))

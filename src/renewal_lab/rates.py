@@ -214,8 +214,6 @@ def predict_envelope(ctx: RateContext) -> Envelope:
     envelope is nonincreasing on its domain of validity.
     """
     xd, hd = ctx.xi_decay, ctx.h_decay
-    if xd.kind == "unclassified" or hd.kind == "unclassified":
-        raise ValueError("both decay classes must be classified")
     if ctx.tau <= 0.0:
         raise ValueError("envelope prediction needs tau > 0")
     tau, t0 = ctx.tau, ctx.t0
@@ -313,8 +311,6 @@ def verify_envelope(traj: Trajectory, ell: float, env: Envelope, slack: float = 
 
 def sup_tail_from_decay(decay: DecayClass, sup_bound: Optional[float] = None) -> Callable:
     """v_t = sup_{s >= t} |xi_s| from a decay class: its nonincreasing envelope, capped at sup_bound."""
-    if decay.kind == "unclassified":
-        raise ValueError("unclassified decay has no closed-form sup tail")
     cap = math.inf if sup_bound is None else sup_bound
     return lambda t: np.minimum(decay.envelope(t), cap)
 

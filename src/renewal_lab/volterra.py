@@ -541,14 +541,13 @@ MIXED = "mixed"
 class RhoReport:
     """Sign profile of rho(t) = xi'(t) + h(t) Phi(xi(0)) on a grid."""
 
-    values: np.ndarray
     summary: str
     strict_delta: float  # length of the strict-sign window (0, delta); 0 if none
 
 
 def compute_rho(h: MemoryKernel, xi: SourceTerm, phi: FiringFunction, grid) -> RhoReport:
     grid = np.asarray(grid, dtype=float)
-    phi0 = float(phi(float(xi.evaluator(0.0))))
+    phi0 = phi.scalar(float(xi.evaluator(0.0)))
     values = np.asarray(xi.derivative(grid), dtype=float) + np.asarray(h.evaluator(grid), dtype=float) * phi0
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
     tol = 1e-12 * scale
@@ -559,7 +558,7 @@ def compute_rho(h: MemoryKernel, xi: SourceTerm, phi: FiringFunction, grid) -> R
         summary = ALL_NONPOS
         sgn = -1.0
     else:
-        return RhoReport(values=values, summary=MIXED, strict_delta=0.0)
+        return RhoReport(summary=MIXED, strict_delta=0.0)
     inner = np.where((grid > 0) & (sgn * values > tol))[0]
     delta = 0.0
     if inner.size:
@@ -568,7 +567,7 @@ def compute_rho(h: MemoryKernel, xi: SourceTerm, phi: FiringFunction, grid) -> R
         if inner[0] == first_inner:
             stop = inner[np.concatenate([np.diff(inner) > 1, [True]])][0]
             delta = float(grid[stop])
-    return RhoReport(values=values, summary=summary, strict_delta=delta)
+    return RhoReport(summary=summary, strict_delta=delta)
 
 
 NON_DECREASING = "nondecreasing"

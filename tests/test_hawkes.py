@@ -211,20 +211,21 @@ def test_coupling_script_rejects_bad_sizes_naming_the_option(sizes):
 
 def test_erlang_upper_bound_sums_left_to_right():
     """The dominator bound of an Erlang state is summed left to right, not compensated (math.fsum,
-    or builtin sum from Python 3.12 on): the bound sets lam_bar and with it every candidate time."""
+    or builtin sum from Python 3.12 on): the bound sets lam_bar and with it every candidate time.
+    The kernel's scale enters the components at each jump (h0 = scale alpha), not the bound."""
     state = _ErlangState(2, 3.0, 1.5)
-    peaks = [2.0**2 * math.exp(-2.0) / 2.0, math.exp(-1.0), 1.0]
+    assert state.h0 == 4.5
+    peaks = [2.0**2 * math.exp(-2.0) / 2.0, math.exp(-1.0)]
     state.s = [1.0, 1e-16, 1e-16]
-    terms = [p * s for p, s in zip(peaks, state.s)]
-    plain = (0.0 + terms[0] + terms[1]) + terms[2]
-    assert plain != math.fsum(terms)  # the inputs tell the two sums apart
+    plain = (peaks[0] * 1.0 + peaks[1] * 1e-16) + 1e-16
+    assert plain != math.fsum([peaks[0], peaks[1] * 1e-16, 1e-16])  # the inputs tell the two sums apart
     seen = []
     # one candidate that leaves the state as it is (e^{-a} = 1, p_1 = p_2 = 0),
     # is rejected, and is due a refresh check, which reads the bound
     state.sweep(state, c_list=[1.0], c_thrs=[math.inf], c_xi=[0.0], c_steps=[[1.0], [0.0], [0.0]],
                 weight=0.5, phi_s=lambda x: 0.0, lam_bar=1.0, lam_over=1.0, cap=0.0, xs_chunk=0.0,
                 margin=1.5, next_check=0.0, raw_bound=lambda t, ub: seen.append(ub) or 1.0)
-    assert seen == [1.5 * plain]
+    assert seen == [plain]
     assert state.s == [1.0, 1e-16, 1e-16]
 
 
@@ -232,21 +233,20 @@ def test_breach_rebuilds_the_dominator_at_an_accepted_candidate(monkeypatch):
     """A falling Phi declared nondecreasing makes the dominator bound wrong; the sweep catches each
     breach at an acceptance (u lam_bar <= lam_bar < the breach level) and rebuilds lam_bar there."""
     phi = model.FiringFunction(
-        evaluator=lambda x: np.maximum(3.0 - np.asarray(x, float), 0.1),
         d1=lambda x: np.where(np.asarray(x, float) < 2.9, -1.0, 0.0),
         d2=lambda x: np.zeros_like(np.asarray(x, float)),
         lip=1.0, d2_sup=0.0, nondecreasing=True, scalar=lambda x: max(3.0 - x, 0.1),
     )
     h = model.make_scaled_exponential_kernel(0.5, 1.0)
     chunks = []
-    sweep = hawkes._ExpState.sweep
+    sweep = hawkes._erlang_sweep(0)
 
     def recording(*args, **kw):
         out = sweep(*args, **kw)
         chunks.append(out)
         return out
 
-    monkeypatch.setattr(hawkes._ExpState, "sweep", staticmethod(recording))
+    monkeypatch.setattr(hawkes, "_erlang_sweep", lambda order: recording)
     cfg = HawkesConfig(n_particles=50, t_end=5.0, seed=3, track_coupled=False)
     run = simulate_hawkes(phi, h, model.make_source_tail(h, 8.0), cfg)
     assert run.metadata["breaches"] > 0

@@ -219,7 +219,6 @@ def test_cubic_sigmoid_flat_center():
 
 def test_higher_derivative_fallback():
     cubic = FiringFunction(
-        evaluator=lambda x: np.asarray(x, float) ** 3,
         d1=lambda x: 3.0 * np.asarray(x, float) ** 2,
         d2=lambda x: 6.0 * np.asarray(x, float),
         lip=12.0,
@@ -320,16 +319,24 @@ def test_tail_source_and_rho_identity(bistable):
     from renewal_lab.volterra import compute_rho
 
     grid = np.linspace(0.0, 10.0, 2001)
-    # rho = (Phi(||h||_1 ell0) - ell0) h(t)
+
+    def rho(xi):
+        return np.asarray(xi.derivative(grid)) + np.asarray(h(grid)) * phi.scalar(float(xi(0.0)))
+
+    # rho = xi' + h Phi(xi_0) = (Phi(||h||_1 ell0) - ell0) h(t), negative wherever h > 0
     ell0 = 0.6
     xi = model.make_source_tail(h, ell0)
-    rho = compute_rho(h, xi, phi, grid)
-    expected = (float(phi(h.norm_l1 * ell0)) - ell0) * np.asarray(h(grid))
-    assert np.allclose(rho.values, expected, atol=1e-12)
+    lift = phi.scalar(h.norm_l1 * ell0) - ell0
+    assert lift < 0.0
+    assert np.allclose(rho(xi), lift * np.asarray(h(grid)), atol=1e-12)
+    report = compute_rho(h, xi, phi, grid)
+    assert (report.summary, report.strict_delta) == ("all-nonpos", 10.0)
     # at a fixed point the tail source is the equilibrium source and rho = 0
     ell = reports[0].ell
-    rho0 = compute_rho(h, model.make_source_tail(h, ell), phi, grid)
-    assert np.max(np.abs(rho0.values)) < 1e-12
+    xi_eq = model.make_source_tail(h, ell)
+    assert np.max(np.abs(rho(xi_eq))) < 1e-12
+    report0 = compute_rho(h, xi_eq, phi, grid)
+    assert (report0.summary, report0.strict_delta) == ("all-nonneg", 0.0)
     # ell0 = 0 gives the empty source
     assert float(model.make_source_tail(h, 0.0)(5.0)) == 0.0
 
@@ -476,10 +483,7 @@ def _fixed_points_or_error(phi, h):
 
 
 def test_vectorised_grid_scan_matches_the_scalar_scan(monkeypatch):
-    """One vector evaluation per scan gives the scalar scan's signs of g, hence its brackets and roots.
-
-    Only the signs are compared: numpy may round the cubic sigmoid's u**3 differently on
-    arrays and on scalars (the first case differs in the last bit on AVX-512 numpy 2.4)."""
+    """One vector evaluation per scan gives the scalar scan's values of g, hence its brackets and roots."""
     rng = np.random.default_rng(11)
     cases = [
         (model.make_cubic_sigmoid_phi(1.12302, 4.73156, 0.708527, 1.31399), model.make_erlang_kernel(1, 1.0)),
@@ -494,7 +498,7 @@ def test_vectorised_grid_scan_matches_the_scalar_scan(monkeypatch):
     for phi, h in cases:
         got = model._g_on_grid(phi, h.kappa, xs)
         want = _scalar_g_on_grid(phi, h.kappa, xs)
-        assert np.array_equal(np.sign(got), np.sign(want)), phi.label
+        assert np.array_equal(got, want), phi.label
     reports = [_fixed_points_or_error(phi, h) for phi, h in cases]
     assert isinstance(reports[3], str) and max(len(r) for r in reports if isinstance(r, list)) == 3
     monkeypatch.setattr(model, "_g_on_grid", _scalar_g_on_grid)
@@ -504,7 +508,6 @@ def test_vectorised_grid_scan_matches_the_scalar_scan(monkeypatch):
 def test_no_fixed_point_regime():
     h = model.make_scaled_exponential_kernel(1.0, 1.0)  # ||h||_1 = 1
     phi = FiringFunction(
-        evaluator=lambda x: np.logaddexp(0.0, np.asarray(x, float)),
         d1=lambda x: 1.0 / (1.0 + np.exp(-np.asarray(x, float))),
         d2=lambda x: np.exp(-np.asarray(x, float)) / (1.0 + np.exp(-np.asarray(x, float))) ** 2,
         lip=1.0,
@@ -519,9 +522,8 @@ def test_no_fixed_point_regime():
 def _taylor_phi(ell, coeffs):
     """Phi(x) = x + sum_k coeffs[k] (x - ell)^k, with analytic derivatives."""
 
-    def evaluator(x):
-        u = np.asarray(x, float) - ell
-        return np.asarray(x, float) + sum(c * u**k for k, c in coeffs.items())
+    def scalar(x):
+        return x + sum(c * (x - ell) ** k for k, c in coeffs.items())
 
     def deriv(x, k):
         u = x - ell
@@ -532,13 +534,12 @@ def _taylor_phi(ell, coeffs):
         return val
 
     return FiringFunction(
-        evaluator=evaluator,
         d1=lambda x: np.vectorize(lambda v: deriv(v, 1))(x),
         d2=lambda x: np.vectorize(lambda v: deriv(v, 2))(x),
         lip=10.0,
         d2_sup=10.0,
         nondecreasing=True,
-        scalar=lambda x: float(evaluator(x)),
+        scalar=scalar,
         derivative_fn=deriv,
     )
 

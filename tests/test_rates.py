@@ -146,11 +146,6 @@ def test_envelope_nonincreasing_past_start(xi_decay, h_decay):
     assert np.all(np.diff(vals) <= 1e-15 * vals[0])
 
 
-def test_envelope_rejects_unclassified():
-    with pytest.raises(ValueError):
-        predict_envelope(_ctx(DecayClass.unclassified(), E(1.0, 1.0)))
-
-
 def test_verify_envelope_cases(affine, affine_empty_traj):
     phi, h, rep = affine
     traj = affine_empty_traj
@@ -241,8 +236,6 @@ def test_sup_tail_from_decay_is_the_capped_envelope():
     # C t^-a is unbounded as t -> 0: the tail there is the cap, never 0
     assert sup_tail_from_decay(DecayClass.polynomial(1.5, 2.0), 4.0)(0.0) == 4.0
     assert sup_tail_from_decay(DecayClass.polynomial(1.5, 2.0))(0.0) == math.inf
-    with pytest.raises(ValueError, match="unclassified"):
-        sup_tail_from_decay(DecayClass.unclassified())
 
 
 # ---------------------------------------------------------------------------

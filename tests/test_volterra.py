@@ -211,6 +211,18 @@ def test_crossing_script_prints_the_verdict_of_a_run_without_a_limit(tmp_path):
     assert (tmp_path / "crossing_portrait.svg").exists()
 
 
+@pytest.mark.parametrize("script", ["basin_portrait.py", "crossing_portrait.py"])
+def test_portrait_scripts_reject_a_run_shorter_than_the_limit_window(tmp_path, script):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / script), "--t-end", "3", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "--t-end" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+
 def test_divergence_potential_dominates_closed_form():
     phi = model.make_divergence_example_phi()
     h = model.make_scaled_exponential_kernel(1.0, 1.0)
