@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renewal_lab import model
 from renewal_lab.volterra import (
@@ -379,3 +381,132 @@ def test_to_csv_bytes_match_reference(tmp_path, bistable):
     short.to_csv(tmp_path / "got3.csv")
     ref_to_csv(short, tmp_path / "want3.csv")
     assert (tmp_path / "got3.csv").read_bytes() == (tmp_path / "want3.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the numerical guards at their edges, and the metadata the benchmark reads
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_error(phi, h, xi, cfg):
+    with pytest.raises(NonConvergenceError) as got:
+        solve_nre(phi, h, xi, cfg)
+    with pytest.raises(NonConvergenceError) as want:
+        ref_solve_nre(phi, h, xi, cfg)
+    assert (got.value.step, got.value.t, got.value.residual) == (want.value.step, want.value.t, want.value.residual)
+    return got.value
+
+
+@pytest.mark.parametrize("structured", [True, False], ids=["erlang", "dense"])
+def test_overflow_at_step_zero_matches_reference(structured):
+    # xi(0) = 2e12 puts x_0 past the overflow threshold before any history exists
+    h = model.make_erlang_kernel(0, 3.0)
+    h = h if structured else replace(h, structure=None)
+    xi = model.make_source_erlang_polynomial(0, 3.0, (2e12,))
+    traj = _assert_same_solve(model.make_affine_phi(1.0), h, xi, SolverConfig(t_end=1.0, dt=1e-2))
+    assert traj.divergent and traj.ts.size == 0
+    assert traj.metadata["divergent_at"] == 0.0
+
+
+@pytest.mark.parametrize("structured", [True, False], ids=["erlang", "dense"])
+def test_nan_phi_mid_run_matches_reference(structured):
+    # the supercritical linear equation grows; Phi turns NaN once x passes 5 (an explicit step sees it)
+    affine = model.make_affine_phi(1.0)
+    phi = replace(affine, scalar=lambda x: math.nan if x > 5.0 else affine.scalar(x))
+    h = model.make_scaled_exponential_kernel(2.0, 1.0)
+    h = h if structured else replace(h, structure=None)
+    cfg = SolverConfig(t_end=10.0, dt=1e-2, quadrature=LEFT_RECTANGLE)
+    traj = _assert_same_solve(phi, h, model.make_source_empty(), cfg)
+    assert traj.divergent and 0 < traj.ts.size < cfg.n_steps + 1
+    assert traj.metadata["divergent_at"] == traj.ts[-1]
+
+
+def test_damped_step_with_one_inner_iteration_matches_reference(bistable):
+    # the damped order-0 trapezoid step of test_damped_implicit_step_matches_reference, capped at one iteration
+    phi = bistable[0]
+    h = model.make_erlang_kernel(0, 3.0)
+    err = _assert_same_error(phi, h, model.make_source_tail(h, 0.2), SolverConfig(t_end=20.0, dt=0.4, inner_max_iter=1))
+    assert err.step == 1
+
+
+def test_dense_implicit_non_convergence_matches_reference(bistable):
+    phi = bistable[0]
+    h0 = model.make_erlang_kernel(0, 3.0)
+    cfg = SolverConfig(t_end=4.0, dt=2e-3, inner_max_iter=1)
+    err = _assert_same_error(phi, replace(h0, structure=None), model.make_source_tail(h0, 0.8), cfg)
+    assert err.step == 1
+
+
+@pytest.mark.parametrize("kind", ["erlang", "windowed", "dense", "divergent"])
+def test_solve_metadata_is_pinned(bistable, kind):
+    """Every key and value of ``Trajectory.metadata``: the benchmark reads the history kind and inner counts."""
+    phi, h, _ = bistable
+    xi = model.make_source_tail(h, 0.8)
+    cfg = SolverConfig(t_end=2.0, dt=2e-3)
+    history = "DotHistory"
+    if kind == "erlang":
+        h, history = model.make_erlang_kernel(0, 3.0), "ErlangHistory"
+        xi = model.make_source_tail(h, 0.8)
+    elif kind == "windowed":
+        xs = np.linspace(0.0, 1.0, 201)
+        h = model.make_compact_kernel(30.0 * xs**2 * (1.0 - xs) ** 2, 1.0)
+    elif kind == "dense":
+        h = replace(h, structure=None)
+    else:
+        phi, h, history = model.make_affine_phi(1.0), model.make_scaled_exponential_kernel(2.0, 1.0), "ErlangHistory"
+        xi, cfg = model.make_source_empty(), SolverConfig(t_end=40.0, dt=1e-2, quadrature=LEFT_RECTANGLE)
+    got = solve_nre(phi, h, xi, cfg)
+    want = ref_solve_nre(phi, h, xi, cfg)
+    expected = {
+        "method": f"marching-{cfg.quadrature}",
+        "dt": cfg.dt,
+        "inner_tol": 1e-12,
+        "inner_iterations_total": want.metadata["inner_iterations_total"],
+        "inner_iterations_max": want.metadata["inner_iterations_max"],
+        "history": history,
+        "phi": phi.label,
+        "kernel": h.label,
+        "source": xi.label,
+    }
+    if kind == "divergent":
+        expected["divergent_at"] = float(want.ts[-1])
+    assert list(got.metadata) == list(expected)
+    assert got.metadata == expected
+    assert (got.metadata["inner_iterations_total"] > 0) == (kind == "erlang")
+
+
+# one Phi of each maker; built on first use, since some scan a grid for their bounds
+_PHI_MAKERS = {
+    "sigmoid": lambda: model.make_sigmoid_phi(0.5, 1.0, 6.0, 1.0),
+    "cubic-sigmoid": lambda: model.make_cubic_sigmoid_phi(0.5, 1.0, 6.0, 1.0),
+    "affine": lambda: model.make_affine_phi(0.5),
+    "constant": lambda: model.make_constant_phi(0.7),
+    "divergence-example": model.make_divergence_example_phi,
+}
+_PHIS: dict = {}
+
+
+@given(
+    order=st.integers(min_value=0, max_value=5),
+    alpha=st.floats(min_value=0.25, max_value=6.0),
+    dt=st.sampled_from([1e-3, 4e-3, 2e-2, 0.1, 0.5]),
+    quadrature=st.sampled_from([TRAPEZOID, LEFT_RECTANGLE]),
+    maker=st.sampled_from(sorted(_PHI_MAKERS)),
+    ell0=st.floats(min_value=0.0, max_value=2.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_erlang_marching_matches_reference_for_random_shapes(order, alpha, dt, quadrature, maker, ell0):
+    """Each Erlang order has its own written-out step: every order 0-5 equals the reference loop to the bit."""
+    if maker not in _PHIS:
+        _PHIS[maker] = _PHI_MAKERS[maker]()
+    phi = _PHIS[maker]
+    h = model.make_erlang_kernel(order, alpha)
+    xi = model.make_source_tail(h, ell0)
+    cfg = SolverConfig(t_end=2.0, dt=dt, quadrature=quadrature)
+    try:
+        want = ref_solve_nre(phi, h, xi, cfg)
+    except NonConvergenceError:
+        _assert_same_error(phi, h, xi, cfg)
+        return
+    _assert_same_solve(phi, h, xi, cfg)
+    assert want.divergent or want.ts.size == cfg.n_steps + 1
