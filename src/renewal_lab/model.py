@@ -10,6 +10,7 @@ across workers.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -489,10 +490,14 @@ def make_divergence_example_phi() -> FiringFunction:
     Lipschitz and curvature bounds are computed numerically on [0, inf).
     """
 
+    def domain_error(x: float) -> ValueError:
+        return ValueError(f"phi.type divergence_example: Phi is defined for x >= -2 only, got x = {x!r}")
+
     def _check(x):
         x = np.asarray(x, dtype=float)
-        if np.any(x < -2.0):
-            raise ValueError("evaluator defined for x >= -2 only")
+        below = x[x < -2.0]
+        if below.size:
+            raise domain_error(float(below[0]))
         return x
 
     def d1(x):
@@ -512,7 +517,7 @@ def make_divergence_example_phi() -> FiringFunction:
 
     def scalar(x):
         if x < -2.0:
-            raise ValueError("evaluator defined for x >= -2 only")
+            raise domain_error(x)
         return x - math.exp(-x) + math.exp(-1.5 * x) * math.sqrt(2.0 + x)
 
     return FiringFunction(
@@ -892,10 +897,8 @@ def make_source_divergence_example(a: float) -> SourceTerm:
         f3 = np.exp(-0.25 * dt) / np.sqrt(1.0 + mid3)
         f4 = 1.0 / np.sqrt(1.0 + ts[1:])
         cell = dt / 12.0 * (f0 + 4.0 * f1 + 2.0 * f2 + 4.0 * f3 + f4)
-        acc = out[0]
-        for i in range(ts.size - 1):
-            acc = q * acc + a * cell[i]
-            out[i + 1] = acc
+        # on Python floats: the same operations as on numpy scalars, at a fraction of the cost
+        out[1:] = list(itertools.accumulate(cell.tolist(), lambda acc, c: q * acc + a * c, initial=out[0].item()))[1:]
         return out
 
     ts = np.linspace(0.0, 400.0, 40001)

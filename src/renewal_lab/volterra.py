@@ -9,6 +9,14 @@ the step equation is implicit in lambda_n and solved by (damped) fixed-point
 iteration.  Kernels declaring Erlang structure use an exact O(1)-per-step
 convolution recursion; compactly supported kernels a sliding dot product; the
 general path a full history dot product.
+
+Every solve runs one loop generated from ``_MARCH_TEMPLATE`` and compiled once
+per history shape (Erlang order and quadrature, or a windowed or dense dot
+product) and step kind (explicit, implicit, damped implicit).  The history
+writes its state and its explicit part into the loop as source snippets, so a
+step calls no method and the Erlang components stay in local variables.
+``equilibrium_locked_source`` runs the same loop with its own step, the search
+for the source value that keeps the discrete equilibrium.
 """
 
 from __future__ import annotations
@@ -138,98 +146,201 @@ def read_trajectory_csv(path) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# history accumulators
+# the marching loop, generated per history and step kind
 # ---------------------------------------------------------------------------
+
+#: One marching loop.  Step 0 has no history: pre = beta = 0.0.  A history
+#: fills ``load`` (its constants into locals), ``start`` (its state once
+#: lambda_0 = ln is known), ``pre`` (the explicit part of step n) and
+#: ``commit`` (fold lambda_n = ln into the state).  A step kind fills ``args``,
+#: ``setup``, ``step0`` and ``step``: a step solves step n for ln, or ends the
+#: march early with ``return n, inner_total, inner_max``.
+_MARCH_TEMPLATE = """\
+def march(hist, ts, {args}):
+    {load}
+    {setup}
+    inner_total = inner_max = 0
+    n = 0
+    pre = beta = 0.0
+    {step0}
+    {start}
+    beta = hist.beta
+    for n in range(1, len(ts)):
+        {pre}
+        {step}
+        {commit}
+    return len(ts), inner_total, inner_max
+"""
+
+_SOLVE_ARGS = "xi_vals, lam_out, x_out, phi_s, tol, max_iter"
+_SOLVE_SETUP = "isfinite, over = math.isfinite, OVERFLOW_THRESHOLD"
+# the overflow/NaN cut, then the stores through the memoryviews
+_STORE = """
+if not isfinite(ln) or ln > over or abs(xn) > over:
+    return n, inner_total, inner_max
+lam_out[n] = ln
+x_out[n] = xn"""
+_EXPLICIT = """\
+xn = xi_vals[n] + pre
+ln = phi_s(xn)""" + _STORE
+# fixed-point iteration on lambda_n from lambda_{n-1}, still in ln
+_IMPLICIT = """\
+base = xi_vals[n] + pre
+lam_c = ln
+for it in range(max_iter):
+    nxt = phi_s(base + beta * lam_c)
+    # tol * max(1.0, |nxt|), without the call
+    mag = abs(nxt)
+    if abs(nxt - lam_c) <= tol * (mag if mag > 1.0 else 1.0):
+        lam_c = nxt
+        break
+    lam_c = {update}
+else:
+    raise NonConvergenceError(n, float(ts[n]), abs(phi_s(base + beta * lam_c) - lam_c))
+inner_total += it + 1
+if it >= inner_max:
+    inner_max = it + 1
+xn = base + beta * lam_c
+ln = phi_s(xn)""" + _STORE
+# the source value whose rounded sums hit target_x, searched at the rounding
+# granularity of the dominant term so that the sweep actually moves the sums
+_LOCK = """\
+w = beta * lam_star
+cand0 = (target_x - w) - pre
+step = ulp(max(abs(target_x), abs(pre), abs(w), abs(cand0), 1e-300))
+cand = None
+for k in range(64):
+    for sgn in (0,) if k == 0 else (1, -1):
+        trial = cand0 + sgn * k * step
+        if (trial + pre) + w == target_x:
+            cand = trial
+            break
+    if cand is not None:
+        break
+if cand is None:
+    return n, inner_total, inner_max
+xi_out[n] = cand"""
+
+#: step kind -> (args, setup, step 0, step n); step 0 is explicit in every solve
+_STEPS = {
+    "explicit": (_SOLVE_ARGS, _SOLVE_SETUP, _EXPLICIT, _EXPLICIT),
+    "implicit": (_SOLVE_ARGS, _SOLVE_SETUP, _EXPLICIT, _IMPLICIT.format(update="nxt")),
+    "damped": (_SOLVE_ARGS, _SOLVE_SETUP, _EXPLICIT, _IMPLICIT.format(update="0.5 * (lam_c + nxt)")),
+    "locked": ("xi_out, lam_star, target_x", "ulp = math.ulp\n# every step commits lambda*\nln = lam_star", _LOCK, _LOCK),
+}
 
 
 @functools.lru_cache(maxsize=None)
-def _erlang_decay(order: int) -> Callable:
-    """``bind(q_0, ..., q_order)``: the one-step decay of the Erlang components, written out.
+def _march(history: type, shape: tuple, step: str) -> Callable:
+    """The loop of ``_MARCH_TEMPLATE`` for one history shape and one step kind."""
 
-    With q_m = e^{-a} a^m / m! (a = alpha dt), component k becomes
-    0.0 + q_k T_0 + q_{k-1} T_1 + ... + q_0 T_k, summed left to right from 0.0
-    as builtin ``sum`` does up to Python 3.11 (it is compensated from 3.12 on,
-    which would change the bits).  Written out, a step runs no Python loop.
-    """
-    qs = ", ".join(f"q{m}" for m in range(order + 1))
-    comps = "".join(f"T{i}, " for i in range(order + 1))
-    new = ", ".join("0.0 + " + " + ".join(f"q{k - i} * T{i}" for i in range(k + 1)) for k in range(order + 1))
+    def block(lines, indent: int) -> str:
+        return ("\n" + " " * indent).join("\n".join(lines).split("\n"))
+
+    snippets = history.snippets(*shape)
+    args, setup, step0, step_n = _STEPS[step]
+    src = _MARCH_TEMPLATE.format(
+        args=args,
+        load=block(snippets["load"], 4),
+        setup=block([setup], 4),
+        step0=block([step0], 4),
+        start=block(snippets["start"], 4),
+        pre=block(snippets["pre"], 8),
+        step=block([step_n], 8),
+        commit=block(snippets["commit"], 8),
+    )
     namespace: dict = {}
-    exec(f"def bind({qs}):\n    def decay(T):\n        {comps}= T\n        return [{new}]\n    return decay\n", namespace)
-    return namespace["bind"]
+    exec(src, globals(), namespace)
+    return namespace["march"]
 
 
 class _ErlangHistory:
-    """Exact O(order^2)-per-step recursion for h = scale * alpha^{k+1} t^k e^{-alpha t}/k!."""
+    """Exact O(order^2)-per-step recursion for h = scale * alpha^{k+1} t^k e^{-alpha t}/k!.
+
+    The components T0..Tk sit in locals of the loop.  A step decays component
+    k to 0.0 + q_k T_0 + q_{k-1} T_1 + ... + q_0 T_k, with q_m = e^{-a} a^m / m!
+    (a = alpha dt), summed left to right from 0.0 as builtin ``sum`` does up to
+    Python 3.11 (it is compensated from 3.12 on, which would change the bits).
+    The explicit part is scale T_k, less under the trapezoid rule the end
+    correction of lambda_0's weight at t_n; committing lambda_n adds
+    alpha dt lambda_n to T_0.  Written out, a step runs no Python loop.
+    """
 
     def __init__(self, form: ErlangForm, cfg: SolverConfig):
         k = form.order
-        self.order = k
-        self.scale = form.scale
-        self.dt = cfg.dt
-        self.trapezoid = cfg.quadrature == TRAPEZOID
         ad = form.alpha * cfg.dt
         decay = math.exp(-ad)
-        self._decay = _erlang_decay(k)(*(decay * ad**m / math.factorial(m) for m in range(k + 1)))
-        self._dt_alpha = cfg.dt * form.alpha
-        self._neg_alpha = -form.alpha
-        self._half_dt = 0.5 * cfg.dt
-        self.T = self._decayed = [0.0] * (k + 1)
-        self.lam0 = 0.0
-        h0 = self.scale * form.alpha if k == 0 else 0.0
-        self._hcoeff = self.scale * form.alpha ** (k + 1) / math.factorial(k)
-        self.beta = 0.5 * cfg.dt * h0 if self.trapezoid else 0.0
+        self.q = [decay * ad**m / math.factorial(m) for m in range(k + 1)]
+        self.scale = form.scale
+        self.dt = cfg.dt
+        self.dt_alpha = cfg.dt * form.alpha
+        self.neg_alpha = -form.alpha
+        self.half_dt = 0.5 * cfg.dt
+        self.hcoeff = form.scale * form.alpha ** (k + 1) / math.factorial(k)
+        h0 = form.scale * form.alpha if k == 0 else 0.0
+        trapezoid = cfg.quadrature == TRAPEZOID
+        self.beta = 0.5 * cfg.dt * h0 if trapezoid else 0.0
+        self.shape = (k, trapezoid)
 
-    def explicit_part(self, n: int):
-        if n == 0:
-            return 0.0, 0.0
-        self._decayed = dec = self._decay(self.T)
-        pre = self.scale * dec[-1]
-        if self.trapezoid:
+    @staticmethod
+    def snippets(order: int, trapezoid: bool) -> dict:
+        comps = ", ".join(f"T{i}" for i in range(order + 1))
+        decayed = ", ".join("0.0 + " + " + ".join(f"q{k - i} * T{i}" for i in range(k + 1)) for k in range(order + 1))
+        pre = [f"{comps} = {decayed}", f"pre = scale * T{order}"]
+        if trapezoid:
             # end correction of the trapezoid weight of lambda_0 at t_n; dt * n has the bits of cfg.grid()[n]
-            t = self.dt * n
-            pre -= self._half_dt * (self._hcoeff * math.exp(self._neg_alpha * t) * t**self.order) * self.lam0
-        return pre, self.beta
-
-    def commit(self, n: int, lam_n: float) -> None:
-        if n == 0:
-            self.lam0 = float(lam_n)
-            T = [0.0] * (self.order + 1)
-        else:
-            T = self._decayed
-        T[0] += self._dt_alpha * lam_n
-        self.T = T
+            pre += ["t = dt * n", f"pre -= half_dt * (hcoeff * exp(neg_alpha * t) * t**{order}) * lam0"]
+        return {
+            "load": [
+                f"{', '.join(f'q{m}' for m in range(order + 1))}, = hist.q",
+                "scale, dt, dt_alpha, neg_alpha = hist.scale, hist.dt, hist.dt_alpha, hist.neg_alpha",
+                "half_dt, hcoeff, exp = hist.half_dt, hist.hcoeff, math.exp",
+            ],
+            "start": ["lam0 = ln", f"{comps} = {', '.join(['0.0'] * (order + 1))}", "T0 += dt_alpha * ln"],
+            "pre": pre,
+            "commit": ["T0 += dt_alpha * ln"],
+        }
 
 
 class _DotHistory:
-    """Direct product-quadrature history via dot products over the past values the caller stored in ``lam``."""
+    """Direct product-quadrature history via dot products over the past values stored in ``lam``.
+
+    A compact kernel reads only the ``window`` steps its support covers; the
+    dense form reads the whole past.
+    """
 
     def __init__(self, h: MemoryKernel, cfg: SolverConfig, ts: np.ndarray, lam: np.ndarray, window: Optional[int] = None):
         self.dt = cfg.dt
-        self.trapezoid = cfg.quadrature == TRAPEZOID
+        trapezoid = cfg.quadrature == TRAPEZOID
         self.lam = lam
         hg = np.ascontiguousarray(h.evaluator(ts), dtype=float)
         self.hrev = hg[::-1].copy()
         self.hg = memoryview(hg)  # items are Python floats
         self.N = ts.size - 1
         self.window = window if window is not None else self.N + 1
-        self.beta = 0.5 * cfg.dt * self.hg[0] if self.trapezoid else 0.0
-        self.w0 = (0.5 * self.dt) if self.trapezoid else self.dt
-        self.lam0 = 0.0
+        self.beta = 0.5 * cfg.dt * self.hg[0] if trapezoid else 0.0
+        self.w0 = (0.5 * self.dt) if trapezoid else self.dt
+        self.shape = (window is not None,)
 
-    def explicit_part(self, n: int):
-        if n == 0:
-            return 0.0, 0.0
-        j0 = max(1, n - self.window)
-        acc = float(np.dot(self.lam[j0:n], self.hrev[self.N - n + j0 : self.N]))
-        pre = self.dt * acc
-        if n <= self.window:
-            pre += self.w0 * self.hg[n] * self.lam0
-        return pre, self.beta
-
-    def commit(self, n: int, lam_n: float) -> None:
-        if n == 0:
-            self.lam0 = float(lam_n)
+    @staticmethod
+    def snippets(windowed: bool) -> dict:
+        if windowed:
+            pre = [
+                "j0 = max(1, n - window)",
+                "pre = dt * float(dot(lam[j0:n], hrev[N - n + j0 : N]))",
+                "if n <= window:",
+                "    pre += w0 * hg[n] * lam0",
+            ]
+        else:
+            # the window is the whole grid: j0 = 1, and lambda_0's end weight is always inside
+            pre = ["pre = dt * float(dot(lam[1:n], hrev[N - n + 1 : N]))", "pre += w0 * hg[n] * lam0"]
+        return {
+            "load": ["lam, hrev, hg, N, window = hist.lam, hist.hrev, hist.hg, hist.N, hist.window",
+                     "dt, w0, dot = hist.dt, hist.w0, np.dot"],
+            "start": ["lam0 = ln"],
+            "pre": pre,
+            "commit": [],
+        }
 
 
 def _make_history(h: MemoryKernel, cfg: SolverConfig, ts: np.ndarray, lam: np.ndarray):
@@ -261,51 +372,16 @@ def solve_nre(phi: FiringFunction, h: MemoryKernel, xi: SourceTerm, cfg: SolverC
     lam = np.zeros(n_pts)
     xarr = np.zeros(n_pts)
     hist = _make_history(h, cfg, ts, lam)
-    phi_s = phi.scalar
-    damped = abs(hist.beta) * phi.lip >= 1.0
-
+    if hist.beta == 0.0:
+        step = "explicit"
+    else:
+        step = "damped" if abs(hist.beta) * phi.lip >= 1.0 else "implicit"
     # memoryviews read and write Python floats: the loop makes no numpy scalar
-    xi_vals = memoryview(np.ascontiguousarray(xi_grid, dtype=float))
-    lam_out = memoryview(lam)
-    x_out = memoryview(xarr)
-    explicit_part, commit = hist.explicit_part, hist.commit
-    tol, max_iter = cfg.inner_tol, cfg.inner_max_iter
-    isfinite = math.isfinite
-    inner_total = 0
-    inner_max = 0
-    divergent = False
-    cut = n_pts
-    lam_prev = 0.0
-
-    for n in range(n_pts):
-        pre, beta = explicit_part(n)
-        base = xi_vals[n] + pre
-        if beta == 0.0:
-            xn = base
-            ln = phi_s(xn)
-        else:
-            lam_c = lam_prev
-            for it in range(max_iter):
-                nxt = phi_s(base + beta * lam_c)
-                if abs(nxt - lam_c) <= tol * max(1.0, abs(nxt)):
-                    lam_c = nxt
-                    break
-                lam_c = 0.5 * (lam_c + nxt) if damped else nxt
-            else:
-                raise NonConvergenceError(n, float(ts[n]), abs(phi_s(base + beta * lam_c) - lam_c))
-            inner_total += it + 1
-            if it >= inner_max:
-                inner_max = it + 1
-            xn = base + beta * lam_c
-            ln = phi_s(xn)
-        if not isfinite(ln) or ln > OVERFLOW_THRESHOLD or abs(xn) > OVERFLOW_THRESHOLD:
-            divergent = True
-            cut = n
-            break
-        lam_out[n] = ln
-        x_out[n] = xn
-        commit(n, ln)
-        lam_prev = ln
+    cut, inner_total, inner_max = _march(type(hist), hist.shape, step)(
+        hist, ts, memoryview(np.ascontiguousarray(xi_grid, dtype=float)), memoryview(lam), memoryview(xarr),
+        phi.scalar, cfg.inner_tol, cfg.inner_max_iter,
+    )
+    divergent = cut < n_pts
 
     meta = {
         "method": f"marching-{cfg.quadrature}",
@@ -405,33 +481,13 @@ def equilibrium_locked_source(phi: FiringFunction, h: MemoryKernel, ell: float, 
     # a history reads lambda only before the step it builds, so the constant path can be stored up front
     lam = np.full(n_pts, lam_star)
     hist = _make_history(h, cfg, ts, lam)
-    explicit_part, commit = hist.explicit_part, hist.commit
-
     xi_vals = np.empty(n_pts)
-    xi_out = memoryview(xi_vals)
-    for n in range(n_pts):
-        pre, beta = explicit_part(n)
-        w = beta * lam_star
-        cand0 = (target_x - w) - pre
-        # step at the rounding granularity of the dominant term so the search
-        # sweep actually moves the rounded sums
-        step = math.ulp(max(abs(target_x), abs(pre), abs(w), abs(cand0), 1e-300))
-        cand = None
-        for k in range(64):
-            for sgn in (0,) if k == 0 else (1, -1):
-                trial = cand0 + sgn * k * step
-                if (trial + pre) + w == target_x:
-                    cand = trial
-                    break
-            if cand is not None:
-                break
-        if cand is None:
-            raise RuntimeError(
-                f"failed to lock the equilibrium source of ell = {ell!r} on the grid at step {n} "
-                f"(t_n = {ts[n]:.17g}, {cfg.quadrature} quadrature)"
-            )
-        xi_out[n] = cand
-        commit(n, lam_star)
+    cut = _march(type(hist), hist.shape, "locked")(hist, ts, memoryview(xi_vals), lam_star, target_x)[0]
+    if cut < n_pts:
+        raise RuntimeError(
+            f"failed to lock the equilibrium source of ell = {ell!r} on the grid at step {cut} "
+            f"(t_n = {ts[cut]:.17g}, {cfg.quadrature} quadrature)"
+        )
 
     analytic = make_source_equilibrium(h, ell)
 

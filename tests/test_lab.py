@@ -269,6 +269,7 @@ def test_divergence_phi_below_its_domain_exits_one(tmp_path, capsys, command, c)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "defined for x >= -2 only" in err and "Traceback" not in err, err
+    assert "phi.type divergence_example" in err and "got x = -" in err, err
 
 
 @pytest.mark.parametrize(
