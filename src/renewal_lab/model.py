@@ -10,7 +10,6 @@ across workers.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -490,14 +489,14 @@ def make_divergence_example_phi() -> FiringFunction:
     Lipschitz and curvature bounds are computed numerically on [0, inf).
     """
 
-    def domain_error(x: float) -> ValueError:
-        return ValueError(f"phi.type divergence_example: Phi is defined for x >= -2 only, got x = {x!r}")
+    def domain_error(x) -> ValueError:
+        return ValueError(f"phi.type divergence_example: Phi is defined for x >= -2 only, got x = {float(x)!r}")
 
     def _check(x):
         x = np.asarray(x, dtype=float)
         below = x[x < -2.0]
         if below.size:
-            raise domain_error(float(below[0]))
+            raise domain_error(below[0])
         return x
 
     def d1(x):
@@ -897,8 +896,12 @@ def make_source_divergence_example(a: float) -> SourceTerm:
         f3 = np.exp(-0.25 * dt) / np.sqrt(1.0 + mid3)
         f4 = 1.0 / np.sqrt(1.0 + ts[1:])
         cell = dt / 12.0 * (f0 + 4.0 * f1 + 2.0 * f2 + 4.0 * f3 + f4)
-        # on Python floats: the same operations as on numpy scalars, at a fraction of the cost
-        out[1:] = list(itertools.accumulate(cell.tolist(), lambda acc, c: q * acc + a * c, initial=out[0].item()))[1:]
+        # memoryviews give Python floats: the operations of numpy scalars at a third of the cost, with no list
+        dst = memoryview(out)
+        acc = dst[0]
+        for i, c in enumerate(memoryview(cell), 1):
+            acc = q * acc + a * c
+            dst[i] = acc
         return out
 
     ts = np.linspace(0.0, 400.0, 40001)
