@@ -6,6 +6,7 @@ recurrence written out; every operation and its order are the same, so every
 output bit must be equal.
 """
 
+import functools
 import math
 from dataclasses import replace
 
@@ -475,7 +476,6 @@ def test_solve_metadata_is_pinned(bistable, kind):
     assert (got.metadata["inner_iterations_total"] > 0) == (kind == "erlang")
 
 
-# one Phi of each maker; built on first use, since some scan a grid for their bounds
 _PHI_MAKERS = {
     "sigmoid": lambda: model.make_sigmoid_phi(0.5, 1.0, 6.0, 1.0),
     "cubic-sigmoid": lambda: model.make_cubic_sigmoid_phi(0.5, 1.0, 6.0, 1.0),
@@ -483,7 +483,12 @@ _PHI_MAKERS = {
     "constant": lambda: model.make_constant_phi(0.7),
     "divergence-example": model.make_divergence_example_phi,
 }
-_PHIS: dict = {}
+
+
+@functools.lru_cache(maxsize=None)
+def _phi_of(maker):
+    """One Phi of each maker, built on first use: some scan a grid for their bounds."""
+    return _PHI_MAKERS[maker]()
 
 
 @given(
@@ -497,9 +502,7 @@ _PHIS: dict = {}
 @settings(max_examples=60, deadline=None)
 def test_erlang_marching_matches_reference_for_random_shapes(order, alpha, dt, quadrature, maker, ell0):
     """Each Erlang order has its own written-out step: every order 0-5 equals the reference loop to the bit."""
-    if maker not in _PHIS:
-        _PHIS[maker] = _PHI_MAKERS[maker]()
-    phi = _PHIS[maker]
+    phi = _phi_of(maker)
     h = model.make_erlang_kernel(order, alpha)
     xi = model.make_source_tail(h, ell0)
     cfg = SolverConfig(t_end=2.0, dt=dt, quadrature=quadrature)
