@@ -11,8 +11,9 @@ convolution recursion; compactly supported kernels a sliding dot product; the
 general path a full history dot product.
 
 Every solve runs one loop generated from ``_MARCH_TEMPLATE`` and compiled once
-per history shape (Erlang order and quadrature, or a windowed or dense dot
-product) and step kind (explicit, implicit, damped implicit).  The history
+per history shape (Erlang order and quadrature, or the windowed dot product,
+whose window covers the whole grid for a kernel without compact support) and
+step kind (explicit, implicit, damped implicit).  The history
 writes its state and its explicit part into the loop as source snippets, so a
 step calls no method and the Erlang components stay in local variables.
 ``equilibrium_locked_source`` runs the same loop with its own step, the search
@@ -305,9 +306,12 @@ class _ErlangHistory:
 class _DotHistory:
     """Direct product-quadrature history via dot products over the past values stored in ``lam``.
 
-    A compact kernel reads only the ``window`` steps its support covers; the
-    dense form reads the whole past.
+    A compact kernel reads only the ``window`` steps its support covers; any
+    other kernel's window is the whole grid, so one loop serves both.
     """
+
+    #: one loop for every dot history: the window is data, not a shape
+    shape = ()
 
     def __init__(self, h: MemoryKernel, cfg: SolverConfig, ts: np.ndarray, lam: np.ndarray, window: Optional[int] = None):
         self.dt = cfg.dt
@@ -320,25 +324,21 @@ class _DotHistory:
         self.window = window if window is not None else self.N + 1
         self.beta = 0.5 * cfg.dt * self.hg[0] if trapezoid else 0.0
         self.w0 = (0.5 * self.dt) if trapezoid else self.dt
-        self.shape = (window is not None,)
 
     @staticmethod
-    def snippets(windowed: bool) -> dict:
-        if windowed:
-            pre = [
-                "j0 = max(1, n - window)",
-                "pre = dt * float(dot(lam[j0:n], hrev[N - n + j0 : N]))",
-                "if n <= window:",
-                "    pre += w0 * hg[n] * lam0",
-            ]
-        else:
-            # the window is the whole grid: j0 = 1, and lambda_0's end weight is always inside
-            pre = ["pre = dt * float(dot(lam[1:n], hrev[N - n + 1 : N]))", "pre += w0 * hg[n] * lam0"]
+    def snippets() -> dict:
         return {
             "load": ["lam, hrev, hg, N, window = hist.lam, hist.hrev, hist.hg, hist.N, hist.window",
                      "dt, w0, dot = hist.dt, hist.w0, np.dot"],
             "start": ["lam0 = ln"],
-            "pre": pre,
+            # past the window, lambda_0 and its end weight have left it
+            "pre": [
+                "if n > window:",
+                "    pre = dt * float(dot(lam[n - window : n], hrev[N - window : N]))",
+                "else:",
+                "    pre = dt * float(dot(lam[1:n], hrev[N - n + 1 : N]))",
+                "    pre += w0 * hg[n] * lam0",
+            ],
             "commit": [],
         }
 
