@@ -65,7 +65,6 @@ from .rates import (
     iteration_bound,
     predict_envelope,
     stable_manifold_ic,
-    sup_tail_from_decay,
     verify_envelope,
 )
 from .hawkes import (

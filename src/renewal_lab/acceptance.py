@@ -28,7 +28,6 @@ from .rates import (
     iteration_bound,
     oscillatory_mode,
     stable_manifold_ic,
-    sup_tail_from_decay,
 )
 from .volterra import (
     NON_DECREASING,
@@ -77,16 +76,16 @@ def affine_fixture():
 
 
 @functools.lru_cache(maxsize=None)
-def _affine_empty_traj(t_end: float, dt: float = 1e-3):
+def _affine_empty_traj(t_end: float):
     phi, h, _ = affine_fixture()
-    return solve_nre(phi, h, model.make_source_empty(), SolverConfig(t_end=t_end, dt=dt))
+    return solve_nre(phi, h, model.make_source_empty(), SolverConfig(t_end=t_end, dt=1e-3))
 
 
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
 
-#: criterion number -> ``run(threads=1) -> CriterionResult``
+#: criterion number -> ``run(threads) -> CriterionResult``
 CRITERIA: dict[int, Callable] = {}
 
 
@@ -95,7 +94,7 @@ def _criterion(number: int, name: str) -> Callable:
 
     def register(body: Callable) -> Callable:
         @functools.wraps(body)
-        def run(threads: int = 1) -> CriterionResult:
+        def run(threads: int) -> CriterionResult:
             t0 = time.time()
             passed, detail = body(threads)
             return CriterionResult(number, name, bool(passed), detail, time.time() - t0)
@@ -107,7 +106,7 @@ def _criterion(number: int, name: str) -> Callable:
 
 
 @_criterion(1, "linear-subcritical-limit")
-def criterion_01(threads: int = 1) -> tuple:
+def criterion_01(threads: int) -> tuple:
     """Linear subcritical limit: lambda_t -> mu / (1 - ||h||_1)."""
     traj = _affine_empty_traj(30.0)
     err = abs(float(traj.lam[-1]) - 2.0)
@@ -115,7 +114,7 @@ def criterion_01(threads: int = 1) -> tuple:
 
 
 @_criterion(2, "equilibrium-invariance")
-def criterion_02(threads: int = 1) -> tuple:
+def criterion_02(threads: int) -> tuple:
     """Equilibrium sources keep the solution constant on [0, 50] to 1e-6."""
     phi, h, reports = bistable_fixture()
     cfg = SolverConfig(t_end=50.0, dt=1e-3)
@@ -128,7 +127,7 @@ def criterion_02(threads: int = 1) -> tuple:
 
 
 @_criterion(3, "sigmoid-fixed-points")
-def criterion_03(threads: int = 1) -> tuple:
+def criterion_03(threads: int) -> tuple:
     """Three sigmoid fixed points at the reference locations, stable/unstable/stable."""
     phi, h, reports = bistable_fixture()
     targets = (0.5212, 1.0, 1.4788)
@@ -144,7 +143,7 @@ def criterion_03(threads: int = 1) -> tuple:
 
 
 @_criterion(4, "basins-of-attraction")
-def criterion_04(threads: int = 1) -> tuple:
+def criterion_04(threads: int) -> tuple:
     """Tail-source starts below/above the unstable point land on the matching stable root."""
     phi, h, reports = bistable_fixture()
     low, high = reports[0].ell, reports[2].ell
@@ -162,7 +161,7 @@ def criterion_04(threads: int = 1) -> tuple:
 
 
 @_criterion(5, "empty-source-convergence")
-def criterion_05(threads: int = 1) -> tuple:
+def criterion_05(threads: int) -> tuple:
     """Empty source: strictly nondecreasing solution converging to the lowest root."""
     phi, h, reports = bistable_fixture()
     traj = solve_nre(phi, h, model.make_source_empty(), SolverConfig(t_end=30.0, dt=1e-3))
@@ -174,7 +173,7 @@ def criterion_05(threads: int = 1) -> tuple:
 
 
 @_criterion(6, "lower-order-source-crossing")
-def criterion_06(threads: int = 1) -> tuple:
+def criterion_06(threads: int) -> tuple:
     """Erlang-polynomial source of full vs lower order: crossing the unstable point."""
     phi, h, reports = bistable_fixture()
     cfg = SolverConfig(t_end=80.0, dt=1e-3)
@@ -189,7 +188,7 @@ def criterion_06(threads: int = 1) -> tuple:
 
 
 @_criterion(7, "supercritical-instability")
-def criterion_07(threads: int = 1) -> tuple:
+def criterion_07(threads: int) -> tuple:
     """One-sided perturbations of the unstable equilibrium source escape and settle."""
     phi, h, reports = bistable_fixture()
     lu = reports[1]
@@ -207,7 +206,7 @@ def criterion_07(threads: int = 1) -> tuple:
 
 
 @_criterion(8, "divergent-closed-form-domination")
-def criterion_08(threads: int = 1) -> tuple:
+def criterion_08(threads: int) -> tuple:
     """The divergent example dominates its closed-form lower trajectory."""
     a = 2.0
     phi = model.make_divergence_example_phi()
@@ -224,7 +223,7 @@ def criterion_08(threads: int = 1) -> tuple:
 
 
 @_criterion(9, "erlang-cascade-cross-validation")
-def criterion_09(threads: int = 1) -> tuple:
+def criterion_09(threads: int) -> tuple:
     """Marching solver vs ODE cascade agree to 1e-4 across five scenarios."""
     phi, h, _ = bistable_fixture()
     cfg = SolverConfig(t_end=20.0, dt=1e-3)
@@ -237,14 +236,14 @@ def criterion_09(threads: int = 1) -> tuple:
 
 
 @_criterion(10, "stable-manifold-oscillation")
-def criterion_10(threads: int = 1) -> tuple:
+def criterion_10(threads: int) -> tuple:
     """Oscillatory approach from the linearised stable plane of a supercritical point."""
     # S-shaped firing with flat second and third derivative at the fixed point,
     # so the off-plane contamination enters only at fifth order in epsilon
     phi = model.make_cubic_sigmoid_phi(0.5, 1.0, 8.0, 1.0)
     ell = 1.0
     tau0 = float(phi.d1(ell))  # = 2, supercritical for the unit-mass Erlang kernel
-    ic = stable_manifold_ic(ell, tau0, epsilon=1e-2 * ell)
+    ic = stable_manifold_ic(ell, tau0)
     mu, nu = oscillatory_mode(2, 1.0, tau0)
     period = 2.0 * math.pi / abs(nu)
     traj = solve_erlang_cascade(phi, 2, 1.0, ic, SolverConfig(t_end=2.2 * period, dt=1e-3))
@@ -259,7 +258,7 @@ def criterion_10(threads: int = 1) -> tuple:
 
 
 @_criterion(11, "envelope-rate-verification")
-def criterion_11(threads: int = 1) -> tuple:
+def criterion_11(threads: int) -> tuple:
     """Fitted decay rates dominate the predicted envelopes (one-sided)."""
     # compact kernel + compact source: exponential decay at rate log(1/tau)/(S v t0)
     support = 1.0
@@ -290,7 +289,7 @@ def criterion_11(threads: int = 1) -> tuple:
 
 
 @_criterion(12, "iteration-bound-dominance")
-def criterion_12(threads: int = 1) -> tuple:
+def criterion_12(threads: int) -> tuple:
     """The k-step iteration bound dominates the observed error on a (k, M) grid."""
     phi, h, rep = affine_fixture()
     traj = _affine_empty_traj(160.0)
@@ -302,14 +301,13 @@ def criterion_12(threads: int = 1) -> tuple:
         eps0=eps0, t0=t_entry,
         xi_decay=DecayClass.compact(horizon=0.0), h_decay=h.decay,
     )
-    v_xi = sup_tail_from_decay(ctx.xi_decay)
     h_tail = lambda m: float(h.tail(m))
     worst_margin = math.inf
     ok = True
     for k in range(1, 11):
         for j in range(10):
             m_val = t_entry + float(j)
-            bound = iteration_bound(ctx, v_xi, h_tail, k, m_val)
+            bound = iteration_bound(ctx, ctx.xi_decay.envelope, h_tail, k, m_val)
             actual = abs(float(traj.lam_at((k + 1) * m_val)) - rep.ell)
             worst_margin = min(worst_margin, bound - actual)
             ok &= actual <= bound
@@ -317,7 +315,7 @@ def criterion_12(threads: int = 1) -> tuple:
 
 
 @_criterion(13, "coupling-scaling")
-def criterion_13(threads: int = 1) -> tuple:
+def criterion_13(threads: int) -> tuple:
     """Coupling distance scales like 1/sqrt(N) below the explicit constant."""
     phi, h, _ = affine_fixture()
     xi = model.make_source_empty()
@@ -334,7 +332,7 @@ def criterion_13(threads: int = 1) -> tuple:
 
 
 @_criterion(14, "estimator-clt")
-def criterion_14(threads: int = 1) -> tuple:
+def criterion_14(threads: int) -> tuple:
     """Estimator fluctuations are asymptotically normal at desk scale."""
     phi, h, _ = affine_fixture()
     ell = 2.0
@@ -362,7 +360,7 @@ def _random_kernel(rng) -> "model.MemoryKernel":
 
 
 @_criterion(15, "comparison-and-monotonicity-suites")
-def criterion_15(threads: int = 1) -> tuple:
+def criterion_15(threads: int) -> tuple:
     """Randomised comparison and monotonicity property suites (20 instances each)."""
     rng = np.random.default_rng(321)
     cfg = SolverConfig(t_end=8.0, dt=1e-3)

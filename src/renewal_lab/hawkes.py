@@ -571,12 +571,12 @@ def simulate_hawkes(
 # ---------------------------------------------------------------------------
 
 
-def estimator_path(run: HawkesRun, checkpoints: Sequence[float], particle: int = 0) -> np.ndarray:
-    """ell-hat at each checkpoint: Z^i_t / t (particle 1 by exchangeability)."""
+def estimator_path(run: HawkesRun, checkpoints: Sequence[float]) -> np.ndarray:
+    """ell-hat at each checkpoint: Z^1_t / t (the first particle stands for all by exchangeability)."""
     cps = np.asarray(checkpoints, dtype=float)
     if np.any(cps > run.metadata["t_end"] + 1e-12):
         raise ValueError("checkpoints must not exceed the simulated horizon")
-    counts = np.searchsorted(run.events[particle], cps, side="right")
+    counts = np.searchsorted(run.events[0], cps, side="right")
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(cps > 0, counts / np.where(cps > 0, cps, 1.0), 0.0)
     return out
@@ -676,7 +676,6 @@ def coupling_experiment(
     xi: SourceTerm,
     cfg: HawkesConfig,
     n_values: Sequence[int],
-    limit: Optional[Trajectory] = None,
     threads: Optional[int] = None,
 ) -> CouplingResult:
     """Mean pathwise distance between Z and its coupled limit across system sizes.
@@ -688,8 +687,7 @@ def coupling_experiment(
     if len(set(map(int, n_values))) < 2 or min(map(int, n_values)) < 1:
         raise ValueError(f"coupling_sizes: the log-log slope needs at least two distinct sizes >= 1, got {list(n_values)}")
     threads = resolve_threads(threads)
-    if limit is None:
-        limit = _solve_limit(phi, h, xi, cfg.t_end)
+    limit = _solve_limit(phi, h, xi, cfg.t_end)
     means = []
     metadata = []
     for n in n_values:
@@ -739,7 +737,6 @@ def clt_experiment(
     xi: SourceTerm,
     cfg: HawkesConfig,
     ell: float,
-    limit: Optional[Trajectory] = None,
     threads: Optional[int] = None,
 ) -> CLTResult:
     """Standardised samples sqrt(t)(ell-hat - ell)/sqrt(ell) across replicas.
@@ -763,8 +760,7 @@ def clt_experiment(
     t_over_n = cfg.t_end / cfg.n_particles
     if t_over_n > 0.1:
         warnings.warn(f"t/N = {t_over_n:.3g} > 0.1: asymptotic regime is doubtful", UserWarning)
-    if limit is None:
-        limit = _solve_limit(phi, h, xi, cfg.t_end)
+    limit = _solve_limit(phi, h, xi, cfg.t_end)
     m_t = float(np.trapezoid(limit.lam, limit.ts))
     i2 = (m_t / cfg.t_end - ell) * math.sqrt(cfg.t_end)
 

@@ -136,27 +136,27 @@ def _config(cls, spec: dict, path: str, *extra, also=(), **fixed):
 # ---------------------------------------------------------------------------
 
 
-def build_kernel(spec: dict, path: str = "kernel"):
-    _require(isinstance(spec, dict) and "type" in spec, path, "needs a 'type'")
+def build_kernel(spec: dict):
+    _require(isinstance(spec, dict) and "type" in spec, "kernel", "needs a 'type'")
     kind = spec["type"]
     if kind == "erlang":
-        return model.make_erlang_kernel(*_read(spec, path, ("n", 1, _int), ("alpha", 1.0, _float), also=("type",)))
+        return model.make_erlang_kernel(*_read(spec, "kernel", ("n", 1, _int), ("alpha", 1.0, _float), also=("type",)))
     if kind == "exponential":
-        return model.make_scaled_exponential_kernel(*_read(spec, path, ("c", 1.0, _float), ("alpha", 1.0, _float), also=("type",)))
+        return model.make_scaled_exponential_kernel(*_read(spec, "kernel", ("c", 1.0, _float), ("alpha", 1.0, _float), also=("type",)))
     if kind != "compact":
-        raise ConfigError(f"{path}.type: unknown kernel type {kind!r}")
-    profile = _get(spec, "profile", "table", _str, path)
-    support = _get(spec, "support", 1.0, _float, path)
-    _require(support > 0, f"{path}.support", "must be > 0")
+        raise ConfigError(f"kernel.type: unknown kernel type {kind!r}")
+    profile = _get(spec, "profile", "table", _str, "kernel")
+    support = _get(spec, "support", 1.0, _float, "kernel")
+    _require(support > 0, "kernel.support", "must be > 0")
     also = ("type", "profile", "support")
     if profile == "table":
-        samples, = _read(spec, path, ("samples", None, _list_of(_float)), also=also)
-        _require(samples and min(samples) >= 0, f"{path}.samples", f"must be a nonempty list of values >= 0, got {samples}")
+        samples, = _read(spec, "kernel", ("samples", None, _list_of(_float)), also=also)
+        _require(samples and min(samples) >= 0, "kernel.samples", f"must be a nonempty list of values >= 0, got {samples}")
         return model.make_compact_kernel(samples, support)
-    _require(profile in ("bump", "box", "triangle"), f"{path}.profile", f"unknown profile {profile!r}")
+    _require(profile in ("bump", "box", "triangle"), "kernel.profile", f"unknown profile {profile!r}")
     size = ("mass", 0.5, _float) if profile == "bump" else ("height", 1.0, _float)
-    size, res = _read(spec, path, size, ("resolution", 2001, _int), also=also)
-    _require(res >= 2, f"{path}.resolution", f"must be >= 2, got {res}")
+    size, res = _read(spec, "kernel", size, ("resolution", 2001, _int), also=also)
+    _require(res >= 2, "kernel.resolution", f"must be >= 2, got {res}")
     xs = np.linspace(0.0, support, res)
     if profile == "bump":
         vals = xs**2 * (support - xs) ** 2
@@ -166,76 +166,75 @@ def build_kernel(spec: dict, path: str = "kernel"):
     return model.make_compact_kernel(vals, support)
 
 
-def build_phi(spec: dict, path: str = "phi"):
-    _require(isinstance(spec, dict) and "type" in spec, path, "needs a 'type'")
+def build_phi(spec: dict):
+    _require(isinstance(spec, dict) and "type" in spec, "phi", "needs a 'type'")
     kind = spec["type"]
     if kind in ("sigmoid", "cubic_sigmoid"):
         make = model.make_sigmoid_phi if kind == "sigmoid" else model.make_cubic_sigmoid_phi
         keys = (("base", 0.5), ("gain", 1.0), ("slope", 8.0), ("center", 1.0))
-        return make(*_read(spec, path, *((k, d, _float) for k, d in keys), also=("type",)))
+        return make(*_read(spec, "phi", *((k, d, _float) for k, d in keys), also=("type",)))
     if kind == "affine":
-        return model.make_affine_phi(*_read(spec, path, ("mu", 1.0, _float), also=("type",)))
+        return model.make_affine_phi(*_read(spec, "phi", ("mu", 1.0, _float), also=("type",)))
     if kind == "constant":
-        return model.make_constant_phi(*_read(spec, path, ("value", 1.0, _float), also=("type",)))
+        return model.make_constant_phi(*_read(spec, "phi", ("value", 1.0, _float), also=("type",)))
     if kind == "divergence_example":
-        return model.make_divergence_example_phi(*_read(spec, path, also=("type",)))
-    raise ConfigError(f"{path}.type: unknown firing-function type {kind!r}")
+        return model.make_divergence_example_phi(*_read(spec, "phi", also=("type",)))
+    raise ConfigError(f"phi.type: unknown firing-function type {kind!r}")
 
 
-def build_source(spec: dict, h, phi, solver_cfg: Optional[SolverConfig] = None, path: str = "source"):
-    _require(isinstance(spec, dict) and "type" in spec, path, "needs a 'type'")
+def build_source(spec: dict, h, phi, solver_cfg: Optional[SolverConfig] = None):
+    _require(isinstance(spec, dict) and "type" in spec, "source", "needs a 'type'")
     kind = spec["type"]
 
     def read(*keys):
-        return _read(spec, path, *keys, also=("type", "perturbation"))
+        return _read(spec, "source", *keys, also=("type", "perturbation"))
 
     if kind == "empty":
         src = model.make_source_empty(*read())
     elif kind == "equilibrium":
         src = model.make_source_equilibrium(h, *read(("ell", None, _float)))
     elif kind == "locked_equilibrium":
-        _require(solver_cfg is not None, path, "locked equilibrium source needs a solver block")
+        _require(solver_cfg is not None, "source", "locked equilibrium source needs a solver block")
         ell, = read(("ell", None, _float))
         try:
             src = equilibrium_locked_source(phi, h, ell, solver_cfg)
         except RuntimeError as exc:
-            raise ConfigError(f"{path}.ell: {exc}") from exc
+            raise ConfigError(f"source.ell: {exc}") from exc
     elif kind == "tail":
         src = model.make_source_tail(h, *read(("ell0", None, _float)))
     elif kind == "chi_perturbed":
         ell0, chi_spec = read(("ell0", None, _float), ("chi", {"type": "kernel_tail"}, _object))
         chi_kind = chi_spec.get("type")
         if chi_kind == "kernel_tail":
-            _read(chi_spec, f"{path}.chi", also=("type",))
+            _read(chi_spec, "source.chi", also=("type",))
             chi = lambda t: h.signed_tail(t)
             chi_p = lambda t: -np.asarray(h.evaluator(t), dtype=float)
             decay = h.decay
         elif chi_kind == "poly":
-            a, = _read(chi_spec, f"{path}.chi", ("a", 1.0, _float), also=("type",))
+            a, = _read(chi_spec, "source.chi", ("a", 1.0, _float), also=("type",))
             norm = h.norm_l1
             chi = lambda t: norm / (1.0 + np.asarray(t, dtype=float)) ** a
             chi_p = lambda t: -a * norm / (1.0 + np.asarray(t, dtype=float)) ** (a + 1.0)
             decay = DecayClass.polynomial(rate=a, constant=norm)
         else:
-            raise ConfigError(f"{path}.chi.type: unknown chi type {chi_kind!r}")
+            raise ConfigError(f"source.chi.type: unknown chi type {chi_kind!r}")
         src = model.make_source_chi_perturbed(h, phi, ell0, chi, chi_p, decay)
     elif kind == "erlang_poly":
         src = model.make_source_erlang_polynomial(*read(("n", None, _int), ("alpha", None, _float), ("c", None, _list_of(_float))))
     elif kind == "divergence_example":
         src = model.make_source_divergence_example(*read(("a", 2.0, _float)))
     else:
-        raise ConfigError(f"{path}.type: unknown source type {kind!r}")
+        raise ConfigError(f"source.type: unknown source type {kind!r}")
     pert = spec.get("perturbation")
     if pert is not None:
-        ppath = f"{path}.perturbation"
-        amplitude, rate = _read(pert, ppath, ("amplitude", None, _float), ("rate", 1.0, _float))
-        _require(rate > 0, f"{ppath}.rate", f"must be > 0, got {rate}")
+        amplitude, rate = _read(pert, "source.perturbation", ("amplitude", None, _float), ("rate", 1.0, _float))
+        _require(rate > 0, "source.perturbation.rate", f"must be > 0, got {rate}")
         src = model.add_exponential_perturbation(src, amplitude, rate)
     return src
 
 
-def build_solver(spec: dict, path: str = "solver") -> SolverConfig:
-    return _config(SolverConfig, spec, path)[0]
+def build_solver(spec: dict) -> SolverConfig:
+    return _config(SolverConfig, spec, "solver")[0]
 
 
 # the top-level keys some command reads; each command accepts only its own
@@ -501,10 +500,11 @@ def cmd_couple(cfg: dict, out: Path, seed: int, threads: int) -> int:
 _PALETTE = ("#c0392b", "#2471a3", "#1e8449", "#7d3c98", "#b7950b", "#2c3e50")
 
 
-def _ticks(lo: float, hi: float, n: int = 6):
+def _ticks(lo: float, hi: float):
+    """Round tick values over [lo, hi], at the 1-2-2.5-5 step nearest above a fifth of the range."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

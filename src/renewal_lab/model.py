@@ -27,6 +27,8 @@ DERIVATIVE_THRESHOLD = 1e-7
 MAX_CRITICAL_ORDER = 6
 #: bisection tolerance for fixed-point roots
 ROOT_TOL = 1e-12
+#: slack of make_source_chi_perturbed's checks of chi(0) and of chi's monotonicity
+_CHI_TOL = 1e-8
 
 
 class NoFixedPointError(Exception):
@@ -85,7 +87,11 @@ class DecayClass:
         return DecayClass("compact", horizon=horizon)
 
     def envelope(self, t):
-        """Evaluate the decay envelope itself (inf at t <= 0 for polynomial decay)."""
+        """Evaluate the decay envelope itself (inf at t <= 0 for polynomial decay).
+
+        The envelope is nonincreasing, so it also bounds the sup tail
+        sup_{s >= t} |z_s|, which ``rates.iteration_bound`` reads.
+        """
         t = np.asarray(t, dtype=float)
         if self.kind == "exponential":
             return self.constant * np.exp(-self.rate * t)
@@ -117,16 +123,15 @@ class ErlangForm:
 class MemoryKernel:
     """A memory kernel h with its analytic metadata.
 
-    ``tail`` evaluates H_t = int_t^inf |h|, ``signed_tail`` evaluates
-    int_t^inf h (they differ for signed kernels; equilibrium sources need the
-    signed version, the convergence-rate machinery the absolute one).
+    ``signed_tail`` evaluates int_t^inf h, ``tail`` its absolute value
+    (equilibrium sources need the signed version, the convergence-rate
+    machinery the absolute one).
     """
 
     evaluator: Callable
     norm_l1: float
     kappa: float
     norm_l2: float
-    tail: Callable
     signed_tail: Callable
     nonneg: bool
     decay: DecayClass
@@ -136,8 +141,12 @@ class MemoryKernel:
     def __call__(self, t):
         return self.evaluator(t)
 
+    def tail(self, t):
+        """H_t = int_t^inf |h|: every kernel here keeps one sign, so |int_t^inf h|."""
+        return np.abs(self.signed_tail(t))
 
-def _erlang_tail_factory(n: int, alpha: float, scale: float = 1.0):
+
+def _erlang_tail_factory(n: int, alpha: float):
     """Closed-form tail of the Erlang kernel: partial sums of the incomplete gamma."""
 
     ks = np.arange(n + 1)
@@ -148,7 +157,7 @@ def _erlang_tail_factory(n: int, alpha: float, scale: float = 1.0):
         tt = np.maximum(t, 0.0)
         # sum_{k<=n} (alpha t)^k / k! * exp(-alpha t)
         terms = (alpha * tt[..., None]) ** ks * inv_fact
-        return scale * np.exp(-alpha * tt) * terms.sum(axis=-1)
+        return np.exp(-alpha * tt) * terms.sum(axis=-1)
 
     return tail
 
@@ -179,7 +188,6 @@ def make_erlang_kernel(n: int, alpha: float) -> MemoryKernel:
         norm_l1=1.0,
         kappa=1.0,
         norm_l2=norm_l2,
-        tail=tail,
         signed_tail=tail,
         nonneg=True,
         decay=DecayClass.exponential(rate=0.5 * alpha, constant=a_const),
@@ -197,10 +205,6 @@ def make_scaled_exponential_kernel(c: float, alpha: float) -> MemoryKernel:
         t = np.asarray(t, dtype=float)
         return np.where(t < 0, 0.0, c * np.exp(-alpha * np.maximum(t, 0.0)))
 
-    def tail(t):
-        t = np.asarray(t, dtype=float)
-        return (abs(c) / alpha) * np.exp(-alpha * np.maximum(t, 0.0))
-
     def signed_tail(t):
         t = np.asarray(t, dtype=float)
         return (c / alpha) * np.exp(-alpha * np.maximum(t, 0.0))
@@ -210,7 +214,6 @@ def make_scaled_exponential_kernel(c: float, alpha: float) -> MemoryKernel:
         norm_l1=abs(c) / alpha,
         kappa=c / alpha,
         norm_l2=abs(c) / math.sqrt(2.0 * alpha),
-        tail=tail,
         signed_tail=signed_tail,
         nonneg=c >= 0,
         decay=DecayClass.exponential(rate=alpha, constant=abs(c) / alpha if c != 0 else 1e-300),
@@ -256,7 +259,6 @@ def make_compact_kernel(table: Sequence[float], support: float) -> MemoryKernel:
         norm_l1=norm_l1,
         kappa=norm_l1,
         norm_l2=norm_l2,
-        tail=tail,
         signed_tail=tail,
         nonneg=True,
         decay=DecayClass.compact(horizon=support),
@@ -703,7 +705,6 @@ def make_source_chi_perturbed(
     chi: Callable,
     chi_prime: Callable,
     chi_decay: DecayClass,
-    tol: float = 1e-8,
 ) -> SourceTerm:
     """xi_t = Phi(||h||_1 ell0) int_t^inf h + (ell0 - Phi(||h||_1 ell0)) chi_t.
 
@@ -713,11 +714,11 @@ def make_source_chi_perturbed(
     if ell0 < 0:
         raise ValueError("ell0 must be >= 0")
     chi0 = float(chi(0.0))
-    if abs(chi0 - h.norm_l1) > tol * max(1.0, h.norm_l1):
+    if abs(chi0 - h.norm_l1) > _CHI_TOL * max(1.0, h.norm_l1):
         raise ValueError(f"chi(0) = {chi0} does not match ||h||_1 = {h.norm_l1}")
     probe = np.linspace(0.0, 50.0, 501)
     cvals = np.asarray(chi(probe), dtype=float)
-    if np.any(np.diff(cvals) > tol):
+    if np.any(np.diff(cvals) > _CHI_TOL):
         raise ValueError("chi must be nonincreasing on the sample grid")
 
     level = phi.scalar(h.norm_l1 * ell0)
@@ -821,9 +822,9 @@ def divergence_psi(a: float) -> float:
     return math.log(math.exp(-2.0 * a) / a * (0.5 / a + 1.0) + 1.0) + 2.0 * a
 
 
-def divergence_a_star(scan_hi: float = 10.0, step: float = 1e-3) -> float:
-    """Smallest a after which Psi is increasing, located by scanning Psi'."""
-    grid = np.arange(step, scan_hi, step)
+def divergence_a_star() -> float:
+    """Smallest a after which Psi is increasing, located by scanning Psi' on (0, 10) in steps of 1e-3."""
+    grid = np.arange(1e-3, 10.0, 1e-3)
     dpsi = np.array([(divergence_psi(v + 1e-7) - divergence_psi(v - 1e-7)) / 2e-7 for v in grid])
     neg = np.where(dpsi <= 0)[0]
     if neg.size == 0:
@@ -983,12 +984,12 @@ def classify_critical(phi: FiringFunction, h: MemoryKernel, ell: float) -> Stabi
     )
 
 
-def _classify(phi: FiringFunction, h: MemoryKernel, ell: float, margin: float) -> Stability:
+def _classify(phi: FiringFunction, h: MemoryKernel, ell: float) -> Stability:
     tau0 = h.norm_l1 * abs(float(phi.d1(h.kappa * ell)))
     caveat = "" if h.nonneg else "instability theory unavailable for signed kernels"
-    if tau0 < 1.0 - margin:
+    if tau0 < 1.0 - CRITICAL_MARGIN:
         return Stability(kind=SUBCRITICAL)
-    if tau0 > 1.0 + margin:
+    if tau0 > 1.0 + CRITICAL_MARGIN:
         return Stability(kind=SUPERCRITICAL, note=caveat)
     if not h.nonneg:
         return Stability(kind=CRITICAL, note=caveat)
@@ -1000,20 +1001,17 @@ def _g_on_grid(phi: FiringFunction, kappa: float, ells: np.ndarray) -> np.ndarra
     return np.asarray(phi.evaluator(kappa * ells), dtype=float) - ells
 
 
-def find_fixed_points(
-    phi: FiringFunction,
-    h: MemoryKernel,
-    l_max: Optional[float] = None,
-    grid: int = 4096,
-    margin: float = CRITICAL_MARGIN,
-    max_bracket: float = 1e9,
-) -> list:
+def find_fixed_points(phi: FiringFunction, h: MemoryKernel, l_max: Optional[float] = None) -> list:
     """All roots of g(ell) = Phi(kappa ell) - ell on [0, L_max], sorted ascending.
 
-    Sign-change roots on the grid are refined by bisection to 1e-12 and then
-    Newton-polished; each root carries tau0 = ||h||_1 |Phi'(kappa ell)| and its
-    stability class.  The default bracket doubles until the sign of g is stable
-    beyond it.  Raises NoFixedPointError when g has no root up to the cap.
+    Sign-change roots on a grid of 4096 cells are refined by bisection to
+    1e-12 and then Newton-polished; each root carries
+    tau0 = ||h||_1 |Phi'(kappa ell)| and its stability class.  The default
+    bracket doubles, up to 1e9, until the sign of g is stable beyond it, and
+    then widens to cover the proven bound on every root of a nondecreasing Phi
+    with Lipschitz constant L: Phi(0) when kappa <= 0, Phi(0) / (1 - L kappa)
+    when L kappa < 1.  Raises NoFixedPointError when g has no root on the
+    bracket.
     """
     kappa = h.kappa
 
@@ -1027,13 +1025,20 @@ def find_fixed_points(
         except (ValueError, FloatingPointError):
             phi_sup_est = max(phi.scalar(0.0), 1.0)
         l_max = max(4.0 * phi_sup_est, 10.0)
-        while l_max < max_bracket:
+        while l_max < 1e9:
             gv = _g_on_grid(phi, kappa, np.linspace(l_max, 2.0 * l_max, 257))
             if np.all(gv >= 0) or np.all(gv <= 0):
                 break
             l_max *= 2.0
+        # a stable sign past the bracket does not rule out a root further out: cover the proven bound
+        # Phi(0) / (1 - L max(kappa, 0)) where there is one (a Phi with L kappa >= 1 keeps the probe)
+        lk = phi.lip * max(kappa, 0.0)
+        if lk < 1.0:
+            bound = phi.scalar(0.0) / (1.0 - lk)
+            if l_max < bound:
+                l_max = 1.01 * bound + 1.0
 
-    xs = np.linspace(0.0, l_max, grid + 1)
+    xs = np.linspace(0.0, l_max, 4096 + 1)
     gv = _g_on_grid(phi, kappa, xs)
 
     roots = []
@@ -1086,7 +1091,7 @@ def find_fixed_points(
     reports = []
     for r in merged:
         gp = kappa * float(phi.d1(kappa * r)) - 1.0
-        if abs(gp) < margin:
+        if abs(gp) < CRITICAL_MARGIN:
             warnings.warn(f"possible tangency (double root) at ell = {r:.6g}", TangencyWarning)
         tau0 = h.norm_l1 * abs(float(phi.d1(kappa * r)))
         reports.append(
@@ -1094,7 +1099,7 @@ def find_fixed_points(
                 ell=r,
                 kappa_ell=kappa * r,
                 tau0=tau0,
-                stability=_classify(phi, h, r, margin),
+                stability=_classify(phi, h, r),
                 residual=abs(g(r)),
             )
         )

@@ -55,10 +55,16 @@ class RateContext:
             raise ValueError("tau cannot be smaller than tau0")
 
 
-def tau_of_eps0(phi: FiringFunction, h: MemoryKernel, ell: float, lambda_sup: float, eps0: float) -> float:
-    """tau(eps0) = ||h||_1 (|Phi'(kappa ell)| + eps0 ||Phi''||_inf/2 (1 + 2 ell + ||lambda||_inf + ||h||_1))."""
+def _tau_terms(phi: FiringFunction, h: MemoryKernel, ell: float, lambda_sup: float) -> tuple:
+    """(d1, bulk) with tau(eps0) = ||h||_1 (d1 + eps0 bulk), as written out in ``tau_of_eps0``."""
     d1 = abs(float(phi.d1(h.kappa * ell)))
     bulk = 0.5 * phi.d2_sup * (1.0 + 2.0 * ell + lambda_sup + h.norm_l1)
+    return d1, bulk
+
+
+def tau_of_eps0(phi: FiringFunction, h: MemoryKernel, ell: float, lambda_sup: float, eps0: float) -> float:
+    """tau(eps0) = ||h||_1 (|Phi'(kappa ell)| + eps0 ||Phi''||_inf/2 (1 + 2 ell + ||lambda||_inf + ||h||_1))."""
+    d1, bulk = _tau_terms(phi, h, ell, lambda_sup)
     return h.norm_l1 * (d1 + eps0 * bulk)
 
 
@@ -87,8 +93,7 @@ def build_rate_context(
     h_decay = h_decay if h_decay is not None else h.decay
     tau = tau_of_eps0(phi, h, report.ell, lambda_sup, eps0)
     if tau >= 1.0:
-        d1 = abs(float(phi.d1(h.kappa * report.ell)))
-        bulk = 0.5 * phi.d2_sup * (1.0 + 2.0 * report.ell + lambda_sup + h.norm_l1)
+        d1, bulk = _tau_terms(phi, h, report.ell, lambda_sup)
         eps0_star = (1.0 / h.norm_l1 - d1) / bulk if bulk > 0 else math.inf
         raise TauOutOfRangeError(tau, eps0_star)
     return RateContext(
@@ -164,15 +169,20 @@ def _c1_constant(a: float, tau: float, A: float) -> float:
     return A * (1.0 + term1 + term2)
 
 
+def _tail_coefficient(ctx: RateContext) -> float:
+    """tau (L + 2 ell) / (||h||_1 (1 - tau)), the factor of the kernel tail H_M in every bound."""
+    return ctx.tau * (ctx.lambda_sup + 2.0 * ctx.ell) / (ctx.norm_l1 * (1.0 - ctx.tau))
+
+
 def _c2_constant(ctx: RateContext, A: float) -> float:
     """max of the tail coefficient and the geometric coefficient (exponential/compact xi)."""
-    tail = ctx.tau * (ctx.lambda_sup + 2.0 * ctx.ell) / (ctx.norm_l1 * (1.0 - ctx.tau))
+    tail = _tail_coefficient(ctx)
     geo = A * ctx.tau**2 / (2.0 * ctx.norm_l1) + ctx.lambda_sup + ctx.ell
     return max(tail, geo)
 
 
 def _c3_constant(ctx: RateContext, a: float, A: float) -> float:
-    tail = ctx.tau * (ctx.lambda_sup + 2.0 * ctx.ell) / (ctx.norm_l1 * (1.0 - ctx.tau))
+    tail = _tail_coefficient(ctx)
     if ctx.tau > 0:
         lead = ctx.tau * _c1_constant(a, ctx.tau, A) / ctx.norm_l1
     else:
@@ -309,12 +319,6 @@ def verify_envelope(traj: Trajectory, ell: float, env: Envelope, slack: float = 
 # ---------------------------------------------------------------------------
 
 
-def sup_tail_from_decay(decay: DecayClass, sup_bound: Optional[float] = None) -> Callable:
-    """v_t = sup_{s >= t} |xi_s| from a decay class: its nonincreasing envelope, capped at sup_bound."""
-    cap = math.inf if sup_bound is None else sup_bound
-    return lambda t: np.minimum(decay.envelope(t), cap)
-
-
 def iteration_bound(ctx: RateContext, xi_sup_fn: Callable, h_tail_fn: Callable, k: int, M: float) -> float:
     """k-step contraction bound on |lambda_{(k+1)M} - ell|.
 
@@ -331,7 +335,7 @@ def iteration_bound(ctx: RateContext, xi_sup_fn: Callable, h_tail_fn: Callable, 
     for j in range(k):
         s += tau**j * float(xi_sup_fn((k + 1 - j) * M))
     lead = tau / ctx.norm_l1 * s
-    mid = tau * (ctx.lambda_sup + 2.0 * ctx.ell) / (ctx.norm_l1 * (1.0 - tau)) * float(h_tail_fn(M))
+    mid = _tail_coefficient(ctx) * float(h_tail_fn(M))
     geo = tau**k * (ctx.lambda_sup + ctx.ell)
     return lead + mid + geo
 
@@ -354,11 +358,11 @@ class RateFit:
     n_points: int
 
 
-def fit_empirical_rate(traj: Trajectory, ell: float, window, model: str, min_points: int = 20) -> RateFit:
+def fit_empirical_rate(traj: Trajectory, ell: float, window, model: str) -> RateFit:
     """Least-squares fit of log|lambda_t - ell| against sqrt(t), log(t) or t.
 
     Points with |lambda_t - ell| <= 10 * inner_tol are excluded (solver noise);
-    fewer than ``min_points`` usable points raises WindowTooNoisyError.
+    fewer than 20 usable points raises WindowTooNoisyError.
     """
     t_lo, t_hi = window
     noise = 10.0 * float(traj.metadata.get("inner_tol", 1e-12))
@@ -369,7 +373,7 @@ def fit_empirical_rate(traj: Trajectory, ell: float, window, model: str, min_poi
     if model in (LOG_VS_LOG_T, LOG_VS_SQRT_T):
         keep &= ts > 0
     ts, err = ts[keep], err[keep]
-    if ts.size < min_points:
+    if ts.size < 20:
         raise WindowTooNoisyError(f"only {ts.size} usable points in window [{t_lo}, {t_hi}]")
     if model == LOG_VS_SQRT_T:
         xs = np.sqrt(ts)
@@ -399,14 +403,14 @@ def oscillatory_mode(n: int, alpha: float, tau0: float):
     return float(lam1.real), float(lam1.imag)
 
 
-def stable_manifold_ic(ell: float, tau0: float, epsilon: Optional[float] = None) -> np.ndarray:
-    """Initial cascade state ell (1,1,1) + eps w1 with w1 = (1, tau0^{1/3}, -2 tau0^{2/3}).
+def stable_manifold_ic(ell: float, tau0: float) -> np.ndarray:
+    """Initial cascade state ell (1,1,1) + eps w1 with eps = 1e-2 ell and w1 = (1, tau0^{1/3}, -2 tau0^{2/3}).
 
     For the order-2 cascade at unit rate in the supercritical regime, this is
     the linearised initial condition on the oscillatory stable plane.
     """
     if tau0 <= 1.0:
         raise ValueError("stable-manifold construction needs tau0 > 1")
-    eps = 1e-2 * ell if epsilon is None else epsilon
+    eps = 1e-2 * ell
     w1 = np.array([1.0, tau0 ** (1.0 / 3.0), -2.0 * tau0 ** (2.0 / 3.0)])
     return ell * np.ones(3) + eps * w1

@@ -9,12 +9,12 @@ import numpy as np
 _INV_E = math.exp(-1.0)
 
 
-def lambert_w(x: float, branch: int = 0, tol: float = 1e-12, max_iter: int = 80) -> float:
+def lambert_w(x: float, branch: int = 0) -> float:
     """Real Lambert W, solving w * exp(w) = x by Newton iteration.
 
     branch=0 is the principal branch (x >= -1/e), branch=-1 the lower
     branch (-1/e <= x < 0).  Residual |w e^w - x| is driven below
-    ``tol * max(1, |x|)``.
+    1e-12 max(1, |x|), in at most 80 Halley steps.
     """
     if branch not in (0, -1):
         raise ValueError("branch must be 0 or -1")
@@ -43,10 +43,10 @@ def lambert_w(x: float, branch: int = 0, tol: float = 1e-12, max_iter: int = 80)
         w = min(w, -1.0)
 
     scale = max(1.0, abs(x))
-    for _ in range(max_iter):
+    for _ in range(80):
         ew = math.exp(w)
         f = w * ew - x
-        if abs(f) <= tol * scale:
+        if abs(f) <= 1e-12 * scale:
             return w
         d = ew * (w + 1.0)
         if d == 0.0:
@@ -75,12 +75,12 @@ def normal_cdf(x):
     return float(out) if np.isscalar(x) or xs.ndim == 0 else out
 
 
-def kolmogorov_sf(x: float, terms: int = 101) -> float:
-    """Survival function of the Kolmogorov distribution, 2*sum (-1)^{k-1} exp(-2k^2 x^2)."""
+def kolmogorov_sf(x: float) -> float:
+    """Survival function of the Kolmogorov distribution, 2*sum (-1)^{k-1} exp(-2k^2 x^2) over k <= 101."""
     if x <= 0.0:
         return 1.0
     s = 0.0
-    for k in range(1, terms + 1):
+    for k in range(1, 102):
         term = math.exp(-2.0 * k * k * x * x)
         s += term if k % 2 == 1 else -term
         if term < 1e-18:
@@ -113,8 +113,8 @@ def ks_statistic(samples, cdf=normal_cdf) -> float:
     return float(max(d_plus, d_minus))
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 48) -> float:
-    """Adaptive Simpson quadrature of ``f`` on [a, b]."""
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
+    """Adaptive Simpson quadrature of ``f`` on [a, b], halving intervals at most 48 times."""
     if b <= a:
         return 0.0
 
@@ -129,7 +129,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int =
         frmid = f(rmid)
         left = simpson(lo, flo, mid, fmid, flmid)
         right = simpson(mid, fmid, hi, fhi, frmid)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
+        if depth >= 48 or abs(left + right - whole) <= 15.0 * eps:
             return left + right + (left + right - whole) / 15.0
         return recurse(lo, flo, mid, fmid, flmid, left, 0.5 * eps, depth + 1) + recurse(
             mid, fmid, hi, fhi, frmid, right, 0.5 * eps, depth + 1

@@ -51,6 +51,9 @@ _CSV_CHUNK = 1024
 #: solve_picard stops when a sweep moves lambda by at most this, and fails after this many sweeps
 PICARD_TOL = 1e-13
 PICARD_MAX_ITER = 200
+#: limit_diagnostic calls a tail converged when it oscillates below OSC_TOL within DIST_TOL of a root
+OSC_TOL = 1e-4
+DIST_TOL = 1e-2
 
 
 class NonConvergenceError(Exception):
@@ -195,6 +198,9 @@ for it in range(max_iter):
     if abs(nxt - lam_c) <= tol * (mag if mag > 1.0 else 1.0):
         lam_c = nxt
         break
+    # a NaN Phi cuts the march, as the explicit step's store does
+    if nxt != nxt:
+        return n, inner_total, inner_max
     lam_c = {update}
 else:
     raise NonConvergenceError(n, float(ts[n]), abs(phi_s(base + beta * lam_c) - lam_c))
@@ -313,7 +319,7 @@ class _DotHistory:
     #: one loop for every dot history: the window is data, not a shape
     shape = ()
 
-    def __init__(self, h: MemoryKernel, cfg: SolverConfig, ts: np.ndarray, lam: np.ndarray, window: Optional[int] = None):
+    def __init__(self, h: MemoryKernel, cfg: SolverConfig, ts: np.ndarray, lam: np.ndarray, window: int):
         self.dt = cfg.dt
         trapezoid = cfg.quadrature == TRAPEZOID
         self.lam = lam
@@ -321,7 +327,7 @@ class _DotHistory:
         self.hrev = hg[::-1].copy()
         self.hg = memoryview(hg)  # items are Python floats
         self.N = ts.size - 1
-        self.window = window if window is not None else self.N + 1
+        self.window = window
         self.beta = 0.5 * cfg.dt * self.hg[0] if trapezoid else 0.0
         self.w0 = (0.5 * self.dt) if trapezoid else self.dt
 
@@ -346,10 +352,9 @@ class _DotHistory:
 def _make_history(h: MemoryKernel, cfg: SolverConfig, ts: np.ndarray, lam: np.ndarray):
     if h.structure is not None:
         return _ErlangHistory(h.structure, cfg)
-    if h.decay.kind == "compact":
-        window = int(math.ceil(h.decay.horizon / cfg.dt)) + 1
-        return _DotHistory(h, cfg, ts, lam, window=window)
-    return _DotHistory(h, cfg, ts, lam)
+    # the steps a compact support covers; any other kernel reaches back over the whole grid
+    window = int(math.ceil(h.decay.horizon / cfg.dt)) + 1 if h.decay.kind == "compact" else ts.size
+    return _DotHistory(h, cfg, ts, lam, window)
 
 
 # ---------------------------------------------------------------------------
@@ -661,17 +666,11 @@ class LimitDiagnostic:
     tail_slope: float = math.nan
 
 
-def limit_diagnostic(
-    traj: Trajectory,
-    reports: Sequence[FixedPointReport],
-    window: float,
-    osc_tol: float = 1e-4,
-    dist_tol: float = 1e-2,
-) -> LimitDiagnostic:
+def limit_diagnostic(traj: Trajectory, reports: Sequence[FixedPointReport], window: float) -> LimitDiagnostic:
     """Classify the tail of a trajectory against known fixed points.
 
-    Converged verdicts need tail oscillation below osc_tol and distance to a
-    fixed point below dist_tol; divergence needs the overflow flag or a
+    Converged verdicts need tail oscillation below OSC_TOL and distance to a
+    fixed point below DIST_TOL; divergence needs the overflow flag or a
     persistently rising tail above every fixed point.  Anything else stays
     undecided.
     """
@@ -686,13 +685,13 @@ def limit_diagnostic(
     mean = float(np.mean(tail))
     slope = float(np.polyfit(tts, tail, 1)[0]) if tail.size > 2 else math.nan
     ells = np.array([r.ell for r in reports]) if reports else np.array([])
-    if ells.size and osc < osc_tol:
+    if ells.size and osc < OSC_TOL:
         idx = int(np.argmin(np.abs(ells - mean)))
-        if abs(ells[idx] - mean) < dist_tol:
+        if abs(ells[idx] - mean) < DIST_TOL:
             return LimitDiagnostic(
                 kind=CONVERGED, ell=float(ells[idx]), residual=abs(ells[idx] - mean), tail_oscillation=osc, tail_slope=slope
             )
-    above_all = not ells.size or mean > float(np.max(ells)) + dist_tol
+    above_all = not ells.size or mean > float(np.max(ells)) + DIST_TOL
     if slope > DIVERGENT_SLOPE and above_all:
         return LimitDiagnostic(kind=DIVERGENT, tail_oscillation=osc, tail_slope=slope)
     return LimitDiagnostic(kind=UNDECIDED, tail_oscillation=osc, tail_slope=slope)

@@ -38,7 +38,7 @@ def test_particle_criteria_fail_on_a_dominator_breach(monkeypatch, number):
     for breaches in (0, 1):
         result = SimpleNamespace(counters={"breaches": breaches}, **fields)
         monkeypatch.setattr(acceptance, name, lambda *args, **kwargs: result)
-        outcome = acceptance.CRITERIA[number]()
+        outcome = acceptance.CRITERIA[number](threads=1)
         assert (outcome.number, outcome.passed) == (number, breaches == 0)
         assert f"dominator breaches {breaches}" in outcome.detail
 

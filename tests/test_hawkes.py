@@ -181,7 +181,7 @@ def test_intensity_path_closed_form():
 def test_coupling_slope_small_scale(affine_system):
     phi, h, xi, limit = affine_system
     cfg = HawkesConfig(n_particles=50, t_end=15.0, seed=31, replicas=30)
-    res = coupling_experiment(phi, h, xi, cfg, n_values=(50, 200, 800), limit=None, threads=1)
+    res = coupling_experiment(phi, h, xi, cfg, n_values=(50, 200, 800), threads=1)
     assert all(m <= b for m, b in zip(res.mean_sup_diff, res.bound_values))
     assert -0.8 < res.slope < -0.2
     # (C_xi + sqrt(||lambda||_inf) ||h||_2) / (1 - ||h||_1 |Phi|_Lip) = 1 as t -> inf
@@ -189,11 +189,11 @@ def test_coupling_slope_small_scale(affine_system):
 
 
 def test_coupling_needs_two_distinct_sizes(affine_system):
-    phi, h, xi, limit = affine_system
+    phi, h, xi, _ = affine_system
     cfg = HawkesConfig(n_particles=5, t_end=2.0, seed=31, replicas=3)
     for sizes in ((5,), (5, 5)):
         with pytest.raises(ValueError, match="coupling_sizes"):
-            coupling_experiment(phi, h, xi, cfg, n_values=sizes, limit=limit, threads=1)
+            coupling_experiment(phi, h, xi, cfg, n_values=sizes, threads=1)
 
 
 @pytest.mark.parametrize("sizes", [["100"], ["100", "100"], ["0", "100"]])

@@ -377,6 +377,27 @@ _EXTRA_EDITS = {
 }
 
 
+# at full size every bundled scenario exits 0 but the one whose solve correctly diverges, which exits 2;
+# the two particle experiments, at over 10 s each, run only shrunk
+_FULL_SIZE = [
+    pytest.param(
+        name,
+        marks=[pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the limit verdict cannot accept the 1/t approach")]
+        if name == "envelope_polyxi" else [],
+    )
+    for name in sorted(_SHRUNK)
+    if name not in ("clt_affine", "coupling_affine")
+]
+
+
+@pytest.mark.parametrize("name", _FULL_SIZE)
+def test_bundled_scenario_at_full_size_exits_as_promised(tmp_path, name):
+    command, _ = _SHRUNK[name]
+    config = SCENARIOS / f"{name}.json"
+    want = 2 if name == "divergence_a2" else 0
+    assert main([command, "--config", str(config), "--out", str(tmp_path), "--threads", "1"]) == want
+
+
 def _one_value_edits(node, path=()):
     for key, value in node.items():
         for bad in (None, "x", 0, -1):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brentq
@@ -456,6 +456,8 @@ def test_bistable_fixed_points_against_independent_oracle(bistable):
     st.floats(min_value=0.1, max_value=0.9),
     st.floats(min_value=0.5, max_value=3.0),
 )
+# kappa = 0.972: the root 108 lies past the bracket where g first keeps one sign, so only the proven bound finds it
+@example(3.0, 0.546875, 0.5625)
 @settings(max_examples=30, deadline=None)
 def test_affine_fixed_point_closed_form(mu, c, alpha):
     h = model.make_scaled_exponential_kernel(c, alpha)

@@ -17,7 +17,6 @@ from renewal_lab.rates import (
     oscillatory_mode,
     predict_envelope,
     stable_manifold_ic,
-    sup_tail_from_decay,
     tau_of_eps0,
     verify_envelope,
 )
@@ -184,7 +183,7 @@ def test_iteration_bound_monotone_in_k_and_M(affine, affine_empty_traj):
     t0 = entry_time(traj, rep.ell, 0.1)
     ctx = build_rate_context(rep, phi, h, lambda_sup=2.1, eps0=0.1, t0=t0,
                              xi_decay=DecayClass.exponential(1.0, 1.0), h_decay=h.decay)
-    v = sup_tail_from_decay(DecayClass.exponential(1.0, 1.0))
+    v = DecayClass.exponential(1.0, 1.0).envelope
     ht = lambda m: float(h.tail(m))
     for k in range(1, 8):
         for dm in range(5):
@@ -221,21 +220,18 @@ def test_partial_sum_lemma_bounds():
             assert s <= c1 * M**-a * k**-a * (1.0 + 1e-12)
 
 
-def test_sup_tail_from_decay_is_the_capped_envelope():
+def test_decay_envelope_is_a_nonincreasing_sup_tail():
+    """``DecayClass.envelope`` is the sup tail v_t = sup_{s >= t} |xi_s| the iteration bound reads."""
     ts = np.array([0.0, 1e-3, 0.5, 1.0, 2.0, 40.0])
     for decay in (DecayClass.exponential(0.7, 2.0), DecayClass.polynomial(1.5, 2.0), DecayClass.compact(1.0)):
-        for cap in (None, 1.5):
-            v = sup_tail_from_decay(decay, cap)
-            want = decay.envelope(ts) if cap is None else np.minimum(decay.envelope(ts), cap)
-            assert np.array_equal(v(ts), want)
-            assert np.all(v(ts)[1:] <= v(ts)[:-1])
+        v = decay.envelope(ts)
+        assert np.all(v[1:] <= v[:-1])
     # the closed forms of each class, bit for bit at t > 0
-    assert np.array_equal(sup_tail_from_decay(DecayClass.exponential(0.7, 2.0))(ts), 2.0 * np.exp(-0.7 * ts))
-    assert np.array_equal(sup_tail_from_decay(DecayClass.polynomial(1.5, 2.0))(ts[1:]), 2.0 * ts[1:] ** -1.5)
-    assert sup_tail_from_decay(DecayClass.compact(1.0), 3.0)(np.array([0.5, 1.5])).tolist() == [3.0, 0.0]
-    # C t^-a is unbounded as t -> 0: the tail there is the cap, never 0
-    assert sup_tail_from_decay(DecayClass.polynomial(1.5, 2.0), 4.0)(0.0) == 4.0
-    assert sup_tail_from_decay(DecayClass.polynomial(1.5, 2.0))(0.0) == math.inf
+    assert np.array_equal(DecayClass.exponential(0.7, 2.0).envelope(ts), 2.0 * np.exp(-0.7 * ts))
+    assert np.array_equal(DecayClass.polynomial(1.5, 2.0).envelope(ts[1:]), 2.0 * ts[1:] ** -1.5)
+    assert DecayClass.compact(1.0).envelope(np.array([0.5, 1.5])).tolist() == [math.inf, 0.0]
+    # C t^-a is unbounded as t -> 0
+    assert DecayClass.polynomial(1.5, 2.0).envelope(0.0) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +310,8 @@ def test_stability_criterion_via_real_parts(bistable):
 
 
 def test_stable_manifold_ic():
-    ic = stable_manifold_ic(1.0, 2.0, epsilon=0.0)
-    assert np.allclose(ic, np.ones(3))  # eps = 0: exact equilibrium
+    # eps = 1e-2 ell: at ell = 0 the state is the exact equilibrium
+    assert np.array_equal(stable_manifold_ic(0.0, 2.0), np.zeros(3))
     ic = stable_manifold_ic(1.0, 2.0)
     w1 = (ic - 1.0) / 1e-2
     assert w1[0] > 0 and w1[1] > 0 and w1[2] < 0  # sign pattern (+, +, -)
@@ -328,7 +324,7 @@ def test_linearised_flow_decays_with_oscillation():
     """Integrate Y' = J Y from eps*w1: damped oscillation (independent oracle)."""
     tau0 = 2.0
     J = _companion(2, 1.0, tau0)
-    y = stable_manifold_ic(0.0, tau0, epsilon=1.0)  # pure w1
+    y = (stable_manifold_ic(1.0, tau0) - 1.0) / 1e-2  # pure w1
     dt = 1e-3
     mu, nu = oscillatory_mode(2, 1.0, tau0)
     steps = int(2.0 * 2.0 * math.pi / abs(nu) / dt)

@@ -75,14 +75,14 @@ class _RefErlangHistory:
 
 
 class _RefDotHistory:
-    def __init__(self, h, cfg, ts, lam, window=None):
+    def __init__(self, h, cfg, ts, lam, window):
         self.dt = cfg.dt
         self.trapezoid = cfg.quadrature == TRAPEZOID
         self.lam = lam
         self.hg = np.asarray(h.evaluator(ts), dtype=float)
         self.hrev = self.hg[::-1].copy()
         self.N = ts.size - 1
-        self.window = window if window is not None else self.N + 1
+        self.window = window
         self.beta = 0.5 * cfg.dt * self.hg[0] if self.trapezoid else 0.0
 
     def explicit_part(self, n):
@@ -104,9 +104,8 @@ def _ref_make_history(h, cfg, ts, lam):
     if h.structure is not None:
         return _RefErlangHistory(h.structure, cfg, ts, lam)
     if h.decay.kind == "compact":
-        window = int(math.ceil(h.decay.horizon / cfg.dt)) + 1
-        return _RefDotHistory(h, cfg, ts, lam, window=window)
-    return _RefDotHistory(h, cfg, ts, lam)
+        return _RefDotHistory(h, cfg, ts, lam, int(math.ceil(h.decay.horizon / cfg.dt)) + 1)
+    return _RefDotHistory(h, cfg, ts, lam, ts.size)
 
 
 def ref_solve_nre(phi, h, xi, cfg):
@@ -133,7 +132,7 @@ def ref_solve_nre(phi, h, xi, cfg):
             ln = phi_s(xn)
         else:
             lam_c = lam_prev
-            converged = False
+            converged = nan = False
             for it in range(cfg.inner_max_iter):
                 nxt = phi_s(base + beta * lam_c)
                 if abs(nxt - lam_c) <= cfg.inner_tol * max(1.0, abs(nxt)):
@@ -142,7 +141,15 @@ def ref_solve_nre(phi, h, xi, cfg):
                     inner_total += it + 1
                     inner_max = max(inner_max, it + 1)
                     break
+                if math.isnan(nxt):
+                    nan = True
+                    break
                 lam_c = 0.5 * (lam_c + nxt) if damped else nxt
+            if nan:
+                # a NaN Phi cuts the run in every step kind, as the explicit step's overflow check does
+                divergent = True
+                cut = n
+                break
             if not converged:
                 raise NonConvergenceError(n, float(ts[n]), abs(phi_s(base + beta * lam_c) - lam_c))
             xn = base + beta * lam_c
@@ -411,15 +418,19 @@ def test_overflow_at_step_zero_matches_reference(structured):
 
 @pytest.mark.parametrize("structured", [True, False], ids=["erlang", "dense"])
 def test_nan_phi_mid_run_matches_reference(structured):
-    # the supercritical linear equation grows; Phi turns NaN once x passes 5 (an explicit step sees it)
+    # the supercritical linear equation grows; Phi turns NaN once x passes 5, which cuts the run in the
+    # explicit step (left rectangle) and in the implicit one (trapezoid, h(0) = 2), though there the affine
+    # clip maps the NaN back to 0.0 on the next inner iteration
     affine = model.make_affine_phi(1.0)
     phi = replace(affine, scalar=lambda x: math.nan if x > 5.0 else affine.scalar(x))
     h = model.make_scaled_exponential_kernel(2.0, 1.0)
     h = h if structured else replace(h, structure=None)
-    cfg = SolverConfig(t_end=10.0, dt=1e-2, quadrature=LEFT_RECTANGLE)
-    traj = _assert_same_solve(phi, h, model.make_source_empty(), cfg)
-    assert traj.divergent and 0 < traj.ts.size < cfg.n_steps + 1
-    assert traj.metadata["divergent_at"] == traj.ts[-1]
+    # the last stored points: t = 1.27 and t = 1.25
+    for quadrature, kept in ((LEFT_RECTANGLE, 128), (TRAPEZOID, 126)):
+        cfg = SolverConfig(t_end=10.0, dt=1e-2, quadrature=quadrature)
+        traj = _assert_same_solve(phi, h, model.make_source_empty(), cfg)
+        assert traj.divergent and traj.ts.size == kept
+        assert traj.metadata["divergent_at"] == traj.ts[-1]
 
 
 def test_damped_step_with_one_inner_iteration_matches_reference(bistable):
