@@ -80,7 +80,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import FiringFunction, MemoryKernel, SourceTerm, add_exponential_perturbation
+from .model import (
+    FiringFunction,
+    MemoryKernel,
+    SourceTerm,
+    add_exponential_perturbation,
+    formula_code,
+    formula_key,
+)
 from .special import kolmogorov_critical, ks_statistic, normal_cdf, running_sup_from_right
 from .volterra import SolverConfig, Trajectory, solve_nre
 
@@ -184,21 +191,24 @@ class _Draws:
 #: ``steps`` names the columns of ``state.steps`` one candidate reads,
 #: ``advance`` moves the locals to the candidate, ``value`` is Y there,
 #: ``jump`` adds an event of the given weight, ``bound`` is the state's upper
-#: bound on Y from now on, and ``store`` writes the locals back.  The sweep
-#: returns the candidates judged, the new dominator (0.0 if none is due),
-#: the breaches, the next refresh time and the chunk indices of the accepted
-#: candidates.
+#: bound on Y from now on, and ``store`` writes the locals back.  ``xi`` is the
+#: source at the candidate time s and ``phi`` is Phi at x = xi + Y: the
+#: formula of ``xi_s`` or ``phi_s`` written in, its constants loaded once per
+#: chunk, or a call where the function has no formula.  The sweep returns the
+#: candidates judged, the new dominator (0.0 if none is due), the breaches,
+#: the next refresh time and the chunk indices of the accepted candidates.
 _SWEEP_TEMPLATE = """\
-def sweep(state, c_list, c_thrs, c_xi, c_steps, weight, phi_s, lam_bar, lam_over, cap, xs_chunk,
+def sweep(state, c_list, c_thrs, c_steps, weight, phi_s, xi_s, lam_bar, lam_over, cap, xs_chunk,
           margin, next_check, raw_bound):
     {load}
     accepted = []
     push = accepted.append
     breaches = 0
     new_bar = 0.0
-    for k, s, thr, x, {steps} in zip(range(len(c_list)), c_list, c_thrs, c_xi, *c_steps):
+    for k, s, thr, {steps} in zip(range(len(c_list)), c_list, c_thrs, *c_steps):
         {advance}
-        lam_z = phi_s(x + {value})
+        x = {xi} + {value}
+        lam_z = {phi}
         if thr <= lam_z:
             push(k)
             {jump}
@@ -225,22 +235,34 @@ def sweep(state, c_list, c_thrs, c_xi, c_steps, weight, phi_s, lam_bar, lam_over
 """
 
 
-def _compile_sweep(load: Sequence[str], steps: str, advance: str, value: str, jump: str, bound: str,
-                   store: str) -> Callable:
-    """The sweep of ``_SWEEP_TEMPLATE`` with one state's snippets written in."""
-    src = _SWEEP_TEMPLATE.format(load="\n    ".join(load), steps=steps, advance=advance, value=value,
-                                 jump=jump, bound=bound, store=store)
+@functools.lru_cache(maxsize=None)
+def _sweep(state: type, shape: tuple, phi: Optional[tuple], xi: Optional[tuple]) -> Callable:
+    """The sweep of ``_SWEEP_TEMPLATE`` for one kind and shape of state and the ``formula_key`` of Phi and xi.
+
+    The compiled code depends on the formulas' text only, not on their
+    constants, so Phis and sources of one maker share it.
+    """
+    snippets = state.snippets(*shape)
+    phi_load, phi_value = formula_code(phi, "phi_s", "x")
+    xi_load, xi_value = formula_code(xi, "xi_s", "s")
+    src = _SWEEP_TEMPLATE.format(load="\n    ".join([*snippets.pop("load"), *phi_load, *xi_load]), phi=phi_value,
+                                 xi=xi_value, **snippets)
     namespace: dict = {}
     exec(src, globals(), namespace)
     return namespace["sweep"]
 
 
-@functools.lru_cache(maxsize=None)
-def _erlang_sweep(order: int) -> Callable:
-    """The sweep of an Erlang state of one order, its components s0..s{order} in locals.
+# ---------------------------------------------------------------------------
+# convolution state of the mean-field interaction
+# ---------------------------------------------------------------------------
 
-    A step makes component k e^{-a} (s_k + s_{k-1} p_1 + ... + s_0 p_k), summed
-    left to right: for order 2, ``dec * (s2 + s1 * p1 + s0 * p2)`` on top, and
+
+class _ErlangState:
+    """Y_t = (1/N) sum_j int h(t-s) dZ_s for h = scale alpha^(order+1) t^order e^{-alpha t} / order!.
+
+    In the sweep the components s0..s{order} sit in locals.  A step makes
+    component k e^{-a} (s_k + s_{k-1} p_1 + ... + s_0 p_k), summed left to
+    right: for order 2, ``dec * (s2 + s1 * p1 + s0 * p2)`` on top, and
     Y = s_order.  An event adds h0 * weight to s0, h0 = scale * alpha.  The
     upper bound is peak_0 s_0 + ... + peak_{order-1} s_{order-1} + s_order with
     peak_i = sup_x x^m e^{-x} / m! (m = order - i), the most component i can
@@ -253,39 +275,33 @@ def _erlang_sweep(order: int) -> Callable:
     "erlang_advance_forms"), and ``sum`` of floats is compensated from Python
     3.12 on, which would change the bits.
     """
-    comps = ", ".join(f"s{k}" for k in range(order + 1))
-    new = ", ".join(
-        "dec * (" + " + ".join([f"s{k}"] + [f"s{k - m} * p{m}" for m in range(1, k + 1)]) + ")"
-        for k in range(order + 1)
-    )
-    peaks = [m**m * math.exp(-m) / math.factorial(m) for m in range(order, 0, -1)]
-    return _compile_sweep(
-        load=(f"{comps}, = state.s", "jump_by = state.h0 * weight"),
-        steps=", ".join(["dec"] + [f"p{m}" for m in range(1, order + 1)]),
-        advance=f"{comps} = {new}",
-        value=f"s{order}",
-        jump="s0 += jump_by",
-        bound=" + ".join([f"{peak!r} * s{i}" for i, peak in enumerate(peaks)] + [f"s{order}"]),
-        store=f"state.s = [{comps}]",
-    )
 
-
-# ---------------------------------------------------------------------------
-# convolution state of the mean-field interaction
-# ---------------------------------------------------------------------------
-
-
-class _ErlangState:
-    """Y_t = (1/N) sum_j int h(t-s) dZ_s for h = scale alpha^(order+1) t^order e^{-alpha t} / order!."""
-
-    __slots__ = ("order", "alpha", "h0", "s", "sweep")
+    __slots__ = ("order", "alpha", "h0", "s", "shape")
 
     def __init__(self, order: int, alpha: float, scale: float):
         self.order = order
         self.alpha = alpha
         self.h0 = scale * alpha
         self.s = [0.0] * (order + 1)
-        self.sweep = _erlang_sweep(order)
+        self.shape = (order,)
+
+    @staticmethod
+    def snippets(order: int) -> dict:
+        comps = ", ".join(f"s{k}" for k in range(order + 1))
+        new = ", ".join(
+            "dec * (" + " + ".join([f"s{k}"] + [f"s{k - m} * p{m}" for m in range(1, k + 1)]) + ")"
+            for k in range(order + 1)
+        )
+        peaks = [m**m * math.exp(-m) / math.factorial(m) for m in range(order, 0, -1)]
+        return {
+            "load": [f"{comps}, = state.s", "jump_by = state.h0 * weight"],
+            "steps": ", ".join(["dec"] + [f"p{m}" for m in range(1, order + 1)]),
+            "advance": f"{comps} = {new}",
+            "value": f"s{order}",
+            "jump": "s0 += jump_by",
+            "bound": " + ".join([f"{peak!r} * s{i}" for i, peak in enumerate(peaks)] + [f"s{order}"]),
+            "store": f"state.s = [{comps}]",
+        }
 
     def steps(self, t0: float, times: np.ndarray) -> list:
         """Per step the columns e^{-a}, p_1, ..., p_order with a = alpha dt and p_j = p_{j-1} (a / j), p_0 = 1."""
@@ -303,16 +319,21 @@ class _ErlangState:
 class _GeneralState:
     """O(events) fallback for nonnegative kernels without analytic structure."""
 
-    #: the state's own methods do the work
-    sweep = staticmethod(_compile_sweep(
-        load=("advance, jump, upper_bound = state.advance, state.jump, state.upper_bound",),
-        steps="t",
-        advance="y = advance(t)",
-        value="y",
-        jump="jump(weight)",
-        bound="upper_bound()",
-        store="pass",
-    ))
+    #: one sweep for every such kernel
+    shape = ()
+
+    @staticmethod
+    def snippets() -> dict:
+        # the state's own methods do the work
+        return {
+            "load": ["advance, jump, upper_bound = state.advance, state.jump, state.upper_bound"],
+            "steps": "t",
+            "advance": "y = advance(t)",
+            "value": "y",
+            "jump": "jump(weight)",
+            "bound": "upper_bound()",
+            "store": "pass",
+        }
 
     def __init__(self, h: MemoryKernel):
         self.h = h
@@ -476,7 +497,7 @@ def simulate_hawkes(
     phi_s = phi.scalar
 
     state = _make_state(h)
-    sweep = state.sweep
+    sweep = _sweep(type(state), state.shape, formula_key(phi_s), formula_key(xi_scalar))
     draws = _Draws(cfg.seed, replica, n)
     track = cfg.track_coupled
     # the accepted times and particles of each process, chunk by chunk
@@ -513,12 +534,11 @@ def simulate_hawkes(
             break
         c_ts, c_ps = c_ts[1 : end + 1], c_ps[:end]
         c_thrs = c_thrs[:end] * lam_bar  # a candidate is accepted where u lam_bar <= intensity
-        # the work that no decision changes, in bulk: the state's steps and the source
+        # the work that no decision changes, in bulk: the state's steps
         c_list = c_ts.tolist()
-        c_xi = list(map(xi_scalar, c_list))
         xs_chunk = xi_sup[min(int(c_list[0] / sup_dt), xi_last)]  # bounds xi over the chunk
         done, new_bar, chunk_breaches, next_check, accepted = sweep(
-            state, c_list, c_thrs.tolist(), c_xi, state.steps(t_cand, c_ts), weight, phi_s,
+            state, c_list, c_thrs.tolist(), state.steps(t_cand, c_ts), weight, phi_s, xi_scalar,
             lam_bar, lam_over, cap, xs_chunk, margin, next_check, raw_bound,
         )
         breaches += chunk_breaches

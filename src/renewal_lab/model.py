@@ -9,6 +9,7 @@ across workers.
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import warnings
@@ -268,6 +269,61 @@ def make_compact_kernel(table: Sequence[float], support: float) -> MemoryKernel:
 
 
 # ---------------------------------------------------------------------------
+# formulas: the one writing of a Phi or a source, which generated loops inline
+# ---------------------------------------------------------------------------
+
+
+def _formula(arg: str, expr: str, **consts) -> Callable:
+    """The function ``arg -> expr`` over the named constants, compiled once per expression text.
+
+    The function carries ``expr`` and ``consts``, so a loop that evaluates the
+    expression in place of the call (``formula_code``) reads the constants of
+    the function it is given, and ``replace(phi, scalar=...)`` swaps both.
+    ``exp`` in an expression is ``math.exp``.
+    """
+    fn = _bind(arg, expr, tuple(consts))(*consts.values())
+    fn.expr, fn.consts = expr, consts
+    return fn
+
+
+@functools.lru_cache(maxsize=None)
+def _bind(arg: str, expr: str, names: tuple) -> Callable:
+    """``bind(*constants)``: the closure ``arg -> expr`` of ``_formula``."""
+    namespace: dict = {"exp": math.exp}
+    exec(f"def bind({', '.join(names)}):\n    def scalar({arg}):\n        return {expr}\n    return scalar\n", namespace)
+    return namespace["bind"]
+
+
+def formula_key(fn: Callable) -> Optional[tuple]:
+    """(argument, expression, constant names) of a function ``_formula`` made; None for any other function."""
+    if not hasattr(fn, "expr"):
+        return None
+    return fn.__code__.co_varnames[0], fn.expr, tuple(fn.consts)
+
+
+def formula_code(key: Optional[tuple], slot: str, arg: str) -> tuple:
+    """(load, value): the code of a generated loop that evaluates ``slot(arg)``, where ``slot`` names the function.
+
+    Given the ``formula_key`` of the function, the lines ``load`` (run once, in
+    a namespace that imports ``math``) unpack ``slot.consts`` into locals named
+    ``{slot}_{name}``, and ``value`` is the expression over them and ``arg``:
+    the operations of a call in the same order, so the same bits.  Without a
+    key, ``value`` calls ``slot``.
+    """
+    if key is None:
+        return [], f"{slot}({arg})"
+    own, expr, names = key
+    tree = ast.parse(expr, mode="eval")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id != "exp":
+            node.id = arg if node.id == own else f"{slot}_{node.id}"
+    load = ["exp = math.exp"]
+    if names:
+        load.append("".join(f"{slot}_{name}, " for name in names) + f"= {slot}.consts.values()")
+    return load, f"({ast.unparse(tree)})"
+
+
+# ---------------------------------------------------------------------------
 # firing functions
 # ---------------------------------------------------------------------------
 
@@ -276,8 +332,11 @@ def make_compact_kernel(table: Sequence[float], support: float) -> MemoryKernel:
 class FiringFunction:
     """A firing rate function Phi >= 0 with first and second derivatives.
 
-    ``scalar`` is Phi on one Python float, its one definition: hot loops call
-    it, and ``evaluator`` maps it over arrays, so every path reads the same bits.
+    ``scalar`` is Phi on one Python float, its one definition, and
+    ``evaluator`` maps it over arrays, so every path reads the same bits.  The
+    makers other than the divergence example compile it from one expression
+    (``_formula``), which the thinning sweep and the marching loop evaluate in
+    place of a call; any other ``scalar`` they call.
     ``derivative_fn(x, k)``, when provided, evaluates Phi^(k) analytically;
     otherwise higher derivatives fall back to central finite differences.
     """
@@ -344,11 +403,9 @@ def _logistic(y):
         return 1.0 / (1.0 + np.exp(-y))
 
 
-def _logistic_scalar(base: float, gain: float, y: float) -> float:
-    # below y = -700 the term is under 1e-304 gain, and past -709.78 math.exp(-y) overflows where np.exp gives inf
-    if y < -700.0:
-        return base
-    return base + gain / (1.0 + math.exp(-y))
+#: base + gain / (1 + exp(-y)) at y = {y}: below y = -700 the term is under 1e-304 gain, and past -709.78
+#: math.exp(-y) overflows where np.exp gives inf
+_LOGISTIC = "base if (y := {y}) < -700.0 else base + gain / (1.0 + exp(-y))"
 
 
 def make_sigmoid_phi(base: float, gain: float, slope: float, center: float) -> FiringFunction:
@@ -370,16 +427,14 @@ def make_sigmoid_phi(base: float, gain: float, slope: float, center: float) -> F
         s = _logistic(slope * (np.asarray(x, dtype=float) - center))
         return gain * slope**2 * s * (1.0 - s) * (1.0 - 2.0 * s)
 
-    def scalar(x):
-        return _logistic_scalar(base, gain, slope * (x - center))
-
     return FiringFunction(
         d1=d1,
         d2=d2,
         lip=gain * slope / 4.0,
         d2_sup=gain * slope**2 / (6.0 * math.sqrt(3.0)),
         nondecreasing=True,
-        scalar=scalar,
+        scalar=_formula("x", _LOGISTIC.format(y="slope * (x - center)"), base=base, gain=gain, slope=slope,
+                        center=center),
         label=f"sigmoid({base:g},{gain:g},{slope:g},{center:g})",
     )
 
@@ -405,7 +460,7 @@ def make_affine_phi(mu: float) -> FiringFunction:
         lip=1.0,
         d2_sup=0.0,
         nondecreasing=True,
-        scalar=lambda x: mu + x if x > -mu else 0.0,
+        scalar=_formula("x", "mu + x if x > -mu else 0.0", mu=mu),
         derivative_fn=lambda x, k: 0.0,
         label=f"affine(mu={mu:g})",
     )
@@ -450,17 +505,14 @@ def make_cubic_sigmoid_phi(base: float, gain: float, slope: float, center: float
     lip = float(np.max(np.abs(d1(xs)))) * (1.0 + 1e-9)
     d2_sup = float(np.max(np.abs(d2(xs)))) * (1.0 + 1e-9)
 
-    def scalar(x):
-        u = x - center
-        return _logistic_scalar(base, gain, a * u + b * u**3)
-
     return FiringFunction(
         d1=d1,
         d2=d2,
         lip=lip,
         d2_sup=d2_sup,
         nondecreasing=True,
-        scalar=scalar,
+        scalar=_formula("x", _LOGISTIC.format(y="a * (u := x - center) + b * u**3"), base=base, gain=gain, a=a, b=b,
+                        center=center),
         label=f"cubic-sigmoid({base:g},{gain:g},{slope:g},{center:g})",
     )
 
@@ -477,7 +529,7 @@ def make_constant_phi(value: float) -> FiringFunction:
         lip=0.0,
         d2_sup=0.0,
         nondecreasing=True,
-        scalar=lambda x: value,
+        scalar=_formula("x", "value", value=value),
         derivative_fn=lambda x, k: 0.0,
         label=f"constant({value:g})",
     )
@@ -558,7 +610,11 @@ class SourceTerm:
 
     @property
     def scalar(self) -> Callable:
-        """The float evaluator hot loops call: ``scalar_fn``, else the vector evaluator on one value."""
+        """xi on one Python float: ``scalar_fn``, else the vector evaluator on one value.
+
+        The structured makers compile ``scalar_fn`` from one expression
+        (``_formula``), which the thinning sweep evaluates in place of a call.
+        """
         if self.scalar_fn is not None:
             return self.scalar_fn
         ev = self.evaluator
@@ -581,7 +637,7 @@ def make_source_empty() -> SourceTerm:
         sup_bound=0.0,
         decay=DecayClass.compact(horizon=0.0),
         label="empty",
-        scalar_fn=lambda t: 0.0,
+        scalar_fn=_formula("t", "0.0"),
     )
 
 
@@ -665,37 +721,28 @@ def make_source_tail(h: MemoryKernel, ell0: float) -> SourceTerm:
     return replace(src, label=f"tail(ell0={ell0:g}) of {h.label}")
 
 
-@functools.lru_cache(maxsize=None)
-def _erlang_tail_scalar(order: int) -> Callable:
-    """``bind(c, alpha)``: t -> c e^{-alpha t} sum_{k <= order} (alpha t)^k / k!, written out.
+def _erlang_tail_expr(order: int) -> str:
+    """The formula of t -> c e^{-alpha t} sum_{k <= order} (alpha t)^k / k!, c for t <= 0.
 
     The partial sum runs from k = order down to 0, left to right from 0.0: for
     order 2 the value is ``c * exp(-at) * (0.0 + at**2 * 0.5 + at + 1.0)``,
     the last two terms being ``at**1 * 1.0`` and ``at**0 * 1.0`` to the bit.
-    Written out, a call runs no Python loop; the thinning streams read the
-    source at every candidate, so the order of the operations is part of their
-    bits.  At order 0 the partial sum is exactly 1.0: ``c * exp(-alpha * t)``.
+    Written out, it runs no Python loop; the thinning streams read the source
+    at every candidate, so the order of the operations is part of their bits.
+    At order 0 the partial sum is exactly 1.0: ``c * exp(-alpha * t)``.
     """
     if order == 0:
-        body = "return c * exp(-alpha * t)"
-    else:
-        terms = " + ".join(["0.0", *(f"at**{k} * {1.0 / math.factorial(k)!r}" for k in range(order, 1, -1)), "at", "1.0"])
-        body = f"at = alpha * t\n        return c * exp(-at) * ({terms})"
-    namespace: dict = {"exp": math.exp}
-    exec(
-        f"def bind(c, alpha):\n    def scalar_fn(t):\n        if t <= 0.0:\n            return c\n        {body}\n"
-        "    return scalar_fn\n",
-        namespace,
-    )
-    return namespace["bind"]
+        return "c if t <= 0.0 else c * exp(-alpha * t)"
+    terms = " + ".join(["0.0", *(f"at**{k} * {1.0 / math.factorial(k)!r}" for k in range(order, 1, -1)), "at", "1.0"])
+    return f"c if t <= 0.0 else c * exp(-(at := alpha * t)) * ({terms})"
 
 
 def _with_exponential_scalar(src: SourceTerm, h: MemoryKernel, scale: float) -> SourceTerm:
-    """Attach a math-only scalar evaluator for Erlang-structured kernels (hot loops)."""
+    """Attach the formula of the tail for Erlang-structured kernels (the thinning sweep inlines it)."""
     s = h.structure
     if s is None:
         return src
-    return replace(src, scalar_fn=_erlang_tail_scalar(s.order)(scale * s.scale, s.alpha))
+    return replace(src, scalar_fn=_formula("t", _erlang_tail_expr(s.order), c=scale * s.scale, alpha=s.alpha))
 
 
 def make_source_chi_perturbed(
@@ -801,14 +848,20 @@ def add_exponential_perturbation(xi: SourceTerm, amplitude: float, rate: float =
 
     bump = DecayClass.exponential(rate=rate, constant=max(abs(amplitude), 1e-300))
     decay = _combine_decays([(xi.decay, xi.sup_bound), (bump, abs(amplitude))])
+    # the inner formula written in, its constants renamed inner_*; a source without one is called
     xs = xi.scalar
+    key = formula_key(xs)
+    if key is None:
+        inner, consts = "inner(t)", {"inner": xs}
+    else:
+        inner, consts = formula_code(key, "inner", "t")[1], {f"inner_{k}": v for k, v in xs.consts.items()}
     return SourceTerm(
         evaluator=evaluator,
         derivative=derivative,
         sup_bound=xi.sup_bound + abs(amplitude),
         decay=decay,
         label=f"{xi.label} + {amplitude:g}*exp(-{rate:g}t)",
-        scalar_fn=lambda t: xs(t) + amplitude * math.exp(-rate * t),
+        scalar_fn=_formula("t", f"{inner} + amp * exp(-rate * t)", **consts, amp=amplitude, rate=rate),
     )
 
 

@@ -36,6 +36,8 @@ from .model import (
     FixedPointReport,
     MemoryKernel,
     SourceTerm,
+    formula_code,
+    formula_key,
     make_source_equilibrium,
 )
 
@@ -186,13 +188,14 @@ lam_out[n] = ln
 x_out[n] = xn"""
 _EXPLICIT = """\
 xn = xi_vals[n] + pre
-ln = phi_s(xn)""" + _STORE
+ln = {phi_xn}""" + _STORE
 # fixed-point iteration on lambda_n from lambda_{n-1}, still in ln
 _IMPLICIT = """\
 base = xi_vals[n] + pre
 lam_c = ln
 for it in range(max_iter):
-    nxt = phi_s(base + beta * lam_c)
+    xc = base + beta * lam_c
+    nxt = {phi_xc}
     # tol * max(1.0, |nxt|), without the call
     mag = abs(nxt)
     if abs(nxt - lam_c) <= tol * (mag if mag > 1.0 else 1.0):
@@ -208,7 +211,7 @@ inner_total += it + 1
 if it >= inner_max:
     inner_max = it + 1
 xn = base + beta * lam_c
-ln = phi_s(xn)""" + _STORE
+ln = {phi_xn}""" + _STORE
 # the source value whose rounded sums hit target_x, searched at the rounding
 # granularity of the dominant term so that the sweep actually moves the sums
 _LOCK = """\
@@ -228,32 +231,39 @@ if cand is None:
     return n, inner_total, inner_max
 xi_out[n] = cand"""
 
-#: step kind -> (args, setup, step 0, step n); step 0 is explicit in every solve
+#: step kind -> (args, setup, step 0, step n, damping update); step 0 is explicit in every solve
 _STEPS = {
-    "explicit": (_SOLVE_ARGS, _SOLVE_SETUP, _EXPLICIT, _EXPLICIT),
-    "implicit": (_SOLVE_ARGS, _SOLVE_SETUP, _EXPLICIT, _IMPLICIT.format(update="nxt")),
-    "damped": (_SOLVE_ARGS, _SOLVE_SETUP, _EXPLICIT, _IMPLICIT.format(update="0.5 * (lam_c + nxt)")),
-    "locked": ("xi_out, lam_star, target_x", "ulp = math.ulp\n# every step commits lambda*\nln = lam_star", _LOCK, _LOCK),
+    "explicit": (_SOLVE_ARGS, _SOLVE_SETUP, _EXPLICIT, _EXPLICIT, ""),
+    "implicit": (_SOLVE_ARGS, _SOLVE_SETUP, _EXPLICIT, _IMPLICIT, "nxt"),
+    "damped": (_SOLVE_ARGS, _SOLVE_SETUP, _EXPLICIT, _IMPLICIT, "0.5 * (lam_c + nxt)"),
+    "locked": ("xi_out, lam_star, target_x", "ulp = math.ulp\n# every step commits lambda*\nln = lam_star", _LOCK, _LOCK, ""),
 }
 
 
 @functools.lru_cache(maxsize=None)
-def _march(history: type, shape: tuple, step: str) -> Callable:
-    """The loop of ``_MARCH_TEMPLATE`` for one history shape and one step kind."""
+def _march(history: type, shape: tuple, step: str, phi: Optional[tuple]) -> Callable:
+    """The loop of ``_MARCH_TEMPLATE`` for one history shape, one step kind and the ``formula_key`` of Phi.
+
+    A step writes in Phi's formula at x = xn and x = xc, with its constants
+    loaded once, or calls ``phi_s`` where Phi has no formula.  The compiled
+    code depends on the formula's text only, not on its constants.
+    """
 
     def block(lines, indent: int) -> str:
         return ("\n" + " " * indent).join("\n".join(lines).split("\n"))
 
     snippets = history.snippets(*shape)
-    args, setup, step0, step_n = _STEPS[step]
+    args, setup, step0, step_n, update = _STEPS[step]
+    load, phi_xn = formula_code(phi, "phi_s", "xn")
+    fill = {"update": update, "phi_xn": phi_xn, "phi_xc": formula_code(phi, "phi_s", "xc")[1]}
     src = _MARCH_TEMPLATE.format(
         args=args,
         load=block(snippets["load"], 4),
-        setup=block([setup], 4),
-        step0=block([step0], 4),
+        setup=block([setup, *load], 4),
+        step0=block([step0.format(**fill)], 4),
         start=block(snippets["start"], 4),
         pre=block(snippets["pre"], 8),
-        step=block([step_n], 8),
+        step=block([step_n.format(**fill)], 8),
         commit=block(snippets["commit"], 8),
     )
     namespace: dict = {}
@@ -382,7 +392,7 @@ def solve_nre(phi: FiringFunction, h: MemoryKernel, xi: SourceTerm, cfg: SolverC
     else:
         step = "damped" if abs(hist.beta) * phi.lip >= 1.0 else "implicit"
     # memoryviews read and write Python floats: the loop makes no numpy scalar
-    cut, inner_total, inner_max = _march(type(hist), hist.shape, step)(
+    cut, inner_total, inner_max = _march(type(hist), hist.shape, step, formula_key(phi.scalar))(
         hist, ts, memoryview(np.ascontiguousarray(xi_grid, dtype=float)), memoryview(lam), memoryview(xarr),
         phi.scalar, cfg.inner_tol, cfg.inner_max_iter,
     )
@@ -487,7 +497,7 @@ def equilibrium_locked_source(phi: FiringFunction, h: MemoryKernel, ell: float, 
     lam = np.full(n_pts, lam_star)
     hist = _make_history(h, cfg, ts, lam)
     xi_vals = np.empty(n_pts)
-    cut = _march(type(hist), hist.shape, "locked")(hist, ts, memoryview(xi_vals), lam_star, target_x)[0]
+    cut = _march(type(hist), hist.shape, "locked", None)(hist, ts, memoryview(xi_vals), lam_star, target_x)[0]
     if cut < n_pts:
         raise RuntimeError(
             f"failed to lock the equilibrium source of ell = {ell!r} on the grid at step {cut} "

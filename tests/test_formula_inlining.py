@@ -7,6 +7,7 @@ evaluate it in place; a plain function is called.  Wrapping ``scalar`` /
 form of the same equation, and every output bit must be equal.
 """
 
+import sys
 from dataclasses import replace
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from renewal_lab import model
 from renewal_lab.hawkes import HawkesConfig, simulate_hawkes
-from renewal_lab.volterra import LEFT_RECTANGLE, NonConvergenceError, SolverConfig, solve_nre
+from renewal_lab.volterra import LEFT_RECTANGLE, TRAPEZOID, NonConvergenceError, SolverConfig, solve_nre
 
 
 def _called(phi, xi):
@@ -149,3 +150,39 @@ def test_two_sigmoids_in_one_process_keep_their_constants():
     want = [(_run(phi, h, xi, cfg), _solve(phi, h, xi, scfg)) for phi in (_called(p, xi)[0] for p in (a, b))]
     assert got == [want[0], want[1], want[0]]
     assert got[0][0][0] != got[1][0][0] and got[0][1][1] != got[1][1][1]
+
+
+def _calls(fn, codes):
+    """fn() and the number of Python calls it made to each code object in codes."""
+    counts = dict.fromkeys(codes, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counts:
+            counts[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(None)
+    return out, [counts[code] for code in codes]
+
+
+@pytest.mark.parametrize("make_phi", [model.make_affine_phi, model.make_sigmoid_phi, model.make_cubic_sigmoid_phi])
+def test_the_loops_call_no_formula_per_candidate_or_step(make_phi):
+    """Phi and the source are called for the dominator and the bound cap, never per candidate or marching step."""
+    phi = make_phi(0.5) if make_phi is model.make_affine_phi else make_phi(0.5, 1.0, 2.0, 1.0)
+    h = model.make_erlang_kernel(0, 3.0)
+    xi = model.add_exponential_perturbation(model.make_source_tail(h, 1.4), -0.3)
+    cfg = HawkesConfig(n_particles=100, t_end=3.0, seed=2, track_coupled=False, subcritical_override=True)
+    codes = (phi.scalar.__code__, xi.scalar.__code__)
+    run, inlined = _calls(lambda: simulate_hawkes(phi, h, xi, cfg), codes)
+    called_phi, called_xi = _called(phi, xi)
+    _, called = _calls(lambda: simulate_hawkes(called_phi, h, called_xi, cfg), codes)
+    candidates = run.metadata["candidates"]
+    assert candidates > 100
+    assert [c - i for c, i in zip(called, inlined)] == [candidates, candidates]
+    for quadrature in (TRAPEZOID, LEFT_RECTANGLE):  # the implicit and the explicit step
+        traj, (phi_calls,) = _calls(lambda: solve_nre(phi, h, xi, SolverConfig(t_end=3.0, dt=1e-2,
+                                                                               quadrature=quadrature)), codes[:1])
+        assert traj.ts.size == 301 and phi_calls == 0

@@ -222,9 +222,10 @@ def test_erlang_upper_bound_sums_left_to_right():
     seen = []
     # one candidate that leaves the state as it is (e^{-a} = 1, p_1 = p_2 = 0),
     # is rejected, and is due a refresh check, which reads the bound
-    state.sweep(state, c_list=[1.0], c_thrs=[math.inf], c_xi=[0.0], c_steps=[[1.0], [0.0], [0.0]],
-                weight=0.5, phi_s=lambda x: 0.0, lam_bar=1.0, lam_over=1.0, cap=0.0, xs_chunk=0.0,
-                margin=1.5, next_check=0.0, raw_bound=lambda t, ub: seen.append(ub) or 1.0)
+    sweep = hawkes._sweep(_ErlangState, state.shape, None, None)
+    sweep(state, c_list=[1.0], c_thrs=[math.inf], c_steps=[[1.0], [0.0], [0.0]], weight=0.5,
+          phi_s=lambda x: 0.0, xi_s=lambda t: 0.0, lam_bar=1.0, lam_over=1.0, cap=0.0, xs_chunk=0.0,
+          margin=1.5, next_check=0.0, raw_bound=lambda t, ub: seen.append(ub) or 1.0)
     assert seen == [plain]
     assert state.s == [1.0, 1e-16, 1e-16]
 
@@ -239,14 +240,19 @@ def test_breach_rebuilds_the_dominator_at_an_accepted_candidate(monkeypatch):
     )
     h = model.make_scaled_exponential_kernel(0.5, 1.0)
     chunks = []
-    sweep = hawkes._erlang_sweep(0)
+    compile_sweep = hawkes._sweep
 
-    def recording(*args, **kw):
-        out = sweep(*args, **kw)
-        chunks.append(out)
-        return out
+    def recording(*key):
+        sweep = compile_sweep(*key)
 
-    monkeypatch.setattr(hawkes, "_erlang_sweep", lambda order: recording)
+        def record(*args, **kw):
+            out = sweep(*args, **kw)
+            chunks.append(out)
+            return out
+
+        return record
+
+    monkeypatch.setattr(hawkes, "_sweep", recording)
     cfg = HawkesConfig(n_particles=50, t_end=5.0, seed=3, track_coupled=False)
     run = simulate_hawkes(phi, h, model.make_source_tail(h, 8.0), cfg)
     assert run.metadata["breaches"] > 0
