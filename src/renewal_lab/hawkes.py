@@ -40,30 +40,34 @@ candidates first, doubling up to ``_SWEEP_CHUNK``, back to ``_SWEEP_FIRST``
 after a reschedule, so that little is prepared past one).  A chunk's times
 are one ``np.cumsum`` from the last candidate (which has the bits of the
 repeated t + e / (N lam_bar)); its unjudged draws stay for the next chunk.
-Each chunk first computes in bulk what no decision changes: the source at
-every time, and the convolution state's steps between consecutive times (the
-decay e^{-alpha dt}, and for Erlang kernels the terms (alpha dt)^j / j!).
-Each value is made by the same floating-point operations in the same order as
-a step-by-step update: numpy for + - * /, ``math.exp`` for every exponential
-(``np.exp`` may round differently).
+Each chunk first computes in bulk what no decision changes: the convolution
+state's steps between consecutive times (the decay e^{-alpha dt}, and for
+Erlang kernels the terms (alpha dt)^j / j!).  Each value is made by the same
+floating-point operations in the same order as a step-by-step update: numpy
+for + - * /, ``math.exp`` for every exponential (``np.exp`` may round
+differently).
 
 The chunk is then judged by a sweep generated from one template,
 ``_SWEEP_TEMPLATE``, into which each kind of convolution state writes its
 snippets: an Erlang state of order k (order 0 included) keeps its components
 s0..sk in locals with the sums written out, and a kernel without structure
-calls its own methods.  The state is loaded into locals once per chunk and
-written back once, so a candidate costs no method call.  The sweep records
-the chunk indices of the accepted candidates; the times and particles are
-gathered from them with numpy and split per particle at the end.  A breach
-(an intensity above the dominator) is tested only on acceptance, because only
-an accepted candidate can breach: u < 1 makes u lam_bar <= lam_bar, which is
-below the breach level lam_bar (1 + 1e-12).  After an acceptance the bound is
-rebuilt only when the source's running sup plus the state's upper bound
-exceeds the cap of ``_bound_cap``, a point where Phi is at most lam_bar.
-Below the cap the skipped check could not reschedule: Phi is nondecreasing,
-the source's running sup only falls with time, floating-point addition is
-monotone, and the limit intensity's running sup, the other term of the
-bound, never exceeds lam_bar once lam_bar is built from it.
+calls its own methods.  Phi and the source are written in as well: where their
+scalar evaluators carry a formula (``model._formula``), the sweep evaluates it
+in place, with the same operations as the call and its constants in locals,
+and otherwise calls them.  The state and the constants are loaded into locals
+once per chunk and the state is written back once, so a candidate of a
+structured Phi, source and kernel costs no call.  The sweep records the chunk
+indices of the accepted candidates; the times and particles are gathered from
+them with numpy and split per particle at the end.  A breach (an intensity
+above the dominator) is tested only on acceptance, because only an accepted
+candidate can breach: u < 1 makes u lam_bar <= lam_bar, which is below the
+breach level lam_bar (1 + 1e-12).  After an acceptance the bound is rebuilt
+only when the source's running sup plus the state's upper bound exceeds the
+cap of ``_bound_cap``, a point where Phi is at most lam_bar.  Below the cap
+the skipped check could not reschedule: Phi is nondecreasing, the source's
+running sup only falls with time, floating-point addition is monotone, and the
+limit intensity's running sup, the other term of the bound, never exceeds
+lam_bar once lam_bar is built from it.
 """
 
 from __future__ import annotations

@@ -295,7 +295,7 @@ def _bind(arg: str, expr: str, names: tuple) -> Callable:
 
 
 def formula_key(fn: Callable) -> Optional[tuple]:
-    """(argument, expression, constant names) of a function ``_formula`` made; None for any other function."""
+    """(argument, expression, constant names) of a function made by ``_formula``; None for any other."""
     if not hasattr(fn, "expr"):
         return None
     return fn.__code__.co_varnames[0], fn.expr, tuple(fn.consts)

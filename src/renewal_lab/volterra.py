@@ -12,10 +12,14 @@ general path a full history dot product.
 
 Every solve runs one loop generated from ``_MARCH_TEMPLATE`` and compiled once
 per history shape (Erlang order and quadrature, or the windowed dot product,
-whose window covers the whole grid for a kernel without compact support) and
-step kind (explicit, implicit, damped implicit).  The history
-writes its state and its explicit part into the loop as source snippets, so a
-step calls no method and the Erlang components stay in local variables.
+whose window covers the whole grid for a kernel without compact support), step
+kind (explicit, implicit, damped implicit) and text of Phi's formula.  The
+history writes its state and its explicit part into the loop as source
+snippets, so a step calls no method and the Erlang components stay in local
+variables.  Where ``phi.scalar`` carries a formula (``model._formula``), the
+step evaluates it in place with its constants in locals, the operations of the
+call in the same order; any other Phi is called.  The source is read once, on
+the whole grid, by ``SourceTerm.on_grid``.
 ``equilibrium_locked_source`` runs the same loop with its own step, the search
 for the source value that keeps the discrete equilibrium.
 """
@@ -231,7 +235,7 @@ if cand is None:
     return n, inner_total, inner_max
 xi_out[n] = cand"""
 
-#: step kind -> (args, setup, step 0, step n, damping update); step 0 is explicit in every solve
+#: step kind -> (args, setup, step 0, step n, inner update); step 0 is explicit in every solve
 _STEPS = {
     "explicit": (_SOLVE_ARGS, _SOLVE_SETUP, _EXPLICIT, _EXPLICIT, ""),
     "implicit": (_SOLVE_ARGS, _SOLVE_SETUP, _EXPLICIT, _IMPLICIT, "nxt"),
