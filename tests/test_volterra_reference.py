@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from renewal_lab import model
 from renewal_lab.volterra import (
+    _CSV_CHUNK,
     LEFT_RECTANGLE,
     OVERFLOW_THRESHOLD,
     TRAPEZOID,
@@ -24,8 +25,10 @@ from renewal_lab.volterra import (
     SolverConfig,
     Trajectory,
     equilibrium_locked_source,
+    read_trajectory_csv,
     solve_erlang_cascade,
     solve_nre,
+    write_csv,
 )
 
 # ---------------------------------------------------------------------------
@@ -389,6 +392,69 @@ def test_to_csv_bytes_match_reference(tmp_path, bistable):
     short.to_csv(tmp_path / "got3.csv")
     ref_to_csv(short, tmp_path / "want3.csv")
     assert (tmp_path / "got3.csv").read_bytes() == (tmp_path / "want3.csv").read_bytes()
+
+
+#: values the formatting turns on: signed zeros, non-finite values, the smallest subnormal, powers of ten
+#: and their neighbours, the exact ties 2**50 + 0.25 and 2**50 + 0.75, and the ends of the float range
+_CSV_EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+              1e-5, 1e-4, 1e16, 1e17, 1e22, 1e23, -1e100, 1.7976931348623157e308, 2.0**50 + 0.25,
+              2.0**50 + 0.75, 0.1, 1.0, 9.5, 100.5, 123456789012345678.0, 1e-290, 1e290]
+_CSV_EDGES += [math.nextafter(v, d) for v in (1e-5, 1e16, 1e17, 1e22, 1e23, 1.0) for d in (0.0, math.inf)]
+#: int64 values at and beyond 2**53, where the float conversion of '%.17g' rounds
+_CSV_INTS = [0, 1, -1, 2**53 - 1, 2**53, 2**53 + 1, 2**53 + 3, 10**17 - 1, 10**17, 10**17 + 1, 2**63 - 1, -(2**63)]
+
+
+def _per_value_csv(header, *columns):
+    rows = zip(*(col.tolist() for col in columns))
+    return "".join([header + "\n", *(",".join("%.17g" % v for v in row) + "\n" for row in rows)]).encode()
+
+
+def _assert_reads_back(path, *columns):
+    traj = read_trajectory_csv(path)
+    for got, col in zip((traj.ts, traj.lam, traj.x), columns):
+        want = col.astype(float)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@given(
+    bits=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=40),
+    size=st.sampled_from([1, 2, 3, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 5]),
+    kinds=st.lists(st.sampled_from(["bits", "wide", "edges", "ints", "grid"]), min_size=3, max_size=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_write_csv_equals_per_value_format(tmp_path_factory, bits, size, kinds, seed):
+    """``write_csv`` writes every value as ``'%.17g' % value``, and the file reads back bit-exactly."""
+    rng = np.random.default_rng(seed)
+    drawn = np.array(bits, dtype=np.uint64).view(np.float64)
+
+    def column(kind):
+        if kind == "bits":
+            col = rng.integers(0, 2**64, size=size, dtype=np.uint64, endpoint=False).view(np.float64)
+            at = rng.integers(0, size, size=drawn.size)
+            col[at] = drawn
+            return col
+        if kind == "wide":
+            return rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-320.0, 308.0, size=size)
+        if kind == "edges":
+            return rng.choice(np.array(_CSV_EDGES + drawn.tolist()), size=size)
+        if kind == "ints":
+            return np.concatenate([np.array(_CSV_INTS, dtype=np.int64), rng.integers(-(2**63), 2**63 - 1, size=size)])[:size]
+        return 1e-3 * np.arange(size) + rng.integers(0, 3) * rng.standard_normal()
+
+    columns = [column(kind) for kind in kinds]
+    path = tmp_path_factory.mktemp("csv") / "got.csv"
+    write_csv(path, "t,lambda,x", *columns)
+    assert path.read_bytes() == _per_value_csv("t,lambda,x", *columns)
+    _assert_reads_back(path, *columns)
+
+
+def test_write_csv_rounds_exact_ties_to_even(tmp_path):
+    col = np.array([2.0**50 + 0.25, 2.0**50 + 0.75, -(2.0**50 + 0.25)])
+    write_csv(tmp_path / "ties.csv", "v", col)
+    assert (tmp_path / "ties.csv").read_text() == "v\n1125899906842624.2\n1125899906842624.8\n-1125899906842624.2\n"
 
 
 # ---------------------------------------------------------------------------
