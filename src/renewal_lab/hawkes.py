@@ -393,9 +393,10 @@ def _by_particle(ts: Sequence[np.ndarray], ps: Sequence[np.ndarray], n: int) -> 
     numpy radix-sorts 8- and 16-bit keys, 5x faster than int64 at 400k events.
     """
     p = np.concatenate(ps).astype(np.min_scalar_type(n))
-    order = np.argsort(p, kind="stable")
-    cuts = np.cumsum(np.bincount(p, minlength=n))[:-1]
-    return np.split(np.concatenate(ts)[order], cuts)
+    t = np.concatenate(ts)[np.argsort(p, kind="stable")]
+    # slices, not np.split: its array_split swaps axes twice per particle
+    ends = np.cumsum(np.bincount(p, minlength=n)).tolist()
+    return [t[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def _doubles(values: np.ndarray) -> array.array:

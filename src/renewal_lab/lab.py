@@ -186,45 +186,52 @@ def build_source(spec: dict, h, phi, solver_cfg: Optional[SolverConfig] = None):
     _require(isinstance(spec, dict) and "type" in spec, "source", "needs a 'type'")
     kind = spec["type"]
 
+    read_keys = []
+
     def read(*keys):
+        read_keys.extend(key for key, _, _ in keys)
         return _read(spec, "source", *keys, also=("type", "perturbation"))
 
-    if kind == "empty":
-        src = model.make_source_empty(*read())
-    elif kind == "equilibrium":
-        src = model.make_source_equilibrium(h, *read(("ell", None, _float)))
-    elif kind == "locked_equilibrium":
-        _require(solver_cfg is not None, "source", "locked equilibrium source needs a solver block")
-        ell, = read(("ell", None, _float))
-        try:
-            src = equilibrium_locked_source(phi, h, ell, solver_cfg)
-        except RuntimeError as exc:
-            raise ConfigError(f"source.ell: {exc}") from exc
-    elif kind == "tail":
-        src = model.make_source_tail(h, *read(("ell0", None, _float)))
-    elif kind == "chi_perturbed":
-        ell0, chi_spec = read(("ell0", None, _float), ("chi", {"type": "kernel_tail"}, _object))
-        chi_kind = chi_spec.get("type")
-        if chi_kind == "kernel_tail":
-            _read(chi_spec, "source.chi", also=("type",))
-            chi = lambda t: h.signed_tail(t)
-            chi_p = lambda t: -np.asarray(h.evaluator(t), dtype=float)
-            decay = h.decay
-        elif chi_kind == "poly":
-            a, = _read(chi_spec, "source.chi", ("a", 1.0, _float), also=("type",))
-            norm = h.norm_l1
-            chi = lambda t: norm / (1.0 + np.asarray(t, dtype=float)) ** a
-            chi_p = lambda t: -a * norm / (1.0 + np.asarray(t, dtype=float)) ** (a + 1.0)
-            decay = DecayClass.polynomial(rate=a, constant=norm)
+    # a maker's ValueError names no key: ell0 = 5e-324 underflows the decay constant of a tail source
+    try:
+        if kind == "empty":
+            src = model.make_source_empty(*read())
+        elif kind == "equilibrium":
+            src = model.make_source_equilibrium(h, *read(("ell", None, _float)))
+        elif kind == "locked_equilibrium":
+            _require(solver_cfg is not None, "source", "locked equilibrium source needs a solver block")
+            ell, = read(("ell", None, _float))
+            try:
+                src = equilibrium_locked_source(phi, h, ell, solver_cfg)
+            except RuntimeError as exc:
+                raise ConfigError(f"source.ell: {exc}") from exc
+        elif kind == "tail":
+            src = model.make_source_tail(h, *read(("ell0", None, _float)))
+        elif kind == "chi_perturbed":
+            ell0, chi_spec = read(("ell0", None, _float), ("chi", {"type": "kernel_tail"}, _object))
+            chi_kind = chi_spec.get("type")
+            if chi_kind == "kernel_tail":
+                _read(chi_spec, "source.chi", also=("type",))
+                chi = lambda t: h.signed_tail(t)
+                chi_p = lambda t: -np.asarray(h.evaluator(t), dtype=float)
+                decay = h.decay
+            elif chi_kind == "poly":
+                a, = _read(chi_spec, "source.chi", ("a", 1.0, _float), also=("type",))
+                norm = h.norm_l1
+                chi = lambda t: norm / (1.0 + np.asarray(t, dtype=float)) ** a
+                chi_p = lambda t: -a * norm / (1.0 + np.asarray(t, dtype=float)) ** (a + 1.0)
+                decay = DecayClass.polynomial(rate=a, constant=norm)
+            else:
+                raise ConfigError(f"source.chi.type: unknown chi type {chi_kind!r}")
+            src = model.make_source_chi_perturbed(h, phi, ell0, chi, chi_p, decay)
+        elif kind == "erlang_poly":
+            src = model.make_source_erlang_polynomial(*read(("n", None, _int), ("alpha", None, _float), ("c", None, _list_of(_float))))
+        elif kind == "divergence_example":
+            src = model.make_source_divergence_example(*read(("a", 2.0, _float)))
         else:
-            raise ConfigError(f"source.chi.type: unknown chi type {chi_kind!r}")
-        src = model.make_source_chi_perturbed(h, phi, ell0, chi, chi_p, decay)
-    elif kind == "erlang_poly":
-        src = model.make_source_erlang_polynomial(*read(("n", None, _int), ("alpha", None, _float), ("c", None, _list_of(_float))))
-    elif kind == "divergence_example":
-        src = model.make_source_divergence_example(*read(("a", 2.0, _float)))
-    else:
-        raise ConfigError(f"source.type: unknown source type {kind!r}")
+            raise ConfigError(f"source.type: unknown source type {kind!r}")
+    except ValueError as exc:
+        raise ConfigError(f"source.{', source.'.join(read_keys) or 'type'}: {exc}") from exc
     pert = spec.get("perturbation")
     if pert is not None:
         amplitude, rate = _read(pert, "source.perturbation", ("amplitude", None, _float), ("rate", 1.0, _float))

@@ -27,10 +27,9 @@ for the source value that keeps the discrete equilibrium.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -52,8 +51,9 @@ LEFT_RECTANGLE = "left-rectangle"
 OVERFLOW_THRESHOLD = 1e12
 #: tail slope (per unit time) above which a trajectory is flagged divergent
 DIVERGENT_SLOPE = 1e-3
-#: rows formatted per write by write_csv
-_CSV_CHUNK = 1024
+#: rows formatted per write by write_csv: enough to spread numpy's cost per call, and a working set
+#: of about 2 MB for three columns
+_CSV_CHUNK = 4096
 #: solve_picard stops when a sweep moves lambda by at most this, and fails after this many sweeps
 PICARD_TOL = 1e-13
 PICARD_MAX_ITER = 200
@@ -134,14 +134,200 @@ class Trajectory:
 def write_csv(path, header: str, *columns: np.ndarray) -> None:
     """Write the header line, then one row per index of the equal-length columns.
 
-    Every value is formatted ``.17g``: a float reads back bit-exactly and an
-    int below 10**17 prints as itself.
+    Every value is written as ``'%.17g' % value``, byte for byte: a float reads
+    back bit-exactly, and an int column is written as its float64 values (which
+    is what ``'%.17g'`` does with an int).  The rows are formatted with numpy,
+    ``_CSV_CHUNK`` at a time.  Why the digits are exact, for 1e-290 <= |x| <= 1e290
+    with k = floor(log10|x|) as numpy's log10 gives it:
+
+    * 10**(16-k) is tabulated as ph + pl: ph is it rounded, pl the exact rest
+      rounded (Python int arithmetic), so |10**(16-k) - ph - pl| <= 2**-106 10**(16-k).
+    * N = |x| 10**(16-k) lies in [1e16, 1e17) when k is right.  Dekker's product
+      gives |x| ph = p + e exactly, with p an integer in float64 (p >= 2**53);
+      t = e + |x| pl rounds twice, |t| < 32, so N - p - t is below
+      2**-105 N + 2**-48 < 2**-46 in all.  The 17 digits are p + floor(t), plus
+      one when the fraction t - floor(t) is above .5.
+    * A value is undecided when that fraction lies within 2**-40 of .5 (an exact
+      tie, such as 2**50 + 0.25, is one), when the integer part of N is below
+      1e16 or the digits reach 1e17 (k off by one, or rounding up to the next
+      power of ten), or when |x| is subnormal or outside the range above.  An
+      undecided value, and only such a value, is formatted by Python's
+      ``'%.17g'``; zeros, -0, nan and +-inf are written from a table.
+
+    The digits are laid out in the ``%g`` form of their k: fixed with the point
+    after digit k for -4 <= k < 17, else one digit, the point and an exponent of
+    at least two digits.  Trailing zeros after the point, and the point with
+    them, are dropped by a validity mask over fixed-width slots.
     """
-    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i in range(0, len(columns[0]), _CSV_CHUNK):
-            fh.write("".join(itertools.starmap(row.format, zip(*(col[i : i + _CSV_CHUNK].tolist() for col in columns)))))
+    tab = _csv_tables()
+    size = len(columns[0])
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, size, _CSV_CHUNK):
+            rows = np.empty((min(_CSV_CHUNK, size - start), _SLOT * len(columns)), dtype=np.uint8)
+            keep = np.empty(rows.shape, dtype=bool)
+            rows[:, _SIGN::_SLOT] = ord("-")
+            for j, char in enumerate(b"0.000"):
+                rows[:, _PRE + j :: _SLOT] = char
+            rows[:, _POINT::_SLOT] = ord(".")
+            rows[:, _SEP::_SLOT] = ord(",")
+            rows[:, -1] = ord("\n")
+            keep[:, _SEP::_SLOT] = True
+            for j, col in enumerate(columns):
+                slots = slice(j * _SLOT, (j + 1) * _SLOT)
+                x = np.asarray(col[start : start + _CSV_CHUNK], dtype=np.float64)
+                _format_column(x, rows[:, slots], keep[:, slots], tab)
+            fh.write(rows[keep].tobytes())
+
+
+# ---------------------------------------------------------------------------
+# '%.17g' in bulk: the tables and one column of a chunk
+# ---------------------------------------------------------------------------
+
+#: the decimal exponents k of the table of 10**(16-k), and the |x| the numpy path takes
+_K_MIN, _K_MAX = -291, 290
+_FAST_MIN, _FAST_MAX = 1e-290, 1e290
+#: Veltkamp's splitting factor for float64, 2**27 + 1
+_SPLIT = 134217729.0
+#: a fraction of N closer than this to .5 is undecided (its error is below 2**-46, see write_csv)
+_TIE_BOUND = 2.0**-40
+#: byte offsets in the slot of one value: sign, the prefix "0.000" (its first 1 - k bytes for fixed k < 0),
+#: the digits A before the point, the point, the digits B after it, the exponent suffix and the separator
+_SIGN, _PRE, _A, _POINT, _B, _SUF, _SEP = 0, 1, 6, 23, 24, 41, 46
+_SLOT = 47
+#: the strings written from a table: 0, -0, nan, inf, -inf
+_SPECIALS = (b"0", b"-0", b"nan", b"inf", b"-inf")
+
+
+class _CsvTables(NamedTuple):
+    pow10: np.ndarray  # (4, K): ph, pl and Veltkamp's halves of ph, per k
+    form: np.ndarray  # (K,): 18 times the form of k: 0-20 fixed (k = -4..16), 21-22 exponent (2 or 3 digits)
+    before: np.ndarray  # (K,): digits before the point: k + 1 (fixed, k >= 0), 0 (fixed, k < 0), 1 (exponent)
+    suffix: np.ndarray  # (K, 5): "e+dd" or "e-ddd" for the exponent form
+    valid: np.ndarray  # (23 * 18, _SEP): the bytes kept per form and count of digits written
+    lut4: np.ndarray  # (10000,) uint32: the four ASCII digits of g in memory order
+    sig4: np.ndarray  # (10000,): the digits of g up to its last nonzero one, -17 for g = 0
+    specials: np.ndarray  # (5, _SEP): the slots of _SPECIALS
+    specials_valid: np.ndarray  # (5, _SEP): the bytes kept of each
+
+
+@functools.lru_cache(maxsize=None)
+def _csv_tables() -> _CsvTables:
+    """The tables of ``write_csv``, built on its first call."""
+    ks = list(range(_K_MIN, _K_MAX + 1))
+    pow10 = []
+    for k in ks:
+        # 10**(16-k) = num / den; hi and lo = the exact rest, each rounded once by int true division
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        hi = num / den
+        hi_num, hi_den = hi.as_integer_ratio()
+        lo = (num * hi_den - hi_num * den) / (den * hi_den)
+        # split hi into 26-bit halves at a scale where m * _SPLIT cannot overflow
+        m, e = math.frexp(hi)
+        c = m * _SPLIT
+        mh = c - (c - m)
+        pow10.append((hi, lo, math.ldexp(mh, e), math.ldexp(m - mh, e)))
+    # forms 0-20: fixed, k = -4..16; 21 and 22: exponent of two and of three digits
+    forms = [(k + 1, 0, 0) if k >= 0 else (0, 1 - k, 0) for k in range(-4, 17)] + [(1, 0, 4), (1, 0, 5)]
+    valid = np.zeros((len(forms), 18, _SEP), dtype=bool)
+    for f, (before, n_pre, n_suf) in enumerate(forms):
+        valid[f, :, _PRE : _PRE + n_pre] = True
+        valid[f, :, _A : _A + before] = True
+        valid[f, :, _SUF : _SUF + n_suf] = True
+        for n_dig in range(before, 18):
+            valid[f, n_dig, _POINT] = 0 < before < n_dig
+            valid[f, n_dig, _B + before : _B + n_dig] = True
+    form = [k + 4 if -4 <= k < 17 else 21 + (abs(k) >= 100) for k in ks]
+    suffix = np.zeros((len(ks), 5), dtype=np.uint8)
+    for j, k in enumerate(ks):
+        if not -4 <= k < 17:
+            text = b"e%+03d" % k
+            suffix[j, : len(text)] = list(text)
+    g = np.arange(10000)
+    lut4 = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1) + ord("0")
+    trailing = (g % 10 == 0).astype(np.intp) + (g % 100 == 0) + (g % 1000 == 0)
+    specials = np.zeros((len(_SPECIALS), _SEP), dtype=np.uint8)
+    for j, text in enumerate(_SPECIALS):
+        specials[j, : len(text)] = list(text)
+    return _CsvTables(
+        pow10=np.array(pow10).T.copy(),
+        form=18 * np.array(form),
+        before=np.array([forms[f][0] for f in form]),
+        suffix=suffix,
+        valid=valid.reshape(-1, _SEP),
+        lut4=lut4.astype(np.uint8).view(np.uint32).ravel(),
+        sig4=np.where(g == 0, -17, 4 - trailing),
+        specials=specials,
+        specials_valid=specials != 0,
+    )
+
+
+def _decimal_digits(x: np.ndarray, tab: _CsvTables) -> tuple:
+    """(k - _K_MIN, the 17 significant digits of |x| as an int64, whether they are decided), per value.
+
+    Undecided values get the digits 1e16; ``write_csv`` gives the bound.
+    """
+    a = np.abs(x)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a[~fast] = 1.0
+    i = np.floor(np.log10(a)).astype(np.intp) - _K_MIN
+    ph, pl, phh, phl = tab.pow10.take(i, axis=1)
+    # Dekker: a ph = p + e exactly; then N = a 10**(16-k) = p + t, t = e + a pl
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    p = a * ph
+    t = (((ah * phh - p) + ah * phl + al * phh) + al * phl) + a * pl
+    floor = np.floor(t)
+    frac = t - floor
+    whole = p.astype(np.int64) + floor.astype(np.int64)
+    digits = whole + (frac > 0.5)
+    decided = fast & (np.abs(frac - 0.5) > _TIE_BOUND) & (whole >= 10**16) & (digits < 10**17)
+    digits[~decided] = 10**16
+    return i, digits, decided
+
+
+def _format_column(x: np.ndarray, out: np.ndarray, keep: np.ndarray, tab: _CsvTables) -> None:
+    """Write ``'%.17g'`` of each value of x into its slot (a row of out), and mark the bytes kept.
+
+    The sign, the prefix and the point are in place already; a slot holds the
+    digits twice, as A before the point and as B after it, and ``keep`` picks
+    each digit from one of them.  Only a chunk with a value in the exponent form
+    writes suffixes.
+    """
+    i, digits, decided = _decimal_digits(x, tab)
+    head = digits // 100000000
+    low = (digits - head * 100000000).astype(np.uint32)
+    head = head.astype(np.uint32)
+    # five groups of digits: one, then four of four
+    groups = np.empty((5, x.size), dtype=np.uint32)
+    np.floor_divide(head, 100000000, out=groups[0])
+    mid = head - groups[0] * 100000000
+    np.floor_divide(mid, 10000, out=groups[1])
+    np.subtract(mid, groups[1] * 10000, out=groups[2])
+    np.floor_divide(low, 10000, out=groups[3])
+    np.subtract(low, groups[3] * 10000, out=groups[4])
+    text = tab.lut4.take(groups.T).view(np.uint8)[:, 3:]
+    sig = tab.sig4.take(groups[1:])
+    n_dig = np.maximum(np.maximum(sig[0] + 1, sig[1] + 5), np.maximum(sig[2] + 9, sig[3] + 13))
+    # the integer digits of the fixed form stay, zeros or not
+    n_dig = np.maximum(np.maximum(n_dig, 1), tab.before.take(i))
+    out[:, _A:_POINT] = text
+    out[:, _B:_SUF] = text
+    if i.min() < -4 - _K_MIN or i.max() > 16 - _K_MIN:
+        out[:, _SUF:_SEP] = tab.suffix.take(i, axis=0)
+    keep[:, :_SEP] = tab.valid.take(tab.form.take(i) + n_dig, axis=0)
+    keep[:, _SIGN] = np.signbit(x)
+    if decided.all():
+        return
+    special = ~decided & ((x == 0) | ~np.isfinite(x))
+    code = np.where(np.isnan(x), 2, np.where(np.isinf(x), 3, 0) + np.signbit(x))[special]
+    out[special, :_SEP] = tab.specials[code]
+    keep[special, :_SEP] = tab.specials_valid[code]
+    for r in np.flatnonzero(~decided & ~special).tolist():
+        value = b"%.17g" % float(x[r])
+        out[r, : len(value)] = list(value)
+        keep[r, :_SEP] = np.arange(_SEP) < len(value)
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -528,33 +714,65 @@ def equilibrium_locked_source(phi: FiringFunction, h: MemoryKernel, ell: float, 
 # ---------------------------------------------------------------------------
 
 
+#: One RK4 loop of the cascade.  A grid point stores x_0 and, unless a
+#: component is past the overflow threshold or NaN, lambda = Phi(x_0), which is
+#: also the top derivative of the step's first stage.
+_CASCADE_TEMPLATE = """\
+def cascade(phi_s, a, dt, y, x0_out, lam_out):
+    {load}
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    over = OVERFLOW_THRESHOLD
+    {states}, = y
+    last = len(x0_out) - 1
+    for i in range(last + 1):
+        x0_out[i] = y0
+        if not ({guard}):
+            return i
+        lam = {phi_y0}
+        lam_out[i] = lam
+        if i == last:
+            break
+        {step}
+    return last + 1
+"""
+
+
 @functools.lru_cache(maxsize=None)
-def _rk4_step(order: int) -> Callable:
-    """``bind(phi_s, a, dt)``: one classical RK4 step of the cascade of one order, written out.
+def _cascade(order: int, phi: Optional[tuple]) -> Callable:
+    """The loop of ``_CASCADE_TEMPLATE`` for one order and the ``formula_key`` of Phi, written out.
 
-    ``step(y)`` takes and returns the states x_0..x_order as a list of floats.
-    The derivative of x_j is a (x_{j+1} - x_j) for j < order and
-    a (Phi(x_0) - x_order) on top; the stage states are y + (0.5 dt) k and
-    y + dt k, and the update is y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4),
-    component by component.  Written out, a step runs no Python loop.
+    ``cascade(phi_s, a, dt, y, x0_out, lam_out)`` steps the states x_0..x_order
+    from the list y and returns the number of grid points stored.  The
+    derivative of x_j is a (x_{j+1} - x_j) for j < order and a (Phi(x_0) -
+    x_order) on top; the stage states are y + (0.5 dt) k and y + dt k, and the
+    update is y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4), component by component.
+    The states stay in locals, and Phi's formula is written in where it has
+    one, so a step runs no Python loop and makes no call.
     """
-
-    def deriv(k: str, xs: list) -> list:
-        lines = [f"{k}_{j} = a * ({xs[j + 1]} - {xs[j]})" for j in range(order)]
-        return lines + [f"{k}_{order} = a * (phi_s({xs[0]}) - {xs[order]})"]
-
     ys = [f"y{j}" for j in range(order + 1)]
     ss = [f"s{j}" for j in range(order + 1)]
-    body = ["".join(f"{v}, " for v in ys) + "= y"] + deriv("k1", ys)
+    load, phi_y0 = formula_code(phi, "phi_s", "y0")
+    phi_s0 = formula_code(phi, "phi_s", "s0")[1]
+
+    def deriv(k: str, xs: list, top: str) -> list:
+        return [f"{k}_{j} = a * ({xs[j + 1]} - {xs[j]})" for j in range(order)] + [f"{k}_{order} = a * ({top} - {xs[order]})"]
+
+    step = deriv("k1", ys, "lam")
     for prev, k, w in (("k1", "k2", "half_dt"), ("k2", "k3", "half_dt"), ("k3", "k4", "dt")):
-        body += [f"s{j} = y{j} + {w} * {prev}_{j}" for j in range(order + 1)] + deriv(k, ss)
-    new = ", ".join(f"y{j} + sixth_dt * (((k1_{j} + 2.0 * k2_{j}) + 2.0 * k3_{j}) + k4_{j})" for j in range(order + 1))
-    body.append(f"return [{new}]")
-    src = "def bind(phi_s, a, dt):\n    half_dt, sixth_dt = 0.5 * dt, dt / 6.0\n    def step(y):\n"
-    src += "".join(f"        {line}\n" for line in body) + "    return step\n"
+        step += [f"s{j} = y{j} + {w} * {prev}_{j}" for j in range(order + 1)] + deriv(k, ss, phi_s0)
+    step.append(", ".join(ys) + " = " + ", ".join(
+        f"y{j} + sixth_dt * (((k1_{j} + 2.0 * k2_{j}) + 2.0 * k3_{j}) + k4_{j})" for j in range(order + 1)))
+    src = _CASCADE_TEMPLATE.format(
+        load="\n    ".join(load),
+        states=", ".join(ys),
+        # false for an infinite or NaN component too
+        guard=" and ".join(f"abs({v}) <= over" for v in ys),
+        phi_y0=phi_y0,
+        step="\n        ".join(step),
+    )
     namespace: dict = {}
-    exec(src, namespace)
-    return namespace["bind"]
+    exec(src, globals(), namespace)
+    return namespace["cascade"]
 
 
 def solve_erlang_cascade(phi: FiringFunction, n: int, alpha: float, c: Sequence[float], cfg: SolverConfig) -> Trajectory:
@@ -571,36 +789,18 @@ def solve_erlang_cascade(phi: FiringFunction, n: int, alpha: float, c: Sequence[
     if c.size != n + 1:
         raise ValueError(f"need {n + 1} initial values, got {c.size}")
     ts = cfg.grid()
-    phi_s = phi.scalar
-    dt = cfg.dt
-    step = _rk4_step(n)(phi_s, alpha, dt)
-    n_pts = ts.size
-    x0_path = np.empty(n_pts)
-    x0_out = memoryview(x0_path)
-    y = c.tolist()
-    divergent = False
-    cut = n_pts
-    for i in range(n_pts):
-        x0_out[i] = y[0]
-        # false for an infinite or NaN component too
-        if not all(abs(v) <= OVERFLOW_THRESHOLD for v in y):
-            divergent = True
-            cut = i
-            break
-        if i == n_pts - 1:
-            break
-        y = step(y)
-
-    lam = np.fromiter(map(phi_s, x0_out[:cut]), dtype=float, count=cut)
+    x0_path = np.empty(ts.size)
+    lam = np.empty(ts.size)
+    cut = _cascade(n, formula_key(phi.scalar))(phi.scalar, alpha, cfg.dt, c.tolist(), memoryview(x0_path), memoryview(lam))
     meta = {
         "method": "erlang-cascade-rk4",
-        "dt": dt,
+        "dt": cfg.dt,
         "order": n,
         "alpha": alpha,
         "initial": c.tolist(),
         "inner_tol": cfg.inner_tol,
     }
-    return Trajectory(ts=ts[:cut], lam=lam, x=x0_path[:cut], divergent=divergent, metadata=meta)
+    return Trajectory(ts=ts[:cut], lam=lam[:cut], x=x0_path[:cut], divergent=cut < ts.size, metadata=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,19 @@ def test_zero_iteration_cap_exits_one_naming_the_key(tmp_path, capsys, key):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("source,key", [({"type": "tail", "ell0": 5e-324}, "source.ell0"),
+                                        ({"type": "equilibrium", "ell": -1.0}, "source.ell")])
+def test_source_maker_error_exits_one_naming_the_key(tmp_path, capsys, source, key):
+    # ell0 = 5e-324 times the kernel's decay rate underflows the tail's decay constant to 0
+    doc = {"kernel": {"type": "exponential", "c": 0.5, "alpha": 1.0}, "phi": {"type": "affine"},
+           "source": source, "solver": {"t_end": 1.0}}
+    cfg = tmp_path / "source.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {key}: " in err and "Traceback" not in err, err
+
+
 def test_hawkes_command_threads_byte_identical(tmp_path, monkeypatch):
     used = []
     fan_out = lab.run_replicas

@@ -590,3 +590,29 @@ def test_erlang_marching_matches_reference_for_random_shapes(order, alpha, dt, q
         return
     _assert_same_solve(phi, h, xi, cfg)
     assert want.divergent or want.ts.size == cfg.n_steps + 1
+
+
+@given(
+    order=st.integers(min_value=0, max_value=4),
+    alpha=st.floats(min_value=0.25, max_value=6.0),
+    dt=st.sampled_from([1e-3, 2e-2, 0.1]),
+    maker=st.sampled_from(sorted(_PHI_MAKERS)),
+    c0=st.floats(min_value=0.0, max_value=3.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_cascade_matches_reference_for_random_shapes(order, alpha, dt, maker, c0):
+    """Each order and Phi formula has its own written-out RK4 loop: every one equals the reference to the bit."""
+    phi = _phi_of(maker)
+    c = [c0 - 0.25 * k for k in range(order + 1)]
+    cfg = SolverConfig(t_end=2.0, dt=dt)
+    _assert_same(solve_erlang_cascade(phi, order, alpha, c, cfg), ref_solve_erlang_cascade(phi, order, alpha, c, cfg))
+
+
+def test_nan_phi_cuts_the_cascade_as_the_reference_does():
+    # Phi turns NaN once x_0 passes 5: a stage state past 5 puts a NaN in the next state, which cuts the run
+    affine = model.make_affine_phi(1.0)
+    phi = replace(affine, scalar=lambda x: math.nan if x > 5.0 else 2.0 + 8.0 * x, lip=8.0)
+    cfg = SolverConfig(t_end=40.0, dt=1e-2)
+    got = solve_erlang_cascade(phi, 1, 1.0, [0.5, 0.5], cfg)
+    _assert_same(got, ref_solve_erlang_cascade(phi, 1, 1.0, [0.5, 0.5], cfg))
+    assert got.divergent and got.x[-1] <= 5.0 and np.all(np.isfinite(got.lam))
