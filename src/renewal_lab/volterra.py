@@ -21,7 +21,9 @@ step evaluates it in place with its constants in locals, the operations of the
 call in the same order; any other Phi is called.  The source is read once, on
 the whole grid, by ``SourceTerm.on_grid``.
 ``equilibrium_locked_source`` runs the same loop with its own step, the search
-for the source value that keeps the discrete equilibrium.
+for the source value that keeps the discrete equilibrium.  The RK4 cascade runs
+one loop from ``_CASCADE_TEMPLATE``, generated per order and text of Phi's
+formula in the same way.
 """
 
 from __future__ import annotations
