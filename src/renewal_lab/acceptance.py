@@ -30,6 +30,9 @@ from .rates import (
     stable_manifold_ic,
 )
 from .volterra import (
+    ALL_NONNEG,
+    CONVERGED,
+    DIVERGENT,
     NON_DECREASING,
     SolverConfig,
     check_monotone,
@@ -131,7 +134,7 @@ def criterion_03(threads: int) -> tuple:
     """Three sigmoid fixed points at the reference locations, stable/unstable/stable."""
     phi, h, reports = bistable_fixture()
     targets = (0.5212, 1.0, 1.4788)
-    kinds = ("subcritical", "supercritical", "subcritical")
+    kinds = (model.SUBCRITICAL, model.SUPERCRITICAL, model.SUBCRITICAL)
     ok = len(reports) == 3
     errs = []
     if ok:
@@ -154,7 +157,7 @@ def criterion_04(threads: int) -> tuple:
         traj = solve_nre(phi, h, model.make_source_tail(h, ell0), cfg)
         diag = limit_diagnostic(traj, reports, window=10.0)
         target = low if ell0 < 1.0 else high
-        good = diag.kind == "converged" and diag.ell == target and diag.residual <= 1e-2
+        good = diag.kind == CONVERGED and diag.ell == target and diag.residual <= 1e-2
         ok &= good
         details.append(f"{ell0}->{'-' if diag.ell == low else '+' if diag.ell == high else '?'}")
     return ok, " ".join(details)
@@ -168,7 +171,7 @@ def criterion_05(threads: int) -> tuple:
     mono = check_monotone(traj, NON_DECREASING, tol=1e-8)
     diag = limit_diagnostic(traj, reports, window=5.0)
     strict = bool(np.all(np.diff(traj.lam[traj.ts <= 10.0]) > 0))
-    ok = mono and strict and diag.kind == "converged" and diag.ell == reports[0].ell
+    ok = mono and strict and diag.kind == CONVERGED and diag.ell == reports[0].ell
     return ok, f"nondecreasing={mono} strict(early)={strict} limit={diag.ell}"
 
 
@@ -182,7 +185,7 @@ def criterion_06(threads: int) -> tuple:
         xi = model.make_source_erlang_polynomial(2, 3.0, c)
         traj = solve_nre(phi, h, xi, cfg)
         diag = limit_diagnostic(traj, reports, window=10.0)
-        outcomes.append((diag.kind == "converged" and diag.ell == target, diag.ell))
+        outcomes.append((diag.kind == CONVERGED and diag.ell == target, diag.ell))
     ok = all(o for o, _ in outcomes)
     return ok, f"L=2 -> {outcomes[0][1]}, L=1 -> {outcomes[1][1]}"
 
@@ -200,7 +203,7 @@ def criterion_07(threads: int) -> tuple:
         traj = solve_nre(phi, h, xi, cfg)
         exited = bool(np.any(np.abs(traj.lam - lu.ell) > 0.1))
         diag = limit_diagnostic(traj, reports, window=5.0)
-        ok &= exited and diag.kind == "converged" and diag.ell == target
+        ok &= exited and diag.kind == CONVERGED and diag.ell == target
         details.append(f"{amp:+}: exit={exited} -> {diag.ell}")
     return ok, "; ".join(details)
 
@@ -218,7 +221,7 @@ def criterion_08(threads: int) -> tuple:
     min_gap = float(np.min(traj.x - y))
     lam_end = float(traj.lam[-1])
     diag = limit_diagnostic(traj, reports, window=20.0)
-    ok = min_gap >= -1e-3 and lam_end > 0.5 * float(y[-1]) and diag.kind == "divergent"
+    ok = min_gap >= -1e-3 and lam_end > 0.5 * float(y[-1]) and diag.kind == DIVERGENT
     return ok, f"min(x - y) = {min_gap:.3e}, lambda(200) = {lam_end:.2f} > {0.5 * float(y[-1]):.2f}, verdict {diag.kind}"
 
 
@@ -393,7 +396,7 @@ def criterion_15(threads: int) -> tuple:
         ell0 = float(rng.uniform(0.0, 0.8))
         xi = model.make_source_tail(h, ell0)
         rho = compute_rho(h, xi, phi, np.linspace(0.0, 8.0, 4001))
-        if rho.summary != "all-nonneg" or rho.strict_delta <= 0.0:
+        if rho.summary != ALL_NONNEG or rho.strict_delta <= 0.0:
             continue  # hypothesis of the monotonicity statement not met; redraw
         tested += 1
         traj = solve_nre(phi, h, xi, cfg)

@@ -47,14 +47,14 @@ floating-point operations in the same order as a step-by-step update: numpy
 for + - * /, ``math.exp`` for every exponential (``np.exp`` may round
 differently).
 
-The chunk is then judged by a sweep generated from one template,
-``_SWEEP_TEMPLATE``, into which each kind of convolution state writes its
-snippets: an Erlang state of order k (order 0 included) keeps its components
-s0..sk in locals with the sums written out, and a kernel without structure
-calls its own methods.  Phi and the source are written in as well: where their
-scalar evaluators carry a formula (``model._formula``), the sweep evaluates it
-in place, with the same operations as the call and its constants in locals,
-and otherwise calls them.  The state and the constants are loaded into locals
+The chunk is then judged by a sweep compiled by ``model.compile_loop`` from
+one template, ``_SWEEP_TEMPLATE``, into which each kind of convolution state
+writes its snippets: an Erlang state of order k (order 0 included) keeps its
+components s0..sk in locals with the sums written out, and a kernel without
+structure calls its own methods.  The template calls Phi and the source; where
+their scalar evaluators carry a formula (``model._formula``), the compiler
+writes it in place of the call, with the same operations and its constants in
+locals.  The state and the constants are loaded into locals
 once per chunk and the state is written back once, so a candidate of a
 structured Phi, source and kernel costs no call.  The sweep records the chunk
 indices of the accepted candidates; the times and particles are gathered from
@@ -72,7 +72,6 @@ lam_bar once lam_bar is built from it.
 
 from __future__ import annotations
 
-import array
 import concurrent.futures
 import functools
 import math
@@ -89,7 +88,7 @@ from .model import (
     MemoryKernel,
     SourceTerm,
     add_exponential_perturbation,
-    formula_code,
+    compile_loop,
     formula_key,
 )
 from .special import kolmogorov_critical, ks_statistic, normal_cdf, running_sup_from_right
@@ -195,10 +194,10 @@ class _Draws:
 #: ``steps`` names the columns of ``state.steps`` one candidate reads,
 #: ``advance`` moves the locals to the candidate, ``value`` is Y there,
 #: ``jump`` adds an event of the given weight, ``bound`` is the state's upper
-#: bound on Y from now on, and ``store`` writes the locals back.  ``xi`` is the
-#: source at the candidate time s and ``phi`` is Phi at x = xi + Y: the
-#: formula of ``xi_s`` or ``phi_s`` written in, its constants loaded once per
-#: chunk, or a call where the function has no formula.  The sweep returns the
+#: bound on Y from now on, and ``store`` writes the locals back.  The calls
+#: ``xi_s(s)`` and ``phi_s(x)`` are the source at the candidate time s and Phi
+#: at x = xi + Y: ``compile_loop`` writes in the formula of each, its constants
+#: loaded once per chunk, and calls a function without one.  The sweep returns the
 #: candidates judged, the new dominator (0.0 if none is due), the breaches,
 #: the next refresh time and the chunk indices of the accepted candidates.
 _SWEEP_TEMPLATE = """\
@@ -211,8 +210,8 @@ def sweep(state, c_list, c_thrs, c_steps, weight, phi_s, xi_s, lam_bar, lam_over
     new_bar = 0.0
     for k, s, thr, {steps} in zip(range(len(c_list)), c_list, c_thrs, *c_steps):
         {advance}
-        x = {xi} + {value}
-        lam_z = {phi}
+        x = xi_s(s) + {value}
+        lam_z = phi_s(x)
         if thr <= lam_z:
             push(k)
             {jump}
@@ -246,14 +245,7 @@ def _sweep(state: type, shape: tuple, phi: Optional[tuple], xi: Optional[tuple])
     The compiled code depends on the formulas' text only, not on their
     constants, so Phis and sources of one maker share it.
     """
-    snippets = state.snippets(*shape)
-    phi_load, phi_value = formula_code(phi, "phi_s", "x")
-    xi_load, xi_value = formula_code(xi, "xi_s", "s")
-    src = _SWEEP_TEMPLATE.format(load="\n    ".join([*snippets.pop("load"), *phi_load, *xi_load]), phi=phi_value,
-                                 xi=xi_value, **snippets)
-    namespace: dict = {}
-    exec(src, globals(), namespace)
-    return namespace["sweep"]
+    return compile_loop(_SWEEP_TEMPLATE, globals(), {"phi_s": phi, "xi_s": xi}, **state.snippets(*shape))
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +391,6 @@ def _by_particle(ts: Sequence[np.ndarray], ps: Sequence[np.ndarray], n: int) -> 
     return [t[a:b] for a, b in zip([0, *ends], ends)]
 
 
-def _doubles(values: np.ndarray) -> array.array:
-    """A float64 table whose items index as Python floats (cheaper than numpy scalars)."""
-    return array.array("d", np.ascontiguousarray(values, dtype=float).tobytes())
-
-
 #: candidates prepared at a time by the sweep: the first chunk under a
 #: dominator, then doubling up to the last.  Work prepared past a reschedule is wasted, so
 #: fixed chunks of _SWEEP_CHUNK slow a run that reschedules every few dozen
@@ -488,7 +475,8 @@ def simulate_hawkes(
     # running sup of the source from each grid time onward (dominator input)
     sup_dt = min(0.01, _REFRESH / 4.0)
     sup_grid = sup_dt * np.arange(int(math.ceil(t_end / sup_dt)) + 2)
-    xi_sup = _doubles(running_sup_from_right(np.asarray(list(map(xi_scalar, sup_grid.tolist())))))
+    # contiguous copies in memoryviews: their items index as Python floats, cheaper than numpy scalars
+    xi_sup = memoryview(running_sup_from_right(np.asarray(list(map(xi_scalar, sup_grid.tolist())))).copy())
     xi_last = len(xi_sup) - 1
 
     # the limit intensity, linearly interpolated, and its running sup
@@ -496,7 +484,7 @@ def simulate_hawkes(
     if cfg.track_coupled:
         lim_dt = limit.dt
         lim_slope = np.diff(limit.lam, append=limit.lam[-1]) / lim_dt
-        lim_sup = _doubles(running_sup_from_right(limit.lam))
+        lim_sup = memoryview(running_sup_from_right(limit.lam).copy())
         lim_last = limit.lam.size - 1
 
     phi_s = phi.scalar

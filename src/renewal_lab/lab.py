@@ -45,6 +45,8 @@ from .rates import (
     verify_envelope,
 )
 from .volterra import (
+    CONVERGED,
+    DIVERGENT,
     NonConvergenceError,
     SolverConfig,
     entry_time,
@@ -340,7 +342,7 @@ def cmd_solve(cfg: dict, out: Path, seed: int, threads: int) -> int:
         },
     )
     print(f"solve: {cfg.get('scenario', '?')} -> {diag.kind}" + (f" (ell={diag.ell:.6g})" if diag.ell else ""))
-    return 2 if diag.kind == "divergent" else 0
+    return 2 if diag.kind == DIVERGENT else 0
 
 
 def cmd_equilibria(cfg: dict, out: Path, seed: int, threads: int) -> int:
@@ -372,7 +374,7 @@ def cmd_envelope(cfg: dict, out: Path, seed: int, threads: int) -> int:
     traj.to_csv(out / "trajectory.csv")
     reports = model.find_fixed_points(phi, h)
     diag = limit_diagnostic(traj, reports, window=window)
-    if diag.kind != "converged":
+    if diag.kind != CONVERGED:
         raise RuntimeError(f"trajectory did not converge (verdict {diag.kind}); no rate analysis possible")
     report = next(r for r in reports if r.ell == diag.ell)
     t0 = entry_time(traj, report.ell, eps0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import functools
 import math
+import re
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -277,7 +278,7 @@ def _formula(arg: str, expr: str, **consts) -> Callable:
     """The function ``arg -> expr`` over the named constants, compiled once per expression text.
 
     The function carries ``expr`` and ``consts``, so a loop that evaluates the
-    expression in place of the call (``formula_code``) reads the constants of
+    expression in place of the call (``compile_loop``) reads the constants of
     the function it is given, and ``replace(phi, scalar=...)`` swaps both.
     ``exp`` in an expression is ``math.exp``.
     """
@@ -289,9 +290,8 @@ def _formula(arg: str, expr: str, **consts) -> Callable:
 @functools.lru_cache(maxsize=None)
 def _bind(arg: str, expr: str, names: tuple) -> Callable:
     """``bind(*constants)``: the closure ``arg -> expr`` of ``_formula``."""
-    namespace: dict = {"exp": math.exp}
-    exec(f"def bind({', '.join(names)}):\n    def scalar({arg}):\n        return {expr}\n    return scalar\n", namespace)
-    return namespace["bind"]
+    return compile_loop("def bind({names}):\n    def scalar({arg}):\n        return {expr}\n    return scalar\n",
+                        {"exp": math.exp}, {}, names=", ".join(names), arg=arg, expr=expr)
 
 
 def formula_key(fn: Callable) -> Optional[tuple]:
@@ -301,26 +301,57 @@ def formula_key(fn: Callable) -> Optional[tuple]:
     return fn.__code__.co_varnames[0], fn.expr, tuple(fn.consts)
 
 
-def formula_code(key: Optional[tuple], slot: str, arg: str) -> tuple:
-    """(load, value): the code of a generated loop that evaluates ``slot(arg)``, where ``slot`` names the function.
+class _Inliner(ast.NodeTransformer):
+    """Writes the formula of ``keys[slot]``, a ``formula_key``, in place of each call ``slot(name)``.
 
-    Given the ``formula_key`` of the function, the lines ``load`` (run once, in
-    a namespace that imports ``math``) unpack ``slot.consts`` into locals named
-    ``{slot}_{name}``, and ``value`` is the expression over them and ``arg``:
-    the operations of a call in the same order, so the same bits.  Without a
-    key, ``value`` calls ``slot``.
+    The formula's argument becomes ``name`` and its other names ``{slot}_{name}``
+    (``exp`` stays); a slot without a key, or a call at anything but one bare
+    name, stays a call.
     """
-    if key is None:
-        return [], f"{slot}({arg})"
-    own, expr, names = key
-    tree = ast.parse(expr, mode="eval")
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id != "exp":
-            node.id = arg if node.id == own else f"{slot}_{node.id}"
-    load = ["exp = math.exp"]
-    if names:
-        load.append("".join(f"{slot}_{name}, " for name in names) + f"= {slot}.consts.values()")
-    return load, f"({ast.unparse(tree)})"
+
+    def __init__(self, keys: dict):
+        self.keys = keys
+
+    def visit_Call(self, call: ast.Call) -> ast.expr:
+        self.generic_visit(call)
+        key = self.keys.get(getattr(call.func, "id", None))
+        if key is None or len(call.args) != 1 or call.keywords or not isinstance(call.args[0], ast.Name):
+            return call
+        tree = ast.parse(key[1], mode="eval").body
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id != "exp":
+                node.id = call.args[0].id if node.id == key[0] else f"{call.func.id}_{node.id}"
+            ast.copy_location(node, call)
+        return tree
+
+
+def compile_loop(template: str, namespace: dict, formulas: dict, **slots) -> Callable:
+    """The one function ``template`` defines, its slots filled and its formulas written in.
+
+    Each ``{name}`` takes ``slots[name]``: a string in place, or a list of lines
+    (an item may hold several) indented to the slot's column.  ``formulas`` maps
+    an argument to its ``formula_key`` or None, and ``_Inliner`` writes the
+    formulas in: the operations of the call in the same order, so the same bits.
+    Their constants are unpacked once at the top of the function, and ``exp``
+    is the namespace's ``math.exp``.  The code depends on the formulas' text
+    only, not on their constants.
+    """
+
+    def fill(m: re.Match) -> str:
+        value = slots[m[1]]
+        indent = "\n" + " " * (m.start() - template.rfind("\n", 0, m.start()) - 1)
+        return value if isinstance(value, str) else indent.join("\n".join(value).split("\n"))
+
+    tree = ast.parse(re.sub(r"\{(\w+)\}", fill, template))
+    fn = _Inliner(formulas).visit(tree.body[0])
+    keys = {slot: key for slot, key in formulas.items() if key is not None}
+    if keys:
+        load = ["exp = math.exp"] + [f"{''.join(f'{slot}_{name}, ' for name in names)}= {slot}.consts.values()"
+                                     for slot, (_, _, names) in keys.items() if names]
+        fn.body[:0] = ast.parse("\n".join(load)).body
+    local: dict = {}
+    exec(compile(ast.fix_missing_locations(tree), f"<{fn.name}>", "exec"), namespace, local)
+    return local[fn.name]
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +364,10 @@ class FiringFunction:
     """A firing rate function Phi >= 0 with first and second derivatives.
 
     ``scalar`` is Phi on one Python float, its one definition, and
-    ``evaluator`` maps it over arrays, so every path reads the same bits.  The
-    makers other than the divergence example compile it from one expression
-    (``_formula``), which the thinning sweep and the marching loop evaluate in
-    place of a call; any other ``scalar`` they call.
+    ``evaluator`` maps it over arrays, so every path reads the same bits.  Every
+    maker compiles it from one expression (``_formula``), which the generated
+    loops evaluate in place of a call (``compile_loop``); any other ``scalar``
+    they call.
     ``derivative_fn(x, k)``, when provided, evaluates Phi^(k) analytically;
     otherwise higher derivatives fall back to central finite differences.
     """
@@ -568,10 +599,8 @@ def make_divergence_example_phi() -> FiringFunction:
     lip = float(np.max(np.abs(d1(xs)))) * (1.0 + 1e-9)
     d2_sup = float(np.max(np.abs(d2(xs)))) * (1.0 + 1e-9)
 
-    def scalar(x):
-        if x < -2.0:
-            raise domain_error(x)
-        return x - math.exp(-x) + math.exp(-1.5 * x) * math.sqrt(2.0 + x)
+    def below(x):
+        raise domain_error(x)
 
     return FiringFunction(
         d1=d1,
@@ -579,7 +608,9 @@ def make_divergence_example_phi() -> FiringFunction:
         lip=lip,
         d2_sup=d2_sup,
         nondecreasing=True,
-        scalar=scalar,
+        # a NaN fails the domain test and flows through the formula
+        scalar=_formula("x", "below(x) if x < -2.0 else x - exp(-x) + exp(-1.5 * x) * sqrt(2.0 + x)", below=below,
+                        sqrt=math.sqrt),
         label="divergence-example",
     )
 
@@ -851,17 +882,15 @@ def add_exponential_perturbation(xi: SourceTerm, amplitude: float, rate: float =
     # the inner formula written in, its constants renamed inner_*; a source without one is called
     xs = xi.scalar
     key = formula_key(xs)
-    if key is None:
-        inner, consts = "inner(t)", {"inner": xs}
-    else:
-        inner, consts = formula_code(key, "inner", "t")[1], {f"inner_{k}": v for k, v in xs.consts.items()}
+    inner = ast.unparse(_Inliner({"inner": key}).visit(ast.parse("inner(t)", mode="eval").body))
+    consts = {"inner": xs} if key is None else {f"inner_{k}": v for k, v in xs.consts.items()}
     return SourceTerm(
         evaluator=evaluator,
         derivative=derivative,
         sup_bound=xi.sup_bound + abs(amplitude),
         decay=decay,
         label=f"{xi.label} + {amplitude:g}*exp(-{rate:g}t)",
-        scalar_fn=_formula("t", f"{inner} + amp * exp(-rate * t)", **consts, amp=amplitude, rate=rate),
+        scalar_fn=_formula("t", f"({inner}) + amp * exp(-rate * t)", **consts, amp=amplitude, rate=rate),
     )
 
 

@@ -10,20 +10,20 @@ iteration.  Kernels declaring Erlang structure use an exact O(1)-per-step
 convolution recursion; compactly supported kernels a sliding dot product; the
 general path a full history dot product.
 
-Every solve runs one loop generated from ``_MARCH_TEMPLATE`` and compiled once
-per history shape (Erlang order and quadrature, or the windowed dot product,
-whose window covers the whole grid for a kernel without compact support), step
-kind (explicit, implicit, damped implicit) and text of Phi's formula.  The
-history writes its state and its explicit part into the loop as source
-snippets, so a step calls no method and the Erlang components stay in local
-variables.  Where ``phi.scalar`` carries a formula (``model._formula``), the
-step evaluates it in place with its constants in locals, the operations of the
-call in the same order; any other Phi is called.  The source is read once, on
-the whole grid, by ``SourceTerm.on_grid``.
-``equilibrium_locked_source`` runs the same loop with its own step, the search
-for the source value that keeps the discrete equilibrium.  The RK4 cascade runs
-one loop from ``_CASCADE_TEMPLATE``, generated per order and text of Phi's
-formula in the same way.
+Every solve runs one loop that ``model.compile_loop`` compiles from
+``_MARCH_TEMPLATE`` once per history shape (Erlang order and quadrature, or the
+windowed dot product, whose window covers the whole grid for a kernel without
+compact support), step kind (explicit, implicit, damped implicit) and text of
+Phi's formula.  The history writes its state and its explicit part into the
+loop as source snippets, so a step calls no method and the Erlang components
+stay in local variables.  The steps call ``phi_s``; where ``phi.scalar``
+carries a formula (``model._formula``), the compiler writes it in place of the
+call with its constants in locals, the operations of the call in the same
+order, and any other Phi is called.  The source is read once, on the whole
+grid, by ``SourceTerm.on_grid``.  ``equilibrium_locked_source`` runs the same
+loop with its own step, the search for the source value that keeps the
+discrete equilibrium.  The RK4 cascade runs one loop compiled from
+``_CASCADE_TEMPLATE`` per order and text of Phi's formula in the same way.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .model import (
     FixedPointReport,
     MemoryKernel,
     SourceTerm,
-    formula_code,
+    compile_loop,
     formula_key,
     make_source_equilibrium,
 )
@@ -380,14 +380,14 @@ lam_out[n] = ln
 x_out[n] = xn"""
 _EXPLICIT = """\
 xn = xi_vals[n] + pre
-ln = {phi_xn}""" + _STORE
+ln = phi_s(xn)""" + _STORE
 # fixed-point iteration on lambda_n from lambda_{n-1}, still in ln
 _IMPLICIT = """\
 base = xi_vals[n] + pre
 lam_c = ln
 for it in range(max_iter):
     xc = base + beta * lam_c
-    nxt = {phi_xc}
+    nxt = phi_s(xc)
     # tol * max(1.0, |nxt|), without the call
     mag = abs(nxt)
     if abs(nxt - lam_c) <= tol * (mag if mag > 1.0 else 1.0):
@@ -403,7 +403,7 @@ inner_total += it + 1
 if it >= inner_max:
     inner_max = it + 1
 xn = base + beta * lam_c
-ln = {phi_xn}""" + _STORE
+ln = phi_s(xn)""" + _STORE
 # the source value whose rounded sums hit target_x, searched at the rounding
 # granularity of the dominant term so that the sweep actually moves the sums
 _LOCK = """\
@@ -423,12 +423,12 @@ if cand is None:
     return n, inner_total, inner_max
 xi_out[n] = cand"""
 
-#: step kind -> (args, setup, step 0, step n, inner update); step 0 is explicit in every solve
+#: step kind -> (args, setup, step 0, step n); step 0 is explicit in every solve
 _STEPS = {
-    "explicit": (_SOLVE_ARGS, _SOLVE_SETUP, _EXPLICIT, _EXPLICIT, ""),
-    "implicit": (_SOLVE_ARGS, _SOLVE_SETUP, _EXPLICIT, _IMPLICIT, "nxt"),
-    "damped": (_SOLVE_ARGS, _SOLVE_SETUP, _EXPLICIT, _IMPLICIT, "0.5 * (lam_c + nxt)"),
-    "locked": ("xi_out, lam_star, target_x", "ulp = math.ulp\n# every step commits lambda*\nln = lam_star", _LOCK, _LOCK, ""),
+    "explicit": (_SOLVE_ARGS, _SOLVE_SETUP, _EXPLICIT, _EXPLICIT),
+    "implicit": (_SOLVE_ARGS, _SOLVE_SETUP, _EXPLICIT, _IMPLICIT.format(update="nxt")),
+    "damped": (_SOLVE_ARGS, _SOLVE_SETUP, _EXPLICIT, _IMPLICIT.format(update="0.5 * (lam_c + nxt)")),
+    "locked": ("xi_out, lam_star, target_x", "ulp = math.ulp\n# every step commits lambda*\nln = lam_star", _LOCK, _LOCK),
 }
 
 
@@ -436,31 +436,14 @@ _STEPS = {
 def _march(history: type, shape: tuple, step: str, phi: Optional[tuple]) -> Callable:
     """The loop of ``_MARCH_TEMPLATE`` for one history shape, one step kind and the ``formula_key`` of Phi.
 
-    A step writes in Phi's formula at x = xn and x = xc, with its constants
-    loaded once, or calls ``phi_s`` where Phi has no formula.  The compiled
-    code depends on the formula's text only, not on its constants.
+    ``compile_loop`` writes Phi's formula in place of the steps' calls
+    ``phi_s(xn)`` and ``phi_s(xc)``, with its constants loaded once, and calls
+    a Phi without one.  The compiled code depends on the formula's text only,
+    not on its constants.
     """
-
-    def block(lines, indent: int) -> str:
-        return ("\n" + " " * indent).join("\n".join(lines).split("\n"))
-
-    snippets = history.snippets(*shape)
-    args, setup, step0, step_n, update = _STEPS[step]
-    load, phi_xn = formula_code(phi, "phi_s", "xn")
-    fill = {"update": update, "phi_xn": phi_xn, "phi_xc": formula_code(phi, "phi_s", "xc")[1]}
-    src = _MARCH_TEMPLATE.format(
-        args=args,
-        load=block(snippets["load"], 4),
-        setup=block([setup, *load], 4),
-        step0=block([step0.format(**fill)], 4),
-        start=block(snippets["start"], 4),
-        pre=block(snippets["pre"], 8),
-        step=block([step_n.format(**fill)], 8),
-        commit=block(snippets["commit"], 8),
-    )
-    namespace: dict = {}
-    exec(src, globals(), namespace)
-    return namespace["march"]
+    args, setup, step0, step_n = _STEPS[step]
+    return compile_loop(_MARCH_TEMPLATE, globals(), {"phi_s": phi}, args=args, setup=[setup], step0=[step0],
+                        step=[step_n], **history.snippets(*shape))
 
 
 class _ErlangHistory:
@@ -721,7 +704,6 @@ def equilibrium_locked_source(phi: FiringFunction, h: MemoryKernel, ell: float, 
 #: also the top derivative of the step's first stage.
 _CASCADE_TEMPLATE = """\
 def cascade(phi_s, a, dt, y, x0_out, lam_out):
-    {load}
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     over = OVERFLOW_THRESHOLD
     {states}, = y
@@ -730,7 +712,7 @@ def cascade(phi_s, a, dt, y, x0_out, lam_out):
         x0_out[i] = y0
         if not ({guard}):
             return i
-        lam = {phi_y0}
+        lam = phi_s(y0)
         lam_out[i] = lam
         if i == last:
             break
@@ -748,33 +730,24 @@ def _cascade(order: int, phi: Optional[tuple]) -> Callable:
     derivative of x_j is a (x_{j+1} - x_j) for j < order and a (Phi(x_0) -
     x_order) on top; the stage states are y + (0.5 dt) k and y + dt k, and the
     update is y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4), component by component.
-    The states stay in locals, and Phi's formula is written in where it has
-    one, so a step runs no Python loop and makes no call.
+    The states stay in locals, and ``compile_loop`` writes Phi's formula in
+    place of ``phi_s(y0)`` and ``phi_s(s0)`` where it has one, so a step runs
+    no Python loop and makes no call.
     """
     ys = [f"y{j}" for j in range(order + 1)]
     ss = [f"s{j}" for j in range(order + 1)]
-    load, phi_y0 = formula_code(phi, "phi_s", "y0")
-    phi_s0 = formula_code(phi, "phi_s", "s0")[1]
 
     def deriv(k: str, xs: list, top: str) -> list:
         return [f"{k}_{j} = a * ({xs[j + 1]} - {xs[j]})" for j in range(order)] + [f"{k}_{order} = a * ({top} - {xs[order]})"]
 
     step = deriv("k1", ys, "lam")
     for prev, k, w in (("k1", "k2", "half_dt"), ("k2", "k3", "half_dt"), ("k3", "k4", "dt")):
-        step += [f"s{j} = y{j} + {w} * {prev}_{j}" for j in range(order + 1)] + deriv(k, ss, phi_s0)
+        step += [f"s{j} = y{j} + {w} * {prev}_{j}" for j in range(order + 1)] + deriv(k, ss, "phi_s(s0)")
     step.append(", ".join(ys) + " = " + ", ".join(
         f"y{j} + sixth_dt * (((k1_{j} + 2.0 * k2_{j}) + 2.0 * k3_{j}) + k4_{j})" for j in range(order + 1)))
-    src = _CASCADE_TEMPLATE.format(
-        load="\n    ".join(load),
-        states=", ".join(ys),
-        # false for an infinite or NaN component too
-        guard=" and ".join(f"abs({v}) <= over" for v in ys),
-        phi_y0=phi_y0,
-        step="\n        ".join(step),
-    )
-    namespace: dict = {}
-    exec(src, globals(), namespace)
-    return namespace["cascade"]
+    # the guard is false for an infinite or NaN component too
+    return compile_loop(_CASCADE_TEMPLATE, globals(), {"phi_s": phi}, states=", ".join(ys),
+                        guard=" and ".join(f"abs({v}) <= over" for v in ys), step=step)
 
 
 def solve_erlang_cascade(phi: FiringFunction, n: int, alpha: float, c: Sequence[float], cfg: SolverConfig) -> Trajectory:

@@ -7,6 +7,7 @@ evaluate it in place; a plain function is called.  Wrapping ``scalar`` /
 form of the same equation, and every output bit must be equal.
 """
 
+import math
 import sys
 from dataclasses import replace
 
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from renewal_lab import model
 from renewal_lab.hawkes import HawkesConfig, simulate_hawkes
-from renewal_lab.volterra import LEFT_RECTANGLE, TRAPEZOID, NonConvergenceError, SolverConfig, solve_nre
+from renewal_lab.volterra import (LEFT_RECTANGLE, TRAPEZOID, NonConvergenceError, SolverConfig, solve_erlang_cascade,
+                                  solve_nre)
 
 
 def _called(phi, xi):
@@ -186,3 +188,47 @@ def test_the_loops_call_no_formula_per_candidate_or_step(make_phi):
         traj, (phi_calls,) = _calls(lambda: solve_nre(phi, h, xi, SolverConfig(t_end=3.0, dt=1e-2,
                                                                                quadrature=quadrature)), codes[:1])
         assert traj.ts.size == 301 and phi_calls == 0
+    cfg = SolverConfig(t_end=3.0, dt=1e-2)
+    traj, (phi_calls,) = _calls(lambda: solve_erlang_cascade(phi, 2, 3.0, [0.4, 0.3, 0.2], cfg), codes[:1])
+    assert traj.ts.size == 301 and phi_calls == 0
+
+
+def test_the_divergence_example_is_written_into_the_solve():
+    """The divergence example's Phi is one formula too: no call per step, and a NaN still flows through."""
+    phi = model.make_divergence_example_phi()
+    h = model.make_erlang_kernel(0, 1.0)
+    xi = model.make_source_tail(h, 0.5)
+    code = (phi.scalar.__code__,)
+    for quadrature in (TRAPEZOID, LEFT_RECTANGLE):
+        cfg = SolverConfig(t_end=3.0, dt=1e-2, quadrature=quadrature)
+        traj, (phi_calls,) = _calls(lambda: solve_nre(phi, h, xi, cfg), code)
+        assert traj.ts.size == 301 and phi_calls == 0
+        assert _solve(phi, h, xi, cfg) == _solve(_called(phi, xi)[0], h, xi, cfg)
+    cfg = SolverConfig(t_end=3.0, dt=1e-2)
+    traj, (phi_calls,) = _calls(lambda: solve_erlang_cascade(phi, 1, 1.0, [0.5, 0.5], cfg), code)
+    assert traj.ts.size == 301 and phi_calls == 0
+    assert math.isnan(phi.scalar(math.nan))
+    with pytest.raises(ValueError, match="defined for x >= -2 only"):
+        phi.scalar(-2.5)
+
+
+def test_compile_loop_writes_in_calls_at_a_name_and_indents_list_slots():
+    """A call at a bare name takes the formula, any other stays a call; a list slot's lines keep their indents."""
+    phi = model.make_affine_phi(0.5)
+    template = """\
+def loop(phi_s, {args}):
+    out = []
+    for x in xs:
+        {body}
+    return out
+"""
+    # the residual form of the implicit step: phi_s at an expression
+    body = ["y = phi_s(x)", "if y > 1.0:\n    y = phi_s(x + beta * y)", "out.append(y)"]
+    loop = model.compile_loop(template, {"math": math}, {"phi_s": model.formula_key(phi.scalar)}, args="xs, beta",
+                              body=body)
+    xs = [-1.0, 0.2, 0.9, 2.0]
+    f = phi.scalar
+    want = [f(x + 0.25 * f(x)) if f(x) > 1.0 else f(x) for x in xs]
+    got, (phi_calls,) = _calls(lambda: loop(f, xs, 0.25), (f.__code__,))
+    assert got == want == [0.0, 0.7, 1.75, 3.125]
+    assert phi_calls == 2
