@@ -40,34 +40,30 @@ candidates first, doubling up to ``_SWEEP_CHUNK``, back to ``_SWEEP_FIRST``
 after a reschedule, so that little is prepared past one).  A chunk's times
 are one ``np.cumsum`` from the last candidate (which has the bits of the
 repeated t + e / (N lam_bar)); its unjudged draws stay for the next chunk.
-Each chunk first computes in bulk what no decision changes: the convolution
-state's steps between consecutive times (the decay e^{-alpha dt}, and for
-Erlang kernels the terms (alpha dt)^j / j!).  Each value is made by the same
-floating-point operations in the same order as a step-by-step update: numpy
-for + - * /, ``math.exp`` for every exponential (``np.exp`` may round
-differently).
 
-The chunk is then judged by a sweep compiled by ``model.compile_loop`` from
-one template, ``_SWEEP_TEMPLATE``, into which each kind of convolution state
+The chunk is judged by a sweep compiled by ``model.compile_loop`` from one
+template, ``_SWEEP_TEMPLATE``, into which each kind of convolution state
 writes its snippets: an Erlang state of order k (order 0 included) keeps its
 components s0..sk in locals with the sums written out, and a kernel without
-structure calls its own methods.  The template calls Phi and the source; where
-their scalar evaluators carry a formula (``model._formula``), the compiler
-writes it in place of the call, with the same operations and its constants in
-locals.  The state and the constants are loaded into locals
-once per chunk and the state is written back once, so a candidate of a
-structured Phi, source and kernel costs no call.  The sweep records the chunk
-indices of the accepted candidates; the times and particles are gathered from
-them with numpy and split per particle at the end.  A breach (an intensity
-above the dominator) is tested only on acceptance, because only an accepted
-candidate can breach: u < 1 makes u lam_bar <= lam_bar, which is below the
-breach level lam_bar (1 + 1e-12).  After an acceptance the bound is rebuilt
-only when the source's running sup plus the state's upper bound exceeds the
-cap of ``_bound_cap``, a point where Phi is at most lam_bar.  Below the cap
-the skipped check could not reschedule: Phi is nondecreasing, the source's
-running sup only falls with time, floating-point addition is monotone, and the
-limit intensity's running sup, the other term of the bound, never exceeds
-lam_bar once lam_bar is built from it.
+structure calls its own methods.  The state is stepped from the last judged
+candidate to each candidate as it is judged, so a candidate past a reschedule
+costs no step.  The template calls Phi and the source; where their scalar
+evaluators carry a formula (``model._formula``), the compiler writes it in
+place of the call, with the same operations and its constants in locals.  The
+state and the constants are loaded into locals once per chunk and the state is
+written back once, so a candidate of a structured Phi, source and kernel costs
+no call.  The sweep records the chunk indices of the accepted candidates; the
+times and particles are gathered from them with numpy and split per particle
+at the end.  A breach (an intensity above the dominator) is tested only on
+acceptance, because only an accepted candidate can breach: u < 1 makes
+u lam_bar <= lam_bar, which is below the breach level lam_bar (1 + 1e-12).
+After an acceptance the bound is rebuilt only when the source's running sup
+plus the state's upper bound exceeds the cap of ``_bound_cap``, a point where
+Phi is at most lam_bar.  Below the cap the skipped check could not reschedule:
+Phi is nondecreasing, the source's running sup only falls with time,
+floating-point addition is monotone, and the limit intensity's running sup,
+the other term of the bound, never exceeds lam_bar once lam_bar is built from
+it.
 """
 
 from __future__ import annotations
@@ -191,24 +187,26 @@ class _Draws:
 
 #: One chunk of candidates judged in order (stream contract, module docstring).
 #: The state's snippets fill the slots: ``load`` copies the state into locals,
-#: ``steps`` names the columns of ``state.steps`` one candidate reads,
-#: ``advance`` moves the locals to the candidate, ``value`` is Y there,
+#: ``advance`` moves the locals from the time t of the last judged candidate to
+#: the candidate at s (and sets t = s), ``value`` is Y there,
 #: ``jump`` adds an event of the given weight, ``bound`` is the state's upper
 #: bound on Y from now on, and ``store`` writes the locals back.  The calls
 #: ``xi_s(s)`` and ``phi_s(x)`` are the source at the candidate time s and Phi
 #: at x = xi + Y: ``compile_loop`` writes in the formula of each, its constants
-#: loaded once per chunk, and calls a function without one.  The sweep returns the
+#: loaded once per chunk, and calls a function without one.  ``exp`` serves the
+#: states' decays and the formulas alike.  The sweep returns the
 #: candidates judged, the new dominator (0.0 if none is due), the breaches,
 #: the next refresh time and the chunk indices of the accepted candidates.
 _SWEEP_TEMPLATE = """\
-def sweep(state, c_list, c_thrs, c_steps, weight, phi_s, xi_s, lam_bar, lam_over, cap, xs_chunk,
+def sweep(state, c_list, c_thrs, t, weight, phi_s, xi_s, lam_bar, lam_over, cap, xs_chunk,
           margin, next_check, raw_bound):
+    exp = math.exp
     {load}
     accepted = []
     push = accepted.append
     breaches = 0
     new_bar = 0.0
-    for k, s, thr, {steps} in zip(range(len(c_list)), c_list, c_thrs, *c_steps):
+    for k, s, thr in zip(range(len(c_list)), c_list, c_thrs):
         {advance}
         x = xi_s(s) + {value}
         lam_z = phi_s(x)
@@ -256,11 +254,14 @@ def _sweep(state: type, shape: tuple, phi: Optional[tuple], xi: Optional[tuple])
 class _ErlangState:
     """Y_t = (1/N) sum_j int h(t-s) dZ_s for h = scale alpha^(order+1) t^order e^{-alpha t} / order!.
 
-    In the sweep the components s0..s{order} sit in locals.  A step makes
-    component k e^{-a} (s_k + s_{k-1} p_1 + ... + s_0 p_k), summed left to
-    right: for order 2, ``dec * (s2 + s1 * p1 + s0 * p2)`` on top, and
-    Y = s_order.  An event adds h0 * weight to s0, h0 = scale * alpha.  The
-    upper bound is peak_0 s_0 + ... + peak_{order-1} s_{order-1} + s_order with
+    In the sweep the components s0..s{order} sit in locals.  The step from
+    the last judged candidate at t to the candidate at s takes
+    a = (s - t) alpha, p_1 = a and p_j = p_{j-1} (a / j), and makes component
+    k e^{-a} (s_k + s_{k-1} p_1 + ... + s_0 p_k), summed left to right: for
+    order 2, ``dec * (s2 + s1 * p1 + s0 * p2)`` on top, and Y = s_order.
+    e^{-a} is ``math.exp`` (``np.exp`` may round differently).  An event adds
+    h0 * weight to s0, h0 = scale * alpha.  The upper bound is
+    peak_0 s_0 + ... + peak_{order-1} s_{order-1} + s_order with
     peak_i = sup_x x^m e^{-x} / m! (m = order - i), the most component i can
     still pass to the top, summed left to right; at order 0 it is Y itself.
     The order of every sum is part of the stream contract: the intensity
@@ -272,10 +273,9 @@ class _ErlangState:
     3.12 on, which would change the bits.
     """
 
-    __slots__ = ("order", "alpha", "h0", "s", "shape")
+    __slots__ = ("alpha", "h0", "s", "shape")
 
     def __init__(self, order: int, alpha: float, scale: float):
-        self.order = order
         self.alpha = alpha
         self.h0 = scale * alpha
         self.s = [0.0] * (order + 1)
@@ -289,27 +289,15 @@ class _ErlangState:
             for k in range(order + 1)
         )
         peaks = [m**m * math.exp(-m) / math.factorial(m) for m in range(order, 0, -1)]
+        powers = [f"p{j} = " + ("a" if j == 1 else f"p{j - 1} * (a / {j})") for j in range(1, order + 1)]
         return {
-            "load": [f"{comps}, = state.s", "jump_by = state.h0 * weight"],
-            "steps": ", ".join(["dec"] + [f"p{m}" for m in range(1, order + 1)]),
-            "advance": f"{comps} = {new}",
+            "load": [f"{comps}, = state.s", "alpha, jump_by = state.alpha, state.h0 * weight"],
+            "advance": ["a = (s - t) * alpha", "t = s", "dec = exp(-a)", *powers, f"{comps} = {new}"],
             "value": f"s{order}",
             "jump": "s0 += jump_by",
             "bound": " + ".join([f"{peak!r} * s{i}" for i, peak in enumerate(peaks)] + [f"s{order}"]),
             "store": f"state.s = [{comps}]",
         }
-
-    def steps(self, t0: float, times: np.ndarray) -> list:
-        """Per step the columns e^{-a}, p_1, ..., p_order with a = alpha dt and p_j = p_{j-1} (a / j), p_0 = 1."""
-        ad = np.diff(times, prepend=t0)
-        ad *= self.alpha
-        cols = [list(map(math.exp, (-ad).tolist()))]
-        p = ad
-        for j in range(1, self.order + 1):
-            if j > 1:
-                p = p * (ad / j)
-            cols.append(p.tolist())
-        return cols
 
 
 class _GeneralState:
@@ -323,8 +311,7 @@ class _GeneralState:
         # the state's own methods do the work
         return {
             "load": ["advance, jump, upper_bound = state.advance, state.jump, state.upper_bound"],
-            "steps": "t",
-            "advance": "y = advance(t)",
+            "advance": "y = advance(s)",
             "value": "y",
             "jump": "jump(weight)",
             "bound": "upper_bound()",
@@ -342,9 +329,6 @@ class _GeneralState:
         vals = np.asarray(h.evaluator(grid), dtype=float)
         self._env_grid = grid
         self._env = running_sup_from_right(vals)
-
-    def steps(self, t0: float, times: np.ndarray) -> list:
-        return [times.tolist()]
 
     def advance(self, t: float) -> float:
         self.t = max(self.t, t)
@@ -527,12 +511,11 @@ def simulate_hawkes(
             break
         c_ts, c_ps = c_ts[1 : end + 1], c_ps[:end]
         c_thrs = c_thrs[:end] * lam_bar  # a candidate is accepted where u lam_bar <= intensity
-        # the work that no decision changes, in bulk: the state's steps
         c_list = c_ts.tolist()
         xs_chunk = xi_sup[min(int(c_list[0] / sup_dt), xi_last)]  # bounds xi over the chunk
         done, new_bar, chunk_breaches, next_check, accepted = sweep(
-            state, c_list, c_thrs.tolist(), state.steps(t_cand, c_ts), weight, phi_s, xi_scalar,
-            lam_bar, lam_over, cap, xs_chunk, margin, next_check, raw_bound,
+            state, c_list, c_thrs.tolist(), t_cand, weight, phi_s, xi_scalar, lam_bar, lam_over, cap, xs_chunk,
+            margin, next_check, raw_bound,
         )
         breaches += chunk_breaches
         candidates += done

@@ -314,6 +314,8 @@ def _nre_inputs(cfg: dict, *blocks):
     solver = build_solver(solver_spec)
     xi = build_source(sspec, h, phi, solver)
     window = _get(cfg, "limit_window", min(10.0, 0.25 * solver.t_end), _float, "config")
+    _require(0.0 <= window < solver.t_end, "config.limit_window",
+             f"must lie in [0, solver.t_end = {solver.t_end:g}), got {window:g}")
     return solver, h, phi, xi, window, *rest
 
 

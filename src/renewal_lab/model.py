@@ -333,8 +333,8 @@ def compile_loop(template: str, namespace: dict, formulas: dict, **slots) -> Cal
     an argument to its ``formula_key`` or None, and ``_Inliner`` writes the
     formulas in: the operations of the call in the same order, so the same bits.
     Their constants are unpacked once at the top of the function, and ``exp``
-    is the namespace's ``math.exp``.  The code depends on the formulas' text
-    only, not on their constants.
+    is the namespace's ``math.exp``, loaded there too unless the template loads
+    it.  The code depends on the formulas' text only, not on their constants.
     """
 
     def fill(m: re.Match) -> str:
@@ -346,8 +346,10 @@ def compile_loop(template: str, namespace: dict, formulas: dict, **slots) -> Cal
     fn = _Inliner(formulas).visit(tree.body[0])
     keys = {slot: key for slot, key in formulas.items() if key is not None}
     if keys:
-        load = ["exp = math.exp"] + [f"{''.join(f'{slot}_{name}, ' for name in names)}= {slot}.consts.values()"
-                                     for slot, (_, _, names) in keys.items() if names]
+        stored = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        load = [] if "exp" in stored else ["exp = math.exp"]
+        load += [f"{''.join(f'{slot}_{name}, ' for name in names)}= {slot}.consts.values()"
+                 for slot, (_, _, names) in keys.items() if names]
         fn.body[:0] = ast.parse("\n".join(load)).body
     local: dict = {}
     exec(compile(ast.fix_missing_locations(tree), f"<{fn.name}>", "exec"), namespace, local)
@@ -877,6 +879,10 @@ def add_exponential_perturbation(xi: SourceTerm, amplitude: float, rate: float =
         t = np.asarray(t, dtype=float)
         return xi.derivative(t) - rate * amplitude * np.exp(-rate * t)
 
+    def grid_evaluator(ts):
+        # through the grid path of xi: a locked source keeps its grid values
+        return xi.on_grid(ts) + amplitude * np.exp(-rate * ts)
+
     bump = DecayClass.exponential(rate=rate, constant=max(abs(amplitude), 1e-300))
     decay = _combine_decays([(xi.decay, xi.sup_bound), (bump, abs(amplitude))])
     # the inner formula written in, its constants renamed inner_*; a source without one is called
@@ -890,6 +896,7 @@ def add_exponential_perturbation(xi: SourceTerm, amplitude: float, rate: float =
         sup_bound=xi.sup_bound + abs(amplitude),
         decay=decay,
         label=f"{xi.label} + {amplitude:g}*exp(-{rate:g}t)",
+        grid_evaluator=grid_evaluator,
         scalar_fn=_formula("t", f"({inner}) + amp * exp(-rate * t)", **consts, amp=amplitude, rate=rate),
     )
 

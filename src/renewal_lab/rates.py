@@ -194,14 +194,14 @@ def _log_threshold(c: float) -> float:
     """Largest solution of T = c log T (1.0 when the constraint is vacuous)."""
     if c < _E:
         return 1.0
-    return -c * lambert_w(-1.0 / c, branch=-1)
+    return -c * lambert_w(-1.0 / c)
 
 
 def _sqrtlog_threshold(c: float) -> float:
     """Largest solution of (log T)^2 = T / c (1.0 when vacuous)."""
     if c < _E * _E / 4.0:
         return 1.0
-    w = lambert_w(-1.0 / (2.0 * math.sqrt(c)), branch=-1)
+    w = lambert_w(-1.0 / (2.0 * math.sqrt(c)))
     return 4.0 * c * w * w
 
 
@@ -210,7 +210,7 @@ def _powerlog_threshold(a: float, b: float) -> float:
     arg = 1.0 - b / a
     if arg < -1.0 / _E:
         return 1.0
-    w = lambert_w(arg, branch=-1)
+    w = lambert_w(arg)
     return math.exp(-(b / (b - a)) * w)
 
 

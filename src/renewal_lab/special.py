@@ -9,57 +9,42 @@ import numpy as np
 _INV_E = math.exp(-1.0)
 
 
-def lambert_w(x: float, branch: int = 0) -> float:
-    """Real Lambert W, solving w * exp(w) = x by Newton iteration.
+def lambert_w(x: float) -> float:
+    """The lower real branch W_{-1} of Lambert W: the w <= -1 with w * exp(w) = x, for x in [-1/e, 0).
 
-    branch=0 is the principal branch (x >= -1/e), branch=-1 the lower
-    branch (-1/e <= x < 0).  Residual |w e^w - x| is driven below
-    1e-12 max(1, |x|), in at most 80 Halley steps.
+    Halley iteration drives the residual |w e^w - x| below 1e-12, in at most
+    80 steps.
     """
-    if branch not in (0, -1):
-        raise ValueError("branch must be 0 or -1")
     if x < -_INV_E - 1e-15:
         raise ValueError(f"lambert_w: argument {x} below -1/e")
-    if branch == -1 and x >= 0.0:
-        raise ValueError("lambert_w: branch -1 needs x in [-1/e, 0)")
+    if x >= 0.0:
+        raise ValueError("lambert_w: the lower branch needs x in [-1/e, 0)")
     x = max(x, -_INV_E)
 
-    # branch-appropriate seeds
-    if branch == 0:
-        if x > math.e:
-            lx = math.log(x)
-            w = lx - math.log(lx)
-        elif x > -0.25:
-            w = x / (1.0 + x) if x > -0.5 else x
-            w = math.log1p(x) if x > -0.9 else w
-        else:
-            w = -1.0 + math.sqrt(2.0 * (math.e * x + 1.0))
+    if x > -0.25:
+        lx = math.log(-x)
+        w = lx - math.log(-lx)
     else:
-        if x > -0.25:
-            lx = math.log(-x)
-            w = lx - math.log(-lx)
-        else:
-            w = -1.0 - math.sqrt(2.0 * (math.e * x + 1.0))
-        w = min(w, -1.0)
+        w = -1.0 - math.sqrt(2.0 * (math.e * x + 1.0))
+    w = min(w, -1.0)
 
-    scale = max(1.0, abs(x))
     for _ in range(80):
         ew = math.exp(w)
         f = w * ew - x
-        if abs(f) <= 1e-12 * scale:
+        if abs(f) <= 1e-12:
             return w
         d = ew * (w + 1.0)
         if d == 0.0:
-            w += 1e-12 if branch == 0 else -1e-12
+            w -= 1e-12
             continue
         # Halley step: robust near the branch point
         step = f / (d - f * (w + 2.0) / (2.0 * (w + 1.0)) if w != -1.0 else d)
         w -= step
-        if branch == -1 and w > -1.0:
+        if w > -1.0:
             w = -1.0 - 1e-12
     ew = math.exp(w)
-    if abs(w * ew - x) > 1e-8 * scale:
-        raise RuntimeError(f"lambert_w failed to converge for x={x}, branch={branch}")
+    if abs(w * ew - x) > 1e-8:
+        raise RuntimeError(f"lambert_w failed to converge for x={x}")
     return w
 
 

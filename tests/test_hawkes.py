@@ -220,14 +220,35 @@ def test_erlang_upper_bound_sums_left_to_right():
     plain = (peaks[0] * 1.0 + peaks[1] * 1e-16) + 1e-16
     assert plain != math.fsum([peaks[0], peaks[1] * 1e-16, 1e-16])  # the inputs tell the two sums apart
     seen = []
-    # one candidate that leaves the state as it is (e^{-a} = 1, p_1 = p_2 = 0),
-    # is rejected, and is due a refresh check, which reads the bound
+    # one candidate at the state's own time, which leaves the state as it is (a = 0: e^{-a} = 1,
+    # p_1 = p_2 = 0), is rejected, and is due a refresh check, which reads the bound
     sweep = hawkes._sweep(_ErlangState, state.shape, None, None)
-    sweep(state, c_list=[1.0], c_thrs=[math.inf], c_steps=[[1.0], [0.0], [0.0]], weight=0.5,
+    sweep(state, c_list=[1.0], c_thrs=[math.inf], t=1.0, weight=0.5,
           phi_s=lambda x: 0.0, xi_s=lambda t: 0.0, lam_bar=1.0, lam_over=1.0, cap=0.0, xs_chunk=0.0,
           margin=1.5, next_check=0.0, raw_bound=lambda t, ub: seen.append(ub) or 1.0)
     assert seen == [plain]
     assert state.s == [1.0, 1e-16, 1e-16]
+
+
+def test_state_steps_only_for_judged_candidates(monkeypatch):
+    """The Erlang state takes one step, one ``math.exp``, per judged candidate, none for the candidates a
+    chunk prepares past a reschedule: the reschedule-heavy golden shape judges 2,381 of 17,609 prepared."""
+    phi = model.make_affine_phi(1.0)
+    h = model.make_scaled_exponential_kernel(0.5, 1.0)
+    xi = model.make_source_empty()
+    cfg = HawkesConfig(n_particles=2, t_end=400.0, seed=5, track_coupled=False, thinning_margin=1.05)
+    calls = 0
+    exp = math.exp
+
+    def counting(x):
+        nonlocal calls
+        calls += 1
+        return exp(x)
+
+    monkeypatch.setattr(math, "exp", counting)
+    run = simulate_hawkes(phi, h, xi, cfg)
+    assert run.metadata["reschedules"] > 200
+    assert calls == run.metadata["candidates"] == 2381
 
 
 def test_breach_rebuilds_the_dominator_at_an_accepted_candidate(monkeypatch):

@@ -368,7 +368,8 @@ _EXTRA_EDITS = {
                      (("solver", "inner_tol"), 0), (("solver", "picard_tol"), 0), (("solver", "quadrature"), "x"),
                      (("solver", "inner_max_iter"), 0), (("solver", "picard_mode"), True),
                      (("solver", "picard_max_iter"), 5), (("rates",), {"eps0": 0.1}), (("kernel", "n"), 2.5),
-                     (("kernel", "alpha"), True), (("kernel", "alpha"), "3.0"), (("solver", "inner_max_iter"), 3.9)],
+                     (("kernel", "alpha"), True), (("kernel", "alpha"), "3.0"), (("solver", "inner_max_iter"), 3.9),
+                     (("limit_window",), 5.0), (("limit_window",), -1.0)],
     "bistable_basin_lower": [(("source", "perturbation"), 5), (("source", "perturbation"), {"amplitude": 0.1, "rate": 0})],
     "bistable_equilibria": [(("source",), {"type": "empty"})],
     "erlang_crossing_lower_order": [(("source", "c"), [1.4, math.nan, 0.0]), (("source", "c"), [math.inf, 1.4, 0.0])],
@@ -471,8 +472,9 @@ def test_solve_inhibitory_sigmoid_does_not_overflow(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
-# a value other than the default for every field of SolverConfig and HawkesConfig
-_SETTINGS = {"t_end": 3.0, "dt": 0.002, "quadrature": "left-rectangle", "inner_tol": 1e-10, "inner_max_iter": 7,
+# a value other than the default for every field of SolverConfig and HawkesConfig; t_end exceeds the
+# limit_window of the solve and envelope scenarios, which must lie below it
+_SETTINGS = {"t_end": 6.0, "dt": 0.002, "quadrature": "left-rectangle", "inner_tol": 1e-10, "inner_max_iter": 7,
              "n_particles": 7, "seed": 5, "replicas": 3, "thinning_margin": 1.25, "track_coupled": False,
              "xi_perturbation": 0.5, "subcritical_override": True}
 

@@ -121,6 +121,21 @@ def test_locked_source_matches_analytic_tail(bistable):
     assert np.max(np.abs(locked.on_grid(grid) - analytic.on_grid(grid))) < 1e-7
 
 
+def test_zero_perturbation_of_a_locked_source_keeps_its_grid_values(bistable):
+    """A perturbation adds to the grid values of the source it wraps, not to its analytic tail, so
+    at amplitude 0 the locked source still holds the unstable root on its grid."""
+    phi, h, reports = bistable
+    cfg = SolverConfig(t_end=40.0, dt=1e-3)
+    unstable = reports[1]
+    assert unstable.stability.kind == "supercritical"
+    locked = equilibrium_locked_source(phi, h, unstable.ell, cfg)
+    wrapped = model.add_exponential_perturbation(locked, 0.0)
+    assert np.array_equal(wrapped.on_grid(cfg.grid()), locked.on_grid(cfg.grid()))
+    held = solve_nre(phi, h, locked, cfg).lam
+    assert np.all(held == unstable.ell)
+    assert np.array_equal(solve_nre(phi, h, wrapped, cfg).lam, held)
+
+
 def test_equilibrium_analytic_source_at_stable_root(bistable):
     phi, h, reports = bistable
     cfg = SolverConfig(t_end=30.0, dt=1e-3)
