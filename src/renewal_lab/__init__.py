@@ -50,7 +50,6 @@ from .volterra import (
     read_trajectory_csv,
     solve_erlang_cascade,
     solve_nre,
-    solve_picard,
 )
 from .rates import (
     Envelope,

@@ -245,7 +245,7 @@ def criterion_10(threads: int) -> tuple:
     # so the off-plane contamination enters only at fifth order in epsilon
     phi = model.make_cubic_sigmoid_phi(0.5, 1.0, 8.0, 1.0)
     ell = 1.0
-    tau0 = float(phi.d1(ell))  # = 2, supercritical for the unit-mass Erlang kernel
+    tau0 = phi.derivative(ell, 1)  # = 2, supercritical for the unit-mass Erlang kernel
     ic = stable_manifold_ic(ell, tau0)
     mu, nu = oscillatory_mode(2, 1.0, tau0)
     period = 2.0 * math.pi / abs(nu)

@@ -45,7 +45,6 @@ from .rates import (
     verify_envelope,
 )
 from .volterra import (
-    CONVERGED,
     DIVERGENT,
     NonConvergenceError,
     SolverConfig,
@@ -308,19 +307,19 @@ def _model(cfg: dict, *blocks, also=()) -> list:
 _EMPTY = {"type": "empty"}
 
 
-def _nre_inputs(cfg: dict, *blocks):
-    """The solver config, kernel, Phi, source and limit-diagnostic window of solve and envelope, then ``blocks``."""
-    h, phi, sspec, solver_spec, *rest = _model(cfg, ("source", _EMPTY), ("solver", {}), *blocks, also=("limit_window",))
+def _nre_inputs(cfg: dict, *blocks, also=()):
+    """The solver config, kernel, Phi and source of solve and envelope, then ``blocks``."""
+    h, phi, sspec, solver_spec, *rest = _model(cfg, ("source", _EMPTY), ("solver", {}), *blocks, also=also)
     solver = build_solver(solver_spec)
     xi = build_source(sspec, h, phi, solver)
-    window = _get(cfg, "limit_window", min(10.0, 0.25 * solver.t_end), _float, "config")
-    _require(0.0 <= window < solver.t_end, "config.limit_window",
-             f"must lie in [0, solver.t_end = {solver.t_end:g}), got {window:g}")
-    return solver, h, phi, xi, window, *rest
+    return solver, h, phi, xi, *rest
 
 
 def cmd_solve(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    solver, h, phi, xi, window = _nre_inputs(cfg)
+    solver, h, phi, xi = _nre_inputs(cfg, also=("limit_window",))
+    window = _get(cfg, "limit_window", min(10.0, 0.25 * solver.t_end), _float, "config")
+    _require(0.0 <= window < solver.t_end, "config.limit_window",
+             f"must lie in [0, solver.t_end = {solver.t_end:g}), got {window:g}")
     traj = solve_nre(phi, h, xi, solver)
     traj.to_csv(out / "trajectory.csv")
     try:
@@ -363,7 +362,7 @@ _FIT_MODELS = {"log-vs-t": LOG_VS_T, "log-vs-log-t": LOG_VS_LOG_T, "log-vs-sqrt-
 
 
 def cmd_envelope(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    solver, h, phi, xi, window, rspec = _nre_inputs(cfg, ("rates", {}))
+    solver, h, phi, xi, rspec = _nre_inputs(cfg, ("rates", {}))
     eps0, headroom, slack, fit_name, calibrate = _read(
         rspec, "rates", ("eps0", 0.1, _float), ("lambda_sup_headroom", 1.05, _float), ("slack", 1.0, _float),
         ("fit_model", "log-vs-t", _str), ("calibrate", True, _bool), also=("window",),
@@ -374,12 +373,16 @@ def cmd_envelope(cfg: dict, out: Path, seed: int, threads: int) -> int:
     _require(fit_window is None or len(fit_window) == 2, "rates.window", f"expected [t_lo, t_hi], got {fit_window}")
     traj = solve_nre(phi, h, xi, solver)
     traj.to_csv(out / "trajectory.csv")
+    if traj.divergent:
+        raise RuntimeError("the trajectory diverges; no rate analysis possible")
+    # the rate theorem's hypotheses, checked here and by build_rate_context: lambda stays in the eps0-ball of a
+    # subcritical root from some t0 on, and tau(eps0) < 1
     reports = model.find_fixed_points(phi, h)
-    diag = limit_diagnostic(traj, reports, window=window)
-    if diag.kind != CONVERGED:
-        raise RuntimeError(f"trajectory did not converge (verdict {diag.kind}); no rate analysis possible")
-    report = next(r for r in reports if r.ell == diag.ell)
+    report = min(reports, key=lambda r: abs(traj.lam[-1] - r.ell))
     t0 = entry_time(traj, report.ell, eps0)
+    if not t0 < traj.t_end:
+        raise RuntimeError(f"lambda never settles in the eps0-ball of a root (eps0 = {eps0:g}, nearest root "
+                           f"{report.ell:.6g}); no rate analysis possible")
     ctx = build_rate_context(
         report, phi, h,
         lambda_sup=headroom * traj.sup_lambda(),

@@ -3,6 +3,8 @@ and the fixed-point finder/classifier for the renewal intensity equation
 
     lambda_t = Phi( xi_t + int_0^t h(t-s) lambda_s ds ).
 
+Each Phi is written once, as a formula; its derivatives of every order come
+from the same formula evaluated on a truncated Taylor series (``_Jet``).
 Every value constructed here is immutable after construction and safe to share
 across workers.
 """
@@ -282,16 +284,17 @@ def _formula(arg: str, expr: str, **consts) -> Callable:
     the function it is given, and ``replace(phi, scalar=...)`` swaps both.
     ``exp`` in an expression is ``math.exp``.
     """
-    fn = _bind(arg, expr, tuple(consts))(*consts.values())
+    fn = _bind(arg, expr, tuple(consts), math.exp)(*consts.values())
     fn.expr, fn.consts = expr, consts
     return fn
 
 
 @functools.lru_cache(maxsize=None)
-def _bind(arg: str, expr: str, names: tuple) -> Callable:
-    """``bind(*constants)``: the closure ``arg -> expr`` of ``_formula``."""
+def _bind(arg: str, expr: str, names: tuple, exp: Callable) -> Callable:
+    """``bind(*constants)``: the closure ``arg -> expr`` of ``_formula`` with ``exp`` bound, ``math.exp`` or
+    the jet's (``_derivatives``)."""
     return compile_loop("def bind({names}):\n    def scalar({arg}):\n        return {expr}\n    return scalar\n",
-                        {"exp": math.exp}, {}, names=", ".join(names), arg=arg, expr=expr)
+                        {"exp": exp}, {}, names=", ".join(names), arg=arg, expr=expr)
 
 
 def formula_key(fn: Callable) -> Optional[tuple]:
@@ -363,24 +366,20 @@ def compile_loop(template: str, namespace: dict, formulas: dict, **slots) -> Cal
 
 @dataclass(frozen=True)
 class FiringFunction:
-    """A firing rate function Phi >= 0 with first and second derivatives.
+    """A firing rate function Phi >= 0 with bounds on its first and second derivatives.
 
     ``scalar`` is Phi on one Python float, its one definition, and
     ``evaluator`` maps it over arrays, so every path reads the same bits.  Every
     maker compiles it from one expression (``_formula``), which the generated
     loops evaluate in place of a call (``compile_loop``); any other ``scalar``
-    they call.
-    ``derivative_fn(x, k)``, when provided, evaluates Phi^(k) analytically;
-    otherwise higher derivatives fall back to central finite differences.
+    they call.  ``derivative`` evaluates the same expression on a jet, so every
+    Phi^(k) comes from that one writing too.
     """
 
-    d1: Callable
-    d2: Callable
     lip: float
     d2_sup: float
     nondecreasing: bool
     scalar: Callable
-    derivative_fn: Optional[Callable] = None
     label: str = ""
 
     def __call__(self, x):
@@ -392,48 +391,115 @@ class FiringFunction:
         return np.fromiter(map(self.scalar, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
     def derivative(self, x: float, k: int) -> float:
-        """k-th derivative at x, analytic when available, else finite differences."""
-        if k == 0:
-            return float(self.scalar(x))
-        if k == 1:
-            return float(self.d1(x))
-        if k == 2:
-            return float(self.d2(x))
-        if self.derivative_fn is not None:
-            return float(self.derivative_fn(x, k))
-        return _fd_derivative(self.scalar, x, k)
-
-    def fd_noise_floor(self, x: float, k: int) -> float:
-        """Rough magnitude below which a finite-difference k-th derivative is noise."""
-        if k <= 2 or self.derivative_fn is not None:
-            return 0.0
-        h = _FD_STEPS[k]
-        scale = max(1.0, abs(float(self.scalar(x))))
-        return 64.0 * np.finfo(float).eps * scale / h**k
+        """Phi^(k)(x), from the formula of ``scalar``; a TypeError for a ``scalar`` without one."""
+        return _derivatives(self.scalar, x, k)[k]
 
 
-# central stencils for derivative orders 3..6
-_FD_STENCILS = {
-    3: (np.array([-0.5, 1.0, 0.0, -1.0, 0.5]), np.arange(-2, 3)),
-    4: (np.array([1.0, -4.0, 6.0, -4.0, 1.0]), np.arange(-2, 3)),
-    5: (np.array([-0.5, 2.0, -2.5, 0.0, 2.5, -2.0, 0.5]), np.arange(-3, 4)),
-    6: (np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0]), np.arange(-3, 4)),
-}
-_FD_STEPS = {3: 1e-3, 4: 3e-3, 5: 1e-2, 6: 2e-2}
+class _Jet:
+    """The truncated Taylor series c[0] + c[1] h + ... + c[K] h^K of a formula at x + h.
+
+    ``+``, ``-``, ``*``, ``/`` with floats or jets, ``**`` with a nonnegative
+    integer, ``exp`` and ``sqrt`` follow the recurrences of power series on
+    Python floats.  Comparisons and ``float`` read c[0], so a conditional
+    expression takes the branch the scalar takes at x.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: list):
+        self.c = c
+
+    def _of(self, other) -> list:
+        return other.c if isinstance(other, _Jet) else [other] + [0.0] * (len(self.c) - 1)
+
+    def __add__(self, other):
+        return _Jet([a + b for a, b in zip(self.c, self._of(other))])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Jet([a - b for a, b in zip(self.c, self._of(other))])
+
+    def __rsub__(self, other):
+        return _Jet([b - a for a, b in zip(self.c, self._of(other))])
+
+    def __neg__(self):
+        return _Jet([-a for a in self.c])
+
+    def __mul__(self, other):
+        u, v = self.c, self._of(other)
+        return _Jet([sum(u[j] * v[k - j] for j in range(k + 1)) for k in range(len(u))])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return _Jet._quotient(self.c, self._of(other))
+
+    def __rtruediv__(self, other):
+        return _Jet._quotient(self._of(other), self.c)
+
+    @staticmethod
+    def _quotient(u: list, v: list) -> "_Jet":
+        q: list = []
+        for k in range(len(u)):
+            q.append((u[k] - sum(v[j] * q[k - j] for j in range(1, k + 1))) / v[0])
+        return _Jet(q)
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise TypeError(f"a jet takes a nonnegative integer power, got {n!r}")
+        out = _Jet([1.0] + [0.0] * (len(self.c) - 1))
+        for _ in range(n):  # by products: at c[0] = 0 a real power has no derivatives
+            out = out * self
+        return out
+
+    def __lt__(self, other):
+        return self.c[0] < other
+
+    def __le__(self, other):
+        return self.c[0] <= other
+
+    def __gt__(self, other):
+        return self.c[0] > other
+
+    def __ge__(self, other):
+        return self.c[0] >= other
+
+    def __float__(self):
+        return float(self.c[0])
+
+    @staticmethod
+    def exp(u):
+        if not isinstance(u, _Jet):
+            return math.exp(u)
+        w = [math.exp(u.c[0])]
+        for k in range(1, len(u.c)):
+            w.append(sum(j * u.c[j] * w[k - j] for j in range(1, k + 1)) / k)
+        return _Jet(w)
+
+    @staticmethod
+    def sqrt(u):
+        if not isinstance(u, _Jet):
+            return math.sqrt(u)
+        w = [math.sqrt(u.c[0])]
+        for k in range(1, len(u.c)):
+            w.append((u.c[k] - sum(w[j] * w[k - j] for j in range(1, k))) / (2.0 * w[0]))
+        return _Jet(w)
 
 
-def _fd_derivative(f, x: float, k: int) -> float:
-    if k not in _FD_STENCILS:
-        raise ValueError(f"finite-difference derivatives supported up to order 6, got {k}")
-    w, offs = _FD_STENCILS[k]
-    h = _FD_STEPS[k]
-    vals = np.array([float(f(x + o * h)) for o in offs])
-    return float(np.dot(w, vals) / h**k)
+#: the jet version of each function a formula may call: ``exp``, and ``sqrt`` passed as a constant
+_JET_FUNCTIONS = {math.exp: _Jet.exp, math.sqrt: _Jet.sqrt}
 
 
-def _logistic(y):
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-y))
+def _derivatives(scalar: Callable, x: float, order: int) -> list:
+    """[Phi(x), Phi'(x), ..., Phi^(order)(x)]: k! times coefficient k of the formula of ``scalar`` on one jet."""
+    key = formula_key(scalar)
+    if key is None:
+        raise TypeError(f"{scalar!r} has no formula to differentiate")
+    consts = [_JET_FUNCTIONS.get(v, v) for v in scalar.consts.values()]
+    out = _bind(*key, _Jet.exp)(*consts)(_Jet([float(x), 1.0, *[0.0] * order][: order + 1]))
+    c = out.c if isinstance(out, _Jet) else [out] + [0.0] * order
+    return [math.factorial(k) * c[k] for k in range(order + 1)]
 
 
 #: base + gain / (1 + exp(-y)) at y = {y}: below y = -700 the term is under 1e-304 gain, and past -709.78
@@ -444,25 +510,14 @@ _LOGISTIC = "base if (y := {y}) < -700.0 else base + gain / (1.0 + exp(-y))"
 def make_sigmoid_phi(base: float, gain: float, slope: float, center: float) -> FiringFunction:
     """Phi(x) = base + gain / (1 + exp(-slope (x - center))).
 
-    Exact derivatives; |Phi|_Lip = gain*slope/4 and ||Phi''||_inf =
-    gain*slope^2/(6 sqrt(3)) are attained at / near the center.
+    |Phi|_Lip = gain*slope/4 and ||Phi''||_inf = gain*slope^2/(6 sqrt(3)) are
+    attained at / near the center.
     """
     if gain <= 0 or slope <= 0:
         raise ValueError("gain and slope must be > 0")
     if base < 0:
         raise ValueError("base must be >= 0 to keep Phi nonnegative")
-
-    def d1(x):
-        s = _logistic(slope * (np.asarray(x, dtype=float) - center))
-        return gain * slope * s * (1.0 - s)
-
-    def d2(x):
-        s = _logistic(slope * (np.asarray(x, dtype=float) - center))
-        return gain * slope**2 * s * (1.0 - s) * (1.0 - 2.0 * s)
-
     return FiringFunction(
-        d1=d1,
-        d2=d2,
         lip=gain * slope / 4.0,
         d2_sup=gain * slope**2 / (6.0 * math.sqrt(3.0)),
         nondecreasing=True,
@@ -480,23 +535,17 @@ def make_affine_phi(mu: float) -> FiringFunction:
     """
     if mu < 0:
         raise ValueError("mu must be >= 0")
-
-    def d1(x):
-        return np.where(np.asarray(x, dtype=float) > -mu, 1.0, 0.0)
-
-    def d2(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
     return FiringFunction(
-        d1=d1,
-        d2=d2,
         lip=1.0,
         d2_sup=0.0,
         nondecreasing=True,
         scalar=_formula("x", "mu + x if x > -mu else 0.0", mu=mu),
-        derivative_fn=lambda x, k: 0.0,
         label=f"affine(mu={mu:g})",
     )
+
+
+#: sup |g''| of g(v) = 1 / (1 + exp(-v - v^3 / 12)), 0.15140695712495153 at |v| = 1.93366, rounded up
+_CUBIC_D2_SUP = 0.151406957125
 
 
 def make_cubic_sigmoid_phi(base: float, gain: float, slope: float, center: float) -> FiringFunction:
@@ -505,7 +554,9 @@ def make_cubic_sigmoid_phi(base: float, gain: float, slope: float, center: float
     The correction makes the second AND third derivatives vanish at the center
     (the first even derivative is of order five), while keeping a strictly
     increasing bounded S-shape.  Useful for clean linearisation experiments at
-    a center fixed point.
+    a center fixed point.  With v = a u the argument is v + v^3 / 12 for every
+    slope a, so Phi' = gain a g'(v) and Phi'' = gain a^2 g''(v) for the one
+    function g above: sup g' = 1/4 at v = 0, where g'(v) = 1/4 - v^4/64 + O(v^6).
     """
     if gain <= 0 or slope <= 0:
         raise ValueError("gain and slope must be > 0")
@@ -513,36 +564,9 @@ def make_cubic_sigmoid_phi(base: float, gain: float, slope: float, center: float
         raise ValueError("base must be >= 0 to keep Phi nonnegative")
     a = slope
     b = a**3 / 12.0
-
-    def inner(x):
-        u = np.asarray(x, dtype=float) - center
-        return a * u + b * u**3
-
-    def inner_d1(x):
-        u = np.asarray(x, dtype=float) - center
-        return a + 3.0 * b * u**2
-
-    def inner_d2(x):
-        u = np.asarray(x, dtype=float) - center
-        return 6.0 * b * u
-
-    def d1(x):
-        s = _logistic(inner(x))
-        return gain * s * (1.0 - s) * inner_d1(x)
-
-    def d2(x):
-        s = _logistic(inner(x))
-        return gain * (s * (1.0 - s) * (1.0 - 2.0 * s) * inner_d1(x) ** 2 + s * (1.0 - s) * inner_d2(x))
-
-    xs = np.linspace(center - 8.0, center + 8.0, 160001)
-    lip = float(np.max(np.abs(d1(xs)))) * (1.0 + 1e-9)
-    d2_sup = float(np.max(np.abs(d2(xs)))) * (1.0 + 1e-9)
-
     return FiringFunction(
-        d1=d1,
-        d2=d2,
-        lip=lip,
-        d2_sup=d2_sup,
+        lip=gain * slope / 4.0,
+        d2_sup=gain * slope**2 * _CUBIC_D2_SUP,
         nondecreasing=True,
         scalar=_formula("x", _LOGISTIC.format(y="a * (u := x - center) + b * u**3"), base=base, gain=gain, a=a, b=b,
                         center=center),
@@ -554,16 +578,11 @@ def make_constant_phi(value: float) -> FiringFunction:
     """Constant firing rate (degenerate case, handy for point-process checks)."""
     if value < 0:
         raise ValueError("value must be >= 0")
-
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return FiringFunction(
-        d1=zero,
-        d2=zero,
         lip=0.0,
         d2_sup=0.0,
         nondecreasing=True,
         scalar=_formula("x", "value", value=value),
-        derivative_fn=lambda x, k: 0.0,
         label=f"constant({value:g})",
     )
 
@@ -573,42 +592,17 @@ def make_divergence_example_phi() -> FiringFunction:
 
     Strictly increasing on the nonnegative half-line with Phi(0) = sqrt(2)-1 > 0,
     Phi(x)/x -> 1 at infinity, and a unique fixed point when ||h||_1 = 1.
-    Lipschitz and curvature bounds are computed numerically on [0, inf).
+    The Lipschitz and curvature bounds on [0, inf) are constants: the maximum
+    of |Phi'| (near x = 2.911) and of |Phi''| (at x = 0) on a grid of step
+    2.5e-4 over [0, 60], times 1 + 1e-9.
     """
 
-    def domain_error(x) -> ValueError:
-        return ValueError(f"phi.type divergence_example: Phi is defined for x >= -2 only, got x = {float(x)!r}")
-
-    def _check(x):
-        x = np.asarray(x, dtype=float)
-        below = x[x < -2.0]
-        if below.size:
-            raise domain_error(below[0])
-        return x
-
-    def d1(x):
-        x = _check(x)
-        root = np.sqrt(2.0 + x)
-        return 1.0 + np.exp(-x) + np.exp(-1.5 * x) * (0.5 / root - 1.5 * root)
-
-    def d2(x):
-        x = _check(x)
-        root = np.sqrt(2.0 + x)
-        inner = 2.25 * root - 1.5 / root - 0.25 / root**3
-        return -np.exp(-x) + np.exp(-1.5 * x) * inner
-
-    xs = np.linspace(0.0, 60.0, 240001)
-    lip = float(np.max(np.abs(d1(xs)))) * (1.0 + 1e-9)
-    d2_sup = float(np.max(np.abs(d2(xs)))) * (1.0 + 1e-9)
-
     def below(x):
-        raise domain_error(x)
+        raise ValueError(f"phi.type divergence_example: Phi is defined for x >= -2 only, got x = {float(x)!r}")
 
     return FiringFunction(
-        d1=d1,
-        d2=d2,
-        lip=lip,
-        d2_sup=d2_sup,
+        lip=1.015084068364975,
+        d2_sup=1.0329319969442567,
         nondecreasing=True,
         # a NaN fails the domain test and flows through the formula
         scalar=_formula("x", "below(x) if x < -2.0 else x - exp(-x) + exp(-1.5 * x) * sqrt(2.0 + x)", below=below,
@@ -912,17 +906,24 @@ def divergence_psi(a: float) -> float:
 
 
 def divergence_a_star() -> float:
-    """Smallest a after which Psi is increasing, located by scanning Psi' on (0, 10) in steps of 1e-3."""
+    """Smallest a after which Psi is increasing: Psi' scanned on (0, 10) in steps of 1e-3, then bisected.
+
+    Psi'(a) = G'(a) / (G(a) + 1) + 2 with G(a) = e^{-2a} (1/(2a^2) + 1/a) and
+    G'(a) = -e^{-2a} (1/a^3 + 2/a^2 + 2/a).
+    """
+
+    def dpsi(a):
+        e = np.exp(-2.0 * a)
+        return -e * (1.0 / a**3 + 2.0 / a**2 + 2.0 / a) / (e * (0.5 / a**2 + 1.0 / a) + 1.0) + 2.0
+
     grid = np.arange(1e-3, 10.0, 1e-3)
-    dpsi = np.array([(divergence_psi(v + 1e-7) - divergence_psi(v - 1e-7)) / 2e-7 for v in grid])
-    neg = np.where(dpsi <= 0)[0]
+    neg = np.where(dpsi(grid) <= 0)[0]
     if neg.size == 0:
         return float(grid[0])
-    lo, hi = grid[neg[-1]], grid[min(neg[-1] + 1, grid.size - 1)]
+    lo, hi = float(grid[neg[-1]]), float(grid[min(neg[-1] + 1, grid.size - 1)])
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        d = (divergence_psi(mid + 1e-9) - divergence_psi(mid - 1e-9)) / 2e-9
-        if d <= 0:
+        if dpsi(mid) <= 0:
             lo = mid
         else:
             hi = mid
@@ -1053,14 +1054,15 @@ def classify_critical(phi: FiringFunction, h: MemoryKernel, ell: float) -> Stabi
 
     p = min{k >= 2 : Phi^(k)(kappa ell) != 0}, capped at order 6; parity of p
     and the sign of the derivative determine stability from above and below.
-    A point with no significant derivative up to the cap is reported degenerate.
+    Every Phi^(k) comes from one jet of the formula, and a derivative counts
+    as nonzero above DERIVATIVE_THRESHOLD max(1, |Phi'|).  A point with no
+    such derivative up to the cap is reported degenerate.
     """
-    x = h.kappa * ell
-    d1 = abs(float(phi.d1(x)))
-    threshold = DERIVATIVE_THRESHOLD * max(1.0, d1)
+    ds = _derivatives(phi.scalar, h.kappa * ell, MAX_CRITICAL_ORDER)
+    threshold = DERIVATIVE_THRESHOLD * max(1.0, abs(ds[1]))
     for k in range(2, MAX_CRITICAL_ORDER + 1):
-        val = phi.derivative(x, k)
-        if abs(val) > max(threshold, phi.fd_noise_floor(x, k)):
+        val = ds[k]
+        if abs(val) > threshold:
             sign = 1 if val > 0 else -1
             if k % 2 == 0:
                 above, below = (UNSTABLE, STABLE) if sign > 0 else (STABLE, UNSTABLE)
@@ -1073,8 +1075,7 @@ def classify_critical(phi: FiringFunction, h: MemoryKernel, ell: float) -> Stabi
     )
 
 
-def _classify(phi: FiringFunction, h: MemoryKernel, ell: float) -> Stability:
-    tau0 = h.norm_l1 * abs(float(phi.d1(h.kappa * ell)))
+def _classify(phi: FiringFunction, h: MemoryKernel, ell: float, tau0: float) -> Stability:
     caveat = "" if h.nonneg else "instability theory unavailable for signed kernels"
     if tau0 < 1.0 - CRITICAL_MARGIN:
         return Stability(kind=SUBCRITICAL)
@@ -1158,7 +1159,7 @@ def find_fixed_points(phi: FiringFunction, h: MemoryKernel, l_max: Optional[floa
         root = 0.5 * (lo + hi)
         # Newton polish: g'(ell) = kappa Phi'(kappa ell) - 1
         for _ in range(4):
-            gp = kappa * float(phi.d1(kappa * root)) - 1.0
+            gp = kappa * phi.derivative(kappa * root, 1) - 1.0
             if abs(gp) < 1e-8:
                 break
             step = g(root) / gp
@@ -1179,16 +1180,16 @@ def find_fixed_points(phi: FiringFunction, h: MemoryKernel, l_max: Optional[floa
 
     reports = []
     for r in merged:
-        gp = kappa * float(phi.d1(kappa * r)) - 1.0
-        if abs(gp) < CRITICAL_MARGIN:
+        slope = phi.derivative(kappa * r, 1)
+        if abs(kappa * slope - 1.0) < CRITICAL_MARGIN:
             warnings.warn(f"possible tangency (double root) at ell = {r:.6g}", TangencyWarning)
-        tau0 = h.norm_l1 * abs(float(phi.d1(kappa * r)))
+        tau0 = h.norm_l1 * abs(slope)
         reports.append(
             FixedPointReport(
                 ell=r,
                 kappa_ell=kappa * r,
                 tau0=tau0,
-                stability=_classify(phi, h, r),
+                stability=_classify(phi, h, r, tau0),
                 residual=abs(g(r)),
             )
         )

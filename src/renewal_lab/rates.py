@@ -56,16 +56,16 @@ class RateContext:
 
 
 def _tau_terms(phi: FiringFunction, h: MemoryKernel, ell: float, lambda_sup: float) -> tuple:
-    """(d1, bulk) with tau(eps0) = ||h||_1 (d1 + eps0 bulk), as written out in ``tau_of_eps0``."""
-    d1 = abs(float(phi.d1(h.kappa * ell)))
+    """(slope, bulk) with tau(eps0) = ||h||_1 (slope + eps0 bulk), as written out in ``tau_of_eps0``."""
+    slope = abs(phi.derivative(h.kappa * ell, 1))
     bulk = 0.5 * phi.d2_sup * (1.0 + 2.0 * ell + lambda_sup + h.norm_l1)
-    return d1, bulk
+    return slope, bulk
 
 
 def tau_of_eps0(phi: FiringFunction, h: MemoryKernel, ell: float, lambda_sup: float, eps0: float) -> float:
     """tau(eps0) = ||h||_1 (|Phi'(kappa ell)| + eps0 ||Phi''||_inf/2 (1 + 2 ell + ||lambda||_inf + ||h||_1))."""
-    d1, bulk = _tau_terms(phi, h, ell, lambda_sup)
-    return h.norm_l1 * (d1 + eps0 * bulk)
+    slope, bulk = _tau_terms(phi, h, ell, lambda_sup)
+    return h.norm_l1 * (slope + eps0 * bulk)
 
 
 def build_rate_context(
@@ -93,8 +93,8 @@ def build_rate_context(
     h_decay = h_decay if h_decay is not None else h.decay
     tau = tau_of_eps0(phi, h, report.ell, lambda_sup, eps0)
     if tau >= 1.0:
-        d1, bulk = _tau_terms(phi, h, report.ell, lambda_sup)
-        eps0_star = (1.0 / h.norm_l1 - d1) / bulk if bulk > 0 else math.inf
+        slope, bulk = _tau_terms(phi, h, report.ell, lambda_sup)
+        eps0_star = (1.0 / h.norm_l1 - slope) / bulk if bulk > 0 else math.inf
         raise TauOutOfRangeError(tau, eps0_star)
     return RateContext(
         ell=report.ell,

@@ -12,8 +12,6 @@ PACKAGE = ROOT / "src" / "renewal_lab"
 INIT = PACKAGE / "__init__.py"
 #: exported with no caller outside the tests, in export order
 EXEMPT = [
-    # the reference solver the tests hold solve_nre to
-    "solve_picard",
     # the tests' independent recomputation of the intensity that thinning judges against,
     # kept until a compensator check replaces it
     "intensity_path",

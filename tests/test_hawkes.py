@@ -255,9 +255,7 @@ def test_breach_rebuilds_the_dominator_at_an_accepted_candidate(monkeypatch):
     """A falling Phi declared nondecreasing makes the dominator bound wrong; the sweep catches each
     breach at an acceptance (u lam_bar <= lam_bar < the breach level) and rebuilds lam_bar there."""
     phi = model.FiringFunction(
-        d1=lambda x: np.where(np.asarray(x, float) < 2.9, -1.0, 0.0),
-        d2=lambda x: np.zeros_like(np.asarray(x, float)),
-        lip=1.0, d2_sup=0.0, nondecreasing=True, scalar=lambda x: max(3.0 - x, 0.1),
+        lip=1.0, d2_sup=0.0, nondecreasing=True, scalar=model._formula("x", "max(3.0 - x, 0.1)", max=max),
     )
     h = model.make_scaled_exponential_kernel(0.5, 1.0)
     chunks = []

@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -355,8 +358,8 @@ _SHRUNK = {
     "coupling_affine": ("couple", {"hawkes": {"t_end": 2.0, "replicas": 3, "coupling_sizes": [5, 10]}}),
     "divergence_a2": ("solve", {"solver": {"t_end": 2.0}, "limit_window": 1.0}),
     "empty_source": ("solve", {"solver": {"t_end": 2.0}, "limit_window": 1.0}),
-    "envelope_compact": ("envelope", {"solver": {"dt": 0.002, "t_end": 10.0}, "limit_window": 3.0, "rates": {"window": [1.0, 7.0]}}),
-    "envelope_polyxi": ("envelope", {"solver": {"t_end": 2.0}, "limit_window": 1.0}),
+    "envelope_compact": ("envelope", {"solver": {"dt": 0.002, "t_end": 10.0}, "rates": {"window": [1.0, 7.0]}}),
+    "envelope_polyxi": ("envelope", {"solver": {"t_end": 2.0}}),
     "equilibrium_locked": ("solve", {"solver": {"t_end": 2.0}, "limit_window": 1.0}),
     "erlang_crossing_lower_order": ("solve", {"solver": {"t_end": 2.0}, "limit_window": 1.0}),
     "hawkes_small": ("hawkes", {"hawkes": {"n_particles": 10, "t_end": 2.0, "checkpoints": [0.5, 1.0, 2.0]}}),
@@ -393,15 +396,7 @@ _EXTRA_EDITS = {
 
 # at full size every bundled scenario exits 0 but the one whose solve correctly diverges, which exits 2;
 # the two particle experiments, at over 10 s each, run only shrunk
-_FULL_SIZE = [
-    pytest.param(
-        name,
-        marks=[pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the limit verdict cannot accept the 1/t approach")]
-        if name == "envelope_polyxi" else [],
-    )
-    for name in sorted(_SHRUNK)
-    if name not in ("clt_affine", "coupling_affine")
-]
+_FULL_SIZE = [name for name in sorted(_SHRUNK) if name not in ("clt_affine", "coupling_affine")]
 
 
 @pytest.mark.parametrize("name", _FULL_SIZE)
@@ -411,6 +406,39 @@ def test_bundled_scenario_at_full_size_exits_as_promised(tmp_path, name):
     want = 2 if name == "divergence_a2" else 0
     assert main([command, "--config", str(config), "--out", str(tmp_path), "--threads", "1"]) == want
 
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"solver": {"t_end": 2.0}}, "never settles in the eps0-ball of a root"),
+    ({"kernel": {"type": "exponential", "c": 2.0, "alpha": 1.0}, "source": {"type": "empty"}, "solver": {"t_end": 40.0}},
+     "the trajectory diverges"),
+], ids=["unsettled", "divergent"])
+def test_envelope_exits_one_without_the_rate_theorem_hypotheses(tmp_path, capsys, edit, message):
+    """envelope needs lambda to stay in the eps0-ball of a root from some t0 < t_end on, which a run that is
+    too short for envelope_polyxi's slow approach, or one that overflows, does not give."""
+    doc = json.loads((SCENARIOS / "envelope_polyxi.json").read_text())
+    doc.update(edit)
+    config = tmp_path / "edited.json"
+    config.write_text(json.dumps(doc))
+    assert main(["envelope", "--config", str(config), "--out", str(tmp_path / "out"), "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, err
+
+def test_equilibria_bytes_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
+    """tau0 comes from Phi's formula on Python floats (math.exp), so numpy's SIMD dispatch cannot move a bit."""
+    src = Path(lab.__file__).resolve().parents[1]
+    outs = []
+    for disabled in ("", "X86_V4 AVX512_ICL AVX512_SPR"):
+        out = tmp_path / (disabled.split(" ")[0] or "default")
+        env = dict(os.environ, PYTHONPATH=str(src), NPY_DISABLE_CPU_FEATURES=disabled)
+        proc = subprocess.run(
+            [sys.executable, "-m", "renewal_lab.lab", "equilibria", "--config", str(SCENARIOS / "bistable_equilibria.json"),
+             "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append((out / "fixed_points.json").read_bytes())
+    assert outs[0] == outs[1]
 
 def _one_value_edits(node, path=()):
     for key, value in node.items():

@@ -84,7 +84,7 @@ def _run(tmp_path, command, scenario, edits):
 def test_fit_csv_bytes_match_reference(tmp_path, monkeypatch):
     trajs = _spy(monkeypatch, "solve_nre")
     envs = _spy(monkeypatch, "calibrate_envelope")
-    edits = {"solver": {"dt": 0.002, "t_end": 10.0}, "limit_window": 3.0, "rates": {"window": [1.0, 7.0]}}
+    edits = {"solver": {"dt": 0.002, "t_end": 10.0}, "rates": {"window": [1.0, 7.0]}}
     out = _run(tmp_path, "envelope", "envelope_compact", edits)
     ell = json.loads((out / "envelope.json").read_text())["ell"]
     ref_fit_csv(tmp_path / "want.csv", trajs[-1], envs[-1], ell)

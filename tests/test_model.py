@@ -1,3 +1,4 @@
+import decimal
 import math
 from dataclasses import replace
 
@@ -126,7 +127,7 @@ def test_nonneg_kernel_kappa_equals_l1(bistable):
 def test_sigmoid_reference_values():
     phi = model.make_sigmoid_phi(0.5, 1.0, 8.0, 1.0)
     assert float(phi(1.0)) == 1.0  # midpoint
-    assert float(phi.d1(1.0)) == pytest.approx(2.0)  # gain*slope/4
+    assert phi.derivative(1.0, 1) == pytest.approx(2.0)  # gain*slope/4
     assert float(phi(60.0)) == pytest.approx(1.5)  # base + gain
     assert phi.lip == pytest.approx(2.0)
     assert phi.d2_sup == pytest.approx(64.0 / (6.0 * math.sqrt(3.0)))
@@ -146,12 +147,13 @@ def test_derivatives_match_finite_differences(factory):
     rng = np.random.default_rng(17)
     xs = rng.uniform(0.0, 3.0, size=100)
     step = 1e-5
+    d1, d2 = (np.array([phi.derivative(x, k) for x in xs]) for k in (1, 2))
     fd1 = (phi.evaluator(xs + step) - phi.evaluator(xs - step)) / (2 * step)
-    fd2 = (np.asarray(phi.d1(xs + step)) - np.asarray(phi.d1(xs - step))) / (2 * step)
+    fd2 = np.array([(phi.derivative(x + step, 1) - phi.derivative(x - step, 1)) / (2 * step) for x in xs])
     scale1 = np.maximum(np.abs(fd1), 1e-4)
     scale2 = np.maximum(np.abs(fd2), 1e-4)
-    assert np.max(np.abs(np.asarray(phi.d1(xs)) - fd1) / scale1) < 1e-4
-    assert np.max(np.abs(np.asarray(phi.d2(xs)) - fd2) / scale2) < 1e-4
+    assert np.max(np.abs(d1 - fd1) / scale1) < 1e-4
+    assert np.max(np.abs(d2 - fd2) / scale2) < 1e-4
 
 
 @given(
@@ -189,7 +191,7 @@ def test_scalar_falls_back_to_the_vector_evaluator(bistable):
 def test_affine_phi():
     phi = model.make_affine_phi(1.0)
     assert float(phi(0.0)) == 1.0
-    assert float(phi.d1(5.0)) == 1.0
+    assert phi.derivative(5.0, 1) == 1.0
     assert float(phi(-3.0)) == 0.0  # clipped to stay nonnegative
     assert float(phi(2.0)) == 3.0
     assert phi.derivative(0.0, 4) == 0.0
@@ -210,24 +212,89 @@ def test_divergence_example_phi():
 def test_cubic_sigmoid_flat_center():
     phi = model.make_cubic_sigmoid_phi(0.5, 1.0, 8.0, 1.0)
     assert float(phi(1.0)) == 1.0
-    assert float(phi.d1(1.0)) == pytest.approx(2.0)
-    assert float(phi.d2(1.0)) == 0.0
-    # third derivative vanishes too (finite differences on d2)
-    fd3 = (float(phi.d2(1.0 + 1e-4)) - float(phi.d2(1.0 - 1e-4))) / 2e-4
-    assert abs(fd3) < 1e-4
+    assert phi.derivative(1.0, 1) == pytest.approx(2.0)
+    assert phi.derivative(1.0, 2) == 0.0
+    assert phi.derivative(1.0, 3) == 0.0  # the third derivative vanishes too
 
 
-def test_higher_derivative_fallback():
-    cubic = FiringFunction(
-        d1=lambda x: 3.0 * np.asarray(x, float) ** 2,
-        d2=lambda x: 6.0 * np.asarray(x, float),
-        lip=12.0,
-        d2_sup=12.0,
-        nondecreasing=True,
-        scalar=lambda x: x**3,
-    )
-    assert cubic.derivative(0.5, 3) == pytest.approx(6.0, abs=1e-6)
-    assert abs(cubic.derivative(0.5, 4)) < 1e-5
+@pytest.mark.parametrize("gain, slope", [(1.0, 8.0), (0.5, 2.0), (2.0, 0.7)])
+def test_cubic_sigmoid_center_is_critical_of_order_five(gain, slope):
+    """Phi^(2..4) vanish exactly at the center, Phi^(5) = -0.375 gain slope^5, and a unit-mass kernel with
+    gain slope = 4 makes the center a critical root of order p = 5."""
+    phi = model.make_cubic_sigmoid_phi(0.5, gain, slope, 1.0)
+    assert [phi.derivative(1.0, k) for k in (2, 3, 4)] == [0.0, 0.0, 0.0]
+    assert phi.derivative(1.0, 5) == pytest.approx(-0.375 * gain * slope**5, rel=1e-12)
+    critical = model.make_cubic_sigmoid_phi(0.5, 4.0 / slope, slope, 1.0)
+    st = model.classify_critical(critical, model.make_erlang_kernel(1, 1.0), 1.0)
+    assert (st.kind, st.p, st.sign_of_phi_p, st.above, st.below) == ("critical", 5, -1, "stable", "stable")
+
+
+def test_jet_derivatives_of_a_cubic():
+    """x^3 by products on the jet: every derivative exact, zero past the third."""
+    cubic = FiringFunction(lip=12.0, d2_sup=12.0, nondecreasing=True, scalar=model._formula("x", "x**3"))
+    assert [cubic.derivative(0.5, k) for k in range(6)] == [0.125, 0.75, 3.0, 6.0, 0.0, 0.0]
+    assert [cubic.derivative(0.0, k) for k in range(5)] == [0.0, 0.0, 0.0, 6.0, 0.0]
+
+
+def test_derivative_needs_a_formula():
+    bare = FiringFunction(lip=1.0, d2_sup=0.0, nondecreasing=True, scalar=lambda x: x)
+    with pytest.raises(TypeError, match="no formula"):
+        bare.derivative(0.5, 1)
+
+
+def _closed_form_derivatives(x):
+    """(Phi', Phi'') at x of sigmoid(0.5, 1, 8, 1) and of the divergence example, written out by hand."""
+    s = 1.0 / (1.0 + math.exp(-8.0 * (x - 1.0)))
+    r = math.sqrt(2.0 + x)
+    return {
+        "sigmoid": (8.0 * s * (1.0 - s), 64.0 * s * (1.0 - s) * (1.0 - 2.0 * s)),
+        "divergence": (1.0 + math.exp(-x) + math.exp(-1.5 * x) * (0.5 / r - 1.5 * r),
+                       -math.exp(-x) + math.exp(-1.5 * x) * (2.25 * r - 1.5 / r - 0.25 / r**3)),
+    }
+
+
+def test_jet_derivatives_equal_the_closed_forms():
+    affine, constant = model.make_affine_phi(1.0), model.make_constant_phi(0.7)
+    for x in (-3.0, -0.5, 0.0, 2.5):
+        assert [affine.derivative(x, k) for k in (1, 2, 3)] == [1.0 if x > -1.0 else 0.0, 0.0, 0.0]
+        assert [constant.derivative(x, k) for k in (1, 2, 3)] == [0.0, 0.0, 0.0]
+    phis = {"sigmoid": model.make_sigmoid_phi(0.5, 1.0, 8.0, 1.0), "divergence": model.make_divergence_example_phi()}
+    # away from the sigmoid's flat tails, where the closed form s (1 - s) loses 1 - s to rounding
+    for x in np.linspace(0.0, 2.0, 41):
+        for name, want in _closed_form_derivatives(x).items():
+            got = [phis[name].derivative(x, k) for k in (1, 2)]
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (name, x)
+
+
+def _jet_scan_max(phi, k, lo, hi):
+    """max |Phi^(k)| on a grid of 2001 points over [lo, hi], refined on 2001 points around the best one."""
+    xs = np.linspace(lo, hi, 2001)
+    vals = [abs(phi.derivative(x, k)) for x in xs]
+    i = int(np.argmax(vals))
+    fine = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], 2001)
+    return max(abs(phi.derivative(x, k)) for x in fine)
+
+
+@pytest.mark.parametrize(
+    "make, lo, hi",
+    [
+        # slope (x - center) over [-8, 8], where the cubic sigmoid's derivatives peak
+        (lambda: model.make_cubic_sigmoid_phi(0.5, 1.0, 8.0, 1.0), 0.0, 2.0),
+        (lambda: model.make_cubic_sigmoid_phi(0.0, 2.0, 0.5, -1.0), -17.0, 15.0),
+        (lambda: model.make_cubic_sigmoid_phi(0.1, 0.3, 3.0, 2.0), 2.0 - 8.0 / 3.0, 2.0 + 8.0 / 3.0),
+        (model.make_divergence_example_phi, 0.0, 60.0),
+    ],
+)
+def test_lip_and_d2_sup_bound_a_jet_scan(make, lo, hi):
+    """The constants lip and d2_sup are at least the scanned maximum of |Phi'| and |Phi''|, and within 1e-6 of it.
+
+    The cubic sigmoid's lip, gain slope / 4, is the exact sup; the jet's rounded Phi' near the center and the
+    rounded product exceed it by up to 4 units in the last place, which is all the lower check allows."""
+    phi = make()
+    for bound, k in ((phi.lip, 1), (phi.d2_sup, 2)):
+        scanned = _jet_scan_max(phi, k, lo, hi)
+        assert scanned <= bound * (1.0 + 4.0 * np.finfo(float).eps) and bound <= scanned * (1.0 + 1e-6), (
+            phi.label, k, scanned, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +501,19 @@ def test_divergence_source():
         model.make_source_divergence_example(0.5 * a_star)
 
 
+def test_divergence_a_star_is_where_psi_turns_upward():
+    """Psi' from central differences of Psi in 50-digit decimals is negative just below a* and positive just above."""
+    step, near = decimal.Decimal("1e-20"), decimal.Decimal("1e-12")
+
+    def dpsi(a):
+        psi = [((-2 * v).exp() / v * (1 / (2 * v) + 1) + 1).ln() + 2 * v for v in (a - step, a + step)]
+        return (psi[1] - psi[0]) / (2 * step)
+
+    with decimal.localcontext(prec=50):
+        a_star = decimal.Decimal(model.divergence_a_star())
+        assert dpsi(a_star - near) < 0 < dpsi(a_star + near)
+
+
 # ---------------------------------------------------------------------------
 # fixed points and classification
 # ---------------------------------------------------------------------------
@@ -509,41 +589,21 @@ def test_vectorised_grid_scan_matches_the_scalar_scan(monkeypatch):
 
 def test_no_fixed_point_regime():
     h = model.make_scaled_exponential_kernel(1.0, 1.0)  # ||h||_1 = 1
+    # Phi(x) = (x + sqrt(x^2 + 4)) / 2 > x everywhere, increasing, with Phi - x = 1 / Phi -> 0
     phi = FiringFunction(
-        d1=lambda x: 1.0 / (1.0 + np.exp(-np.asarray(x, float))),
-        d2=lambda x: np.exp(-np.asarray(x, float)) / (1.0 + np.exp(-np.asarray(x, float))) ** 2,
         lip=1.0,
         d2_sup=0.25,
         nondecreasing=True,
-        scalar=lambda x: float(np.logaddexp(0.0, x)),
+        scalar=model._formula("x", "0.5 * (x + sqrt(x * x + 4.0))", sqrt=math.sqrt),
     )
     with pytest.raises(NoFixedPointError):
         model.find_fixed_points(phi, h)
 
 
 def _taylor_phi(ell, coeffs):
-    """Phi(x) = x + sum_k coeffs[k] (x - ell)^k, with analytic derivatives."""
-
-    def scalar(x):
-        return x + sum(c * (x - ell) ** k for k, c in coeffs.items())
-
-    def deriv(x, k):
-        u = x - ell
-        val = (1.0 if k == 1 else 0.0)
-        for kk, c in coeffs.items():
-            if kk >= k:
-                val += c * math.factorial(kk) / math.factorial(kk - k) * u ** (kk - k)
-        return val
-
-    return FiringFunction(
-        d1=lambda x: np.vectorize(lambda v: deriv(v, 1))(x),
-        d2=lambda x: np.vectorize(lambda v: deriv(v, 2))(x),
-        lip=10.0,
-        d2_sup=10.0,
-        nondecreasing=True,
-        scalar=scalar,
-        derivative_fn=deriv,
-    )
+    """Phi(x) = x + sum_k coeffs[k] (x - ell)^k, as a formula."""
+    expr = " + ".join(["x", *(f"{c!r} * (x - ell)**{k}" for k, c in coeffs.items())])
+    return FiringFunction(lip=10.0, d2_sup=10.0, nondecreasing=True, scalar=model._formula("x", expr, ell=ell))
 
 
 def test_classify_critical_constructed_cases():

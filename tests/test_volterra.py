@@ -23,8 +23,8 @@ from renewal_lab.volterra import (
     read_trajectory_csv,
     solve_erlang_cascade,
     solve_nre,
-    solve_picard,
 )
+from test_volterra_reference import solve_picard
 
 
 def test_solver_config_validation():

@@ -35,6 +35,48 @@ from renewal_lab.volterra import (
 # reference loops
 # ---------------------------------------------------------------------------
 
+#: solve_picard stops when a sweep moves lambda by at most this, and fails after this many sweeps
+PICARD_TOL = 1e-13
+PICARD_MAX_ITER = 200
+
+
+def solve_picard(phi, h, xi, cfg):
+    """Global Picard iteration on the whole grid, the reference for the marching of ``solve_nre``.
+
+    Sweeps lambda <- Phi(xi + h * lambda) with the config's quadrature until a
+    sweep moves lambda by at most PICARD_TOL, or raises NonConvergenceError
+    after PICARD_MAX_ITER sweeps.
+    """
+    ts = cfg.grid()
+    n_pts = ts.size
+    xi_vals = xi.on_grid(ts)
+    hg = np.asarray(h.evaluator(ts), dtype=float)
+    dt = cfg.dt
+
+    def conv_sum(lam):
+        conv = np.convolve(hg, lam)[:n_pts]
+        if cfg.quadrature == TRAPEZOID:
+            return dt * conv - 0.5 * dt * (hg * lam[0] + hg[0] * lam)
+        return dt * conv - dt * hg[0] * lam
+
+    lam = np.asarray(phi.evaluator(xi_vals), dtype=float)
+    for it in range(PICARD_MAX_ITER):
+        new = np.asarray(phi.evaluator(xi_vals + conv_sum(lam)), dtype=float)
+        delta = float(np.max(np.abs(new - lam)))
+        lam = new
+        if delta <= PICARD_TOL:
+            break
+    else:
+        raise NonConvergenceError(n_pts - 1, float(ts[-1]), delta)
+    x = xi_vals + conv_sum(lam)
+    lam = np.asarray(phi.evaluator(x), dtype=float)
+    return Trajectory(
+        ts=ts,
+        lam=lam,
+        x=x,
+        metadata={"method": f"picard-{cfg.quadrature}", "dt": dt, "iterations": it + 1, "inner_tol": PICARD_TOL},
+    )
+
 
 class _RefErlangHistory:
     def __init__(self, form, cfg, ts, lam):
