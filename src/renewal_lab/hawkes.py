@@ -9,7 +9,7 @@ particle process Z and its limit process Zbar judge the *same* candidates
 with the same uniforms (the shared-randomness coupling that bounds their
 pathwise distance by C t / sqrt(N)).
 
-Stream contract, version 2 (``tests/test_hawkes_golden.py`` locks it):
+Stream contract, version 3 (``tests/test_hawkes_golden.py`` locks it):
 
 * Key.  A replica draws from three Philox generators keyed by
   (seed mod 2^64, (replica mod 2^32) << 32 | stream): stream 0 gives standard
@@ -23,10 +23,21 @@ Stream contract, version 2 (``tests/test_hawkes_golden.py`` locks it):
   particle p_k: accepted if u_k lam_bar <= intensity (the coupled process
   accepts if u_k lam_bar <= limit intensity).  Candidates are judged in order
   up to the first one past t_end, which is not judged.
+* Dominator.  lam_bar = margin * max(bound, 1e-12) (``thinning_margin``, 1.15
+  by default), where the bound is Phi(S + U), maxed with the running sup of the
+  linearly interpolated limit intensity when the coupled process is tracked.
+  S bounds the source from the current 0.01-grid time on (``_source_sup``:
+  xi at each grid time plus ``SourceTerm.rise`` times the step, or
+  ``sup_bound`` for a source that proves no rise), and U is the state's upper
+  bound on Y from now on (an Erlang state's peaks; for a table kernel each
+  event weighed by the running max of the knot values from its offset on).
 * Reschedules.  The dominator is rebuilt at a candidate when an acceptance
   raises the bound past it, when a candidate breaches it, or when a refresh
-  check finds it more than twice too large.  The next candidate takes the
-  next draws under the new lam_bar; no draw is skipped.
+  check finds it more than twice too large.  A refresh check is due at the
+  first candidate at or past a due time, which starts at the spacing
+  max(0.1, 64 / (N lam_bar)) and moves to each check's candidate time plus the
+  spacing, with the lam_bar in force.  The next candidate takes the next
+  draws under the new lam_bar; no draw is skipped.
 * Exactness.  Every particle fires at the same intensity
   Phi(xi_N + Y), so the N dominating Poisson(lam_bar) processes of thinning
   (Lewis-Shedler 1979) superpose to one Poisson(N lam_bar) process whose
@@ -44,8 +55,8 @@ repeated t + e / (N lam_bar)); its unjudged draws stay for the next chunk.
 The chunk is judged by a sweep compiled by ``model.compile_loop`` from one
 template, ``_SWEEP_TEMPLATE``, into which each kind of convolution state
 writes its snippets: an Erlang state of order k (order 0 included) keeps its
-components s0..sk in locals with the sums written out, and a kernel without
-structure calls its own methods.  The state is stepped from the last judged
+components s0..sk in locals with the sums written out, and a table kernel
+calls its own methods.  The state is stepped from the last judged
 candidate to each candidate as it is judged, so a candidate past a reschedule
 costs no step.  The template calls Phi and the source; where their scalar
 evaluators carry a formula (``model._formula``), the compiler writes it in
@@ -122,7 +133,7 @@ class HawkesConfig:
     t_end: float
     seed: int
     replicas: int = 1
-    thinning_margin: float = 1.5
+    thinning_margin: float = 1.15
     track_coupled: bool = True
     xi_perturbation: float = 0.0  # C_xi: xi_N = xi +- (C_xi/sqrt(N)) e^{-t}
     subcritical_override: bool = False
@@ -226,7 +237,8 @@ def sweep(state, c_list, c_thrs, t, weight, phi_s, xi_s, lam_bar, lam_over, cap,
                     new_bar = margin * max(rb, lam_z, 1e-12)
                     break
         if s >= next_check:
-            next_check = s + _REFRESH
+            # candidates come at the total rate N lam_bar = lam_bar / weight
+            next_check = s + max(_REFRESH, _REFRESH_CANDIDATES * weight / lam_bar)
             rb = raw_bound(s, {bound})
             if margin * rb < 0.5 * lam_bar:
                 new_bar = margin * max(rb, 1e-12)
@@ -301,7 +313,13 @@ class _ErlangState:
 
 
 class _GeneralState:
-    """O(events) fallback for nonnegative kernels without analytic structure."""
+    """O(events) state of a piecewise-linear kernel (``MemoryKernel.knots``).
+
+    The upper bound weighs each event by sup_{u >= offset} h(u).  A linear
+    piece peaks at one of its knots, so for an offset in [x_j, x_{j+1}) that
+    sup is at most the largest value at the knots x_j, x_{j+1}, ...: the
+    running max from the right of the knot values, exact at every knot.
+    """
 
     #: one sweep for every such kernel
     shape = ()
@@ -323,12 +341,10 @@ class _GeneralState:
         self.events: list = []
         self.weights: list = []
         self.t = 0.0
-        self.support = h.decay.horizon if h.decay.kind == "compact" else math.inf
-        # nonincreasing envelope of h for the future bound
-        grid = np.linspace(0.0, min(self.support, 200.0), 4001)
-        vals = np.asarray(h.evaluator(grid), dtype=float)
-        self._env_grid = grid
-        self._env = running_sup_from_right(vals)
+        xs, vals = h.knots
+        self.support = xs[-1]
+        self._knots = np.asarray(xs)
+        self._env = running_sup_from_right(np.asarray(vals))
 
     def advance(self, t: float) -> float:
         self.t = max(self.t, t)
@@ -347,9 +363,9 @@ class _GeneralState:
     def upper_bound(self) -> float:
         if not self.events:
             return 0.0
+        # advance dropped the events past the support: every offset lies in [0, support]
         offs = self.t - np.asarray(self.events)
-        idx = np.minimum(np.searchsorted(self._env_grid, offs, side="right") - 1, self._env.size - 1)
-        env = np.where(offs > self._env_grid[-1], 0.0, self._env[np.maximum(idx, 0)])
+        env = self._env[np.searchsorted(self._knots, offs, side="right") - 1]
         return float(np.dot(env, np.asarray(self.weights)))
 
 
@@ -357,9 +373,11 @@ def _make_state(h: MemoryKernel):
     if not h.nonneg:
         raise ValueError("thinning requires a nonnegative kernel")
     s = h.structure
-    if s is None:
-        return _GeneralState(h)
-    return _ErlangState(s.order, s.alpha, s.scale)
+    if s is not None:
+        return _ErlangState(s.order, s.alpha, s.scale)
+    if h.knots is None:
+        raise ValueError("thinning requires an Erlang-structured or a piecewise-linear kernel")
+    return _GeneralState(h)
 
 
 def _by_particle(ts: Sequence[np.ndarray], ps: Sequence[np.ndarray], n: int) -> list:
@@ -381,8 +399,25 @@ def _by_particle(ts: Sequence[np.ndarray], ps: Sequence[np.ndarray], n: int) -> 
 #: candidates several-fold (BENCH_3.json, "reschedule_heavy")
 _SWEEP_FIRST = 64
 _SWEEP_CHUNK = 4096
-#: the time between refresh checks, which rebuild a dominator more than twice too large
+#: refresh checks, which rebuild a dominator more than twice too large, are
+#: _REFRESH apart in time and at least _REFRESH_CANDIDATES expected candidates
+#: apart: at a low total rate N lam_bar a check per _REFRESH hits almost every candidate
 _REFRESH = 0.1
+_REFRESH_CANDIDATES = 64
+
+
+def _source_sup(xi: SourceTerm, dt: float, t_end: float) -> np.ndarray:
+    """A proven bound on sup_{s >= k dt} xi(s) at each grid time k dt, up to the first past t_end.
+
+    On a cell [t_k, t_k + dt], xi is at most xi(t_k) + rise dt (``SourceTerm.rise``),
+    or ``sup_bound`` where the maker proves no rise; the bound is the running
+    max from the right of the cells.  For a source that never rises it is the
+    running max of the grid values.
+    """
+    ts = dt * np.arange(int(math.ceil(t_end / dt)) + 2)
+    if not math.isfinite(xi.rise):
+        return np.full(ts.size, float(xi.sup_bound))
+    return running_sup_from_right(np.asarray(list(map(xi.scalar, ts.tolist()))) + xi.rise * dt)
 
 
 def _bound_cap(phi_s: Callable, lam_bar: float, x0: float) -> float:
@@ -454,13 +489,13 @@ def simulate_hawkes(
     if cfg.xi_perturbation > 0.0:
         sign = 1.0 if _philox(cfg.seed, replica, _REPLICA_STREAM).random() < 0.5 else -1.0
         pert_amp = sign * cfg.xi_perturbation / math.sqrt(n)
-    xi_scalar = (add_exponential_perturbation(xi, pert_amp) if pert_amp != 0.0 else xi).scalar
+    xi_n = add_exponential_perturbation(xi, pert_amp) if pert_amp != 0.0 else xi
+    xi_scalar = xi_n.scalar
 
-    # running sup of the source from each grid time onward (dominator input)
+    # the source's sup from each grid time onward (dominator input)
     sup_dt = min(0.01, _REFRESH / 4.0)
-    sup_grid = sup_dt * np.arange(int(math.ceil(t_end / sup_dt)) + 2)
     # contiguous copies in memoryviews: their items index as Python floats, cheaper than numpy scalars
-    xi_sup = memoryview(running_sup_from_right(np.asarray(list(map(xi_scalar, sup_grid.tolist())))).copy())
+    xi_sup = memoryview(_source_sup(xi_n, sup_dt, t_end).copy())
     xi_last = len(xi_sup) - 1
 
     # the limit intensity, linearly interpolated, and its running sup
@@ -501,7 +536,7 @@ def simulate_hawkes(
     lam_over = lam_bar * (1.0 + 1e-12)
     t_cand = 0.0  # the last judged candidate, where the state was last advanced to
     width = _SWEEP_FIRST
-    next_check = _REFRESH
+    next_check = max(_REFRESH, _REFRESH_CANDIDATES * weight / lam_bar)  # as the sweep spaces them
     while True:
         e, c_ps, c_thrs = draws.head(width)
         c_ts = np.concatenate(([t_cand], e / (n * lam_bar)))
@@ -601,16 +636,37 @@ def intensity_path(run: HawkesRun, phi: FiringFunction, h: MemoryKernel, xi: Sou
 def path_sup_difference(times_a: np.ndarray, times_b: np.ndarray) -> int:
     """sup_s |A_s - B_s| for two counting processes given their jump times.
 
-    The times need not be sorted.  The difference A - B is read just after
-    every jump time of either side, counting the jumps at or before it, so
-    jumps at identical times cancel (coupled processes share candidate times).
+    The times need not be sorted, but must be finite.  One merge of the two
+    sorted lists passes the jumps in time order; after i jumps of A and j of
+    B the difference is i - j.  A jump of each side at one time is passed as
+    a pair, which leaves the difference as it is, so jumps at identical times
+    cancel (coupled processes share candidate times).  What is left at a time
+    is on one side only and moves the difference one way, so reading it after
+    each of those jumps finds the same sup as reading it once past them.
     """
-    if times_a.size == 0 and times_b.size == 0:
-        return 0
-    a, b = np.sort(times_a), np.sort(times_b)
-    ts = np.concatenate((a, b))
-    d = np.searchsorted(a, ts, "right") - np.searchsorted(b, ts, "right")
-    return int(np.abs(d).max())
+    inf = math.inf
+    a = sorted(times_a.tolist())
+    b = sorted(times_b.tolist())
+    a.append(inf)
+    b.append(inf)
+    i = j = best = 0
+    x, y = a[0], b[0]
+    while True:
+        if x < y:
+            i += 1
+            x = a[i]
+        elif y < x:
+            j += 1
+            y = b[j]
+        elif x == inf:
+            return best
+        else:
+            i += 1
+            j += 1
+            x, y = a[i], b[j]
+            continue
+        if i - j > best or j - i > best:
+            best = abs(i - j)
 
 
 # fork-shared context for replica workers (closures cannot be pickled)

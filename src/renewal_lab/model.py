@@ -129,7 +129,9 @@ class MemoryKernel:
 
     ``signed_tail`` evaluates int_t^inf h, ``tail`` its absolute value
     (equilibrium sources need the signed version, the convergence-rate
-    machinery the absolute one).
+    machinery the absolute one).  ``knots``, for a piecewise-linear kernel, is
+    (xs, values): h is their linear interpolation on [xs[0], xs[-1]] and zero
+    outside.
     """
 
     evaluator: Callable
@@ -140,6 +142,7 @@ class MemoryKernel:
     nonneg: bool
     decay: DecayClass
     structure: Optional[ErlangForm] = None
+    knots: Optional[tuple] = None
     label: str = ""
 
     def __call__(self, t):
@@ -266,7 +269,7 @@ def make_compact_kernel(table: Sequence[float], support: float) -> MemoryKernel:
         signed_tail=tail,
         nonneg=True,
         decay=DecayClass.compact(horizon=support),
-        structure=None,
+        knots=(tuple(xs.tolist()), tuple(vals.tolist())),
         label=f"compact(S={support:g})",
     )
 
@@ -620,14 +623,18 @@ def make_divergence_example_phi() -> FiringFunction:
 class SourceTerm:
     """Source term xi (influence of the pre-zero history), with derivative.
 
-    ``grid_evaluator(ts)``, when set, evaluates xi on a uniform time grid more
-    efficiently than pointwise calls; the solver uses it when present.
+    ``rise`` bounds how fast xi can grow, sup_t max(xi'(t), 0), as the maker
+    proves it from its closed form (0 for a source that never rises), or is
+    inf where the maker proves none; thinning bounds xi between grid times by
+    it.  ``grid_evaluator(ts)``, when set, evaluates xi on a uniform time grid
+    more efficiently than pointwise calls; the solver uses it when present.
     """
 
     evaluator: Callable
     derivative: Callable
     sup_bound: float
     decay: DecayClass
+    rise: float
     label: str = ""
     grid_evaluator: Optional[Callable] = None
     scalar_fn: Optional[Callable] = None
@@ -663,6 +670,7 @@ def make_source_empty() -> SourceTerm:
         derivative=zero,
         sup_bound=0.0,
         decay=DecayClass.compact(horizon=0.0),
+        rise=0.0,
         label="empty",
         scalar_fn=_formula("t", "0.0"),
     )
@@ -735,6 +743,8 @@ def make_source_equilibrium(h: MemoryKernel, ell: float) -> SourceTerm:
         derivative=derivative,
         sup_bound=abs(ell) * max(h.norm_l1, abs(h.kappa)),
         decay=_tail_decay_of_kernel(h, ell),
+        # xi' = -ell h: no rise under a nonnegative kernel
+        rise=0.0 if h.nonneg else math.inf,
         label=f"equilibrium(ell={ell:g}) of {h.label}",
     )
     return _with_exponential_scalar(src, h, ell)
@@ -816,6 +826,8 @@ def make_source_chi_perturbed(
         derivative=derivative,
         sup_bound=sup_bound,
         decay=decay,
+        # xi' = -level h + coeff chi' with level = Phi >= 0 and chi' <= 0; no bound on |chi'| is known
+        rise=0.0 if h.nonneg and coeff >= 0.0 else math.inf,
         label=f"chi-perturbed(ell0={ell0:g}) of {h.label}",
     )
 
@@ -851,11 +863,15 @@ def make_source_erlang_polynomial(n: int, alpha: float, c: Sequence[float]) -> S
     vals = np.abs(evaluator(ts))
     sup_bound = float(np.max(vals)) * (1.0 + 1e-12)
     a_const = float(np.max(vals * np.exp(0.5 * alpha * ts))) * (1.0 + 1e-9)
+    # xi' = Q(t) e^{-alpha t} with Q = P' - alpha P, and t^j e^{-alpha t} <= (j / (alpha e))^j
+    q = np.append(dpoly, 0.0)[: n + 1] - alpha * poly
+    rise = sum(max(qj, 0.0) * (j / (alpha * math.e)) ** j for j, qj in enumerate(q.tolist()))
     return SourceTerm(
         evaluator=evaluator,
         derivative=derivative,
         sup_bound=sup_bound,
         decay=DecayClass.exponential(rate=0.5 * alpha, constant=max(a_const, 1e-300)),
+        rise=rise,
         label=f"erlang-poly(n={n}, alpha={alpha:g}, c={np.array2string(c, precision=4)})",
     )
 
@@ -889,6 +905,7 @@ def add_exponential_perturbation(xi: SourceTerm, amplitude: float, rate: float =
         derivative=derivative,
         sup_bound=xi.sup_bound + abs(amplitude),
         decay=decay,
+        rise=xi.rise + rate * max(-amplitude, 0.0),
         label=f"{xi.label} + {amplitude:g}*exp(-{rate:g}t)",
         grid_evaluator=grid_evaluator,
         scalar_fn=_formula("t", f"({inner}) + amp * exp(-rate * t)", **consts, amp=amplitude, rate=rate),
@@ -1005,6 +1022,8 @@ def make_source_divergence_example(a: float) -> SourceTerm:
         derivative=derivative,
         sup_bound=sup_bound,
         decay=DecayClass.polynomial(rate=0.5, constant=a_const),
+        # xi' = a / sqrt(1 + t) - xi with xi > 0
+        rise=a,
         label=f"divergence-example(a={a:g})",
         grid_evaluator=grid_evaluator,
     )

@@ -156,37 +156,37 @@ CASES = {
 }
 
 DIGESTS = {
-    "affine_empty_n3": "5dba518e8bec6226da9c80ec06d083e5029b758849353da07207bb20e1d3604f",
-    "clt_small": "cb936cc547f7a2ede787c6aee4c9abd300fab07eab0349a49cafb0f0d3cf158e",
-    "compact_general": "0d63acb1a25e6d715cad464e369ca9b4ed87dba2f2262030c22059755dc6238c",
-    "constant_phi_long": "97121120de8b87a92d7fe9dccb1906e20e8a18f735d80f235194f23dc8b97e4e",
-    "couple_affine": "3ed0f5ac4a02b9c1bbb685eac25e06a8b9128014a7e3b713e633e789dbcf63c4",
+    "affine_empty_n3": "3cb273edc43ba83674bc880ab487b97fe36a46211795864f056e693f225744b9",
+    "clt_small": "05023a0b216708121e264a8391e8161072b52d34280f552ba878509b488e7a4f",
+    "compact_general": "532db169d6957f92c54acd6561087a9c91be47c266d5ff33bea318ce72781bb0",
+    "constant_phi_long": "ab44921ff1cdd511fc1e1c46c69208576a3af6671bb25be9d0a71f2fdb469185",
+    "couple_affine": "53062485d86c0780be463e6633b971f191f20691bde5b0c05645b8d2a53b47b1",
     "couple_affine_margin": "70072795558a941b8e8e1408820f1fc4442bac73b005098549104f8ba8c84059",
-    "couple_erlang": "5f898517d2f2de0f88a033f658dc64a923625de80f4c31b093f53f204c3b912f",
-    "couple_erlang3": "3d106691b7e1bb6e0bb433f2a222ed588d646ad6f270737f96e76461fb749eeb",
+    "couple_erlang": "21da1023f802b0eab5aec484e654b6e64d9d9a64427c931b550a8f70250adac0",
+    "couple_erlang3": "5689821b605243325b92f7c8a3ba80e220fad716abbf190c7e14a0e11a47c125",
     "couple_erlang4_margin": "8e8df49957984586f5c439b9e618896b0b4dbf7b891d84d971f105831ab0da27",
-    "erlang1_margin": "06a224bb3d85c7614e31bf97a17e8113e1b9365ad4eff6c05d4c23d78bd31d73",
-    "erlang_bistable": "968592eabf2a388c442b9c94c37de5940eb940b0f7c117476de7a2056611825f",
+    "erlang1_margin": "e49e7131aa5f8d7e6a39f521c83b6350eae03094a2a64a1e59cbe377858fe6f3",
+    "erlang_bistable": "67692d456cb12e699136c2b13c1ee15477ed47659d5f2e2fede069e6fb1fa0a6",
     "sigmoid_exp_margin": "31c715bfdea8e3e27a0e98b0eb09122f1afef064a2f5bac2c5cd3aac479fbefe",
-    "stress_affine_margin": "efcdf279c012205c22d3a2bf7db4c957ebd035927bc4b843519efb210af65386",
-    "stress_erlang_margin": "c3a73b03c0fbb3f2d7deae178b65ee27aa8722f7b8f8649ce43716467b4300be",
-    "xi_perturbation": "b4e83ad3868b7bfd81c157dbbe8057ab2fe35043e1b538db16ffcf75988fe60d"
+    "stress_affine_margin": "f8e961a606f83e51d35b18caed627f18bf41b16004ad2a6ae5fafb89204a16f4",
+    "stress_erlang_margin": "88f2c92363abdf9a499f25fe614fac54bbc912f9b263ec5562871fea1589813f",
+    "xi_perturbation": "fdd4ebfe706d40aec2332105bcf0969de3f721a05c737a493c899c4641e64fe2"
 }
 RESCHEDULES = {
-    "affine_empty_n3": 2,
+    "affine_empty_n3": 6,
     "clt_small": 0,
-    "compact_general": 1,
+    "compact_general": 4,
     "constant_phi_long": 0,
     "couple_affine": 0,
     "couple_affine_margin": 5,
-    "couple_erlang": 0,
-    "couple_erlang3": 0,
+    "couple_erlang": 1,
+    "couple_erlang3": 1,
     "couple_erlang4_margin": 4,
-    "erlang1_margin": 74,
-    "erlang_bistable": 1,
+    "erlang1_margin": 17,
+    "erlang_bistable": 3,
     "sigmoid_exp_margin": 5,
-    "stress_affine_margin": 273,
-    "stress_erlang_margin": 186,
+    "stress_affine_margin": 138,
+    "stress_erlang_margin": 134,
     "xi_perturbation": 0
 }
 
@@ -218,7 +218,7 @@ def test_golden_stream_digest(name):
     assert digest == DIGESTS[name]
 
 
-#: cases too long to run one candidate per chunk in Tier-1 (constant_phi_long: 15,679 candidates)
+#: cases too long to run one candidate per chunk in Tier-1 (constant_phi_long: 12,073 candidates)
 _LONG = {"constant_phi_long"}
 
 
