@@ -269,7 +269,7 @@ def make_compact_kernel(table: Sequence[float], support: float) -> MemoryKernel:
         signed_tail=tail,
         nonneg=True,
         decay=DecayClass.compact(horizon=support),
-        knots=(tuple(xs.tolist()), tuple(vals.tolist())),
+        knots=(xs, vals),
         label=f"compact(S={support:g})",
     )
 

@@ -499,12 +499,12 @@ def test_source_sup_bounds_the_source_at_dense_offsets(name, kind, rate, ell, co
 def test_table_envelope_bounds_the_kernel_from_each_offset_on(values, support, offsets):
     """The state's bound on one past event is at least h at every later offset and at every later knot."""
     h = model.make_compact_kernel(values, support)
-    xs, vals = h.knots
+    knots = h.knots[0]
     for f in offsets:
         x = f * support
         state = hawkes._GeneralState(h)
         state.advance(0.0)
         state.jump(1.0)
         state.advance(x)
-        later = np.concatenate([x + (support - x) * np.linspace(0.0, 1.0, 2001), [k for k in xs if k >= x]])
+        later = np.concatenate([x + (support - x) * np.linspace(0.0, 1.0, 2001), [k for k in knots if k >= x]])
         assert state.upper_bound() >= float(np.max(h(later))), x
