@@ -341,10 +341,9 @@ class _GeneralState:
         self.events: list = []
         self.weights: list = []
         self.t = 0.0
-        xs, vals = h.knots
-        self.support = xs[-1]
-        self._knots = np.asarray(xs)
-        self._env = running_sup_from_right(np.asarray(vals))
+        self._knots, vals = h.knots
+        self.support = float(self._knots[-1])
+        self._env = running_sup_from_right(vals)
 
     def advance(self, t: float) -> float:
         self.t = max(self.t, t)
