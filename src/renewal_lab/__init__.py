@@ -74,7 +74,6 @@ from .hawkes import (
     clt_experiment,
     coupling_experiment,
     estimator_path,
-    intensity_path,
     path_sup_difference,
     simulate_hawkes,
 )

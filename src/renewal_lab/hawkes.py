@@ -58,9 +58,10 @@ writes its snippets: an Erlang state of order k (order 0 included) keeps its
 components s0..sk in locals with the sums written out, and a table kernel
 calls its own methods.  The state is stepped from the last judged
 candidate to each candidate as it is judged, so a candidate past a reschedule
-costs no step.  The template calls Phi and the source; where their scalar
-evaluators carry a formula (``model._formula``), the compiler writes it in
-place of the call, with the same operations and its constants in locals.  The
+costs no step.  The template calls ``phi.scalar`` and ``xi.scalar``, the one
+scalar evaluator of each; where one carries a formula (``model._formula``),
+the compiler writes it in place of the call, with the same operations and its
+constants in locals, and any other stays a call.  The
 state and the constants are loaded into locals once per chunk and the state is
 written back once, so a candidate of a structured Phi, source and kernel costs
 no call.  The sweep records the chunk indices of the accepted candidates; the
@@ -84,6 +85,7 @@ import functools
 import math
 import multiprocessing
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -411,12 +413,14 @@ def _source_sup(xi: SourceTerm, dt: float, t_end: float) -> np.ndarray:
     On a cell [t_k, t_k + dt], xi is at most xi(t_k) + rise dt (``SourceTerm.rise``),
     or ``sup_bound`` where the maker proves no rise; the bound is the running
     max from the right of the cells.  For a source that never rises it is the
-    running max of the grid values.
+    running max of the grid values.  It is padded by the smallest normal
+    float, which a subnormal xi may round above its value at t_k; a bound of
+    2e-292 or more keeps its bits.
     """
     ts = dt * np.arange(int(math.ceil(t_end / dt)) + 2)
     if not math.isfinite(xi.rise):
         return np.full(ts.size, float(xi.sup_bound))
-    return running_sup_from_right(np.asarray(list(map(xi.scalar, ts.tolist()))) + xi.rise * dt)
+    return running_sup_from_right(np.asarray(list(map(xi.scalar, ts.tolist()))) + xi.rise * dt) + sys.float_info.min
 
 
 def _bound_cap(phi_s: Callable, lam_bar: float, x0: float) -> float:
@@ -610,26 +614,6 @@ def estimator_path(run: HawkesRun, checkpoints: Sequence[float]) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(cps > 0, counts / np.where(cps > 0, cps, 1.0), 0.0)
     return out
-
-
-def intensity_path(run: HawkesRun, phi: FiringFunction, h: MemoryKernel, xi: SourceTerm, ts: Sequence[float]) -> np.ndarray:
-    """The particles' common intensity Phi(xi_N(t) + (1/N) sum_{events e < t} h(t - e)) at each t.
-
-    xi_N is xi with the run's source perturbation.  An event at t itself is
-    left out: the value is the left limit, the intensity a candidate at t meets.
-    It is kept as the tests' independent recomputation of the intensity that
-    ``simulate_hawkes`` thins against, until a compensator check replaces it.
-    """
-    pert = run.metadata["xi_perturbation_applied"]
-    xi_s = (add_exponential_perturbation(xi, pert) if pert != 0.0 else xi).scalar
-    phi_s = phi.scalar
-    events = np.sort(np.concatenate(run.events))
-    n = run.metadata["n_particles"]
-    out = []
-    for t in np.asarray(ts, dtype=float).tolist():
-        past = events[: np.searchsorted(events, t, side="left")]
-        out.append(phi_s(xi_s(t) + float(np.sum(h.evaluator(t - past))) / n))
-    return np.asarray(out)
 
 
 def path_sup_difference(times_a: np.ndarray, times_b: np.ndarray) -> int:

@@ -193,7 +193,7 @@ def build_source(spec: dict, h, phi, solver_cfg: Optional[SolverConfig] = None):
         read_keys.extend(key for key, _, _ in keys)
         return _read(spec, "source", *keys, also=("type", "perturbation"))
 
-    # a maker's ValueError names no key: ell0 = 5e-324 underflows the decay constant of a tail source
+    # a maker's ValueError names no key (a divergence source's a below a*, say): name the keys it read
     try:
         if kind == "empty":
             src = model.make_source_empty(*read())

@@ -94,7 +94,8 @@ class DecayClass:
         """Evaluate the decay envelope itself (inf at t <= 0 for polynomial decay).
 
         The envelope is nonincreasing, so it also bounds the sup tail
-        sup_{s >= t} |z_s|, which ``rates.iteration_bound`` reads.
+        sup_{s >= t} |z_s|.  The package reads a class's kind, rate, constant
+        and horizon; the tests check declared classes against this envelope.
         """
         t = np.asarray(t, dtype=float)
         if self.kind == "exponential":
@@ -367,6 +368,12 @@ def compile_loop(template: str, namespace: dict, formulas: dict, **slots) -> Cal
 # ---------------------------------------------------------------------------
 
 
+def _mapped(scalar: Callable, x) -> np.ndarray:
+    """``scalar`` at every point of x, called on Python floats, in the shape of x."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(scalar, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 @dataclass(frozen=True)
 class FiringFunction:
     """A firing rate function Phi >= 0 with bounds on its first and second derivatives.
@@ -390,8 +397,7 @@ class FiringFunction:
 
     def evaluator(self, x) -> np.ndarray:
         """Phi at every point of x: ``scalar`` mapped over the array, in its shape."""
-        x = np.asarray(x, dtype=float)
-        return np.fromiter(map(self.scalar, x.ravel().tolist()), float, x.size).reshape(x.shape)
+        return _mapped(self.scalar, x)
 
     def derivative(self, x: float, k: int) -> float:
         """Phi^(k)(x), from the formula of ``scalar``; a TypeError for a ``scalar`` without one."""
@@ -623,42 +629,38 @@ def make_divergence_example_phi() -> FiringFunction:
 class SourceTerm:
     """Source term xi (influence of the pre-zero history), with derivative.
 
+    Two evaluators describe the one source.  ``scalar`` is xi on one Python
+    float, which thinning reads at every candidate: the makers of a source
+    with a one-line expression compile it from that expression (``_formula``),
+    which the thinning sweep evaluates in place of a call, and the others read
+    ``grid`` at one point (``_pointwise``) or, for the divergence source, run
+    its quadrature.  ``grid(ts)`` is xi at every point of ts as an array,
+    which the solver reads on its uniform time grid; the divergence source
+    runs a recurrence there, and a locked source holds its grid values.
     ``rise`` bounds how fast xi can grow, sup_t max(xi'(t), 0), as the maker
     proves it from its closed form (0 for a source that never rises), or is
     inf where the maker proves none; thinning bounds xi between grid times by
-    it.  ``grid_evaluator(ts)``, when set, evaluates xi on a uniform time grid
-    more efficiently than pointwise calls; the solver uses it when present.
+    it.
     """
 
-    evaluator: Callable
+    scalar: Callable
+    grid: Callable
     derivative: Callable
     sup_bound: float
     decay: DecayClass
     rise: float
-    label: str = ""
-    grid_evaluator: Optional[Callable] = None
-    scalar_fn: Optional[Callable] = None
+    label: str
 
     def __call__(self, t):
-        return self.evaluator(t)
-
-    @property
-    def scalar(self) -> Callable:
-        """xi on one Python float: ``scalar_fn``, else the vector evaluator on one value.
-
-        The structured makers compile ``scalar_fn`` from one expression
-        (``_formula``), which the thinning sweep evaluates in place of a call.
-        """
-        if self.scalar_fn is not None:
-            return self.scalar_fn
-        ev = self.evaluator
-        return lambda v: float(ev(v))
+        return self.grid(t)
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
-        if self.grid_evaluator is not None:
-            return np.asarray(self.grid_evaluator(ts), dtype=float)
-        out = self.evaluator(ts)
-        return np.asarray(out, dtype=float)
+        return np.asarray(self.grid(ts), dtype=float)
+
+
+def _pointwise(grid: Callable) -> Callable:
+    """xi on one Python float from the array evaluator ``grid``, for a source with no one-line expression."""
+    return lambda t: float(grid(t))
 
 
 def make_source_empty() -> SourceTerm:
@@ -666,13 +668,13 @@ def make_source_empty() -> SourceTerm:
 
     zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     return SourceTerm(
-        evaluator=zero,
+        scalar=_formula("t", "0.0"),
+        grid=zero,
         derivative=zero,
         sup_bound=0.0,
         decay=DecayClass.compact(horizon=0.0),
         rise=0.0,
         label="empty",
-        scalar_fn=_formula("t", "0.0"),
     )
 
 
@@ -714,11 +716,10 @@ def _tail_decay_of_kernel(h: MemoryKernel, scale: float) -> DecayClass:
     d = h.decay
     if scale == 0.0:
         return DecayClass.compact(horizon=0.0)
-    if d.kind == "exponential":
-        return DecayClass.exponential(rate=d.rate, constant=abs(scale) * d.constant)
     if d.kind == "compact":
         return DecayClass.compact(horizon=d.horizon)
-    return DecayClass.polynomial(rate=d.rate, constant=abs(scale) * d.constant)
+    # floored as _combine_decays floors: a subnormal scale would round the constant to 0
+    return DecayClass(d.kind, rate=d.rate, constant=max(abs(scale) * d.constant, 1e-300))
 
 
 def make_source_equilibrium(h: MemoryKernel, ell: float) -> SourceTerm:
@@ -732,14 +733,15 @@ def make_source_equilibrium(h: MemoryKernel, ell: float) -> SourceTerm:
     if ell == 0.0:
         return make_source_empty()
 
-    def evaluator(t):
+    def grid(t):
         return ell * h.signed_tail(t)
 
     def derivative(t):
         return -ell * h.evaluator(t)
 
-    src = SourceTerm(
-        evaluator=evaluator,
+    return SourceTerm(
+        scalar=_tail_scalar(h, ell, grid),
+        grid=grid,
         derivative=derivative,
         sup_bound=abs(ell) * max(h.norm_l1, abs(h.kappa)),
         decay=_tail_decay_of_kernel(h, ell),
@@ -747,7 +749,6 @@ def make_source_equilibrium(h: MemoryKernel, ell: float) -> SourceTerm:
         rise=0.0 if h.nonneg else math.inf,
         label=f"equilibrium(ell={ell:g}) of {h.label}",
     )
-    return _with_exponential_scalar(src, h, ell)
 
 
 def make_source_tail(h: MemoryKernel, ell0: float) -> SourceTerm:
@@ -774,12 +775,13 @@ def _erlang_tail_expr(order: int) -> str:
     return f"c if t <= 0.0 else c * exp(-(at := alpha * t)) * ({terms})"
 
 
-def _with_exponential_scalar(src: SourceTerm, h: MemoryKernel, scale: float) -> SourceTerm:
-    """Attach the formula of the tail for Erlang-structured kernels (the thinning sweep inlines it)."""
+def _tail_scalar(h: MemoryKernel, scale: float, grid: Callable) -> Callable:
+    """The scalar of t -> scale int_t^inf h: the formula of the tail for an Erlang-structured kernel (the thinning
+    sweep inlines it), else ``grid`` at one point."""
     s = h.structure
     if s is None:
-        return src
-    return replace(src, scalar_fn=_formula("t", _erlang_tail_expr(s.order), c=scale * s.scale, alpha=s.alpha))
+        return _pointwise(grid)
+    return _formula("t", _erlang_tail_expr(s.order), c=scale * s.scale, alpha=s.alpha)
 
 
 def make_source_chi_perturbed(
@@ -808,7 +810,7 @@ def make_source_chi_perturbed(
     level = phi.scalar(h.norm_l1 * ell0)
     coeff = ell0 - level
 
-    def evaluator(t):
+    def grid(t):
         return level * h.signed_tail(t) + coeff * np.asarray(chi(t), dtype=float)
 
     def derivative(t):
@@ -817,12 +819,13 @@ def make_source_chi_perturbed(
     tail_decay = _tail_decay_of_kernel(h, level)
     chi_scaled = chi_decay
     if chi_decay.kind in ("exponential", "polynomial") and coeff != 0.0:
-        chi_scaled = DecayClass(chi_decay.kind, rate=chi_decay.rate, constant=abs(coeff) * chi_decay.constant)
+        chi_scaled = DecayClass(chi_decay.kind, rate=chi_decay.rate, constant=max(abs(coeff) * chi_decay.constant, 1e-300))
     decay = _combine_decays([(tail_decay, abs(level) * h.norm_l1), (chi_scaled, abs(coeff) * chi0)])
 
     sup_bound = abs(level) * h.norm_l1 + abs(coeff) * chi0
     return SourceTerm(
-        evaluator=evaluator,
+        scalar=_pointwise(grid),
+        grid=grid,
         derivative=derivative,
         sup_bound=sup_bound,
         decay=decay,
@@ -847,27 +850,26 @@ def make_source_erlang_polynomial(n: int, alpha: float, c: Sequence[float]) -> S
     ks = np.arange(n + 1)
     poly = c * alpha**ks / np.array([math.factorial(k) for k in ks])
 
-    def evaluator(t):
+    def grid(t):
         t = np.asarray(t, dtype=float)
         return np.polynomial.polynomial.polyval(t, poly) * np.exp(-alpha * t)
 
-    dpoly = poly[1:] * np.arange(1, n + 1) if n >= 1 else np.zeros(1)
+    # xi' = Q(t) e^{-alpha t} with Q = P' - alpha P, and t^j e^{-alpha t} <= (j / (alpha e))^j; Q is evaluated
+    # from its own coefficients, so a Q with no positive one gives no positive xi' at t >= 0
+    q = np.append(poly[1:] * np.arange(1, n + 1), 0.0) - alpha * poly
+    rise = sum(max(qj, 0.0) * (j / (alpha * math.e)) ** j for j, qj in enumerate(q.tolist()))
 
     def derivative(t):
         t = np.asarray(t, dtype=float)
-        return (np.polynomial.polynomial.polyval(t, dpoly) - alpha * np.polynomial.polynomial.polyval(t, poly)) * np.exp(
-            -alpha * t
-        )
+        return np.polynomial.polynomial.polyval(t, q) * np.exp(-alpha * t)
 
     ts = np.linspace(0.0, (4.0 * n + 40.0) / alpha, 4001)
-    vals = np.abs(evaluator(ts))
+    vals = np.abs(grid(ts))
     sup_bound = float(np.max(vals)) * (1.0 + 1e-12)
     a_const = float(np.max(vals * np.exp(0.5 * alpha * ts))) * (1.0 + 1e-9)
-    # xi' = Q(t) e^{-alpha t} with Q = P' - alpha P, and t^j e^{-alpha t} <= (j / (alpha e))^j
-    q = np.append(dpoly, 0.0)[: n + 1] - alpha * poly
-    rise = sum(max(qj, 0.0) * (j / (alpha * math.e)) ** j for j, qj in enumerate(q.tolist()))
     return SourceTerm(
-        evaluator=evaluator,
+        scalar=_pointwise(grid),
+        grid=grid,
         derivative=derivative,
         sup_bound=sup_bound,
         decay=DecayClass.exponential(rate=0.5 * alpha, constant=max(a_const, 1e-300)),
@@ -881,17 +883,14 @@ def add_exponential_perturbation(xi: SourceTerm, amplitude: float, rate: float =
     if rate <= 0:
         raise ValueError("rate must be > 0")
 
-    def evaluator(t):
-        t = np.asarray(t, dtype=float)
-        return xi.evaluator(t) + amplitude * np.exp(-rate * t)
+    def grid(ts):
+        # through the grid of xi: a locked source keeps its grid values
+        ts = np.asarray(ts, dtype=float)
+        return xi.on_grid(ts) + amplitude * np.exp(-rate * ts)
 
     def derivative(t):
         t = np.asarray(t, dtype=float)
         return xi.derivative(t) - rate * amplitude * np.exp(-rate * t)
-
-    def grid_evaluator(ts):
-        # through the grid path of xi: a locked source keeps its grid values
-        return xi.on_grid(ts) + amplitude * np.exp(-rate * ts)
 
     bump = DecayClass.exponential(rate=rate, constant=max(abs(amplitude), 1e-300))
     decay = _combine_decays([(xi.decay, xi.sup_bound), (bump, abs(amplitude))])
@@ -901,14 +900,13 @@ def add_exponential_perturbation(xi: SourceTerm, amplitude: float, rate: float =
     inner = ast.unparse(_Inliner({"inner": key}).visit(ast.parse("inner(t)", mode="eval").body))
     consts = {"inner": xs} if key is None else {f"inner_{k}": v for k, v in xs.consts.items()}
     return SourceTerm(
-        evaluator=evaluator,
+        scalar=_formula("t", f"({inner}) + amp * exp(-rate * t)", **consts, amp=amplitude, rate=rate),
+        grid=grid,
         derivative=derivative,
         sup_bound=xi.sup_bound + abs(amplitude),
         decay=decay,
         rise=xi.rise + rate * max(-amplitude, 0.0),
         label=f"{xi.label} + {amplitude:g}*exp(-{rate:g}t)",
-        grid_evaluator=grid_evaluator,
-        scalar_fn=_formula("t", f"({inner}) + amp * exp(-rate * t)", **consts, amp=amplitude, rate=rate),
     )
 
 
@@ -958,40 +956,33 @@ def make_source_divergence_example(a: float) -> SourceTerm:
     """The source driving the unbounded solution: xi_0 = Psi(a), xi' = -xi + a/sqrt(1+t).
 
     Requires a >= a*, the smallest point after which Psi is increasing.  The
-    pointwise evaluator uses adaptive Simpson quadrature on the convolution
-    integral; the grid evaluator integrates the defining first-order equation
-    with an exact integrating factor.
+    scalar runs adaptive Simpson quadrature on the convolution integral; the
+    grid takes its first point from the scalar and steps the defining
+    first-order equation with an exact integrating factor, so it is for a
+    uniform grid.
     """
     a_star = divergence_a_star()
     if a < a_star:
         raise ValueError(f"a = {a} below the admissible threshold a* = {a_star:.6f}")
     xi0 = divergence_psi(a)
 
-    def evaluator(t):
-        def one(tv):
-            if tv <= 0:
-                return xi0
-            lo = max(0.0, tv - 45.0)  # exp(-(t-s)) truncation below 3e-20
-            integral = adaptive_simpson(lambda s: math.exp(-(tv - s)) / math.sqrt(1.0 + s), lo, tv, tol=1e-10)
-            return math.exp(-tv) * xi0 + a * integral
-
-        t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim == 0:
-            return np.float64(one(float(t_arr)))
-        return np.array([one(float(v)) for v in t_arr])
+    def scalar(t):
+        if t <= 0:
+            return xi0
+        lo = max(0.0, t - 45.0)  # exp(-(t-s)) truncation below 3e-20
+        integral = adaptive_simpson(lambda s: math.exp(-(t - s)) / math.sqrt(1.0 + s), lo, t, tol=1e-10)
+        return math.exp(-t) * xi0 + a * integral
 
     def derivative(t):
-        t_arr = np.asarray(t, dtype=float)
-        return a / np.sqrt(1.0 + t_arr) - evaluator(t)
+        t = np.asarray(t, dtype=float)
+        return a / np.sqrt(1.0 + t) - _mapped(scalar, t)
 
-    def grid_evaluator(ts):
+    def grid(ts):
         ts = np.asarray(ts, dtype=float)
-        if ts.size == 0:
-            return ts
+        if ts.size <= 1:
+            return _mapped(scalar, ts)
         out = np.empty_like(ts)
-        out[0] = math.exp(-ts[0]) * xi0 + (a * adaptive_simpson(lambda s: math.exp(-(ts[0] - s)) / math.sqrt(1.0 + s), 0, ts[0]) if ts[0] > 0 else 0.0)
-        if ts.size == 1:
-            return out
+        out[0] = scalar(float(ts[0]))
         dt = ts[1] - ts[0]
         q = math.exp(-dt)
         # per-cell integrals of exp(-(t_{n+1}-s))/sqrt(1+s) by Simpson on 2 panels
@@ -1013,19 +1004,19 @@ def make_source_divergence_example(a: float) -> SourceTerm:
         return out
 
     ts = np.linspace(0.0, 400.0, 40001)
-    vals = grid_evaluator(ts)
+    vals = grid(ts)
     sup_bound = float(np.max(np.abs(vals)))
     # quasi-static asymptotics: xi_t ~ a / sqrt(t)
     a_const = float(np.max(np.abs(vals[1:]) * np.sqrt(ts[1:]))) * (1.0 + 1e-6)
     return SourceTerm(
-        evaluator=evaluator,
+        scalar=scalar,
+        grid=grid,
         derivative=derivative,
         sup_bound=sup_bound,
         decay=DecayClass.polynomial(rate=0.5, constant=a_const),
         # xi' = a / sqrt(1 + t) - xi with xi > 0
         rise=a,
         label=f"divergence-example(a={a:g})",
-        grid_evaluator=grid_evaluator,
     )
 
 

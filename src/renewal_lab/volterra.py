@@ -640,17 +640,13 @@ def equilibrium_locked_source(phi: FiringFunction, h: MemoryKernel, ell: float, 
 
     analytic = make_source_equilibrium(h, ell)
 
-    def grid_evaluator(req_ts):
+    def grid(req_ts):
         req_ts = np.asarray(req_ts, dtype=float)
         if req_ts.shape == ts.shape and np.array_equal(req_ts, ts):
             return xi_vals.copy()
         return analytic.on_grid(req_ts)
 
-    return replace(
-        analytic,
-        grid_evaluator=grid_evaluator,
-        label=f"locked-{analytic.label}",
-    )
+    return replace(analytic, grid=grid, label=f"locked-{analytic.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +752,7 @@ class RhoReport:
 
 def compute_rho(h: MemoryKernel, xi: SourceTerm, phi: FiringFunction, grid) -> RhoReport:
     grid = np.asarray(grid, dtype=float)
-    phi0 = phi.scalar(float(xi.evaluator(0.0)))
+    phi0 = phi.scalar(xi.scalar(0.0))
     values = np.asarray(xi.derivative(grid), dtype=float) + np.asarray(h.evaluator(grid), dtype=float) * phi0
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
     tol = 1e-12 * scale

@@ -11,11 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "renewal_lab"
 INIT = PACKAGE / "__init__.py"
 #: exported with no caller outside the tests, in export order
-EXEMPT = [
-    # the tests' independent recomputation of the intensity that thinning judges against,
-    # kept until a compensator check replaces it
-    "intensity_path",
-]
+EXEMPT = []
 #: "function.parameter" defaults no call outside the tests passes, with the reason each is kept
 EXEMPT_DEFAULTS = {
     # test_tangency_warning needs a bracket with the tangency at 1 on a grid point, which the default bracket misses

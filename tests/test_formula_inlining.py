@@ -2,8 +2,8 @@
 
 ``simulate_hawkes`` and ``solve_nre`` run loops generated per convolution state
 or history shape.  Where Phi or the source carries a formula, the loop may
-evaluate it in place; a plain function is called.  Wrapping ``scalar`` /
-``scalar_fn`` in a lambda hides any formula, so the wrapped run is the call
+evaluate it in place; a plain function is called.  Wrapping either ``scalar``
+in a lambda hides any formula, so the wrapped run is the call
 form of the same equation, and every output bit must be equal.
 """
 
@@ -24,7 +24,7 @@ from renewal_lab.volterra import (LEFT_RECTANGLE, TRAPEZOID, NonConvergenceError
 def _called(phi, xi):
     """phi and xi with their scalar evaluators behind a plain lambda: the loops must call them."""
     f, g = phi.scalar, xi.scalar
-    return replace(phi, scalar=lambda x: f(x)), replace(xi, scalar_fn=lambda t: g(t))
+    return replace(phi, scalar=lambda x: f(x)), replace(xi, scalar=lambda t: g(t))
 
 
 def _run(phi, h, xi, cfg):
@@ -124,7 +124,7 @@ def test_a_replaced_phi_reaches_both_loops():
 
 
 def test_a_replaced_source_reaches_the_sweep():
-    """``replace(xi, scalar_fn=...)`` changes the thinning; the march reads the source on its grid, not the scalar."""
+    """``replace(xi, scalar=...)`` changes the thinning; the march reads the source on its grid, not the scalar."""
     h = model.make_erlang_kernel(2, 3.0)
     phi = model.make_affine_phi(1.0)
     xi = model.make_source_equilibrium(h, 1.0)
@@ -132,8 +132,8 @@ def test_a_replaced_source_reaches_the_sweep():
     scfg = SolverConfig(t_end=3.0, dt=1e-2)
     base_run, base_traj = _run(phi, h, xi, cfg), _solve(phi, h, xi, scfg)
     g = xi.scalar
-    for scalar_fn in (lambda t: g(t) + 1.0, model.make_source_equilibrium(h, 2.0).scalar_fn):
-        new = replace(xi, scalar_fn=scalar_fn)
+    for scalar in (lambda t: g(t) + 1.0, model.make_source_equilibrium(h, 2.0).scalar):
+        new = replace(xi, scalar=scalar)
         run = _run(phi, h, new, cfg)
         assert run[0] != base_run[0]
         assert run == _run(phi, h, _called(phi, new)[1], cfg)

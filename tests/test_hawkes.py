@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renewal_lab import hawkes, model
@@ -19,13 +19,13 @@ from renewal_lab.hawkes import (
     clt_experiment,
     coupling_experiment,
     estimator_path,
-    intensity_path,
     path_sup_difference,
     run_replicas,
     simulate_hawkes,
 )
 from renewal_lab.special import kolmogorov_critical, ks_statistic
 from renewal_lab.volterra import SolverConfig, solve_nre
+from test_hawkes_reference import intensity_path
 
 
 @pytest.fixture(scope="module")
@@ -471,6 +471,13 @@ _SOURCE_MAKERS = {
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=25, deadline=None)
+# subnormal levels: at 5e-324 the decay constants of the scaled exponential kernel's tail and of chi_poly's chi
+# underflowed to 0, and the Erlang(1, 5) source rounded above its grid-time value (xi(5.7505) = 2.161e-320 over a
+# bound of 2.1605e-320); the Erlang-polynomial source with c = (1, 1, 1) and alpha = 2.25 had xi'(1e-9) = 4.4e-16
+# over a rise of 0
+@example(kind=3, rate=1.0, ell=5e-324, coeffs=[0.0], seed=0)
+@example(kind=1, rate=5.0, ell=2.225073858507203e-309, coeffs=[0.0], seed=0)
+@example(kind=0, rate=1.0, ell=1.25, coeffs=[1.0, 1.0, 1.0], seed=0)
 def test_source_sup_bounds_the_source_at_dense_offsets(name, kind, rate, ell, coeffs, seed):
     """The source's grid bound is at least xi between grid times, and xi' never exceeds its rise.
 

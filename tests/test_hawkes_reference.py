@@ -1,18 +1,42 @@
-"""The pathwise distance of the coupling against its first implementation.
+"""References for the Hawkes simulator, written apart from it.
 
 ``_ref_path_sup_difference`` is ``hawkes.path_sup_difference`` as first
 written: merge both sides with signed unit jumps, sort stably, sum the jumps
 that share a time, and take the largest absolute partial sum.  The package's
 version must give the same integer on every input, sorted or not, with ties
 across the two sides, duplicate times within one side and empty sides.
+
+``intensity_path`` recomputes, from a run's events, the intensity that
+``simulate_hawkes`` thins against; ``tests/test_hawkes.py`` checks runs with it.
 """
+
+from typing import Sequence
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renewal_lab import model
-from renewal_lab.hawkes import HawkesConfig, path_sup_difference, simulate_hawkes
+from renewal_lab.hawkes import HawkesConfig, HawkesRun, path_sup_difference, simulate_hawkes
+
+
+def intensity_path(run: HawkesRun, phi: model.FiringFunction, h: model.MemoryKernel, xi: model.SourceTerm,
+                   ts: Sequence[float]) -> np.ndarray:
+    """The particles' common intensity Phi(xi_N(t) + (1/N) sum_{events e < t} h(t - e)) at each t.
+
+    xi_N is xi with the run's source perturbation.  An event at t itself is
+    left out: the value is the left limit, the intensity a candidate at t meets.
+    """
+    pert = run.metadata["xi_perturbation_applied"]
+    xi_s = (model.add_exponential_perturbation(xi, pert) if pert != 0.0 else xi).scalar
+    phi_s = phi.scalar
+    events = np.sort(np.concatenate(run.events))
+    n = run.metadata["n_particles"]
+    out = []
+    for t in np.asarray(ts, dtype=float).tolist():
+        past = events[: np.searchsorted(events, t, side="left")]
+        out.append(phi_s(xi_s(t) + float(np.sum(h.evaluator(t - past))) / n))
+    return np.asarray(out)
 
 
 def _ref_path_sup_difference(times_a: np.ndarray, times_b: np.ndarray) -> int:

@@ -309,10 +309,10 @@ def test_zero_iteration_cap_exits_one_naming_the_key(tmp_path, capsys, key):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("source,key", [({"type": "tail", "ell0": 5e-324}, "source.ell0"),
+@pytest.mark.parametrize("source,key", [({"type": "divergence_example", "a": 0.1}, "source.a"),
                                         ({"type": "equilibrium", "ell": -1.0}, "source.ell")])
 def test_source_maker_error_exits_one_naming_the_key(tmp_path, capsys, source, key):
-    # ell0 = 5e-324 times the kernel's decay rate underflows the tail's decay constant to 0
+    # a = 0.1 is below the divergence source's threshold a*; ell = -1 is below 0
     doc = {"kernel": {"type": "exponential", "c": 0.5, "alpha": 1.0}, "phi": {"type": "affine"},
            "source": source, "solver": {"t_end": 1.0}}
     cfg = tmp_path / "source.json"

@@ -180,12 +180,16 @@ def test_logistic_scalar_is_base_far_below_the_center(make):
         assert phi.scalar(x) == float(phi(x)) == 0.5
 
 
-def test_scalar_falls_back_to_the_vector_evaluator(bistable):
-    _, h, _ = bistable
-    tail = model.make_source_tail(h, 0.4)
-    bare = replace(tail, scalar_fn=None)
-    assert bare.scalar(0.3) == float(tail(0.3))
-    assert model.add_exponential_perturbation(bare, 0.02).scalar_fn(0.3) == float(tail(0.3)) + 0.02 * math.exp(-0.3)
+def test_perturbation_of_a_formula_less_source_calls_its_scalar():
+    """A compact kernel's tail has no formula: its scalar reads its grid at one point, and a perturbation's
+    scalar calls it."""
+    tail = model.make_source_tail(model.make_compact_kernel([0.0, 0.9, 0.2, 0.5], 2.0), 0.4)
+    assert model.formula_key(tail.scalar) is None
+    assert tail.scalar(0.3) == float(tail.grid(0.3))
+    seen = []
+    spy = replace(tail, scalar=lambda t: seen.append(t) or tail.scalar(t))
+    assert model.add_exponential_perturbation(spy, 0.02).scalar(0.3) == tail.scalar(0.3) + 0.02 * math.exp(-0.3)
+    assert seen == [0.3]
 
 
 def test_affine_phi():
@@ -376,7 +380,7 @@ def test_equilibrium_scalar_source_matches_partial_sum_bit_for_bit(n):
                         ref = lambda t: slow(t) + amp * math.exp(-rate * t)
                     else:
                         ref = slow
-                    fast = xi.scalar_fn
+                    fast = xi.scalar
                     for t in ts:
                         assert fast(t).hex() == ref(t).hex(), (h.label, make.__name__, ell, amp, t)
 
@@ -480,6 +484,40 @@ def test_combined_decay_classes_are_envelopes(bistable, make):
     assert np.all(np.abs(np.asarray(xi(ts))) <= xi.decay.envelope(ts) * (1.0 + 1e-9))
 
 
+def _sources():
+    """One source from each maker of ``model``, by name: name -> make()."""
+    h2 = model.make_erlang_kernel(2, 3.0)
+    compact = model.make_compact_kernel([0.0, 0.9, 0.2, 0.5], 2.0)
+    chi = lambda t: h2.norm_l1 / (1.0 + np.asarray(t, dtype=float)) ** 2
+    chi_p = lambda t: -2.0 * h2.norm_l1 / (1.0 + np.asarray(t, dtype=float)) ** 3
+    return {
+        "empty": model.make_source_empty,
+        "equilibrium_erlang": lambda: model.make_source_equilibrium(h2, 1.4),
+        "equilibrium_exponential": lambda: model.make_source_equilibrium(model.make_scaled_exponential_kernel(0.7, 2.0), 0.9),
+        "tail_compact": lambda: model.make_source_tail(compact, 0.4),
+        "chi_perturbed": lambda: model.make_source_chi_perturbed(
+            h2, model.make_sigmoid_phi(0.5, 1.0, 8.0, 1.0), 0.7, chi, chi_p, DecayClass.polynomial(2.0, h2.norm_l1)),
+        "erlang_poly": lambda: model.make_source_erlang_polynomial(2, 1.5, [0.3, -1.0, 2.0]),
+        "perturbed_erlang": lambda: model.add_exponential_perturbation(model.make_source_equilibrium(h2, 1.4), 0.3, 2.5),
+        "perturbed_compact": lambda: model.add_exponential_perturbation(model.make_source_tail(compact, 0.4), 0.02),
+        "divergence": lambda: model.make_source_divergence_example(2.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_sources()))
+def test_scalar_and_grid_describe_one_source(name):
+    """``scalar`` at each point of a uniform grid is ``on_grid`` there, to a relative 1e-12.
+
+    The divergence source's grid steps a recurrence and its scalar runs a
+    quadrature, so they agree to 1e-9.  A locked equilibrium source
+    (``volterra``) is left out: its grid holds the solver's own equilibrium.
+    """
+    xi = _sources()[name]()
+    ts = np.linspace(0.0, 30.0, 3001)
+    scalar = np.array([xi.scalar(t) for t in ts.tolist()])
+    np.testing.assert_allclose(scalar, xi.on_grid(ts), rtol=1e-9 if name == "divergence" else 1e-12, atol=0.0)
+
+
 def test_divergence_source():
     a_star = model.divergence_a_star()
     assert 0.0 < a_star < 2.0
@@ -488,15 +526,12 @@ def test_divergence_source():
     psi2 = math.log(math.exp(-4.0) / 2.0 * (0.25 + 1.0) + 1.0) + 4.0
     assert float(xi(0.0)) == pytest.approx(psi2, abs=1e-12)
     assert psi2 == pytest.approx(4.011382250024294, abs=1e-12)
-    # the defining identity xi + xi' = a / sqrt(1 + t)
+    # the defining identity xi + xi' = a / sqrt(1 + t), at the quadrature of the scalar
     ts = np.linspace(0.0, 60.0, 61)
-    resid = np.asarray(xi(ts)) + np.asarray(xi.derivative(ts)) - 2.0 / np.sqrt(1.0 + ts)
+    resid = np.array([xi.scalar(t) for t in ts.tolist()]) + np.asarray(xi.derivative(ts)) - 2.0 / np.sqrt(1.0 + ts)
     assert np.max(np.abs(resid)) < 1e-9
-    # grid evaluator agrees with the pointwise quadrature evaluator
-    grid = np.linspace(0.0, 30.0, 3001)
-    assert np.max(np.abs(xi.on_grid(grid) - np.asarray(xi(grid)))) < 1e-9
     # vanishes at infinity
-    assert float(xi(2000.0)) < 0.1
+    assert xi.scalar(2000.0) < 0.1
     with pytest.raises(ValueError):
         model.make_source_divergence_example(0.5 * a_star)
 

@@ -221,7 +221,7 @@ def test_partial_sum_lemma_bounds():
 
 
 def test_decay_envelope_is_a_nonincreasing_sup_tail():
-    """``DecayClass.envelope`` is the sup tail v_t = sup_{s >= t} |xi_s| the iteration bound reads."""
+    """``DecayClass.envelope`` is nonincreasing, so it bounds the sup tail v_t = sup_{s >= t} |xi_s| too."""
     ts = np.array([0.0, 1e-3, 0.5, 1.0, 2.0, 40.0])
     for decay in (DecayClass.exponential(0.7, 2.0), DecayClass.polynomial(1.5, 2.0), DecayClass.compact(1.0)):
         v = decay.envelope(ts)
