@@ -9,7 +9,7 @@ particle process Z and its limit process Zbar judge the *same* candidates
 with the same uniforms (the shared-randomness coupling that bounds their
 pathwise distance by C t / sqrt(N)).
 
-Stream contract, version 3 (``tests/test_hawkes_golden.py`` locks it):
+Stream contract, version 4 (``tests/test_hawkes_golden.py`` locks it):
 
 * Key.  A replica draws from three Philox generators keyed by
   (seed mod 2^64, (replica mod 2^32) << 32 | stream): stream 0 gives standard
@@ -29,8 +29,9 @@ Stream contract, version 3 (``tests/test_hawkes_golden.py`` locks it):
   S bounds the source from the current 0.01-grid time on (``_source_sup``:
   xi at each grid time plus ``SourceTerm.rise`` times the step, or
   ``sup_bound`` for a source that proves no rise), and U is the state's upper
-  bound on Y from now on (an Erlang state's peaks; for a table kernel each
-  event weighed by the running max of the knot values from its offset on).
+  bound on Y from now on: for an Erlang state the smaller of its peak sum and
+  its largest component (``_ErlangState``), for a table kernel each event
+  weighed by the running max of the knot values from its offset on.
 * Reschedules.  The dominator is rebuilt at a candidate when an acceptance
   raises the bound past it, when a candidate breaches it, or when a refresh
   check finds it more than twice too large.  A refresh check is due at the
@@ -70,8 +71,10 @@ at the end.  A breach (an intensity above the dominator) is tested only on
 acceptance, because only an accepted candidate can breach: u < 1 makes
 u lam_bar <= lam_bar, which is below the breach level lam_bar (1 + 1e-12).
 After an acceptance the bound is rebuilt only when the source's running sup
-plus the state's upper bound exceeds the cap of ``_bound_cap``, a point where
-Phi is at most lam_bar.  Below the cap the skipped check could not reschedule:
+plus the state's cheap bound (an Erlang state's peak sum) exceeds the cap of
+``_bound_cap``, a point where Phi is at most lam_bar; only then, at a breach
+and at a refresh check is the tighter U taken, which is never above the cheap
+bound.  Below the cap the skipped check could not reschedule:
 Phi is nondecreasing, the source's running sup only falls with time,
 floating-point addition is monotone, and the limit intensity's running sup,
 the other term of the bound, never exceeds lam_bar once lam_bar is built from
@@ -84,6 +87,7 @@ import concurrent.futures
 import functools
 import math
 import multiprocessing
+import operator
 import os
 import sys
 import warnings
@@ -203,7 +207,10 @@ class _Draws:
 #: ``advance`` moves the locals from the time t of the last judged candidate to
 #: the candidate at s (and sets t = s), ``value`` is Y there,
 #: ``jump`` adds an event of the given weight, ``bound`` is the state's upper
-#: bound on Y from now on, and ``store`` writes the locals back.  The calls
+#: bound on Y from now on, cheap enough to take at every acceptance, ``tight``
+#: is a bound at most ``ub = bound``, taken only where the bound decides
+#: something (past the cap, at a breach, at a refresh check), and ``store``
+#: writes the locals back.  The calls
 #: ``xi_s(s)`` and ``phi_s(x)`` are the source at the candidate time s and Phi
 #: at x = xi + Y: ``compile_loop`` writes in the formula of each, its constants
 #: loaded once per chunk, and calls a function without one.  ``exp`` serves the
@@ -230,18 +237,19 @@ def sweep(state, c_list, c_thrs, t, weight, phi_s, xi_s, lam_bar, lam_over, cap,
             # a breach is accepted: lam_z > lam_over >= lam_bar >= u lam_bar = thr (u < 1)
             if lam_z > lam_over:
                 breaches += 1
-                new_bar = margin * max(raw_bound(s, ub), lam_z, 1e-12)
+                new_bar = margin * max(raw_bound(s, {tight}), lam_z, 1e-12)
                 break
-            # below the cap the bound cannot pass lam_bar (see _bound_cap)
+            # below the cap the bound cannot pass lam_bar (see _bound_cap), nor can its tight form
             if xs_chunk + ub > cap:
-                rb = raw_bound(s, ub)
+                rb = raw_bound(s, {tight})
                 if rb > lam_bar:
                     new_bar = margin * max(rb, lam_z, 1e-12)
                     break
         if s >= next_check:
             # candidates come at the total rate N lam_bar = lam_bar / weight
             next_check = s + max(_REFRESH, _REFRESH_CANDIDATES * weight / lam_bar)
-            rb = raw_bound(s, {bound})
+            ub = {bound}
+            rb = raw_bound(s, {tight})
             if margin * rb < 0.5 * lam_bar:
                 new_bar = margin * max(rb, 1e-12)
                 break
@@ -274,10 +282,19 @@ class _ErlangState:
     k e^{-a} (s_k + s_{k-1} p_1 + ... + s_0 p_k), summed left to right: for
     order 2, ``dec * (s2 + s1 * p1 + s0 * p2)`` on top, and Y = s_order.
     e^{-a} is ``math.exp`` (``np.exp`` may round differently).  An event adds
-    h0 * weight to s0, h0 = scale * alpha.  The upper bound is
+    h0 * weight to s0, h0 = scale * alpha.  The cheap upper bound, taken at
+    every acceptance, is the peak sum
     peak_0 s_0 + ... + peak_{order-1} s_{order-1} + s_order with
     peak_i = sup_x x^m e^{-x} / m! (m = order - i), the most component i can
     still pass to the top, summed left to right; at order 0 it is Y itself.
+    Where the bound decides something (past the cap, at a breach, at a
+    refresh check) it is min(peak sum, max(s_0, ..., s_order)), which
+    ``upper_bound`` also returns: for nonnegative components
+    s_order(t + u) = e^{-x} sum_j s_{order-j} x^j / j! <= max_k s_k with
+    x = alpha u.  The peak sum alone reads a state of equal components as
+    1.64 times its sup at order 2, and a refresh check rebuilds only a
+    dominator more than twice too large.  At order 0 both forms are s_0, and
+    the sweep takes no extra step.
     The order of every sum is part of the stream contract: the intensity
     decides acceptances, and the bound sets lam_bar and with it every
     candidate time.  Written out, a candidate runs no Python loop;
@@ -296,13 +313,18 @@ class _ErlangState:
         self.shape = (order,)
 
     @staticmethod
+    @staticmethod
+    def _peaks(order: int) -> list:
+        return [m**m * math.exp(-m) / math.factorial(m) for m in range(order, 0, -1)]
+
+    @staticmethod
     def snippets(order: int) -> dict:
         comps = ", ".join(f"s{k}" for k in range(order + 1))
         new = ", ".join(
             "dec * (" + " + ".join([f"s{k}"] + [f"s{k - m} * p{m}" for m in range(1, k + 1)]) + ")"
             for k in range(order + 1)
         )
-        peaks = [m**m * math.exp(-m) / math.factorial(m) for m in range(order, 0, -1)]
+        peaks = _ErlangState._peaks(order)
         powers = [f"p{j} = " + ("a" if j == 1 else f"p{j - 1} * (a / {j})") for j in range(1, order + 1)]
         return {
             "load": [f"{comps}, = state.s", "alpha, jump_by = state.alpha, state.h0 * weight"],
@@ -310,8 +332,14 @@ class _ErlangState:
             "value": f"s{order}",
             "jump": "s0 += jump_by",
             "bound": " + ".join([f"{peak!r} * s{i}" for i, peak in enumerate(peaks)] + [f"s{order}"]),
+            "tight": f"min(ub, max({comps}))" if order else "ub",
             "store": f"state.s = [{comps}]",
         }
+
+    def upper_bound(self) -> float:
+        """The sweep's ``tight`` bound on Y from now on, with its bits."""
+        *low, top = self.s
+        return min(functools.reduce(operator.add, [*map(operator.mul, self._peaks(len(low)), low), top]), max(self.s))
 
 
 class _GeneralState:
@@ -335,6 +363,7 @@ class _GeneralState:
             "value": "y",
             "jump": "jump(weight)",
             "bound": "upper_bound()",
+            "tight": "ub",
             "store": "pass",
         }
 
@@ -493,6 +522,8 @@ def simulate_hawkes(
         sign = 1.0 if _philox(cfg.seed, replica, _REPLICA_STREAM).random() < 0.5 else -1.0
         pert_amp = sign * cfg.xi_perturbation / math.sqrt(n)
     xi_n = add_exponential_perturbation(xi, pert_amp) if pert_amp != 0.0 else xi
+
+    state = _make_state(h)
     xi_scalar = xi_n.scalar
 
     # the source's sup from each grid time onward (dominator input)
@@ -511,7 +542,6 @@ def simulate_hawkes(
 
     phi_s = phi.scalar
 
-    state = _make_state(h)
     sweep = _sweep(type(state), state.shape, formula_key(phi_s), formula_key(xi_scalar))
     draws = _Draws(cfg.seed, replica, n)
     track = cfg.track_coupled
@@ -534,7 +564,7 @@ def simulate_hawkes(
         rb = phi_s(xi_sup[min(int(t / sup_dt), xi_last)] + ub)
         return max(rb, lim_sup[min(int(t / lim_dt), lim_last)] if track else 0.0)
 
-    lam_bar = margin * max(raw_bound(0.0, 0.0), 1e-12)  # the state starts empty
+    lam_bar = margin * max(raw_bound(0.0, state.upper_bound()), 1e-12)
     cap = _bound_cap(phi_s, lam_bar, xi_sup[0])
     lam_over = lam_bar * (1.0 + 1e-12)
     t_cand = 0.0  # the last judged candidate, where the state was last advanced to

@@ -162,14 +162,14 @@ DIGESTS = {
     "constant_phi_long": "ab44921ff1cdd511fc1e1c46c69208576a3af6671bb25be9d0a71f2fdb469185",
     "couple_affine": "53062485d86c0780be463e6633b971f191f20691bde5b0c05645b8d2a53b47b1",
     "couple_affine_margin": "70072795558a941b8e8e1408820f1fc4442bac73b005098549104f8ba8c84059",
-    "couple_erlang": "21da1023f802b0eab5aec484e654b6e64d9d9a64427c931b550a8f70250adac0",
+    "couple_erlang": "2153192811583586471b5cb0e20e072d6a66570e0e1c859bc0ecede35bcb663a",
     "couple_erlang3": "5689821b605243325b92f7c8a3ba80e220fad716abbf190c7e14a0e11a47c125",
-    "couple_erlang4_margin": "8e8df49957984586f5c439b9e618896b0b4dbf7b891d84d971f105831ab0da27",
-    "erlang1_margin": "e49e7131aa5f8d7e6a39f521c83b6350eae03094a2a64a1e59cbe377858fe6f3",
-    "erlang_bistable": "67692d456cb12e699136c2b13c1ee15477ed47659d5f2e2fede069e6fb1fa0a6",
+    "couple_erlang4_margin": "068a9fd0f8328f8bfc364229000e545932ee6e100eb73513944464cce5df806e",
+    "erlang1_margin": "204b3bffabc7eb0211fb8aa7b4d9d0b9a3abda5b2692959b5052d8d11aa93d35",
+    "erlang_bistable": "006e4c890b4e45325ff89f3947e61d43404b10313814bce6e36ac47cf8fd935a",
     "sigmoid_exp_margin": "31c715bfdea8e3e27a0e98b0eb09122f1afef064a2f5bac2c5cd3aac479fbefe",
     "stress_affine_margin": "f8e961a606f83e51d35b18caed627f18bf41b16004ad2a6ae5fafb89204a16f4",
-    "stress_erlang_margin": "88f2c92363abdf9a499f25fe614fac54bbc912f9b263ec5562871fea1589813f",
+    "stress_erlang_margin": "337689abf79f6031c07721db61441219d57ab4b94cd2012bfcdae47d6d759053",
     "xi_perturbation": "fdd4ebfe706d40aec2332105bcf0969de3f721a05c737a493c899c4641e64fe2"
 }
 RESCHEDULES = {
@@ -179,14 +179,14 @@ RESCHEDULES = {
     "constant_phi_long": 0,
     "couple_affine": 0,
     "couple_affine_margin": 5,
-    "couple_erlang": 1,
+    "couple_erlang": 0,
     "couple_erlang3": 1,
-    "couple_erlang4_margin": 4,
-    "erlang1_margin": 17,
-    "erlang_bistable": 3,
+    "couple_erlang4_margin": 3,
+    "erlang1_margin": 61,
+    "erlang_bistable": 1,
     "sigmoid_exp_margin": 5,
     "stress_affine_margin": 138,
-    "stress_erlang_margin": 134,
+    "stress_erlang_margin": 121,
     "xi_perturbation": 0
 }
 
