@@ -31,7 +31,12 @@ Stream contract, version 4 (``tests/test_hawkes_golden.py`` locks it):
   ``sup_bound`` for a source that proves no rise), and U is the state's upper
   bound on Y from now on: for an Erlang state the smaller of its peak sum and
   its largest component (``_ErlangState``), for a table kernel each event
-  weighed by the running max of the knot values from its offset on.
+  weighed by the running max of the knot values from its offset on.  A
+  source that is the tail formula of the kernel's own Erlang structure at a
+  level c >= 0 (``_cascade_level``), unperturbed, is the free decay of the
+  kernel's cascade: every component of the state starts at c, the top one is
+  then xi + Y, the sweep runs with the empty source, and U bounds both.  The
+  first dominator reads the started state's bound.
 * Reschedules.  The dominator is rebuilt at a candidate when an acceptance
   raises the bound past it, when a candidate breaches it, or when a refresh
   check finds it more than twice too large.  A refresh check is due at the
@@ -62,8 +67,8 @@ candidate to each candidate as it is judged, so a candidate past a reschedule
 costs no step.  The template calls ``phi.scalar`` and ``xi.scalar``, the one
 scalar evaluator of each; where one carries a formula (``model._formula``),
 the compiler writes it in place of the call, with the same operations and its
-constants in locals, and any other stays a call.  The
-state and the constants are loaded into locals once per chunk and the state is
+constants in locals, and any other stays a call; a source started in the
+state costs nothing per candidate.  The state and the constants are loaded into locals once per chunk and the state is
 written back once, so a candidate of a structured Phi, source and kernel costs
 no call.  The sweep records the chunk indices of the accepted candidates; the
 times and particles are gathered from them with numpy and split per particle
@@ -100,9 +105,11 @@ from .model import (
     FiringFunction,
     MemoryKernel,
     SourceTerm,
+    _erlang_tail_expr,
     add_exponential_perturbation,
     compile_loop,
     formula_key,
+    make_source_empty,
 )
 from .special import kolmogorov_critical, ks_statistic, normal_cdf, running_sup_from_right
 from .volterra import SolverConfig, Trajectory, solve_nre
@@ -287,6 +294,9 @@ class _ErlangState:
     peak_0 s_0 + ... + peak_{order-1} s_{order-1} + s_order with
     peak_i = sup_x x^m e^{-x} / m! (m = order - i), the most component i can
     still pass to the top, summed left to right; at order 0 it is Y itself.
+    The components may start at a level c instead of 0 (``_cascade_level``):
+    then component k carries c e^{-alpha t} sum_{j <= k} (alpha t)^j / j!
+    besides the events, and the top one carries the kernel's tail source.
     Where the bound decides something (past the cap, at a breach, at a
     refresh check) it is min(peak sum, max(s_0, ..., s_order)), which
     ``upper_bound`` also returns: for nonnegative components
@@ -397,6 +407,21 @@ class _GeneralState:
         offs = self.t - np.asarray(self.events)
         env = self._env[np.searchsorted(self._knots, offs, side="right") - 1]
         return float(np.dot(env, np.asarray(self.weights)))
+
+
+def _cascade_level(h: MemoryKernel, xi: SourceTerm) -> Optional[float]:
+    """c >= 0 where xi's scalar is the tail formula c e^{-alpha t} sum_{k <= n} (alpha t)^k / k! of the kernel's own
+    Erlang(n, alpha) structure (``model._erlang_tail_expr``), else None.
+
+    That source is the top component of the kernel's cascade with every
+    component started at c and no event: component k is then
+    c e^{-alpha t} sum_{j <= k} (alpha t)^j / j! (the linear chain trick).
+    """
+    s, fn = h.structure, xi.scalar
+    if s is None or formula_key(fn) != ("t", _erlang_tail_expr(s.order), ("c", "alpha")):
+        return None
+    c, alpha = fn.consts["c"], fn.consts["alpha"]
+    return float(c) if alpha == s.alpha and c >= 0.0 else None
 
 
 def _make_state(h: MemoryKernel):
@@ -524,6 +549,11 @@ def simulate_hawkes(
     xi_n = add_exponential_perturbation(xi, pert_amp) if pert_amp != 0.0 else xi
 
     state = _make_state(h)
+    level = _cascade_level(h, xi_n)
+    if level is not None:
+        # the source is the free decay of the kernel's own cascade started at level: xi + Y is the top component
+        state.s = [level] * len(state.s)
+        xi_n = make_source_empty()
     xi_scalar = xi_n.scalar
 
     # the source's sup from each grid time onward (dominator input)

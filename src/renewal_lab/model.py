@@ -765,8 +765,10 @@ def _erlang_tail_expr(order: int) -> str:
     The partial sum runs from k = order down to 0, left to right from 0.0: for
     order 2 the value is ``c * exp(-at) * (0.0 + at**2 * 0.5 + at + 1.0)``,
     the last two terms being ``at**1 * 1.0`` and ``at**0 * 1.0`` to the bit.
-    Written out, it runs no Python loop; the thinning streams read the source
-    at every candidate, so the order of the operations is part of their bits.
+    Written out, it runs no Python loop; the thinning streams read a perturbed
+    source at every candidate, so the order of the operations is part of their
+    bits.  Unperturbed, with the kernel's own (order, alpha), it starts the
+    thinning state instead (``hawkes._cascade_level``).
     At order 0 the partial sum is exactly 1.0: ``c * exp(-alpha * t)``.
     """
     if order == 0:
@@ -776,8 +778,8 @@ def _erlang_tail_expr(order: int) -> str:
 
 
 def _tail_scalar(h: MemoryKernel, scale: float, grid: Callable) -> Callable:
-    """The scalar of t -> scale int_t^inf h: the formula of the tail for an Erlang-structured kernel (the thinning
-    sweep inlines it), else ``grid`` at one point."""
+    """The scalar of t -> scale int_t^inf h: the formula of the tail for an Erlang-structured kernel (thinning starts
+    its state from it, or inlines it under a perturbation), else ``grid`` at one point."""
     s = h.structure
     if s is None:
         return _pointwise(grid)

@@ -77,11 +77,15 @@ def _source(kind: str, h, ell: float, amp: float):
 @settings(max_examples=40, deadline=None)
 def test_thinning_with_formulas_equals_the_call_slot(phi, order, alpha, source, ell, amp, n, seed, coupled,
                                                      xi_perturbation):
+    """The kernel's own tail or equilibrium source, unperturbed, starts the convolution state and is
+    evaluated at no candidate, so only Phi is hidden there; every other source is hidden too."""
     h = model.make_erlang_kernel(order, alpha)
     xi = _source(source, h, ell, amp)
     cfg = HawkesConfig(n_particles=n, t_end=3.0, seed=seed, track_coupled=coupled, xi_perturbation=xi_perturbation,
                        subcritical_override=True)
     called_phi, called_xi = _called(phi, xi)
+    if source in ("tail", "equilibrium") and not xi_perturbation:
+        called_xi = xi
     assert _run(phi, h, xi, cfg) == _run(called_phi, h, called_xi, cfg)
 
 
@@ -124,7 +128,13 @@ def test_a_replaced_phi_reaches_both_loops():
 
 
 def test_a_replaced_source_reaches_the_sweep():
-    """``replace(xi, scalar=...)`` changes the thinning; the march reads the source on its grid, not the scalar."""
+    """``replace(xi, scalar=...)`` changes the thinning; the march reads the source on its grid, not the scalar.
+
+    A plain function is called at every candidate, so its run is its call
+    form.  The tail formula of the kernel's own Erlang structure starts the
+    convolution state instead and is not evaluated per candidate, so its run
+    is the run of the source it was taken from.
+    """
     h = model.make_erlang_kernel(2, 3.0)
     phi = model.make_affine_phi(1.0)
     xi = model.make_source_equilibrium(h, 1.0)
@@ -132,11 +142,12 @@ def test_a_replaced_source_reaches_the_sweep():
     scfg = SolverConfig(t_end=3.0, dt=1e-2)
     base_run, base_traj = _run(phi, h, xi, cfg), _solve(phi, h, xi, scfg)
     g = xi.scalar
-    for scalar in (lambda t: g(t) + 1.0, model.make_source_equilibrium(h, 2.0).scalar):
+    tail = model.make_source_equilibrium(h, 2.0)
+    for scalar, twin in ((lambda t: g(t) + 1.0, None), (tail.scalar, tail)):
         new = replace(xi, scalar=scalar)
         run = _run(phi, h, new, cfg)
         assert run[0] != base_run[0]
-        assert run == _run(phi, h, _called(phi, new)[1], cfg)
+        assert run == _run(phi, h, twin or _called(phi, new)[1], cfg)
         assert _solve(phi, h, new, scfg) == base_traj
 
 

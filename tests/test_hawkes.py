@@ -233,13 +233,14 @@ def test_erlang_upper_bound_sums_left_to_right():
 
 def test_state_steps_only_for_judged_candidates(monkeypatch):
     """The Erlang state takes one step, one ``math.exp``, per judged candidate, none for the candidates a
-    chunk prepares past a reschedule: the reschedule-heavy golden shape judges 2,688 over 138 reschedules."""
+    chunk prepares past a reschedule: the reschedule-heavy golden shape judges 2,688 over 138 reschedules.
+    The kernel's own equilibrium source rides in the state, so it costs no ``math.exp`` of its own, per
+    candidate or in the dominator's bound on it."""
     phi = model.make_affine_phi(1.0)
     h = model.make_scaled_exponential_kernel(0.5, 1.0)
-    xi = model.make_source_empty()
     cfg = HawkesConfig(n_particles=2, t_end=400.0, seed=5, track_coupled=False, thinning_margin=1.05)
-    calls = 0
     exp = math.exp
+    calls = 0
 
     def counting(x):
         nonlocal calls
@@ -247,9 +248,80 @@ def test_state_steps_only_for_judged_candidates(monkeypatch):
         return exp(x)
 
     monkeypatch.setattr(math, "exp", counting)
-    run = simulate_hawkes(phi, h, xi, cfg)
+    run = simulate_hawkes(phi, h, model.make_source_empty(), cfg)
     assert run.metadata["reschedules"] > 100
     assert calls == run.metadata["candidates"] == 2688
+    xi = model.make_source_equilibrium(h, 2.0)
+    calls = 0
+    run = simulate_hawkes(phi, h, xi, cfg)
+    assert calls == run.metadata["candidates"] > 100
+
+
+def _free_decay(state: _ErlangState, times: list) -> list:
+    """Y at each of the increasing times, the state stepped there by the sweep's own advance with no event."""
+    seen = []
+    sweep = hawkes._sweep(_ErlangState, state.shape, None, None)
+    sweep(state, c_list=times, c_thrs=[math.inf] * len(times), t=0.0, weight=1.0,
+          phi_s=lambda x: seen.append(x) or 0.0, xi_s=lambda t: 0.0, lam_bar=1.0, lam_over=1.0, cap=math.inf,
+          xs_chunk=0.0, margin=1.5, next_check=math.inf, raw_bound=lambda t, ub: 1.0)
+    return seen
+
+
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 3.0, 7.5])
+def test_a_cascade_started_state_is_the_tail_source(order, alpha):
+    """Every component started at c and stepped by the sweep's advance gives the kernel's own tail source
+    at the top, to a relative 1e-12 at dense times; ``_cascade_level`` finds c from the source's formula."""
+    h = model.make_erlang_kernel(order, alpha)
+    xi = model.make_source_tail(h, 1.7)
+    c = hawkes._cascade_level(h, xi)
+    assert c == 1.7
+    state = _ErlangState(order, alpha, 1.0)
+    state.s = [c] * (order + 1)
+    times = np.linspace(0.0, (order + 30.0) / alpha, 1001)[1:].tolist()
+    np.testing.assert_allclose(_free_decay(state, times), [xi.scalar(t) for t in times], rtol=1e-12, atol=0.0)
+
+
+def test_only_the_kernels_own_tail_formula_starts_the_state():
+    """A perturbed source, another kernel's tail and the Erlang-polynomial family keep the called path."""
+    h = model.make_erlang_kernel(2, 3.0)
+    xi = model.make_source_equilibrium(h, 1.2)
+    assert hawkes._cascade_level(h, xi) == 1.2
+    k = model.make_scaled_exponential_kernel(0.5, 2.0)  # scale c / alpha = 0.25
+    assert hawkes._cascade_level(k, model.make_source_equilibrium(k, 3.0)) == 0.75
+    for other in (
+        model.add_exponential_perturbation(xi, 0.1),
+        model.make_source_equilibrium(model.make_erlang_kernel(2, 2.0), 1.2),
+        model.make_source_equilibrium(model.make_erlang_kernel(1, 3.0), 1.2),
+        model.make_source_erlang_polynomial(2, 3.0, [1.2, 1.2, 1.2]),
+        model.make_source_empty(),
+    ):
+        assert hawkes._cascade_level(h, other) is None, other.label
+    assert hawkes._cascade_level(model.make_compact_kernel([1.0, 0.5], 1.0), xi) is None
+
+
+@given(
+    order=st.integers(0, 6),
+    comps=st.lists(st.floats(0.0, 10.0), min_size=7, max_size=7),
+    alpha=st.floats(0.2, 8.0),
+)
+@settings(max_examples=60, deadline=None)
+@example(order=2, comps=[1.0] * 7, alpha=3.0)
+def test_erlang_bound_is_at_least_the_free_decay(order, comps, alpha):
+    """min(peak sum, largest component) bounds Y over a dense future grid, within the relative 1e-12 by
+    which a breach is judged; a refresh check reads that bound with the bits of ``upper_bound``."""
+    state = _ErlangState(order, alpha, 1.0)
+    state.s = comps[: order + 1]
+    bound = state.upper_bound()
+    assert bound <= max(state.s)
+    seen = []
+    sweep = hawkes._sweep(_ErlangState, state.shape, None, None)
+    sweep(state, c_list=[0.0], c_thrs=[math.inf], t=0.0, weight=1.0, phi_s=lambda x: 0.0, xi_s=lambda t: 0.0,
+          lam_bar=1.0, lam_over=1.0, cap=0.0, xs_chunk=0.0, margin=1.5, next_check=0.0,
+          raw_bound=lambda t, ub: seen.append(ub) or 1.0)
+    assert seen == [bound]
+    times = np.linspace(0.0, (order + 30.0) / alpha, 2001)[1:].tolist()
+    assert max(_free_decay(state, times)) <= bound * (1.0 + 1e-12)
 
 
 def test_breach_rebuilds_the_dominator_at_an_accepted_candidate(monkeypatch):

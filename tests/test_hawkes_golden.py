@@ -163,13 +163,13 @@ DIGESTS = {
     "couple_affine": "53062485d86c0780be463e6633b971f191f20691bde5b0c05645b8d2a53b47b1",
     "couple_affine_margin": "70072795558a941b8e8e1408820f1fc4442bac73b005098549104f8ba8c84059",
     "couple_erlang": "2153192811583586471b5cb0e20e072d6a66570e0e1c859bc0ecede35bcb663a",
-    "couple_erlang3": "5689821b605243325b92f7c8a3ba80e220fad716abbf190c7e14a0e11a47c125",
-    "couple_erlang4_margin": "068a9fd0f8328f8bfc364229000e545932ee6e100eb73513944464cce5df806e",
-    "erlang1_margin": "204b3bffabc7eb0211fb8aa7b4d9d0b9a3abda5b2692959b5052d8d11aa93d35",
-    "erlang_bistable": "006e4c890b4e45325ff89f3947e61d43404b10313814bce6e36ac47cf8fd935a",
+    "couple_erlang3": "70ceb43ea61beb935f9c24fa90f9e892f93236751d68089a839a6cde20246f46",
+    "couple_erlang4_margin": "f8124a1cc0d70eab47b8a08ebcfdf68142ceb6042219e0f19af21275eb762802",
+    "erlang1_margin": "dd5c7f5578e0699830c8e7644e6e324c9d7842850ebce6108f9f0c6d6d725ecc",
+    "erlang_bistable": "bfa20c5f738ca75356c4657f00de1b5eb15793fe123a62dfc01e52cfcc3a839b",
     "sigmoid_exp_margin": "31c715bfdea8e3e27a0e98b0eb09122f1afef064a2f5bac2c5cd3aac479fbefe",
     "stress_affine_margin": "f8e961a606f83e51d35b18caed627f18bf41b16004ad2a6ae5fafb89204a16f4",
-    "stress_erlang_margin": "337689abf79f6031c07721db61441219d57ab4b94cd2012bfcdae47d6d759053",
+    "stress_erlang_margin": "0814f41ccfba69d855a1bdc15ad7c17354b60b82554328b24c2764f1ba3ecda8",
     "xi_perturbation": "fdd4ebfe706d40aec2332105bcf0969de3f721a05c737a493c899c4641e64fe2"
 }
 RESCHEDULES = {
@@ -180,10 +180,10 @@ RESCHEDULES = {
     "couple_affine": 0,
     "couple_affine_margin": 5,
     "couple_erlang": 0,
-    "couple_erlang3": 1,
-    "couple_erlang4_margin": 3,
+    "couple_erlang3": 0,
+    "couple_erlang4_margin": 1,
     "erlang1_margin": 61,
-    "erlang_bistable": 1,
+    "erlang_bistable": 0,
     "sigmoid_exp_margin": 5,
     "stress_affine_margin": 138,
     "stress_erlang_margin": 121,
