@@ -960,8 +960,8 @@ def make_source_divergence_example(a: float) -> SourceTerm:
     Requires a >= a*, the smallest point after which Psi is increasing.  The
     scalar runs adaptive Simpson quadrature on the convolution integral; the
     grid takes its first point from the scalar and steps the defining
-    first-order equation with an exact integrating factor, so it is for a
-    uniform grid.
+    first-order equation with an exact integrating factor, so it takes a
+    uniform grid only and raises ``ValueError`` on any other.
     """
     a_star = divergence_a_star()
     if a < a_star:
@@ -983,9 +983,12 @@ def make_source_divergence_example(a: float) -> SourceTerm:
         ts = np.asarray(ts, dtype=float)
         if ts.size <= 1:
             return _mapped(scalar, ts)
+        dt = ts[1] - ts[0]
+        # the recurrence steps by dt: a spacing off it by more than rounding would be stepped wrong
+        if np.max(np.abs(np.diff(ts) - dt)) > 1e-6 * abs(dt):
+            raise ValueError("the divergence source's grid must be uniform; call its scalar at other points")
         out = np.empty_like(ts)
         out[0] = scalar(float(ts[0]))
-        dt = ts[1] - ts[0]
         q = math.exp(-dt)
         # per-cell integrals of exp(-(t_{n+1}-s))/sqrt(1+s) by Simpson on 2 panels
         mid1 = ts[:-1] + 0.25 * dt

@@ -536,6 +536,16 @@ def test_divergence_source():
         model.make_source_divergence_example(0.5 * a_star)
 
 
+def test_divergence_grid_takes_uniform_grids_only():
+    """The grid steps its recurrence by the first spacing, so a non-uniform array is rejected rather than
+    stepped wrong (1.23 off the scalar on [0, 0.5, 3, 10]); grids uniform up to rounding are taken."""
+    xi = model.make_source_divergence_example(2.0)
+    with pytest.raises(ValueError, match="uniform"):
+        xi(np.array([0.0, 0.5, 3.0, 10.0]))
+    for ts in (np.linspace(0.0, 60.0, 61), np.linspace(0.0, 3.0, 301), 1e-3 * np.arange(400001)):
+        assert np.all(np.isfinite(xi.on_grid(ts)))
+
+
 def test_divergence_a_star_is_where_psi_turns_upward():
     """Psi' from central differences of Psi in 50-digit decimals is negative just below a* and positive just above."""
     step, near = decimal.Decimal("1e-20"), decimal.Decimal("1e-12")
