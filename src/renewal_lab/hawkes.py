@@ -68,11 +68,11 @@ costs no step.  The template calls ``phi.scalar`` and ``xi.scalar``, the one
 scalar evaluator of each; where one carries a formula (``model._formula``),
 the compiler writes it in place of the call, with the same operations and its
 constants in locals, and any other stays a call; a source started in the
-state costs nothing per candidate.  The state and the constants are loaded into locals once per chunk and the state is
-written back once, so a candidate of a structured Phi, source and kernel costs
-no call.  The sweep records the chunk indices of the accepted candidates; the
-times and particles are gathered from them with numpy and split per particle
-at the end.  A breach (an intensity above the dominator) is tested only on
+state costs nothing per candidate.  The state and the constants are loaded
+into locals once per chunk and the state is written back once, so a candidate
+of a structured Phi, source and kernel costs no call.  The sweep records the
+chunk indices of the accepted candidates; the times and particles are
+gathered from them with numpy and split per particle at the end.  A breach (an intensity above the dominator) is tested only on
 acceptance, because only an accepted candidate can breach: u < 1 makes
 u lam_bar <= lam_bar, which is below the breach level lam_bar (1 + 1e-12).
 After an acceptance the bound is rebuilt only when the source's running sup
@@ -323,7 +323,6 @@ class _ErlangState:
         self.shape = (order,)
 
     @staticmethod
-    @staticmethod
     def _peaks(order: int) -> list:
         return [m**m * math.exp(-m) / math.factorial(m) for m in range(order, 0, -1)]
 
@@ -347,9 +346,10 @@ class _ErlangState:
         }
 
     def upper_bound(self) -> float:
-        """The sweep's ``tight`` bound on Y from now on, with its bits."""
+        """The sweep's ``tight`` bound on Y from now on, with its bits: the peak sum left to right, then the min."""
         *low, top = self.s
-        return min(functools.reduce(operator.add, [*map(operator.mul, self._peaks(len(low)), low), top]), max(self.s))
+        peak_sum = functools.reduce(operator.add, [p * s for p, s in zip(self._peaks(len(low)), low)] + [top])
+        return min(peak_sum, max(self.s))
 
 
 class _GeneralState:
