@@ -31,12 +31,14 @@ Stream contract, version 4 (``tests/test_hawkes_golden.py`` locks it):
   ``sup_bound`` for a source that proves no rise), and U is the state's upper
   bound on Y from now on: for an Erlang state the smaller of its peak sum and
   its largest component (``_ErlangState``), for a table kernel each event
-  weighed by the running max of the knot values from its offset on.  A
-  source that is the tail formula of the kernel's own Erlang structure at a
-  level c >= 0 (``_cascade_level``), unperturbed, is the free decay of the
-  kernel's cascade: every component of the state starts at c, the top one is
-  then xi + Y, the sweep runs with the empty source, and U bounds both.  The
-  first dominator reads the started state's bound.
+  weighed by the running max of the knot values from its offset on, the
+  right knot of each rising cell padded for interpolation's rounding
+  (``_GeneralState``).  A source that is the tail formula of the kernel's own
+  Erlang structure at a level c >= 0 (``_cascade_level``), unperturbed, is
+  the free decay of the kernel's cascade: every component of the state
+  starts at c, the top one is then xi + Y, the sweep runs with the empty
+  source, and U bounds both.  The first dominator reads the started state's
+  bound.
 * Reschedules.  The dominator is rebuilt at a candidate when an acceptance
   raises the bound past it, when a candidate breaches it, or when a refresh
   check finds it more than twice too large.  A refresh check is due at the
@@ -71,9 +73,12 @@ constants in locals, and any other stays a call; a source started in the
 state costs nothing per candidate.  The state and the constants are loaded
 into locals once per chunk and the state is written back once, so a candidate
 of a structured Phi, source and kernel costs no call.  The sweep records the
-chunk indices of the accepted candidates; the times and particles are
-gathered from them with numpy and split per particle at the end.  A breach (an intensity above the dominator) is tested only on
-acceptance, because only an accepted candidate can breach: u < 1 makes
+chunk indices of the rejected candidates, the rarer outcome under the
+default margin; the times and particles of the others are gathered with a
+numpy mask and split per particle at the end.  The empty source is left out
+of x = xi + Y, with the bits of adding 0.0 (``_sweep``).  A breach (an
+intensity above the dominator) is tested only on acceptance, because only an
+accepted candidate can breach: u < 1 makes
 u lam_bar <= lam_bar, which is below the breach level lam_bar (1 + 1e-12).
 After an acceptance the bound is rebuilt only when the source's running sup
 plus the state's cheap bound (an Erlang state's peak sum) exceeds the cap of
@@ -217,28 +222,30 @@ class _Draws:
 #: bound on Y from now on, cheap enough to take at every acceptance, ``tight``
 #: is a bound at most ``ub = bound``, taken only where the bound decides
 #: something (past the cap, at a breach, at a refresh check), and ``store``
-#: writes the locals back.  The calls
+#: writes the locals back.  ``source`` is ``xi_s(s) + `` or, for the empty
+#: source, nothing (see ``_sweep``).  The calls
 #: ``xi_s(s)`` and ``phi_s(x)`` are the source at the candidate time s and Phi
 #: at x = xi + Y: ``compile_loop`` writes in the formula of each, its constants
 #: loaded once per chunk, and calls a function without one.  ``exp`` serves the
 #: states' decays and the formulas alike.  The sweep returns the
 #: candidates judged, the new dominator (0.0 if none is due), the breaches,
-#: the next refresh time and the chunk indices of the accepted candidates.
+#: the next refresh time and the chunk indices of the rejected candidates:
+#: under the default margin most candidates are accepted, so the rejections
+#: are the shorter list.
 _SWEEP_TEMPLATE = """\
 def sweep(state, c_list, c_thrs, t, weight, phi_s, xi_s, lam_bar, lam_over, cap, xs_chunk,
           margin, next_check, raw_bound):
     exp = math.exp
     {load}
-    accepted = []
-    push = accepted.append
+    rejected = []
+    push = rejected.append
     breaches = 0
     new_bar = 0.0
     for k, s, thr in zip(range(len(c_list)), c_list, c_thrs):
         {advance}
-        x = xi_s(s) + {value}
+        x = {source}{value}
         lam_z = phi_s(x)
         if thr <= lam_z:
-            push(k)
             {jump}
             ub = {bound}
             # a breach is accepted: lam_z > lam_over >= lam_bar >= u lam_bar = thr (u < 1)
@@ -252,6 +259,8 @@ def sweep(state, c_list, c_thrs, t, weight, phi_s, xi_s, lam_bar, lam_over, cap,
                 if rb > lam_bar:
                     new_bar = margin * max(rb, lam_z, 1e-12)
                     break
+        else:
+            push(k)
         if s >= next_check:
             # candidates come at the total rate N lam_bar = lam_bar / weight
             next_check = s + max(_REFRESH, _REFRESH_CANDIDATES * weight / lam_bar)
@@ -261,8 +270,11 @@ def sweep(state, c_list, c_thrs, t, weight, phi_s, xi_s, lam_bar, lam_over, cap,
                 new_bar = margin * max(rb, 1e-12)
                 break
     {store}
-    return k + 1, new_bar, breaches, next_check, accepted
+    return k + 1, new_bar, breaches, next_check, rejected
 """
+
+#: the ``formula_key`` of the empty source, which the sweep adds as nothing
+_EMPTY_SOURCE = formula_key(make_source_empty().scalar)
 
 
 @functools.lru_cache(maxsize=None)
@@ -270,9 +282,20 @@ def _sweep(state: type, shape: tuple, phi: Optional[tuple], xi: Optional[tuple])
     """The sweep of ``_SWEEP_TEMPLATE`` for one kind and shape of state and the ``formula_key`` of Phi and xi.
 
     The compiled code depends on the formulas' text only, not on their
-    constants, so Phis and sources of one maker share it.
+    constants, so Phis and sources of one maker share it.  The empty source
+    is left out of x = xi + Y rather than added as 0.0, with the same bits:
+    x = 0.0 + Y differs from Y only at Y = -0.0, and no state holds -0.0.
+    An Erlang state's components start at +0.0 or at a level c >= 0 that
+    ``_cascade_level`` returns as +0.0 when it is zero; a step multiplies a
+    sum of them by e^{-a} >= +0.0 (and by powers of a = (s - t) alpha >= +0.0,
+    which is +0.0 at s = t); a jump adds h0 weight >= 0; and a sum of values
+    none of which is -0.0 is not -0.0.  A table state returns +0.0 or a dot
+    product of the weights (> 0) with kernel values interpolated from knot
+    values that ``model.make_compact_kernel`` stores with no -0.0.
     """
-    return compile_loop(_SWEEP_TEMPLATE, globals(), {"phi_s": phi, "xi_s": xi}, **state.snippets(*shape))
+    source = "" if xi == _EMPTY_SOURCE else "xi_s(s) + "
+    return compile_loop(_SWEEP_TEMPLATE, globals(), {"phi_s": phi, "xi_s": xi}, source=source,
+                        **state.snippets(*shape))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +310,10 @@ class _ErlangState:
     the last judged candidate at t to the candidate at s takes
     a = (s - t) alpha, p_1 = a and p_j = p_{j-1} (a / j), and makes component
     k e^{-a} (s_k + s_{k-1} p_1 + ... + s_0 p_k), summed left to right: for
-    order 2, ``dec * (s2 + s1 * p1 + s0 * p2)`` on top, and Y = s_order.
+    order 2, ``dec * (s2 + s1 * a + s0 * p2)`` on top, and Y = s_order.
+    Order 0 steps in one expression, ``s0 = exp((t - s) * alpha) * s0``, with
+    the bits of ``dec * (s0)`` for dec = exp(-a): fl(t - s) = -fl(s - t) and
+    a negated factor negates a rounded product.
     e^{-a} is ``math.exp`` (``np.exp`` may round differently).  An event adds
     h0 * weight to s0, h0 = scale * alpha.  The cheap upper bound, taken at
     every acceptance, is the peak sum
@@ -329,15 +355,19 @@ class _ErlangState:
     @staticmethod
     def snippets(order: int) -> dict:
         comps = ", ".join(f"s{k}" for k in range(order + 1))
+        # p[j] names (alpha (s - t))^j / j!, the first power being a itself
+        p = [None, "a", *(f"p{j}" for j in range(2, order + 1))]
         new = ", ".join(
-            "dec * (" + " + ".join([f"s{k}"] + [f"s{k - m} * p{m}" for m in range(1, k + 1)]) + ")"
+            "dec * (" + " + ".join([f"s{k}"] + [f"s{k - m} * {p[m]}" for m in range(1, k + 1)]) + ")"
             for k in range(order + 1)
         )
         peaks = _ErlangState._peaks(order)
-        powers = [f"p{j} = " + ("a" if j == 1 else f"p{j - 1} * (a / {j})") for j in range(1, order + 1)]
+        powers = [f"p{j} = {p[j - 1]} * (a / {j})" for j in range(2, order + 1)]
+        advance = (["a = (s - t) * alpha", "t = s", "dec = exp(-a)", *powers, f"{comps} = {new}"] if order
+                   else ["s0 = exp((t - s) * alpha) * s0", "t = s"])
         return {
             "load": [f"{comps}, = state.s", "alpha, jump_by = state.alpha, state.h0 * weight"],
-            "advance": ["a = (s - t) * alpha", "t = s", "dec = exp(-a)", *powers, f"{comps} = {new}"],
+            "advance": advance,
             "value": f"s{order}",
             "jump": "s0 += jump_by",
             "bound": " + ".join([f"{peak!r} * s{i}" for i, peak in enumerate(peaks)] + [f"s{order}"]),
@@ -359,6 +389,10 @@ class _GeneralState:
     piece peaks at one of its knots, so for an offset in [x_j, x_{j+1}) that
     sup is at most the largest value at the knots x_j, x_{j+1}, ...: the
     running max from the right of the knot values, exact at every knot.
+    The computed h is np.interp's y_j + slope (x - x_j) with
+    slope = (y_{j+1} - y_j) / (x_{j+1} - x_j), which on a falling or flat
+    cell cannot pass y_j.  On a rising cell it may round above y_{j+1}
+    (``_cell_sups``), so there the knot value is padded.
     """
 
     #: one sweep for every such kernel
@@ -384,7 +418,26 @@ class _GeneralState:
         self.t = 0.0
         self._knots, vals = h.knots
         self.support = float(self._knots[-1])
-        self._env = running_sup_from_right(vals)
+        self._env = running_sup_from_right(self._cell_sups(self._knots, vals))
+
+    @staticmethod
+    def _cell_sups(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """A bound on np.interp(x, xs, ys) over each cell [x_j, x_{j+1}), and ys[-1] at the last knot.
+
+        Each rounded operation of interp's y_j + slope (x - x_j) errs by at most
+        u = 2^-53 of its result plus half the smallest subnormal, eta / 2 (a sum
+        or difference only by u of it: a subnormal one is exact).  With
+        d = x_{j+1} - x_j as rounded, x - x_j rounds to at most d, so on a
+        rising cell, where y_j >= 0 and y_{j+1} - y_j <= y_{j+1}, the computed
+        value is at most y_{j+1} (1 + u)^4 + (d + 1) (1 + u)^2 eta / 2.  The pad
+        y_{j+1} (1 + 16 u) + (d + 4) eta exceeds that as computed: its relative
+        term beats (1 + u)^4 with room for its own three roundings, and its
+        absolute term also covers the 2.5 eta that a subnormal y_{j+1} loses
+        from the relative one.  A falling or flat cell keeps y_j.
+        """
+        lo, hi = ys[:-1], ys[1:]
+        pad = hi * (1.0 + 2.0**-49) + (np.diff(xs) + 4.0) * 2.0**-1074
+        return np.append(np.where(hi > lo, pad, lo), ys[-1])
 
     def advance(self, t: float) -> float:
         self.t = max(self.t, t)
@@ -421,7 +474,8 @@ def _cascade_level(h: MemoryKernel, xi: SourceTerm) -> Optional[float]:
     if s is None or formula_key(fn) != ("t", _erlang_tail_expr(s.order), ("c", "alpha")):
         return None
     c, alpha = fn.consts["c"], fn.consts["alpha"]
-    return float(c) if alpha == s.alpha and c >= 0.0 else None
+    # + 0.0 turns c = -0.0 into +0.0: no state component is -0.0 (see _sweep)
+    return float(c) + 0.0 if alpha == s.alpha and c >= 0.0 else None
 
 
 def _make_state(h: MemoryKernel):
@@ -611,14 +665,19 @@ def simulate_hawkes(
         c_thrs = c_thrs[:end] * lam_bar  # a candidate is accepted where u lam_bar <= intensity
         c_list = c_ts.tolist()
         xs_chunk = xi_sup[min(int(c_list[0] / sup_dt), xi_last)]  # bounds xi over the chunk
-        done, new_bar, chunk_breaches, next_check, accepted = sweep(
+        done, new_bar, chunk_breaches, next_check, rejected = sweep(
             state, c_list, c_thrs.tolist(), t_cand, weight, phi_s, xi_scalar, lam_bar, lam_over, cap, xs_chunk,
             margin, next_check, raw_bound,
         )
         breaches += chunk_breaches
         candidates += done
         draws.drop(done)
-        accepted = np.array(accepted, dtype=np.intp)
+        # a mask over the judged candidates, gathered through its indices (cheaper than np.ones and a boolean
+        # index of both arrays at every chunk size)
+        keep = np.empty(done, dtype=bool)
+        keep.fill(True)
+        keep.put(rejected, False)
+        accepted = keep.nonzero()[0]
         event_ts.append(c_ts[accepted])
         event_ps.append(c_ps[accepted])
         if track:
@@ -679,7 +738,9 @@ def estimator_path(run: HawkesRun, checkpoints: Sequence[float]) -> np.ndarray:
 def path_sup_difference(times_a: np.ndarray, times_b: np.ndarray) -> int:
     """sup_s |A_s - B_s| for two counting processes given their jump times.
 
-    The times need not be sorted, but must be finite.  One merge of the two
+    The times need not be sorted, but must be finite.  Equal lists are equal
+    multisets, so their sup is 0 at once (in a coupled run most particles
+    have the same events in both processes).  Otherwise one merge of the two
     sorted lists passes the jumps in time order; after i jumps of A and j of
     B the difference is i - j.  A jump of each side at one time is passed as
     a pair, which leaves the difference as it is, so jumps at identical times
@@ -688,8 +749,11 @@ def path_sup_difference(times_a: np.ndarray, times_b: np.ndarray) -> int:
     each of those jumps finds the same sup as reading it once past them.
     """
     inf = math.inf
-    a = sorted(times_a.tolist())
-    b = sorted(times_b.tolist())
+    a, b = times_a.tolist(), times_b.tolist()
+    if a == b:
+        return 0
+    a.sort()
+    b.sort()
     a.append(inf)
     b.append(inf)
     i = j = best = 0

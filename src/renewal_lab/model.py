@@ -236,7 +236,8 @@ def make_compact_kernel(table: Sequence[float], support: float) -> MemoryKernel:
     Linear interpolation between samples, zero after S.  Norms and tails by
     composite trapezoid on the sample grid.
     """
-    vals = np.asarray(table, dtype=float)
+    # + 0.0 stores a -0.0 sample as +0.0, so no interpolated value is -0.0 (``hawkes._sweep`` relies on it)
+    vals = np.asarray(table, dtype=float) + 0.0
     if vals.size == 0:
         raise ValueError("empty sample table")
     if np.any(vals < 0):

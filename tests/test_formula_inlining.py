@@ -89,6 +89,22 @@ def test_thinning_with_formulas_equals_the_call_slot(phi, order, alpha, source, 
     assert _run(phi, h, xi, cfg) == _run(called_phi, h, called_xi, cfg)
 
 
+@pytest.mark.parametrize("kernel", ["erlang0", "erlang2", "table"])
+@pytest.mark.parametrize("coupled", [False, True])
+def test_the_empty_source_adds_nothing_with_the_bits_of_its_call(kernel, coupled):
+    """The sweep leaves the empty source out of xi + Y; called, it adds 0.0 at every candidate.  Both give
+    the same events, coupled events, candidates and reschedules, because no state holds Y = -0.0."""
+    h = {"erlang0": model.make_erlang_kernel(0, 2.0), "erlang2": model.make_erlang_kernel(2, 3.0),
+         "table": model.make_compact_kernel([-0.0, 0.9, 0.2, 0.5, 0.0, 0.3, 0.1], 1.0)}[kernel]
+    xi = model.make_source_empty()
+    cfg = HawkesConfig(n_particles=50, t_end=4.0, seed=3, track_coupled=coupled, thinning_margin=1.05,
+                       subcritical_override=True)
+    for phi in (model.make_affine_phi(1.0), model.make_sigmoid_phi(0.0, 2.0, 3.0, 0.0)):
+        empty = _run(phi, h, xi, cfg)
+        assert empty == _run(phi, h, _called(phi, xi)[1], cfg)
+        assert empty[2]["candidates"] > 100
+
+
 # step kind -> (kernel, solver config): the order-1 kernel has h(0) = 0, so no step is implicit; the order-0
 # kernel's end weight beta = dt h(0) / 2 is 0.005 (implicit) or 4, past 1 / |Phi|_Lip (damped, |Phi|_Lip >= 1/4)
 STEPS = {

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,22 @@ def test_only_the_kernels_own_tail_formula_starts_the_state():
     assert hawkes._cascade_level(model.make_compact_kernel([1.0, 0.5], 1.0), xi) is None
 
 
+def test_no_state_holds_minus_zero():
+    """The sweep adds the empty source as nothing, which keeps the bits of adding 0.0 only while Y is never -0.0:
+    a cascade level c = -0.0 passes c >= 0 and starts the state at +0.0, and a table's -0.0 sample, read at its
+    knot by one event (a one-term np.dot keeps the sign), gives +0.0."""
+    h = model.make_erlang_kernel(2, 3.0)
+    xi = replace(model.make_source_equilibrium(h, 1.0),
+                 scalar=model._formula("t", model._erlang_tail_expr(2), c=-0.0, alpha=3.0))
+    c = hawkes._cascade_level(h, xi)
+    assert c == 0.0 and math.copysign(1.0, c) == 1.0
+    state = hawkes._GeneralState(model.make_compact_kernel([1.0, -0.0, 1.0], 1.0))
+    state.advance(0.0)
+    state.jump(0.5)
+    y = state.advance(0.5)
+    assert y == 0.0 and math.copysign(1.0, y) == 1.0
+
+
 @given(
     order=st.integers(0, 6),
     comps=st.lists(st.floats(0.0, 10.0), min_size=7, max_size=7),
@@ -324,13 +341,8 @@ def test_erlang_bound_is_at_least_the_free_decay(order, comps, alpha):
     assert max(_free_decay(state, times)) <= bound * (1.0 + 1e-12)
 
 
-def test_breach_rebuilds_the_dominator_at_an_accepted_candidate(monkeypatch):
-    """A falling Phi declared nondecreasing makes the dominator bound wrong; the sweep catches each
-    breach at an acceptance (u lam_bar <= lam_bar < the breach level) and rebuilds lam_bar there."""
-    phi = model.FiringFunction(
-        lip=1.0, d2_sup=0.0, nondecreasing=True, scalar=model._formula("x", "max(3.0 - x, 0.1)", max=max),
-    )
-    h = model.make_scaled_exponential_kernel(0.5, 1.0)
+def _recorded_sweeps(monkeypatch) -> list:
+    """The list to which every sweep ``simulate_hawkes`` runs from now on appends what it returns."""
     chunks = []
     compile_sweep = hawkes._sweep
 
@@ -345,18 +357,45 @@ def test_breach_rebuilds_the_dominator_at_an_accepted_candidate(monkeypatch):
         return record
 
     monkeypatch.setattr(hawkes, "_sweep", recording)
+    return chunks
+
+
+def test_breach_rebuilds_the_dominator_at_an_accepted_candidate(monkeypatch):
+    """A falling Phi declared nondecreasing makes the dominator bound wrong; the sweep catches each
+    breach at an acceptance (u lam_bar <= lam_bar < the breach level) and rebuilds lam_bar there."""
+    phi = model.FiringFunction(
+        lip=1.0, d2_sup=0.0, nondecreasing=True, scalar=model._formula("x", "max(3.0 - x, 0.1)", max=max),
+    )
+    h = model.make_scaled_exponential_kernel(0.5, 1.0)
+    chunks = _recorded_sweeps(monkeypatch)
     cfg = HawkesConfig(n_particles=50, t_end=5.0, seed=3, track_coupled=False)
     run = simulate_hawkes(phi, h, model.make_source_tail(h, 8.0), cfg)
     assert run.metadata["breaches"] > 0
     assert run.metadata["reschedules"] >= run.metadata["breaches"]
     assert sum(c[2] for c in chunks) == run.metadata["breaches"]
-    # a breach ends its chunk: the last judged candidate breached, and it was accepted
-    for done, new_bar, breaches, _, accepted in chunks:
+    # a breach ends its chunk: the last judged candidate breached, and it was accepted (not rejected)
+    for done, new_bar, breaches, _, rejected in chunks:
         if breaches:
-            assert breaches == 1 and new_bar > 0.0 and accepted[-1] == done - 1
+            assert breaches == 1 and new_bar > 0.0 and done - 1 not in rejected
     for ev in run.events:
         assert np.all(np.diff(ev) >= 0.0)
         assert ev.size == 0 or (ev[0] >= 0.0 and ev[-1] <= cfg.t_end)
+
+
+@pytest.mark.parametrize("order", [0, 2])
+@pytest.mark.parametrize("coupled", [False, True])
+def test_the_sweeps_reject_what_the_run_does_not_accept(monkeypatch, order, coupled):
+    """The chunks' rejected indices, summed over the chunks, are the candidates the run did not accept."""
+    h = model.make_erlang_kernel(order, 3.0)
+    phi = model.make_sigmoid_phi(0.5, 1.0, 2.0, 1.0)
+    chunks = _recorded_sweeps(monkeypatch)
+    cfg = HawkesConfig(n_particles=100, t_end=5.0, seed=17, track_coupled=coupled, thinning_margin=1.05)
+    run = simulate_hawkes(phi, h, model.make_source_tail(h, 1.4), cfg)
+    rejected = sum(len(c[4]) for c in chunks)
+    assert 0 < rejected == run.metadata["candidates"] - sum(e.size for e in run.events)
+    assert len(chunks) > 1
+    for done, *_, chunk_rejected in chunks:
+        assert chunk_rejected == sorted(set(chunk_rejected)) and all(0 <= k < done for k in chunk_rejected)
 
 
 def test_clt_requires_enough_replicas(affine_system):
@@ -575,8 +614,11 @@ def test_source_sup_bounds_the_source_at_dense_offsets(name, kind, rate, ell, co
     offsets=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
 )
 @settings(max_examples=200, deadline=None)
+# np.interp's rounded subnormal slope put h just below the last knot 12 smallest subnormals above that knot's value
+@example(values=[0.0, 0.0, 2.225073858507e-311], support=17.0, offsets=[0.9999999999999999])
 def test_table_envelope_bounds_the_kernel_from_each_offset_on(values, support, offsets):
-    """The state's bound on one past event is at least h at every later offset and at every later knot."""
+    """The state's bound on one past event is at least h at every later offset, at every later knot and just
+    below it, where a rising cell's interpolated value may round above the knot's."""
     h = model.make_compact_kernel(values, support)
     knots = h.knots[0]
     for f in offsets:
@@ -585,5 +627,6 @@ def test_table_envelope_bounds_the_kernel_from_each_offset_on(values, support, o
         state.advance(0.0)
         state.jump(1.0)
         state.advance(x)
-        later = np.concatenate([x + (support - x) * np.linspace(0.0, 1.0, 2001), [k for k in knots if k >= x]])
+        near = np.concatenate([knots, np.nextafter(knots, -math.inf)])
+        later = np.concatenate([x + (support - x) * np.linspace(0.0, 1.0, 2001), near[near >= x]])
         assert state.upper_bound() >= float(np.max(h(later))), x

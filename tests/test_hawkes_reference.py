@@ -66,6 +66,27 @@ def test_path_sup_difference_matches_reference(a, b):
     assert path_sup_difference(b, a) == got
 
 
+def _near_copies(a: np.ndarray, data) -> list:
+    """b for a: a itself, a drawn permutation of it, and a with one drawn element dropped or one drawn time added."""
+    perm = data.draw(st.permutations(a.tolist()))
+    extra = data.draw(st.integers(min_value=0, max_value=6))
+    at = data.draw(st.integers(min_value=0, max_value=a.size))
+    copies = [a, np.asarray(perm, dtype=float), np.insert(a, at, float(extra))]
+    if a.size:
+        copies.append(np.delete(a, min(at, a.size - 1)))
+    return copies
+
+
+@given(_times, st.data())
+@settings(max_examples=200, deadline=None)
+def test_path_sup_difference_matches_reference_near_equal_lists(a, data):
+    """Lists equal as lists, equal as multisets only, or one element apart: the shapes of a coupled run."""
+    for b in _near_copies(a, data):
+        want = _ref_path_sup_difference(a, b)
+        assert path_sup_difference(a, b) == want == _ref_path_sup_difference(b, a)
+        assert path_sup_difference(b, a) == want
+
+
 def test_path_sup_difference_edge_cases():
     empty = np.zeros(0)
     cases = [
