@@ -9,7 +9,7 @@ particle process Z and its limit process Zbar judge the *same* candidates
 with the same uniforms (the shared-randomness coupling that bounds their
 pathwise distance by C t / sqrt(N)).
 
-Stream contract, version 4 (``tests/test_hawkes_golden.py`` locks it):
+Stream contract, version 5 (``tests/test_hawkes_golden.py`` locks it):
 
 * Key.  A replica draws from three Philox generators keyed by
   (seed mod 2^64, (replica mod 2^32) << 32 | stream): stream 0 gives standard
@@ -33,12 +33,14 @@ Stream contract, version 4 (``tests/test_hawkes_golden.py`` locks it):
   its largest component (``_ErlangState``), for a table kernel each event
   weighed by the running max of the knot values from its offset on, the
   right knot of each rising cell padded for interpolation's rounding
-  (``_GeneralState``).  A source that is the tail formula of the kernel's own
-  Erlang structure at a level c >= 0 (``_cascade_level``), unperturbed, is
-  the free decay of the kernel's cascade: every component of the state
-  starts at c, the top one is then xi + Y, the sweep runs with the empty
-  source, and U bounds both.  The first dominator reads the started state's
-  bound.
+  (``_GeneralState``).  A source whose scalar is ``model._erlang_formula``
+  c e^{-alpha t} sum_k q_k (alpha t)^k / k! of the kernel's own Erlang(n, alpha)
+  with every c q_k >= 0, unperturbed, is the free decay of the kernel's
+  cascade: component k of the state starts at c q_{n-k} (``_cascade_start``),
+  the top one is then xi + Y, the sweep runs with the empty source, and U
+  bounds both.  The first dominator reads the started state's bound.  Version
+  5 extends this start from the tail sources (q_k = 1) to the sources of
+  ``model.make_source_erlang_polynomial``: only runs with one moved.
 * Reschedules.  The dominator is rebuilt at a candidate when an acceptance
   raises the bound past it, when a candidate breaches it, or when a refresh
   check finds it more than twice too large.  A refresh check is due at the
@@ -110,7 +112,7 @@ from .model import (
     FiringFunction,
     MemoryKernel,
     SourceTerm,
-    _erlang_tail_expr,
+    _erlang_formula,
     add_exponential_perturbation,
     compile_loop,
     formula_key,
@@ -285,8 +287,8 @@ def _sweep(state: type, shape: tuple, phi: Optional[tuple], xi: Optional[tuple])
     constants, so Phis and sources of one maker share it.  The empty source
     is left out of x = xi + Y rather than added as 0.0, with the same bits:
     x = 0.0 + Y differs from Y only at Y = -0.0, and no state holds -0.0.
-    An Erlang state's components start at +0.0 or at a level c >= 0 that
-    ``_cascade_level`` returns as +0.0 when it is zero; a step multiplies a
+    An Erlang state's components start at +0.0 or at c q_k >= 0, which
+    ``_cascade_start`` returns as +0.0 when it is zero; a step multiplies a
     sum of them by e^{-a} >= +0.0 (and by powers of a = (s - t) alpha >= +0.0,
     which is +0.0 at s = t); a jump adds h0 weight >= 0; and a sum of values
     none of which is -0.0 is not -0.0.  A table state returns +0.0 or a dot
@@ -320,9 +322,9 @@ class _ErlangState:
     peak_0 s_0 + ... + peak_{order-1} s_{order-1} + s_order with
     peak_i = sup_x x^m e^{-x} / m! (m = order - i), the most component i can
     still pass to the top, summed left to right; at order 0 it is Y itself.
-    The components may start at a level c instead of 0 (``_cascade_level``):
-    then component k carries c e^{-alpha t} sum_{j <= k} (alpha t)^j / j!
-    besides the events, and the top one carries the kernel's tail source.
+    The components may start at s_k = c q_{order-k} instead of 0
+    (``_cascade_start``): then the top one carries the source
+    c e^{-alpha t} sum_j q_j (alpha t)^j / j! besides the events.
     Where the bound decides something (past the cap, at a breach, at a
     refresh check) it is min(peak sum, max(s_0, ..., s_order)), which
     ``upper_bound`` also returns: for nonnegative components
@@ -462,20 +464,17 @@ class _GeneralState:
         return float(np.dot(env, np.asarray(self.weights)))
 
 
-def _cascade_level(h: MemoryKernel, xi: SourceTerm) -> Optional[float]:
-    """c >= 0 where xi's scalar is the tail formula c e^{-alpha t} sum_{k <= n} (alpha t)^k / k! of the kernel's own
-    Erlang(n, alpha) structure (``model._erlang_tail_expr``), else None.
-
-    That source is the top component of the kernel's cascade with every
-    component started at c and no event: component k is then
-    c e^{-alpha t} sum_{j <= k} (alpha t)^j / j! (the linear chain trick).
-    """
+def _cascade_start(h: MemoryKernel, xi: SourceTerm) -> Optional[list]:
+    """The start s_k = c q_{n-k} of each state component where xi's scalar is ``model._erlang_formula`` of the
+    kernel's own Erlang(n, alpha) with every c q_k >= 0, else None: with no event the top component is then
+    s_n(t) = e^{-x} sum_j s_{n-j}(0) x^j / j! = xi_t, x = alpha t (the linear chain trick)."""
     s, fn = h.structure, xi.scalar
-    if s is None or formula_key(fn) != ("t", _erlang_tail_expr(s.order), ("c", "alpha")):
+    if s is None or formula_key(fn) != formula_key(_erlang_formula(1.0, s.alpha, [1.0] * (s.order + 1))):
         return None
-    c, alpha = fn.consts["c"], fn.consts["alpha"]
-    # + 0.0 turns c = -0.0 into +0.0: no state component is -0.0 (see _sweep)
-    return float(c) + 0.0 if alpha == s.alpha and c >= 0.0 else None
+    c, alpha, *q = fn.consts.values()
+    # + 0.0 turns c q_k = -0.0 into +0.0: no state component is -0.0 (see _sweep); at order 0 c holds c q_0
+    start = [float(c * qk) + 0.0 for qk in reversed(q or [1.0])]
+    return start if alpha == s.alpha and all(v >= 0.0 for v in start) else None
 
 
 def _make_state(h: MemoryKernel):
@@ -523,9 +522,11 @@ def _source_sup(xi: SourceTerm, dt: float, t_end: float) -> np.ndarray:
     max from the right of the cells.  For a source that never rises it is the
     running max of the grid values.  It is padded by the smallest normal
     float, which a subnormal xi may round above its value at t_k; a bound of
-    2e-292 or more keeps its bits.
+    2e-292 or more keeps its bits.  The empty source's bound is that pad.
     """
     ts = dt * np.arange(int(math.ceil(t_end / dt)) + 2)
+    if formula_key(xi.scalar) == _EMPTY_SOURCE:
+        return np.full(ts.size, sys.float_info.min)
     if not math.isfinite(xi.rise):
         return np.full(ts.size, float(xi.sup_bound))
     return running_sup_from_right(np.asarray(list(map(xi.scalar, ts.tolist()))) + xi.rise * dt) + sys.float_info.min
@@ -603,10 +604,9 @@ def simulate_hawkes(
     xi_n = add_exponential_perturbation(xi, pert_amp) if pert_amp != 0.0 else xi
 
     state = _make_state(h)
-    level = _cascade_level(h, xi_n)
-    if level is not None:
-        # the source is the free decay of the kernel's own cascade started at level: xi + Y is the top component
-        state.s = [level] * len(state.s)
+    if (start := _cascade_start(h, xi_n)) is not None:
+        # the source is the free decay of the kernel's own cascade started there: xi + Y is the top component
+        state.s = start
         xi_n = make_source_empty()
     xi_scalar = xi_n.scalar
 

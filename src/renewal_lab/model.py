@@ -760,22 +760,22 @@ def make_source_tail(h: MemoryKernel, ell0: float) -> SourceTerm:
     return replace(src, label=f"tail(ell0={ell0:g}) of {h.label}")
 
 
-def _erlang_tail_expr(order: int) -> str:
-    """The formula of t -> c e^{-alpha t} sum_{k <= order} (alpha t)^k / k!, c for t <= 0.
+def _erlang_formula(c: float, alpha: float, q: Sequence[float]) -> Callable:
+    """The formula of t -> c e^{-alpha t} sum_{k <= n} q_k (alpha t)^k / k! (c q_0 for t <= 0), n = len(q) - 1.
 
-    The partial sum runs from k = order down to 0, left to right from 0.0: for
-    order 2 the value is ``c * exp(-at) * (0.0 + at**2 * 0.5 + at + 1.0)``,
-    the last two terms being ``at**1 * 1.0`` and ``at**0 * 1.0`` to the bit.
-    Written out, it runs no Python loop; the thinning streams read a perturbed
-    source at every candidate, so the order of the operations is part of their
-    bits.  Unperturbed, with the kernel's own (order, alpha), it starts the
-    thinning state instead (``hawkes._cascade_level``).
-    At order 0 the partial sum is exactly 1.0: ``c * exp(-alpha * t)``.
+    Its members, the free decays of an Erlang(n, alpha) cascade, start the
+    thinning state (``hawkes._cascade_start``): the Erlang-polynomial sources
+    (c = 1) and an Erlang-structured kernel's tail sources (q_k = 1, each
+    product by q_k exact).  The sum runs from k = n down to 0, left to right
+    from 0.0, with no Python loop, as the thinning streams' bits need: for
+    n = 2, ``c * exp(-at) * (0.0 + at**2 * q2 * 0.5 + at * q1 + q0)``.  At
+    n = 0 the sum is q_0, folded into c: ``c if t <= 0.0 else c * exp(-alpha * t)``.
     """
-    if order == 0:
-        return "c if t <= 0.0 else c * exp(-alpha * t)"
-    terms = " + ".join(["0.0", *(f"at**{k} * {1.0 / math.factorial(k)!r}" for k in range(order, 1, -1)), "at", "1.0"])
-    return f"c if t <= 0.0 else c * exp(-(at := alpha * t)) * ({terms})"
+    if len(q) == 1:
+        return _formula("t", "c if t <= 0.0 else c * exp(-alpha * t)", c=c * q[0], alpha=alpha)
+    terms = ["0.0", *(f"at**{k} * q{k} * {1.0 / math.factorial(k)!r}" for k in range(len(q) - 1, 1, -1)), "at * q1", "q0"]
+    return _formula("t", f"c * q0 if t <= 0.0 else c * exp(-(at := alpha * t)) * ({' + '.join(terms)})",
+                    c=c, alpha=alpha, **{f"q{k}": qk for k, qk in enumerate(q)})
 
 
 def _tail_scalar(h: MemoryKernel, scale: float, grid: Callable) -> Callable:
@@ -784,7 +784,7 @@ def _tail_scalar(h: MemoryKernel, scale: float, grid: Callable) -> Callable:
     s = h.structure
     if s is None:
         return _pointwise(grid)
-    return _formula("t", _erlang_tail_expr(s.order), c=scale * s.scale, alpha=s.alpha)
+    return _erlang_formula(scale * s.scale, s.alpha, [1.0] * (s.order + 1))
 
 
 def make_source_chi_perturbed(
@@ -871,7 +871,7 @@ def make_source_erlang_polynomial(n: int, alpha: float, c: Sequence[float]) -> S
     sup_bound = float(np.max(vals)) * (1.0 + 1e-12)
     a_const = float(np.max(vals * np.exp(0.5 * alpha * ts))) * (1.0 + 1e-9)
     return SourceTerm(
-        scalar=_pointwise(grid),
+        scalar=_erlang_formula(1.0, alpha, c.tolist()),
         grid=grid,
         derivative=derivative,
         sup_bound=sup_bound,

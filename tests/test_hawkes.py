@@ -271,45 +271,85 @@ def _free_decay(state: _ErlangState, times: list) -> list:
 @pytest.mark.parametrize("order", range(5))
 @pytest.mark.parametrize("alpha", [0.3, 1.0, 3.0, 7.5])
 def test_a_cascade_started_state_is_the_tail_source(order, alpha):
-    """Every component started at c and stepped by the sweep's advance gives the kernel's own tail source
-    at the top, to a relative 1e-12 at dense times; ``_cascade_level`` finds c from the source's formula."""
+    """The state ``_cascade_start`` reads from a source's constants, stepped by the sweep's advance, gives the source
+    at the top, to a relative 1e-12 at dense times: the kernel's own tail source, every component at its level, and
+    Erlang-polynomial sources of the kernel's (order, alpha) with random nonnegative coefficients, some of them 0."""
     h = model.make_erlang_kernel(order, alpha)
-    xi = model.make_source_tail(h, 1.7)
-    c = hawkes._cascade_level(h, xi)
-    assert c == 1.7
-    state = _ErlangState(order, alpha, 1.0)
-    state.s = [c] * (order + 1)
+    rng = np.random.default_rng([order, int(10 * alpha)])
+    coeffs = [rng.uniform(0.0, 3.0, order + 1) * (rng.random(order + 1) < 0.7) for _ in range(3)]
+    sources = [model.make_source_tail(h, 1.7), *(model.make_source_erlang_polynomial(order, alpha, c) for c in coeffs)]
+    starts = [[1.7] * (order + 1), *(c[::-1].tolist() for c in coeffs)]
     times = np.linspace(0.0, (order + 30.0) / alpha, 1001)[1:].tolist()
-    np.testing.assert_allclose(_free_decay(state, times), [xi.scalar(t) for t in times], rtol=1e-12, atol=0.0)
+    for xi, start in zip(sources, starts):
+        state = _ErlangState(order, alpha, 1.0)
+        state.s = hawkes._cascade_start(h, xi)
+        assert state.s == start, xi.label
+        np.testing.assert_allclose(_free_decay(state, times), [xi.scalar(t) for t in times], rtol=1e-12, atol=0.0,
+                                   err_msg=xi.label)
 
 
 def test_only_the_kernels_own_tail_formula_starts_the_state():
-    """A perturbed source, another kernel's tail and the Erlang-polynomial family keep the called path."""
+    """The kernel's own tail sources and the Erlang-polynomial sources of its (order, alpha) with no negative
+    coefficient start the state, the top component at c q_0; a perturbed source, another kernel's tail, a negative
+    coefficient, another alpha or order, and a table kernel keep the called path."""
     h = model.make_erlang_kernel(2, 3.0)
     xi = model.make_source_equilibrium(h, 1.2)
-    assert hawkes._cascade_level(h, xi) == 1.2
+    assert hawkes._cascade_start(h, xi) == [1.2, 1.2, 1.2]
+    assert hawkes._cascade_start(h, model.make_source_erlang_polynomial(2, 3.0, [1.4, 1.4, 0.0])) == [0.0, 1.4, 1.4]
     k = model.make_scaled_exponential_kernel(0.5, 2.0)  # scale c / alpha = 0.25
-    assert hawkes._cascade_level(k, model.make_source_equilibrium(k, 3.0)) == 0.75
+    assert hawkes._cascade_start(k, model.make_source_equilibrium(k, 3.0)) == [0.75]
+    assert hawkes._cascade_start(k, model.make_source_erlang_polynomial(0, 2.0, [0.6])) == [0.6]
     for other in (
         model.add_exponential_perturbation(xi, 0.1),
         model.make_source_equilibrium(model.make_erlang_kernel(2, 2.0), 1.2),
         model.make_source_equilibrium(model.make_erlang_kernel(1, 3.0), 1.2),
-        model.make_source_erlang_polynomial(2, 3.0, [1.2, 1.2, 1.2]),
+        model.make_source_erlang_polynomial(2, 3.0, [1.4, -0.1, 1.4]),
+        model.make_source_erlang_polynomial(2, 2.5, [1.4, 1.4, 0.0]),
+        model.make_source_erlang_polynomial(3, 3.0, [1.4, 1.4, 0.0, 0.0]),
+        model.add_exponential_perturbation(model.make_source_erlang_polynomial(2, 3.0, [1.4, 1.4, 0.0]), 0.1),
         model.make_source_empty(),
     ):
-        assert hawkes._cascade_level(h, other) is None, other.label
-    assert hawkes._cascade_level(model.make_compact_kernel([1.0, 0.5], 1.0), xi) is None
+        assert hawkes._cascade_start(h, other) is None, other.label
+    assert hawkes._cascade_start(k, model.make_source_erlang_polynomial(0, 2.0, [-0.6])) is None
+    assert hawkes._cascade_start(model.make_compact_kernel([1.0, 0.5], 1.0), xi) is None
+
+
+def test_an_erlang_polynomial_source_rides_in_the_state(monkeypatch):
+    """An Erlang-polynomial source of the kernel's own (order, alpha) starts the state, so the run takes one
+    ``math.exp`` per candidate, the state's step, besides the order's two peaks of the first bound, and never
+    evaluates the source's grid (the called path took an ``np.exp`` per candidate)."""
+    phi = model.make_affine_phi(0.5)
+    h = model.make_erlang_kernel(2, 3.0)
+    xi = model.make_source_erlang_polynomial(2, 3.0, (1.4, 1.4, 0.0))
+    cfg = HawkesConfig(n_particles=50, t_end=10.0, seed=5, track_coupled=False, subcritical_override=True)
+    simulate_hawkes(phi, h, xi, cfg)  # compiles the sweep
+    exp, np_exp = math.exp, np.exp
+    calls = {"math": 0, "np": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(math, "exp", counting("math", exp))
+    monkeypatch.setattr(np, "exp", counting("np", np_exp))
+    run = simulate_hawkes(phi, h, xi, cfg)
+    assert run.metadata["breaches"] == 0
+    assert calls == {"math": run.metadata["candidates"] + 2, "np": 0}
+    assert run.metadata["candidates"] > 1000
 
 
 def test_no_state_holds_minus_zero():
     """The sweep adds the empty source as nothing, which keeps the bits of adding 0.0 only while Y is never -0.0:
-    a cascade level c = -0.0 passes c >= 0 and starts the state at +0.0, and a table's -0.0 sample, read at its
-    knot by one event (a one-term np.dot keeps the sign), gives +0.0."""
+    a cascade start c q_k = -0.0 passes c q_k >= 0 and starts its component at +0.0, and a table's -0.0 sample, read
+    at its knot by one event (a one-term np.dot keeps the sign), gives +0.0."""
     h = model.make_erlang_kernel(2, 3.0)
-    xi = replace(model.make_source_equilibrium(h, 1.0),
-                 scalar=model._formula("t", model._erlang_tail_expr(2), c=-0.0, alpha=3.0))
-    c = hawkes._cascade_level(h, xi)
-    assert c == 0.0 and math.copysign(1.0, c) == 1.0
+    xi = replace(model.make_source_equilibrium(h, 1.0), scalar=model._erlang_formula(-0.0, 3.0, [1.0, 1.0, 1.0]))
+    poly = model.make_source_erlang_polynomial(2, 3.0, [1.0, -0.0, 2.0])
+    for source, want in ((xi, [0.0, 0.0, 0.0]), (poly, [2.0, 0.0, 1.0])):
+        start = hawkes._cascade_start(h, source)
+        assert start == want and [math.copysign(1.0, v) for v in start] == [1.0, 1.0, 1.0]
     state = hawkes._GeneralState(model.make_compact_kernel([1.0, -0.0, 1.0], 1.0))
     state.advance(0.0)
     state.jump(0.5)

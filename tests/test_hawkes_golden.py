@@ -73,6 +73,15 @@ def _couple_erlang():
     return phi, h, xi, HawkesConfig(n_particles=100, t_end=20.0, seed=7), limit
 
 
+def _couple_erlang_poly():
+    # criterion 6's lower-order source, of the kernel's own (order, alpha): it starts the state
+    h = model.make_erlang_kernel(2, 3.0)
+    phi = model.make_sigmoid_phi(0.5, 1.0, 2.0, 1.0)
+    xi = model.make_source_erlang_polynomial(2, 3.0, (1.4, 1.4, 0.0))
+    limit = solve_nre(phi, h, xi, SolverConfig(t_end=20.0, dt=1e-3))
+    return phi, h, xi, HawkesConfig(n_particles=100, t_end=20.0, seed=13), limit
+
+
 def _couple_affine():
     phi, h = _affine()
     xi = model.make_source_empty()
@@ -145,6 +154,7 @@ CASES = {
     "xi_perturbation": (_perturbed, 0),
     "clt_small": (_clt_small, 3),
     "couple_erlang": (_couple_erlang, 1),
+    "couple_erlang_poly": (_couple_erlang_poly, 0),
     "couple_affine": (_couple_affine, 2),
     "couple_affine_margin": (_couple_affine_margin, 0),
     "stress_erlang_margin": (_stress_erlang, 0),
@@ -164,6 +174,7 @@ DIGESTS = {
     "couple_affine_margin": "70072795558a941b8e8e1408820f1fc4442bac73b005098549104f8ba8c84059",
     "couple_erlang": "2153192811583586471b5cb0e20e072d6a66570e0e1c859bc0ecede35bcb663a",
     "couple_erlang3": "70ceb43ea61beb935f9c24fa90f9e892f93236751d68089a839a6cde20246f46",
+    "couple_erlang_poly": "5b1d34db57934afbe4ea88e25997c2d22878211191196722b42c70bb412c0f2b",
     "couple_erlang4_margin": "f8124a1cc0d70eab47b8a08ebcfdf68142ceb6042219e0f19af21275eb762802",
     "erlang1_margin": "dd5c7f5578e0699830c8e7644e6e324c9d7842850ebce6108f9f0c6d6d725ecc",
     "erlang_bistable": "bfa20c5f738ca75356c4657f00de1b5eb15793fe123a62dfc01e52cfcc3a839b",
@@ -181,6 +192,7 @@ RESCHEDULES = {
     "couple_affine_margin": 5,
     "couple_erlang": 0,
     "couple_erlang3": 0,
+    "couple_erlang_poly": 0,
     "couple_erlang4_margin": 1,
     "erlang1_margin": 61,
     "erlang_bistable": 0,

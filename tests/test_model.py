@@ -456,6 +456,22 @@ def test_erlang_polynomial_source(bistable):
     assert np.max(np.abs(xi.derivative(ts) - fd)) < 1e-6
 
 
+@given(
+    alpha=st.floats(0.1, 10.0),
+    coeffs=st.lists(st.integers(-12, 12).map(lambda k: k / 4), min_size=1, max_size=6),
+    t=st.floats(0.0, 60.0),
+)
+@settings(max_examples=300, deadline=None)
+@example(alpha=3.0, coeffs=[1.4, 1.4, 0.0], t=0.0)
+@example(alpha=1.5, coeffs=[0.0, -1.0, 0.25, 0.0, 0.0, -3.0], t=0.7)
+def test_erlang_polynomial_scalar_is_its_grid(alpha, coeffs, t):
+    """The formula of an Erlang-polynomial source (orders 0-5, zero and negative coefficients) is its grid to 1e-12
+    times the termwise sum sum_k |c_k| (alpha t)^k e^{-alpha t} / k!, which bounds both roundings where terms cancel."""
+    xi = model.make_source_erlang_polynomial(len(coeffs) - 1, alpha, coeffs)
+    termwise = sum(abs(c) * (alpha * t) ** k * math.exp(-alpha * t) / math.factorial(k) for k, c in enumerate(coeffs))
+    assert abs(xi.scalar(t) - float(xi.on_grid(np.array([t]))[0])) <= 1e-12 * termwise
+
+
 def test_exponential_perturbation_wrapper(bistable):
     _, h, _ = bistable
     base = model.make_source_equilibrium(h, 1.0)
