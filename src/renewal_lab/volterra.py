@@ -7,8 +7,9 @@ The marching scheme discretises
 with composite-trapezoid product weights w_j on a uniform grid.  When h(0) != 0
 the step equation is implicit in lambda_n and solved by (damped) fixed-point
 iteration.  Kernels declaring Erlang structure use an exact O(1)-per-step
-convolution recursion; compactly supported kernels a sliding dot product; the
-general path a full history dot product.
+convolution recursion, whose state carries every lambda_j at its weight,
+lambda_0's trapezoid half weight included; compactly supported kernels a
+sliding dot product; the general path a full history dot product.
 
 Every solve runs one loop that ``model.compile_loop`` compiles from
 ``_MARCH_TEMPLATE`` once per history shape (Erlang order and quadrature, or the
@@ -368,10 +369,10 @@ def march(hist, ts, {args}):
 """
 
 _SOLVE_ARGS = "xi_vals, lam_out, x_out, phi_s, tol, max_iter"
-_SOLVE_SETUP = "isfinite, over = math.isfinite, OVERFLOW_THRESHOLD"
-# the overflow/NaN cut, then the stores through the memoryviews
+_SOLVE_SETUP = "neg_inf, over = -math.inf, OVERFLOW_THRESHOLD"
+# the overflow/NaN cut (a NaN fails the chained compare), then the stores through the memoryviews
 _STORE = """
-if not isfinite(ln) or ln > over or abs(xn) > over:
+if not (neg_inf < ln <= over) or abs(xn) > over:
     return n, inner_total, inner_max
 lam_out[n] = ln
 x_out[n] = xn"""
@@ -447,12 +448,17 @@ class _ErlangHistory:
     """Exact O(order^2)-per-step recursion for h = scale * alpha^{k+1} t^k e^{-alpha t}/k!.
 
     The components T0..Tk sit in locals of the loop.  A step decays component
-    k to 0.0 + q_k T_0 + q_{k-1} T_1 + ... + q_0 T_k, with q_m = e^{-a} a^m / m!
-    (a = alpha dt), summed left to right from 0.0 as builtin ``sum`` does up to
-    Python 3.11 (it is compensated from 3.12 on, which would change the bits).
-    The explicit part is scale T_k, less under the trapezoid rule the end
-    correction of lambda_0's weight at t_n; committing lambda_n adds
-    alpha dt lambda_n to T_0.  Written out, a step runs no Python loop.
+    k to q_k T_0 + q_{k-1} T_1 + ... + q_0 T_k, q_m = e^{-a} a^m / m! (a =
+    alpha dt), summed left to right; the explicit part is scale T_k, and
+    committing lambda_n adds alpha dt lambda_n to T_0.  lambda_0 enters at
+    half that weight under the trapezoid rule: the q_m move it exactly along
+    the chain, to the trapezoid's end term (dt/2) h(t_n) lambda_0 at step n.
+    The sums keep the bits of a start at 0.0 (builtin ``sum`` up to Python
+    3.11), as 0.0 + y differs from y only at y = -0.0: components start at
+    +0.0, a commit adds alpha dt Phi(x) >= 0 (or -0.0) to one that is not
+    -0.0, a decay multiplies them by q_m >= +0.0, and a sum of values none of
+    which is -0.0 is not -0.0.  (A Phi that goes negative can make a component
+    -0.0 only where every product of its sum rounds to -0.0.)
     """
 
     def __init__(self, form: ErlangForm, cfg: SolverConfig):
@@ -461,11 +467,7 @@ class _ErlangHistory:
         decay = math.exp(-ad)
         self.q = [decay * ad**m / math.factorial(m) for m in range(k + 1)]
         self.scale = form.scale
-        self.dt = cfg.dt
         self.dt_alpha = cfg.dt * form.alpha
-        self.neg_alpha = -form.alpha
-        self.half_dt = 0.5 * cfg.dt
-        self.hcoeff = form.scale * form.alpha ** (k + 1) / math.factorial(k)
         h0 = form.scale * form.alpha if k == 0 else 0.0
         trapezoid = cfg.quadrature == TRAPEZOID
         self.beta = 0.5 * cfg.dt * h0 if trapezoid else 0.0
@@ -474,19 +476,14 @@ class _ErlangHistory:
     @staticmethod
     def snippets(order: int, trapezoid: bool) -> dict:
         comps = ", ".join(f"T{i}" for i in range(order + 1))
-        decayed = ", ".join("0.0 + " + " + ".join(f"q{k - i} * T{i}" for i in range(k + 1)) for k in range(order + 1))
-        pre = [f"{comps} = {decayed}", f"pre = scale * T{order}"]
-        if trapezoid:
-            # end correction of the trapezoid weight of lambda_0 at t_n; dt * n has the bits of cfg.grid()[n]
-            pre += ["t = dt * n", f"pre -= half_dt * (hcoeff * exp(neg_alpha * t) * t**{order}) * lam0"]
+        decayed = ", ".join(" + ".join(f"q{k - i} * T{i}" for i in range(k + 1)) for k in range(order + 1))
         return {
-            "load": [
-                f"{', '.join(f'q{m}' for m in range(order + 1))}, = hist.q",
-                "scale, dt, dt_alpha, neg_alpha = hist.scale, hist.dt, hist.dt_alpha, hist.neg_alpha",
-                "half_dt, hcoeff, exp = hist.half_dt, hist.hcoeff, math.exp",
-            ],
-            "start": ["lam0 = ln", f"{comps} = {', '.join(['0.0'] * (order + 1))}", "T0 += dt_alpha * ln"],
-            "pre": pre,
+            "load": [f"{', '.join(f'q{m}' for m in range(order + 1))}, = hist.q",
+                     "scale, dt_alpha = hist.scale, hist.dt_alpha"],
+            # lambda_0 enters at its end weight: half of it under the trapezoid rule
+            "start": [f"{comps} = {', '.join(['0.0'] * (order + 1))}",
+                      "T0 += 0.5 * dt_alpha * ln" if trapezoid else "T0 += dt_alpha * ln"],
+            "pre": [f"{comps} = {decayed}", f"pre = scale * T{order}"],
             "commit": ["T0 += dt_alpha * ln"],
         }
 
@@ -613,10 +610,10 @@ def equilibrium_locked_source(phi: FiringFunction, h: MemoryKernel, ell: float, 
     Raises RuntimeError, naming the step n, t_n and the quadrature, when no
     value within 64 rounding steps of the exact one makes the rounded sums hit
     the target.  Known case: the bistable sigmoid Phi(0.5, 1, 8, 1) with the
-    order-0 Erlang kernel of rate 3 under the trapezoid rule, at the centre
-    root ell = 1 with dt = 1e-3 and at the upper root ell ~ 1.4788 with
-    dt = 5e-4.  On t <= 50 every other pairing of the three roots with
-    dt in {1e-3, 5e-4}, either quadrature and kernel orders 0, 1 and 3 locks.
+    order-0 Erlang kernel of rate 3 under the trapezoid rule: the centre root
+    with dt = 1e-3 and the upper root ~ 1.4788 with dt = 5e-4 (steps 4, 44).
+    On t <= 50 every other pairing of the three roots with dt in
+    {1e-3, 5e-4}, either quadrature and kernel orders 0, 1 and 3 locks.
     """
     ts = cfg.grid()
     n_pts = ts.size

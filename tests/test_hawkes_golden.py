@@ -170,7 +170,7 @@ DIGESTS = {
     "clt_small": "05023a0b216708121e264a8391e8161072b52d34280f552ba878509b488e7a4f",
     "compact_general": "532db169d6957f92c54acd6561087a9c91be47c266d5ff33bea318ce72781bb0",
     "constant_phi_long": "ab44921ff1cdd511fc1e1c46c69208576a3af6671bb25be9d0a71f2fdb469185",
-    "couple_affine": "53062485d86c0780be463e6633b971f191f20691bde5b0c05645b8d2a53b47b1",
+    "couple_affine": "6498d802594639dad7f849e0c23702bbdd856445946ea61c4d216f563419982b",
     "couple_affine_margin": "70072795558a941b8e8e1408820f1fc4442bac73b005098549104f8ba8c84059",
     "couple_erlang": "2153192811583586471b5cb0e20e072d6a66570e0e1c859bc0ecede35bcb663a",
     "couple_erlang3": "70ceb43ea61beb935f9c24fa90f9e892f93236751d68089a839a6cde20246f46",

@@ -541,7 +541,7 @@ def test_unlockable_equilibrium_exits_one_naming_the_step(tmp_path, capsys):
     cfg.write_text(json.dumps(doc))
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert "source.ell" in err and "step 10 " in err and "t_n = 0.01," in err and "trapezoid" in err, err
+    assert "source.ell" in err and "step 4 " in err and "t_n = 0.0040000000000000001," in err and "trapezoid" in err, err
     assert "Traceback" not in err
 
 

@@ -54,6 +54,29 @@ def test_linear_limit(affine):
     assert np.allclose(traj.lam, np.asarray(phi(traj.x)))  # lambda = Phi(x) by construction
 
 
+def test_erlang_steps_call_no_exp(monkeypatch):
+    """lambda_0's trapezoid half weight rides in the Erlang state, so a solve calls ``math.exp`` once, to build the
+    decay coefficients ``hist.q``, and never per step (an end correction at t_n would take one per step)."""
+    phi = model.make_affine_phi(0.5)
+    h = model.make_erlang_kernel(2, 3.0)
+    xi = model.make_source_tail(h, 0.8)
+    cfg = SolverConfig(t_end=10.0)
+    solve_nre(phi, h, xi, cfg)  # compiles the loop
+    exp = math.exp
+    calls = 0
+
+    def counting(x):
+        nonlocal calls
+        calls += 1
+        return exp(x)
+
+    monkeypatch.setattr(math, "exp", counting)
+    traj = solve_nre(phi, h, xi, cfg)
+    assert traj.metadata["method"] == "marching-trapezoid" and traj.metadata["history"] == "ErlangHistory"
+    assert traj.ts.size == 10001 and not traj.divergent
+    assert calls == 1
+
+
 def test_convergence_order_trapezoid(bistable):
     phi, h, _ = bistable
     xi = model.make_source_tail(h, 0.8)

@@ -79,14 +79,14 @@ def solve_picard(phi, h, xi, cfg):
 
 
 class _RefErlangHistory:
+    """lambda_0 enters T0 at its end weight, half of dt alpha lambda_0 under the trapezoid rule, and rides the chain."""
+
     def __init__(self, form, cfg, ts, lam):
         self.order = form.order
         self.alpha = form.alpha
         self.scale = form.scale
         self.dt = cfg.dt
         self.trapezoid = cfg.quadrature == TRAPEZOID
-        self.lam = lam
-        self.ts = ts
         k = self.order
         ad = form.alpha * cfg.dt
         decay = math.exp(-ad)
@@ -94,11 +94,7 @@ class _RefErlangHistory:
         self.T = [0.0] * (k + 1)
         self._decayed = None
         self.h0 = self.scale * self.alpha if k == 0 else 0.0
-        self._hcoeff = self.scale * form.alpha ** (k + 1) / math.factorial(k)
         self.beta = 0.5 * cfg.dt * self.h0 if self.trapezoid else 0.0
-
-    def _h_at(self, t):
-        return self._hcoeff * math.exp(-self.alpha * t) * t**self.order if t > 0 else self.h0
 
     def explicit_part(self, n):
         if n == 0:
@@ -106,10 +102,36 @@ class _RefErlangHistory:
             return 0.0, 0.0
         dec = [sum(self.coeffs[k][i] * self.T[i] for i in range(k + 1)) for k in range(self.order + 1)]
         self._decayed = dec
-        pre = self.scale * dec[self.order]
-        if self.trapezoid:
+        return self.scale * dec[self.order], self.beta
+
+    def commit(self, n, lam_n):
+        if n == 0:
+            self.T = [0.0] * (self.order + 1)
+            weight = 0.5 if self.trapezoid else 1.0
+        else:
+            self.T = list(self._decayed)
+            weight = 1.0
+        self.T[0] += weight * (self.dt * self.alpha) * lam_n
+
+
+class _CorrectedErlangHistory(_RefErlangHistory):
+    """The explicit end correction: lambda_0 enters T0 at full weight, and each trapezoid step takes half of
+    dt h(t_n) lambda_0 back off.  The same quadrature, rounded differently."""
+
+    def __init__(self, form, cfg, ts, lam):
+        super().__init__(form, cfg, ts, lam)
+        self.ts = ts
+        self.lam = lam
+        self._hcoeff = self.scale * form.alpha ** (self.order + 1) / math.factorial(self.order)
+
+    def _h_at(self, t):
+        return self._hcoeff * math.exp(-self.alpha * t) * t**self.order if t > 0 else self.h0
+
+    def explicit_part(self, n):
+        pre, beta = super().explicit_part(n)
+        if n and self.trapezoid:
             pre -= 0.5 * self.dt * self._h_at(self.ts[n]) * self.lam[0]
-        return pre, self.beta
+        return pre, beta
 
     def commit(self, n, lam_n):
         if n == 0:
@@ -145,21 +167,21 @@ class _RefDotHistory:
         self.lam[n] = lam_n
 
 
-def _ref_make_history(h, cfg, ts, lam):
+def _ref_make_history(h, cfg, ts, lam, erlang=_RefErlangHistory):
     if h.structure is not None:
-        return _RefErlangHistory(h.structure, cfg, ts, lam)
+        return erlang(h.structure, cfg, ts, lam)
     if h.decay.kind == "compact":
         return _RefDotHistory(h, cfg, ts, lam, int(math.ceil(h.decay.horizon / cfg.dt)) + 1)
     return _RefDotHistory(h, cfg, ts, lam, ts.size)
 
 
-def ref_solve_nre(phi, h, xi, cfg):
+def ref_solve_nre(phi, h, xi, cfg, erlang=_RefErlangHistory):
     ts = cfg.grid()
     n_pts = ts.size
     xi_vals = xi.on_grid(ts)
     lam = np.zeros(n_pts)
     xarr = np.zeros(n_pts)
-    hist = _ref_make_history(h, cfg, ts, lam)
+    hist = _ref_make_history(h, cfg, ts, lam, erlang)
     phi_s = phi.scalar
     damped = abs(hist.beta) * phi.lip >= 1.0
 
@@ -333,6 +355,30 @@ def test_erlang_marching_matches_reference(bistable, order, quadrature):
 def test_erlang_polynomial_source_matches_reference(bistable):
     phi, h, _ = bistable
     _assert_same_solve(phi, h, model.make_source_erlang_polynomial(2, 3.0, (1.4, 0.3, -0.2)), SolverConfig(t_end=5.0))
+
+
+@pytest.mark.parametrize("quadrature", [TRAPEZOID, LEFT_RECTANGLE])
+@pytest.mark.parametrize("order", range(5))
+def test_folded_end_weight_is_the_explicit_end_correction(order, quadrature):
+    """lambda_0's trapezoid half weight carried along the chain is the end correction the reference subtracts at
+    each t_n, up to rounding: the solver agrees with it to 1e-12 relative, and to the bit under the left rectangle
+    rule, where nothing is corrected.  Phi's Lipschitz constant 1/2 keeps rounding differences from growing."""
+    rng = np.random.default_rng(order)
+    phi = model.make_sigmoid_phi(0.5, 1.0, 2.0, 1.0)
+    for _ in range(3):
+        alpha, t_end = rng.uniform(0.3, 8.0), rng.uniform(1.0, 80.0)
+        h = model.make_scaled_exponential_kernel(rng.uniform(-0.9, 0.9), alpha) if order == 0 else \
+            model.make_erlang_kernel(order, alpha)
+        xi = model.make_source_erlang_polynomial(order, alpha, rng.uniform(0.0, 2.0, order + 1))
+        cfg = SolverConfig(t_end=t_end, dt=1e-2, quadrature=quadrature)
+        got = solve_nre(phi, h, xi, cfg)
+        want = ref_solve_nre(phi, h, xi, cfg, erlang=_CorrectedErlangHistory)
+        if quadrature == LEFT_RECTANGLE:
+            _assert_same(got, want)
+            continue
+        assert not got.divergent and got.ts.size == want.ts.size == cfg.n_steps + 1
+        np.testing.assert_allclose(got.lam, want.lam, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got.x, want.x, rtol=1e-12, atol=0.0)
 
 
 def test_damped_implicit_step_matches_reference(bistable):
