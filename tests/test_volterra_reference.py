@@ -81,6 +81,8 @@ def solve_picard(phi, h, xi, cfg):
 class _RefErlangHistory:
     """lambda_0 enters T0 at its end weight, half of dt alpha lambda_0 under the trapezoid rule, and rides the chain."""
 
+    fold = True
+
     def __init__(self, form, cfg, ts, lam):
         self.order = form.order
         self.alpha = form.alpha
@@ -107,7 +109,7 @@ class _RefErlangHistory:
     def commit(self, n, lam_n):
         if n == 0:
             self.T = [0.0] * (self.order + 1)
-            weight = 0.5 if self.trapezoid else 1.0
+            weight = 0.5 if self.trapezoid and self.fold else 1.0
         else:
             self.T = list(self._decayed)
             weight = 1.0
@@ -117,6 +119,8 @@ class _RefErlangHistory:
 class _CorrectedErlangHistory(_RefErlangHistory):
     """The explicit end correction: lambda_0 enters T0 at full weight, and each trapezoid step takes half of
     dt h(t_n) lambda_0 back off.  The same quadrature, rounded differently."""
+
+    fold = False
 
     def __init__(self, form, cfg, ts, lam):
         super().__init__(form, cfg, ts, lam)
@@ -132,13 +136,6 @@ class _CorrectedErlangHistory(_RefErlangHistory):
         if n and self.trapezoid:
             pre -= 0.5 * self.dt * self._h_at(self.ts[n]) * self.lam[0]
         return pre, beta
-
-    def commit(self, n, lam_n):
-        if n == 0:
-            self.T = [0.0] * (self.order + 1)
-        else:
-            self.T = list(self._decayed)
-        self.T[0] += self.dt * self.alpha * lam_n
 
 
 class _RefDotHistory:
@@ -378,7 +375,8 @@ def test_folded_end_weight_is_the_explicit_end_correction(order, quadrature):
             continue
         assert not got.divergent and got.ts.size == want.ts.size == cfg.n_steps + 1
         np.testing.assert_allclose(got.lam, want.lam, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(got.x, want.x, rtol=1e-12, atol=0.0)
+        # x may cross 0 where the kernel is negative: relative to its largest value there
+        np.testing.assert_allclose(got.x, want.x, rtol=1e-12, atol=1e-12 * np.max(np.abs(want.x)))
 
 
 def test_damped_implicit_step_matches_reference(bistable):
